@@ -40,13 +40,15 @@ from .distance import (
 )
 from .errors import DomainError
 from .interference import laplace_with_derivatives, require_analytic_m
-from .network import NetworkScenario, _check_geometry
+from .network import _SURVIVAL_FLOOR, NetworkScenario, _check_geometry
 
-_SURVIVAL_FLOOR = 1e-12
 # Gauss order per panel of the per-receiver serving-distance integral, for
 # the reported rule and for the coarser one that checks it.
 EXACT_ORDER = 8
 EXACT_CHECK_ORDER = 6
+_GAUSS_RULES = {
+    order: np.polynomial.legendre.leggauss(order) for order in (EXACT_ORDER, EXACT_CHECK_ORDER)
+}
 # Panels are also split where the serving survival (1 - F_x)^(N-1) passes
 # these levels, so that at large N no panel is mostly empty tail.
 _SERVING_SURVIVAL_SPLITS = np.array([0.5, 1e-2, 1e-4])
@@ -73,17 +75,20 @@ class CoverageResult:
             raise DomainError("error_estimate must be nonnegative")
 
 
-def conditional_coverage(
-    l: float, scenario: NetworkScenario, dist: TabulatedDistribution
-) -> float:
-    """P(SIR > beta | serving distance l), clipped into [0, 1]."""
+def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistribution):
+    """P(SIR > beta | serving distance l), clipped into [0, 1].
+
+    Accepts scalar or array l (a float or an array of l's shape out); all
+    serving distances share one evaluation of the transform and its
+    derivatives.
+    """
     m = require_analytic_m(scenario.channel.m)
-    t = m * scenario.beta * float(l) ** scenario.channel.alpha
-    lap = laplace_with_derivatives(t, l, scenario, dist)
-    total = 0.0
-    for k in range(m):
-        total += (-t) ** k / math.factorial(k) * lap.derivatives[k]
-    return min(max(total, 0.0), 1.0)
+    l_arr = np.asarray(l, dtype=float)
+    t = m * scenario.beta * l_arr**scenario.channel.alpha
+    lap = laplace_with_derivatives(t, l_arr, scenario, dist)
+    total = sum((-t) ** k / math.factorial(k) * d for k, d in enumerate(lap.derivatives))
+    out = np.clip(total, 0.0, 1.0)
+    return float(out) if np.ndim(l) == 0 else out
 
 
 def coverage_probability(
@@ -155,15 +160,16 @@ def _receiver_coverage(
 
     The serving density (N-1) (1 - F_x)^(N-2) f_x comes from the exact
     receiver law, whose kinks are panel edges; the conditional series
-    reads the tabulated F_x.  Nodes where the table's survival is below
-    the floor are dropped, as in ``coverage_probability``.
+    reads the tabulated F_x and takes all of the rule's serving distances
+    in one array call.  Nodes where the table's survival is below the
+    floor are dropped, as in ``coverage_probability``.
     """
     n = scenario.N
     breaks = receiver_breakpoints(scenario.geom, r, z)
     levels = 1.0 - _SERVING_SURVIVAL_SPLITS ** (1.0 / (n - 1))
     splits = np.interp(levels, table.cdf_values, table.grid)
     edges = np.union1d(breaks, splits[(splits > 0.0) & (splits < breaks[-1])])
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _GAUSS_RULES[order]
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + halves[:, None] * x).ravel()
@@ -171,10 +177,8 @@ def _receiver_coverage(
     cdf, pdf = receiver_distance_law(scenario.geom, r, z, nodes)
     density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
     live = (density > 0.0) & (table.sf(nodes) >= _SURVIVAL_FLOOR)
-    return sum(
-        weight * dens * conditional_coverage(l, scenario, table)
-        for l, weight, dens in zip(nodes[live], weights[live], density[live])
-    )
+    covered = conditional_coverage(nodes[live], scenario, table)
+    return float(np.sum(weights[live] * density[live] * covered))
 
 
 def exact_coverage_probability(

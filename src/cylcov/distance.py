@@ -55,6 +55,9 @@ _CACHE_MAGIC = "# cylcov-cdf v1"
 DEFAULT_GRID_SIZE = 2048
 _CELL_QUAD_ORDER = 10
 _CELL_X, _CELL_W = np.polynomial.legendre.leggauss(_CELL_QUAD_ORDER)
+# Most integrand elements (rows x lower limits x nodes) that
+# integrate_pdf_product evaluates at once; bounds its temporaries.
+_BLOCK_ELEMENTS = 1 << 15
 
 RECEIVER_GRID_SIZE = 256
 # Gauss nodes of the receiver rule and of the coarser rule that checks it,
@@ -326,10 +329,11 @@ class TabulatedDistribution:
     def _product_quadrature(self):
         """Per-cell Gauss-Legendre nodes with density-scaled weights.
 
-        The tabulated density is piecewise cubic, so quadrature aligned to
-        the knot cells is exact up to the (tiny) Gauss error on the smooth
-        kernel factor.  Built lazily, then reused by every interference
-        integral against this table.
+        The tabulated density is the derivative of a PCHIP cubic, so it is
+        piecewise quadratic, and quadrature aligned to the knot cells is
+        exact up to the (tiny) Gauss error on the smooth kernel factor.
+        Built lazily, then reused by every interference integral against
+        this table.
         """
         cached = getattr(self, "_prodquad", None)
         if cached is None:
@@ -342,33 +346,54 @@ class TabulatedDistribution:
             self._prodquad = cached
         return cached
 
-    def integrate_pdf_product(self, lo: float, rows_fn, rows: int) -> np.ndarray:
-        """Integrals of rows_fn(u) * f(u) du over [lo, d_max], one per row.
+    def integrate_pdf_product(self, lo, rows_fn, rows: int) -> np.ndarray:
+        """Integrals of rows_fn(u) * f(u) du over [lo, d_max], one set of rows per lower limit.
 
-        rows_fn maps a node array u to shape (rows, len(u)) and must be
-        smooth; the piecewise structure of f is handled by cell-aligned
-        quadrature.  The cell containing lo is integrated separately on
-        its remaining part.
+        lo is a scalar or a 1-D array of n lower limits; the result has
+        shape (rows,) or (rows, n).  rows_fn(u, sel) returns the integrand
+        rows of the lower limits lo[sel] at the nodes u, shape
+        (rows, len(sel), u.shape[-1]), where u is either one 1-D node array
+        shared by all of sel or a (len(sel), q) array with a row per limit.
+        The rows must be smooth; the piecewise structure of f is handled by
+        cell-aligned quadrature.  Per lower limit, the cell containing it
+        is integrated on its remaining part and the full cells after it by
+        the table's rule, masked per row.  Lower limits are taken in blocks
+        of at most _BLOCK_ELEMENTS integrand elements, and every row is
+        summed over its nodes in a fixed order.
         """
-        lo = max(float(lo), 0.0)
-        if lo >= self.grid[-1]:
-            return np.zeros(rows)
+        lo_arr = np.maximum(np.atleast_1d(np.asarray(lo, dtype=float)), 0.0)
+        out = np.zeros((rows, lo_arr.size))
         nodes, wf = self._product_quadrature()
-        cell = min(
-            int(np.searchsorted(self.grid, lo, side="right")) - 1, self.grid.size - 2
+        live = np.flatnonzero(lo_arr < self.grid[-1])
+        a = lo_arr[live]
+        cell = np.minimum(
+            np.searchsorted(self.grid, a, side="right") - 1, self.grid.size - 2
         )
-        out = np.zeros(rows)
         b = self.grid[cell + 1]
-        if b > lo:
-            x, w = _CELL_X, _CELL_W
-            half = 0.5 * (b - lo)
-            part_nodes = 0.5 * (lo + b) + half * x
-            part_w = half * w * self.pdf(part_nodes)
-            out += rows_fn(part_nodes) @ part_w
+        half = 0.5 * (b - a)
+        part_nodes = (0.5 * (a + b))[:, None] + half[:, None] * _CELL_X
+        part_w = half[:, None] * _CELL_W * self.pdf(part_nodes)
         start = (cell + 1) * _CELL_QUAD_ORDER
-        if start < nodes.size:
-            out += rows_fn(nodes[start:]) @ wf[start:]
-        return out
+        order = np.argsort(start, kind="stable")
+        pos = 0
+        while pos < order.size:
+            first = start[order[pos]]
+            width = nodes.size - first + _CELL_QUAD_ORDER
+            block = order[pos : pos + max(1, _BLOCK_ELEMENTS // (rows * width))]
+            sel = live[block]
+            # pairwise summation over the last axis: a fixed order, with
+            # rounding error growing like log(nodes)
+            total = (rows_fn(part_nodes[block], sel) * part_w[block]).sum(axis=-1)
+            if first < nodes.size:
+                w = wf[first:]
+                if start[block[-1]] > first:  # rows starting at later cells
+                    w = np.where(np.arange(first, nodes.size) >= start[block][:, None], w, 0.0)
+                full = rows_fn(nodes[first:], sel)
+                full *= w
+                total += full.sum(axis=-1)
+            out[:, sel] = total
+            pos += block.size
+        return out[:, 0] if np.ndim(lo) == 0 else out
 
     def survival_cutoff(self, eps: float = 1e-12) -> float:
         """Smallest knot beyond which 1 - F drops below eps (d_max if none)."""

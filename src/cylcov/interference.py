@@ -13,37 +13,42 @@ changes nothing because the density vanishes there.
 
 Derivatives in t up to order m - 1 feed the coverage series.  They are
 computed analytically: differentiation under the integral gives the
-derivatives of g, and the derivatives of g^(N-2) follow from Faa di
-Bruno's formula (hard-coded Bell polynomials up to order 4, enough for
-m <= 5).  Numeric differentiation is used only as a test oracle.
+derivatives of g, and the derivatives of g^(N-2) follow from the
+Taylor-coefficient recurrence for powers.  Numeric differentiation is
+used only as a test oracle.
 
 The u-integrals for all needed orders share one quadrature pass through
 the tabulated density's cell-aligned Gauss rule (the tabulated density is
-piecewise cubic, so cell alignment makes the rule exact up to the tiny
-Gauss error on the smooth kernel factor).  Everything is deterministic
-and pure; evaluations at distinct (t, l) can run concurrently.
+piecewise quadratic, so cell alignment makes the rule exact up to the tiny
+Gauss error on the smooth kernel factor).  The transform takes arrays of
+(t, l) and evaluates them in that one pass; a scalar pair is its
+one-element case.  Everything is deterministic and pure; evaluations can
+run concurrently.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
 from .distance import TabulatedDistribution
-from .errors import DegenerateConditionError, DomainError, UnsupportedParameterError
-from .network import NetworkScenario, _check_geometry
+from .errors import DomainError, UnsupportedParameterError
+from .network import NetworkScenario, _check_geometry, _conditioning_survival
 
-_SURVIVAL_FLOOR = 1e-12
 MAX_ANALYTIC_M = 5
 
 
 @dataclass(frozen=True)
 class LaplaceEvaluation:
-    """L_I(t | l) together with its t-derivatives of order 0 .. m-1."""
+    """L_I(t | l) together with its t-derivatives of order 0 .. m-1.
 
-    t: float
-    value: float
-    derivatives: Tuple[float, ...]
+    Floats for a scalar (t, l), arrays of their broadcast shape otherwise.
+    """
+
+    t: Union[float, np.ndarray]
+    value: Union[float, np.ndarray]
+    derivatives: Tuple[Union[float, np.ndarray], ...]
 
 
 def require_analytic_m(m) -> int:
@@ -63,42 +68,49 @@ def require_analytic_m(m) -> int:
 
 
 def _g_derivatives(
-    t: float, l: float, scenario: NetworkScenario, dist: TabulatedDistribution, orders: int
+    t, l, scenario: NetworkScenario, dist: TabulatedDistribution, orders: int
 ) -> np.ndarray:
     """Signed derivatives g^(j)(t | l) for j = 0 .. orders-1.
 
-    g^(j) = (-1)^j (m)_j int (u^{-a}/m)^j (1 + t u^{-a}/m)^{-m-j} f(u|l) du,
-    with (m)_j the rising factorial from the Gamma-kernel derivative.
+    With x = u^{-a},
+    g^(j) = (-1)^j (m)_j m^{-j} int x^j (1 + t x / m)^{-m-j} f(u|l) du,
+    and (m)_j the rising factorial from the Gamma-kernel derivative.  t and
+    l broadcast together; the result has shape (orders,) plus their
+    broadcast shape.  The kernel rows come from inv = 1 / (1 + t x / m) by
+    repeated multiplication, with no power per element beyond x itself.
     """
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"transform argument t={t!r} must be nonnegative")
-    l = float(l)
-    if not (0.0 <= l < dist.d_max):
-        raise DomainError(f"serving distance l={l!r} outside [0, d_max)")
-    survival = dist.sf(l)
-    if survival < _SURVIVAL_FLOOR:
-        raise DegenerateConditionError(
-            f"1 - F(l) = {survival!r} at l={l!r}; conditioning is degenerate"
+    t_arr, l_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(l, dtype=float))
+    if np.any(t_arr < 0.0):
+        raise DomainError(
+            f"transform argument t={float(np.min(t_arr))!r} must be nonnegative"
         )
-    m = scenario.channel.m
+    survival = np.ravel(_conditioning_survival(l_arr, dist))
+    m = int(scenario.channel.m)
     alpha = scenario.channel.alpha
-    rising = np.cumprod(np.concatenate(([1.0], m + np.arange(orders - 1))))
-    signs = (-1.0) ** np.arange(orders)
+    t_scaled = t_arr.ravel() / m
 
-    def rows_fn(u):
-        x = np.power(u, -alpha) / m
-        base = 1.0 + t * x
-        return np.vstack(
-            [np.power(base, -(m + j)) * np.power(x, j) for j in range(orders)]
-        )
+    def rows_fn(u, sel):
+        x = u**-alpha
+        inv = t_scaled[sel, None] * x
+        inv += 1.0
+        out = np.empty((orders,) + inv.shape)
+        np.reciprocal(inv, out=inv)
+        out[0] = inv
+        for _ in range(m - 1):
+            out[0] *= inv
+        inv *= x
+        for j in range(1, orders):
+            np.multiply(out[j - 1], inv, out=out[j])
+        return out
 
-    raw = dist.integrate_pdf_product(l, rows_fn, orders) / survival
-    if t == 0.0:
-        # the conditional density integrates to 1 by construction; pin the
-        # normalization identity g(0 | l) = 1 instead of its float residue
-        raw[0] = 1.0
-    return signs * rising * raw
+    raw = dist.integrate_pdf_product(l_arr.ravel(), rows_fn, orders) / survival
+    # the conditional density integrates to 1 by construction; pin the
+    # normalization identity g(0 | l) = 1 instead of its float residue
+    raw[0, t_scaled == 0.0] = 1.0
+    j = np.arange(orders)
+    rising = np.cumprod(np.concatenate(([1.0], m + j[:-1])))
+    coef = (-1.0) ** j * rising / float(m) ** j
+    return (coef[:, None] * raw).reshape((orders,) + t_arr.shape)
 
 
 def inner_integral(
@@ -112,6 +124,7 @@ def inner_integral(
 
     j = 0 is g itself, in (0, 1]; higher orders carry sign (-1)^j.
     """
+    require_analytic_m(scenario.channel.m)
     if j != int(j) or j < 0:
         raise DomainError(f"derivative order j={j!r} must be a nonnegative integer")
     if j > scenario.channel.m - 1:
@@ -122,73 +135,53 @@ def inner_integral(
     return float(_g_derivatives(t, l, scenario, dist, int(j) + 1)[int(j)])
 
 
-def _falling(n: int, j: int) -> float:
-    out = 1.0
-    for i in range(j):
-        out *= n - i
-    return out
-
-
 def _power_derivatives(g: np.ndarray, n: int, orders: int) -> np.ndarray:
-    """Derivatives of g(t)^n from the derivatives of g (Faa di Bruno).
+    """Derivatives of g(t)^n from the derivatives of g, along the first axis.
 
-    Bell polynomials hard-coded through order 4; sufficient for the
-    supported m <= 5.  Falling factorials vanish once j exceeds n, which
-    handles small N without special cases.
+    In Taylor coefficients a_q = g^(q) / q! and b_q of g^n,
+
+        b_0 = a_0^n,    b_q = sum_{j=1..q} ((n + 1) j - q) a_j b_{q-j} / (q a_0),
+
+    which needs a_0 = g > 0; in the coverage series g >= (1 + beta)^-m.
+    For n below the order the recurrence yields the vanishing terms by
+    itself, so small N needs no special case.
     """
-    if orders > 5:
-        raise UnsupportedParameterError("derivative orders above 4 are not supported")
-    g0 = g[0]
-    powers = {
-        j: _falling(n, j) * g0 ** (n - j)
-        for j in range(orders)
-        if _falling(n, j) != 0.0
-    }
-
-    def p(j):
-        return powers.get(j, 0.0)
-
-    out = np.zeros(orders)
-    out[0] = g0**n
-    if orders > 1:
-        g1 = g[1]
-        out[1] = p(1) * g1
-    if orders > 2:
-        g2 = g[2]
-        out[2] = p(2) * g1**2 + p(1) * g2
-    if orders > 3:
-        g3 = g[3]
-        out[3] = p(3) * g1**3 + 3.0 * p(2) * g1 * g2 + p(1) * g3
-    if orders > 4:
-        g4 = g[4]
-        out[4] = (
-            p(4) * g1**4
-            + 6.0 * p(3) * g1**2 * g2
-            + p(2) * (3.0 * g2**2 + 4.0 * g1 * g3)
-            + p(1) * g4
-        )
-    return out
+    fact = np.array([math.factorial(q) for q in range(orders)], dtype=float)
+    fact = fact.reshape((orders,) + (1,) * (np.ndim(g) - 1))
+    a = np.asarray(g)[:orders] / fact
+    b = np.empty_like(a)
+    b[0] = a[0] ** n
+    for q in range(1, orders):
+        b[q] = sum(((n + 1) * j - q) * a[j] * b[q - j] for j in range(1, q + 1)) / (q * a[0])
+    return b * fact
 
 
 def laplace_with_derivatives(
-    t: float,
-    l: float,
-    scenario: NetworkScenario,
-    dist: TabulatedDistribution,
+    t, l, scenario: NetworkScenario, dist: TabulatedDistribution
 ) -> LaplaceEvaluation:
     """L_I(t | l) = g(t | l)^(N-2) with derivatives of order 0 .. m-1.
 
-    N = 2 means no interferers: the transform is identically 1 and all
-    derivatives vanish.
+    t and l are scalars or arrays that broadcast together; every pair is
+    evaluated in one pass.  N = 2 means no interferers: the transform is
+    identically 1 and all derivatives vanish.
     """
     m = require_analytic_m(scenario.channel.m)
-    if t < 0.0:
-        raise DomainError(f"transform argument t={t!r} must be nonnegative")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0.0):
+        raise DomainError(
+            f"transform argument t={float(np.min(t_arr))!r} must be nonnegative"
+        )
     if scenario.N == 2:
-        return LaplaceEvaluation(t=float(t), value=1.0, derivatives=(1.0,) + (0.0,) * (m - 1))
-    _check_geometry(scenario.geom, dist)
-    g = _g_derivatives(t, l, scenario, dist, m)
-    ds = _power_derivatives(g, scenario.N - 2, m)
+        ds = np.zeros((m,) + np.broadcast(t_arr, np.asarray(l)).shape)
+        ds[0] = 1.0
+    else:
+        _check_geometry(scenario.geom, dist)
+        g = _g_derivatives(t_arr, l, scenario, dist, m)
+        ds = _power_derivatives(g, scenario.N - 2, m)
+    if ds.ndim == 1:
+        return LaplaceEvaluation(
+            t=float(t_arr), value=float(ds[0]), derivatives=tuple(float(d) for d in ds)
+        )
     return LaplaceEvaluation(
-        t=float(t), value=float(ds[0]), derivatives=tuple(float(d) for d in ds)
+        t=np.broadcast_to(t_arr, ds.shape[1:]), value=ds[0], derivatives=tuple(ds)
     )

@@ -15,6 +15,9 @@ from .distance import TabulatedDistribution
 from .errors import DegenerateConditionError, DomainError
 from .geometry import CylinderGeometry
 
+# Conditioning on a serving distance l divides by 1 - F(l); below this floor
+# the quotient amplifies tabulation noise, and the serving-distance mass
+# beyond it, (1 - F)^(N-1), is far below the 1e-4 coverage contract.
 _SURVIVAL_FLOOR = 1e-12
 
 
@@ -80,6 +83,28 @@ def serving_distance_cdf(l, scenario: NetworkScenario, dist: TabulatedDistributi
     return 1.0 - np.power(dist.sf(l), scenario.N - 1)
 
 
+def _conditioning_survival(l, dist: TabulatedDistribution):
+    """1 - F(l) at serving distances l, checked for conditioning.
+
+    Accepts scalar or array l.  Raises DomainError for l outside
+    [0, d_max) and DegenerateConditionError where 1 - F(l) is below the
+    survival floor.
+    """
+    l_arr = np.ravel(np.asarray(l, dtype=float))
+    outside = np.flatnonzero(~((l_arr >= 0.0) & (l_arr < dist.d_max)))
+    if outside.size:
+        raise DomainError(f"serving distance l={float(l_arr[outside[0]])!r} outside [0, d_max)")
+    survival = dist.sf(l)
+    degenerate = np.flatnonzero(np.ravel(survival) < _SURVIVAL_FLOOR)
+    if degenerate.size:
+        first = degenerate[0]
+        raise DegenerateConditionError(
+            f"1 - F(l) = {float(np.ravel(survival)[first])!r} at l={float(l_arr[first])!r}; "
+            "conditioning is degenerate"
+        )
+    return survival
+
+
 def conditional_interferer_pdf(u, l: float, dist: TabulatedDistribution):
     """Density of one interferer distance given serving distance l.
 
@@ -88,13 +113,7 @@ def conditional_interferer_pdf(u, l: float, dist: TabulatedDistribution):
     amplifying tabulation noise.
     """
     l = float(l)
-    if not (0.0 <= l < dist.d_max):
-        raise DomainError(f"serving distance l={l!r} outside [0, d_max)")
-    survival = dist.sf(l)
-    if survival < _SURVIVAL_FLOOR:
-        raise DegenerateConditionError(
-            f"1 - F(l) = {survival!r} at l={l!r}; conditioning is degenerate"
-        )
+    survival = _conditioning_survival(l, dist)
     u_arr = np.asarray(u, dtype=float)
     out = np.where(u_arr < l, 0.0, dist.pdf(u_arr) / survival)
     return float(out) if np.ndim(u) == 0 else out

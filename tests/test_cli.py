@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cylcov
 from cylcov import CylinderGeometry, build_cdf
 from cylcov.cli import db_to_linear, linear_to_db, load_scenario_file, main
 
@@ -200,6 +205,37 @@ class TestCoverageCommand:
         assert main(["coverage", "--scenario", str(scen), "--output", str(outs[2]), "--workers", "2"]) == 0
         blobs = [p.read_bytes() for p in outs]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_analytic_digits_independent_of_blas_threads(self, tmp_path, tall_dist):
+        # The analytic rows are reduced in a fixed order, so a BLAS library
+        # that splits its work over threads cannot change their digits.
+        cache = tmp_path / "tall.tsv"
+        tall_dist.save(cache)
+        scen = write_scenario(
+            tmp_path / "s.json",
+            scenario={"N": 5, "R": 20.0, "H": 120.0, "alpha": 4.0, "m": 1, "beta_dB": 0.0},
+            sweep={"N": [5, 20], "beta_dB": [0, 10], "m": [1, 2]},
+            output={"grid_size": tall_dist.grid_size},
+        )
+        src = str(Path(cylcov.__file__).resolve().parents[1])
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}.csv"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            subprocess.run(
+                [sys.executable, "-m", "cylcov.cli", "coverage", "--scenario", str(scen),
+                 "--cdf-cache", str(cache), "--workers", "1", "--output", str(out)],
+                env=env, check=True, timeout=600,
+            )
+            blobs.append(out.read_bytes())
+        assert len(read_rows(tmp_path / "threads-1.csv")[1]) == 8
+        assert blobs[0] == blobs[1]
 
     def test_beta_db_equivalence(self, tmp_path):
         linear = write_scenario(tmp_path / "lin.json")

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CUBIC, SQUAT, TALL, get_dist, get_mixture
+from conftest import CUBIC, REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture
 from cylcov import (
     ChannelModel,
     CoverageResult,
@@ -58,6 +60,41 @@ class TestConditionalCoverage:
         for l in np.linspace(0.01, 0.8, 20) * TALL.d_max:
             value = conditional_coverage(float(l), sc, tall_dist)
             assert 0.0 <= value <= 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geom=st.sampled_from(REGIME_GEOMETRIES),
+        m=st.integers(1, 5),
+        N=st.integers(2, 40),
+        beta=st.floats(0.01, 100.0),
+        alpha=st.floats(2.5, 5.0),
+        knots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        cell=st.floats(0.0, 1.0),
+        offsets=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=5),
+        tail=st.lists(st.floats(0.0, 1.0), max_size=3),
+        spread=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def test_array_call_matches_scalar_calls(
+        self, geom, m, N, beta, alpha, knots, cell, offsets, tail, spread
+    ):
+        # The serving distances mix knots, several nodes in one knot cell,
+        # nodes in the last cells before the survival cutoff and nodes
+        # spread over the live range, in no particular order.
+        dist = get_dist(geom)
+        sc = scenario(N=N, m=float(m), alpha=alpha, geom=geom, beta=beta)
+        grid = dist.grid
+        last = int(np.searchsorted(grid, dist.survival_cutoff())) - 1
+        on_knots = grid[np.floor(np.array(knots) * last).astype(int)]
+        k = int(cell * (last - 1))
+        in_cell = grid[k] + np.array(offsets) * (grid[k + 1] - grid[k])
+        near_cutoff = grid[last - 2] + np.array(tail) * (grid[last + 1] - grid[last - 2])
+        ls = np.concatenate([on_knots, in_cell, near_cutoff, np.array(spread) * grid[last]])
+        ls = ls[dist.sf(ls) >= 1e-12]
+        batched = conditional_coverage(ls, sc, dist)
+        assert batched.shape == ls.shape
+        for l, value in zip(ls, batched):
+            single = conditional_coverage(float(l), sc, dist)
+            assert abs(value - single) <= 1e-13 * abs(single), (l, value, single)
 
 
 class TestCoverageProbability:
@@ -210,6 +247,29 @@ class TestExactCoverage:
         paper = coverage_probability(sc, tall_dist).pc
         assert abs(exact - est.mean) <= 3.0 * stderr
         assert paper - est.mean > 10.0 * stderr
+
+    def test_values_pinned_at_parent(self, squat_mixture, tall_mixture):
+        # Measured with one BLAS thread before the conditional series took
+        # arrays of serving distances, when it ran one distance per call.
+        pinned = [
+            (squat_mixture, SQUAT, 3, 1, 0.1, 0.9688512636660276),
+            (squat_mixture, SQUAT, 10, 2, 1.0, 0.5734279735205065),
+            (squat_mixture, SQUAT, 20, 4, 3.0, 0.23569327939840895),
+            (squat_mixture, SQUAT, 40, 5, 10.0, 0.06242551726903666),
+            (tall_mixture, TALL, 3, 5, 10.0, 0.35834236524577695),
+            (tall_mixture, TALL, 10, 1, 0.3, 0.7534352683190665),
+            (tall_mixture, TALL, 20, 3, 10.0, 0.049959662265346885),
+            (tall_mixture, TALL, 40, 2, 1.0, 0.3078823470535713),
+        ]
+        for mixture, geom, N, m, beta, pc in pinned:
+            res = exact_coverage_probability(
+                scenario(N=N, m=float(m), geom=geom, beta=beta), mixture
+            )
+            assert abs(res.pc - pc) <= 1e-12, (geom, N, m, beta, res.pc)
+            assert res.error_estimate <= 1e-4
+        # the receiver rule does not resolve the thin floor layer at large N
+        with pytest.raises(RuntimeError):
+            exact_coverage_probability(scenario(N=80, m=3.0, beta=10.0), tall_mixture)
 
     def test_scale_invariance(self):
         # SIR coverage depends on the cylinder's shape only
