@@ -19,11 +19,13 @@ picking and segment line picking).  Two evaluation routes are provided:
   consistent grouping).
 
 ``build_cdf`` tabulates the CDF once per geometry on an equally spaced
-grid (cumulative per-panel quadrature, tolerance 1e-10 per panel) and wraps
-it in a monotone piecewise-cubic (PCHIP) interpolant.  The tabulated
-density is the exact derivative of that interpolant, so downstream
-integrals of expressions like (1 - F)^(N-2) f are internally consistent.
-Tables serialize to a versioned columnar text file for reuse across runs.
+grid and wraps it in a monotone piecewise-cubic (PCHIP) interpolant.  It
+integrates the closed-form disk CDF against the segment density by one
+fixed Gauss rule per knot and calls neither density route.  The
+tabulated density is the exact derivative of that interpolant, so
+downstream integrals of expressions like (1 - F)^(N-2) f are internally
+consistent.  Tables serialize to a versioned columnar text file for reuse
+across runs.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -66,13 +68,27 @@ RECEIVER_GRID_SIZE = 256
 # thick next to the wall and the floor, a smaller share of the longer axis.
 RECEIVER_RULE = (12, 6)
 RECEIVER_CHECK_RULE = (9, 5)
-# Gauss rule over one slab of ball slices, in the slice angle and mapped
-# through the smoothstep s^2 (3 - 2 s), so the (3/2)- and (1/2)-power
-# endpoint behaviour of the lens area and arc angle becomes smooth in s.
-_SLICE_X, _SLICE_W = np.polynomial.legendre.leggauss(24)
-_SLICE_S = 0.5 * (_SLICE_X + 1.0)
-_SLICE_PHI = _SLICE_S * _SLICE_S * (3.0 - 2.0 * _SLICE_S)
-_SLICE_DPHI_W = 3.0 * _SLICE_S * (1.0 - _SLICE_S) * _SLICE_W
+
+
+def _smoothstep_rule(order: int):
+    """Gauss-Legendre rule on [0, 1] mapped through the smoothstep s^2 (3 - 2 s).
+
+    Returns the mapped nodes and their weights times the map's derivative.
+    The map's derivative vanishes to first order at both ends, so an
+    integrand with (3/2)- or (1/2)-power endpoint behaviour becomes smooth
+    in s.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * (x + 1.0)
+    return s * s * (3.0 - 2.0 * s), 3.0 * s * (1.0 - s) * w
+
+
+# Smoothstep rule over one slab of ball slices, in the slice angle: the lens
+# area and arc angle have (3/2)- and (1/2)-power endpoint behaviour.
+_SLICE_PHI, _SLICE_DPHI_W = _smoothstep_rule(24)
+# Smoothstep rule over the vertical separation in build_cdf, where the disk
+# CDF approaches 1 like (2R - v)^(3/2) and 0 like a term in v^3.
+_PAIR_CDF_PHI, _PAIR_CDF_DPHI_W = _smoothstep_rule(48)
 
 
 def disk_pair_pdf(v: float, R: float) -> float:
@@ -462,33 +478,44 @@ class TabulatedDistribution:
         return cls(geometry, grid, values)
 
 
-def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedDistribution:
-    """Tabulate F_L on an equally spaced grid by cumulative panel quadrature.
+def _disk_pair_cdf(v: np.ndarray, R: float) -> np.ndarray:
+    """CDF of the distance between two uniform points in a disk of radius R.
 
-    Each panel of the numeric PDF is integrated adaptively to 1e-10
-    absolute tolerance; the accumulated total mass must come out within
-    1e-6 of 1 and is normalized away so F(d_max) is exactly 1.
+    With x = v / 2R clipped to [0, 1],
+    F(v) = 1 + (2 / pi) ((4 x^2 - 1) acos(x) - x (1 + 2 x^2) sqrt(1 - x^2)).
+    """
+    x = np.clip(v / (2.0 * R), 0.0, 1.0)
+    x2 = x * x
+    return 1.0 + (2.0 / math.pi) * (
+        (4.0 * x2 - 1.0) * np.arccos(x) - x * (1.0 + 2.0 * x2) * np.sqrt(1.0 - x2)
+    )
+
+
+def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedDistribution:
+    """Tabulate F_L on an equally spaced grid by one fixed rule per knot.
+
+    Conditioning on the vertical separation z gives
+
+        F(l) = int_0^{min(l, H)} F_disk(sqrt(l^2 - z^2)) 2 (H - z) / H^2 dz.
+
+    Below z0 = sqrt(l^2 - 4 R^2) the disk CDF is 1, so that piece is the
+    segment CDF (2 z H - z^2) / H^2 in closed form; the rest is a 48-node
+    Gauss rule through the smoothstep map, applied to every knot at once.
+    The total mass must come out within 1e-6 of 1 and is normalized away
+    so F(d_max) is exactly 1.
     """
     if grid_size < 64:
         raise DomainError(f"grid_size={grid_size} must be at least 64")
+    R, H = geom.R, geom.H
     grid = np.linspace(0.0, geom.d_max, int(grid_size))
-    kinks = sorted({min(2.0 * geom.R, geom.d_max), min(geom.H, geom.d_max)})
-    masses = np.zeros(grid.size)
-    for i in range(1, grid.size):
-        a, b = grid[i - 1], grid[i]
-        interior = [p for p in kinks if a < p < b]
-        val, _ = quad(
-            cylinder_pair_pdf_numeric,
-            a,
-            b,
-            args=(geom,),
-            epsabs=1e-10,
-            epsrel=1e-10,
-            points=interior or None,
-            limit=100,
-        )
-        masses[i] = max(val, 0.0)
-    F = np.cumsum(masses)
+    top = np.minimum(grid, H)
+    low = np.minimum(np.sqrt(np.maximum(grid * grid - 4.0 * R * R, 0.0)), top)
+    z = low[:, None] + (top - low)[:, None] * _PAIR_CDF_PHI
+    disk = _disk_pair_cdf(np.sqrt(np.maximum(grid[:, None] ** 2 - z * z, 0.0)), R)
+    weights = (top - low)[:, None] * _PAIR_CDF_DPHI_W
+    F = (2.0 * low * H - low * low) / (H * H) + np.sum(
+        disk * (2.0 * (H - z) / (H * H)) * weights, axis=1
+    )
     total = F[-1]
     if abs(total - 1.0) > 1e-6:
         raise RuntimeError(

@@ -1,4 +1,8 @@
-"""Shared fixtures: CDF tables are expensive, so build each geometry once."""
+"""Shared fixtures: each geometry's tables are built once per session.
+
+A pair-distance CDF table takes milliseconds and a receiver mixture a
+fraction of a second, but many tests share them.
+"""
 
 import pytest
 

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from scipy.stats import kstest
 
 from conftest import NEEDLE, REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture
@@ -40,7 +40,6 @@ from cylcov import (
     simulate_coverage,
 )
 from cylcov.cli import main
-from cylcov.distance import quad  # same adaptive integrator the library uses
 
 GRID_N = (3, 5, 10, 20)
 GRID_M = (1.0, 2.0, 3.0)

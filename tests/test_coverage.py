@@ -205,6 +205,47 @@ class TestCoverageProbability:
         with pytest.raises(UnsupportedParameterError):
             coverage_probability(scenario(m=6.0), tall_dist)
 
+    def test_values_pinned_at_parent(self, tall_dist):
+        # The paper-figures sweep (tall, alpha = 4), measured with one BLAS
+        # thread when the outer integral was adaptive (QUADPACK, 1e-6).
+        pinned = [
+            (5, 0, 1, 0.7269419140548884),
+            (5, 0, 2, 0.782870769816606),
+            (5, 10, 1, 0.3035523613376471),
+            (5, 10, 2, 0.2899171503723197),
+            (20, 0, 1, 0.5125530319034143),
+            (20, 0, 2, 0.5463602893943758),
+            (20, 10, 1, 0.1296507721012026),
+            (20, 10, 2, 0.1249992876739304),
+        ]
+        for N, beta_db, m, pc in pinned:
+            sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
+            res = coverage_probability(sc, tall_dist)
+            assert abs(res.pc - pc) <= 1e-6, (N, beta_db, m, res.pc)
+            assert res.error_estimate <= 1e-4
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES)
+    def test_matches_cell_aligned_reference(self, geom):
+        # Reference: 4 Gauss points in every knot cell up to the survival
+        # cutoff, with the conditional coverage evaluated at each of them.
+        dist = get_dist(geom)
+        cells = dist.grid[dist.grid <= dist.survival_cutoff()]
+        x, w = np.polynomial.legendre.leggauss(4)
+        halves = 0.5 * np.diff(cells)
+        l = (0.5 * (cells[1:] + cells[:-1]))[:, None] + halves[:, None] * x
+        weights = halves[:, None] * w
+        live = dist.sf(l) >= 1e-12
+        l, weights = l[live], weights[live]
+        for N in (3, 20, 80):
+            density = weights * (N - 1) * dist.sf(l) ** (N - 2) * dist.pdf(l)
+            for m in (1, 3, 5):
+                sc = scenario(N=N, m=float(m), alpha=4.0, geom=geom, beta=10.0)
+                ref = float(np.sum(density * conditional_coverage(l, sc, dist)))
+                res = coverage_probability(sc, dist)
+                gap = abs(res.pc - ref)
+                assert gap <= min(res.error_estimate + 1e-8, 1e-6), (N, m, res, ref)
+                assert res.error_estimate <= 1e-4
+
     def test_coarse_grid_changes_little(self):
         geom = CylinderGeometry(R=40.0, H=40.0)
         sc = scenario(geom=geom)
@@ -268,8 +309,9 @@ class TestExactCoverage:
             assert abs(res.pc - pc) <= 1e-12, (geom, N, m, beta, res.pc)
             assert res.error_estimate <= 1e-4
         # the receiver rule does not resolve the thin floor layer at large N
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as failure:
             exact_coverage_probability(scenario(N=80, m=3.0, beta=10.0), tall_mixture)
+        assert "np.float64" not in str(failure.value)
 
     def test_scale_invariance(self):
         # SIR coverage depends on the cylinder's shape only

@@ -221,6 +221,28 @@ class TestBuildCdf:
         ks = kstest(d, tall_dist.cdf).statistic
         assert ks <= 0.003  # full 1e6-pair bound of 0.002 runs in acceptance
 
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES)
+    def test_matches_nested_quadrature_table(self, geom):
+        # Oracle: each knot cell of the numeric convolution density
+        # integrated adaptively to 1e-10, accumulated and normalized.
+        grid = np.linspace(0.0, geom.d_max, 256)
+        kinks = sorted({min(2.0 * geom.R, geom.d_max), min(geom.H, geom.d_max)})
+        masses = [0.0]
+        for a, b in zip(grid[:-1], grid[1:]):
+            masses.append(
+                quad(
+                    cylinder_pair_pdf_numeric, a, b, args=(geom,),
+                    epsabs=1e-10, epsrel=1e-10, limit=100,
+                    points=[p for p in kinks if a < p < b] or None,
+                )[0]
+            )
+        oracle = np.cumsum(masses)
+        table = build_cdf(geom, 256)
+        assert np.array_equal(table.grid, grid)
+        assert np.max(np.abs(table.cdf_values - oracle / oracle[-1])) <= 1e-9
+        assert np.all(np.diff(table.cdf_values) >= 0.0)
+        assert table.cdf_values[0] == 0.0 and table.cdf_values[-1] == 1.0
+
     def test_integral_of_tabulated_pdf_hits_one(self, squat_dist):
         dense = np.linspace(0.0, SQUAT.d_max, 100_001)
         mass = np.trapezoid(squat_dist.pdf(dense), dense)
