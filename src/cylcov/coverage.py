@@ -77,9 +77,11 @@ _SERVING_SURVIVAL_SPLITS = np.array([0.5, 1e-2, 1e-4])
 class CoverageResult:
     """Coverage probability with its method tag and error bound.
 
-    error_estimate is the quadrature error bound for analytic methods and
-    a 95% confidence half-width for Monte Carlo ones.  scenario echoes
-    whatever parameter object produced the number.
+    error_estimate bounds the numerical error of the analytic methods
+    (the gap to a coarser rule, or for the Poisson baseline to a
+    transformed evaluation plus rounding) and is a 95% confidence
+    half-width for Monte Carlo ones.  scenario echoes whatever parameter
+    object produced the number.
     """
 
     pc: float
@@ -247,7 +249,7 @@ def exact_coverage_probability(
             f"exact coverage error estimate {float(err)!r} exceeds the 1e-4 contract"
         )
     return CoverageResult(
-        pc=min(max(value, 0.0), 1.0),
+        pc=min(max(float(value), 0.0), 1.0),
         method="analytic-exact",
         error_estimate=float(err),
         scenario=scenario,

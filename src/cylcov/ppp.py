@@ -11,10 +11,24 @@ Nakagami fading laws.  The serving distance then has the standard density
 and conditioned on it the interferers form a Poisson process of intensity
 lam outside the ball of radius l, giving the exponential transform
 
-    L_I(t | l) = exp(-4 pi lam int_l^inf (1 - (1 + t u^-a / m)^-m) u^2 du).
+    L_I(t | l) = exp(-4 pi lam l^3 A(t / (m l^alpha))),
+    A(s) = int_1^inf (1 - (1 + s v^-alpha)^-m) v^2 dv.
 
-Coverage follows from the same derivative series as the finite model,
-with derivatives of exp(eta) assembled from derivatives of eta.
+At t = m beta l^alpha the argument of A is beta whatever l is, and the
+serving law makes 4 pi lam l^3 exponential with mean 3, so averaging the
+derivative series of the finite model over l is a finite sum in closed
+form.  With delta = 3 / alpha,
+
+    1 + 3 A(s) = 2F1(m, -delta; 1 - delta; -s),
+
+and the coverage probability is the sum of the first m Taylor
+coefficients in x of 1 / D(x), D(x) = 1 + 3 A(beta (1 - x)).  The
+coefficients of D are derivatives of the hypergeometric function, one
+scipy hyp2f1 call for all m of them, and those of 1 / D follow by the
+power-series reciprocal.  A value costs a few hundredths of a
+millisecond; the intensity cancels, so the result does not depend on lam
+at all.  At m = 1 it is the textbook 1 / (1 + 3 A(beta)), the 3-D form
+of Andrews, Baccelli & Ganti (IEEE TCOM 2011).
 
 Caveat, stated prominently: in an infinite 3-D field the aggregate
 interference is almost surely infinite unless alpha > 3.  For
@@ -25,17 +39,23 @@ the field ad hoc.  Truncated Monte Carlo runs at alpha <= 3 keep drifting
 down as the truncation grows, consistent with the collapse.
 """
 
-import math
+import sys
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.special import binom, hyp2f1
 
 from .coverage import CoverageResult
 from .errors import DomainError
 from .interference import require_analytic_m
 from .network import ChannelModel, NetworkScenario
 
-_TAIL_MASS_EPS = 1e-18
+# Rounding allowance, in units of m * eps * pc / (1 - delta): a few ulps
+# for each hyp2f1 value on top of the recurrence's own rounding.  Against a
+# 25-digit mpmath quadrature over 310 random points (alpha 3.001 to 20,
+# beta 1e-6 to 1e6, m 1 to 5) the error beyond the Pfaff gap reached 1.06
+# units.
+_ROUNDING_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -62,101 +82,51 @@ def ppp_model_from_scenario(scenario: NetworkScenario) -> PppModel:
     )
 
 
-def _eta_derivatives(t: float, l: float, model: PppModel, orders: int) -> list:
-    """eta = log L_I and its t-derivatives of order 1 .. orders-1.
+def _pfaff_hyp2f1(a, b, c, z):
+    """2F1(a, b; c; z) through Pfaff's transformation, z / (z - 1) in place of z."""
+    return (1.0 - z) ** (-a) * hyp2f1(a, c - b, c, z / (z - 1.0))
 
-    eta^(j) = 4 pi lam (-1)^j (m)_j m^-j
-              int_l^inf u^(2 - a j) (1 + t u^-a / m)^(-m - j) du   (j >= 1).
+
+def _coverage_sum(m: int, delta: float, beta: float, hyp) -> float:
+    """Sum of the Taylor coefficients of order < m of 1 / D(x), with 2F1 evaluated by hyp.
+
+    d_j = beta^j (m)_j (-delta)_j / ((1 - delta)_j j!) 2F1(m + j, j - delta; j + 1 - delta; -beta)
+    is the x^j coefficient of D(x) = 2F1(m, -delta; 1 - delta; -beta (1 - x)).
+    d_0 >= 1 and d_j < 0 for j >= 1, so every coefficient of 1 / D is positive.
     """
-    lam = model.lam
-    alpha = model.channel.alpha
-    m = model.channel.m
-    c = 4.0 * math.pi * lam
-
-    def tail_mass():
-        return quad(
-            lambda u: (1.0 - (1.0 + t * u ** (-alpha) / m) ** (-m)) * u * u,
-            l,
-            math.inf,
-            epsabs=1e-10,
-            epsrel=1e-10,
-            limit=200,
-            full_output=1,
-        )[0]
-
-    out = [-c * tail_mass()]
-    rising = 1.0
-    for j in range(1, orders):
-        rising *= m + j - 1
-        val = quad(
-            lambda u: u ** (2.0 - alpha * j)
-            * (1.0 + t * u ** (-alpha) / m) ** (-(m + j)),
-            l,
-            math.inf,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=200,
-            full_output=1,
-        )[0]
-        out.append(c * (-1.0) ** j * rising * m ** (-j) * val)
-    return out
-
-
-def _exp_derivatives(eta: list, orders: int) -> list:
-    """Derivatives of exp(eta(t)) through order 4 (complete Bell polynomials)."""
-    L = math.exp(eta[0])
-    out = [L]
-    if orders > 1:
-        e1 = eta[1]
-        out.append(e1 * L)
-    if orders > 2:
-        e2 = eta[2]
-        out.append((e2 + e1**2) * L)
-    if orders > 3:
-        e3 = eta[3]
-        out.append((e3 + 3.0 * e1 * e2 + e1**3) * L)
-    if orders > 4:
-        e4 = eta[4]
-        out.append((e4 + 4.0 * e1 * e3 + 3.0 * e2**2 + 6.0 * e1**2 * e2 + e1**4) * L)
-    return out
+    j = np.arange(m)
+    d = -delta / (j - delta) * binom(m + j - 1, j) * beta**j * hyp(
+        m + j, j - delta, j + 1.0 - delta, -beta
+    )
+    if not np.isfinite(d).all():
+        raise RuntimeError(f"2F1 is not finite at delta={delta!r}, beta={beta!r}")
+    q = [1.0 / d[0]]
+    for k in range(1, m):
+        q.append(-sum(d[i] * q[k - i] for i in range(1, k + 1)) / d[0])
+    return float(sum(q))
 
 
 def ppp_coverage(model: PppModel) -> CoverageResult:
     """Coverage probability of the typical receiver in the Poisson field.
 
-    Exact for alpha > 3.  For alpha <= 3 the infinite field carries
-    almost surely infinite interference and the result is exactly 0 (see
-    module docstring).
+    Exact for alpha > 3, in closed form (see module docstring).
+    error_estimate is the gap to the same sum with every 2F1 taken through
+    Pfaff's transformation, plus a rounding bound: every term is positive,
+    so rounding is relative to pc, and the rounding of delta = 3 / alpha
+    is amplified by the pole of A at delta = 1, a factor 1 / (1 - delta).
+    It must stay within the 1e-4 contract.  For alpha <= 3 the infinite
+    field carries almost surely infinite interference and the result is
+    exactly 0.
     """
     m = require_analytic_m(model.channel.m)
     if model.channel.alpha <= 3.0:
         return CoverageResult(pc=0.0, method="ppp-baseline", error_estimate=0.0, scenario=model)
-    lam = model.lam
-    alpha = model.channel.alpha
-    beta = model.beta
-    four_thirds_pi_lam = 4.0 / 3.0 * math.pi * lam
-    l_hi = (math.log(1.0 / _TAIL_MASS_EPS) / four_thirds_pi_lam) ** (1.0 / 3.0)
-
-    def integrand(l: float) -> float:
-        if l <= 0.0:
-            return 0.0
-        t = m * beta * l**alpha
-        eta = _eta_derivatives(t, l, model, m)
-        ds = _exp_derivatives(eta, m)
-        cond = 0.0
-        for k in range(m):
-            cond += (-t) ** k / math.factorial(k) * ds[k]
-        cond = min(max(cond, 0.0), 1.0)
-        serving = 4.0 * math.pi * lam * l * l * math.exp(-four_thirds_pi_lam * l**3)
-        return cond * serving
-
-    # full_output swallows QUADPACK roundoff advisories thread-safely; the
-    # error estimate stays orders of magnitude below the 1e-4 contract
-    result = quad(integrand, 0.0, l_hi, epsabs=1e-6, epsrel=1e-6, limit=200, full_output=1)
-    value, err = result[0], result[1]
+    delta = 3.0 / model.channel.alpha
+    value = _coverage_sum(m, delta, model.beta, hyp2f1)
+    err = abs(value - _coverage_sum(m, delta, model.beta, _pfaff_hyp2f1))
+    err += _ROUNDING_ULPS * m * sys.float_info.epsilon * value / (1.0 - delta)
+    if err > 1e-4:
+        raise RuntimeError(f"PPP baseline error estimate {err!r} exceeds the 1e-4 contract")
     return CoverageResult(
-        pc=min(max(value, 0.0), 1.0),
-        method="ppp-baseline",
-        error_estimate=float(err),
-        scenario=model,
+        pc=min(value, 1.0), method="ppp-baseline", error_estimate=err, scenario=model
     )

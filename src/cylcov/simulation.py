@@ -4,10 +4,12 @@ Randomness contract
 -------------------
 All estimators draw from counter-based Philox streams keyed by
 (seed, block index), with trials processed in fixed-size blocks of
-``BLOCK_TRIALS``.  Blocks are statistically independent and the mapping
-from trial index to block is fixed, so results are bit-reproducible for a
-given (seed, trials, scenario) no matter how blocks are scheduled across
-threads or processes.  Accumulation is an integer success count and
+``BLOCK_TRIALS``; the Poisson-field estimator shrinks its blocks so that
+one holds at most about ``PPP_BLOCK_POINTS`` expected field points.
+Blocks are statistically independent and the mapping from trial index to
+block is fixed, so results are bit-reproducible for a given (seed,
+trials, scenario) no matter how blocks are scheduled across threads or
+processes.  Accumulation is an integer success count and
 therefore order-independent.  No wall-clock seeding anywhere.
 
 Within a block the draw order is fixed and documented per estimator
@@ -33,6 +35,10 @@ from .network import NetworkScenario
 from .ppp import PppModel
 
 BLOCK_TRIALS = 4096
+# Expected field points per block of simulate_ppp_coverage: its arrays take
+# about 100 bytes per point, so a block stays near 0.4 GB however dense the
+# truncated field is.
+PPP_BLOCK_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -55,11 +61,11 @@ def substream(seed: int, index: int) -> Generator:
     return Generator(Philox(key=[int(seed), int(index)]))
 
 
-def _blocks(trials: int):
+def _blocks(trials: int, block: int = BLOCK_TRIALS):
     done = 0
     index = 0
     while done < trials:
-        size = min(BLOCK_TRIALS, trials - done)
+        size = min(block, trials - done)
         yield index, size
         done += size
         index += 1
@@ -217,7 +223,9 @@ def simulate_ppp_coverage(
     interference diverges and the estimate keeps falling forever.
 
     Trials with an empty field count as not covered; a single point in
-    the field has no interferer and counts as covered.
+    the field has no interferer and counts as covered.  Blocks hold
+    BLOCK_TRIALS trials, or fewer when their expected point count would
+    pass PPP_BLOCK_POINTS.
     """
     if trials < 1:
         raise DomainError("trials must be positive")
@@ -230,8 +238,9 @@ def simulate_ppp_coverage(
     alpha = model.channel.alpha
     m = model.channel.m
     beta = model.beta
+    block = max(1, int(min(BLOCK_TRIALS, PPP_BLOCK_POINTS // lam_v)))
     successes = 0
-    for index, size in _blocks(trials):
+    for index, size in _blocks(trials, block):
         rng = substream(seed, index)
         counts = rng.poisson(lam_v, size)
         total = int(counts.sum())

@@ -20,6 +20,8 @@ from cylcov import (
     coverage_probability,
     exact_coverage_probability,
     laplace_with_derivatives,
+    ppp_coverage,
+    ppp_model_from_scenario,
     simulate_coverage,
 )
 from cylcov.simulation import substream
@@ -35,6 +37,16 @@ class TestCoverageResult:
             CoverageResult(pc=1.2, method="analytic", error_estimate=0.0, scenario=None)
         with pytest.raises(DomainError):
             CoverageResult(pc=0.5, method="analytic", error_estimate=-1.0, scenario=None)
+
+    def test_every_method_returns_plain_floats(self, tall_dist, tall_mixture):
+        sc = scenario(N=10, m=2.0, alpha=4.0, beta=10.0)
+        for res in (
+            coverage_probability(sc, tall_dist),
+            exact_coverage_probability(sc, tall_mixture),
+            ppp_coverage(ppp_model_from_scenario(sc)),
+        ):
+            assert type(res.pc) is float, res.method
+            assert type(res.error_estimate) is float, res.method
 
 
 class TestConditionalCoverage:

@@ -10,7 +10,9 @@ region grows, which is asserted below as the signature of the collapse.
 """
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from cylcov import (
     simulate_coverage,
     simulate_ppp_coverage,
 )
+from cylcov.simulation import PPP_BLOCK_POINTS
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
 SMALL = CylinderGeometry(R=12.0, H=30.0)
@@ -35,6 +38,50 @@ def model(alpha=4.0, m=1.0, beta=1.0, lam=None, geom=SQUAT, N=10):
     if lam is None:
         lam = N / geom.volume
     return PppModel(lam=lam, channel=ChannelModel(alpha=alpha, m=m), beta=beta)
+
+
+def oracle_coverage(alpha, m, beta, dps=30):
+    """Poisson-baseline coverage by quadrature in mpmath, at dps digits.
+
+    With delta = 3 / alpha and x = v^-alpha, the interference exponent's
+    beta-derivatives are
+        A^(k)(s) = (1/alpha) int_0^1 d^k/ds^k [1 - (1 + s x)^-m] x^(-delta-1) dx.
+    The substitution x = w^(1/(1-delta)) removes the x^-delta endpoint
+    singularity, and 1 - (1 + s x)^-m is taken as -expm1(-m log1p(s x))
+    to keep its digits at small x; without the first the quadrature is
+    off by 0.05 at alpha = 3.05, and without the second by 0.23.  In z = 4 pi lam l^3 the conditional
+    coverage is exp(-c_0 z) sum_k (-1)^k b_k(z), with c_k = beta^k A^(k)(beta)
+    and b_k the Taylor coefficients of exp(-z sum_j c_j x^j / j!), and the
+    serving law is exp(-z/3) dz / 3.
+    """
+    with mp.workdps(dps):
+        alpha, beta = mp.mpf(alpha), mp.mpf(beta)
+        delta = 3 / alpha
+        p = 1 / (1 - delta)
+
+        def a_derivative(k):
+            def integrand(w):
+                if w == 0:
+                    return mp.mpf(0)
+                x = w**p
+                if k == 0:
+                    g = -mp.expm1(-m * mp.log1p(beta * x))
+                else:
+                    g = (-1) ** (k + 1) * mp.rf(m, k) * x**k * (1 + beta * x) ** (-m - k)
+                return g * x ** (-delta - 1) * p * w ** (p - 1)
+
+            return mp.quad(integrand, [0, 1]) / alpha
+
+        c = [beta**k * a_derivative(k) for k in range(m)]
+
+        def conditional(z):
+            a = [-z * c[j] / mp.factorial(j) for j in range(m)]
+            b = [mp.mpf(1)]
+            for k in range(1, m):
+                b.append(sum(j * a[j] * b[k - j] for j in range(1, k + 1)) / k)
+            return mp.exp(-c[0] * z) * sum((-1) ** k * b[k] for k in range(m))
+
+        return float(mp.quad(lambda z: conditional(z) * mp.exp(-z / 3) / 3, [0, 1, 10, mp.inf]))
 
 
 class TestModel:
@@ -94,6 +141,27 @@ class TestAnalytic:
         assert res.pc == 0.0
         assert res.error_estimate == 0.0
 
+    @pytest.mark.parametrize("alpha", [3.05, 3.5, 4.0, 6.0])
+    def test_matches_mpmath_oracle(self, alpha):
+        for m in range(1, 6):
+            for beta in (0.1, 10.0):
+                res = ppp_coverage(model(alpha=alpha, m=float(m), beta=beta))
+                gap = abs(res.pc - oracle_coverage(alpha, m, beta))
+                assert gap <= res.error_estimate <= 1e-12, (m, beta, gap, res.error_estimate)
+
+    def test_intensity_cancels_exactly(self):
+        lam0 = 10.0 / SQUAT.volume
+        for alpha, m, beta in ((3.05, 5.0, 0.1), (4.0, 1.0, 1.0), (6.0, 3.0, 10.0)):
+            pcs = {ppp_coverage(model(alpha, m, beta, lam=lam0 * f)).pc for f in (1e-6, 1.0, 1e6)}
+            assert len(pcs) == 1, (alpha, m, beta, pcs)
+
+    @pytest.mark.parametrize("alpha", [3.0 + 1e-13, 3.0 + 1e-12])
+    def test_unresolved_near_critical_exponent_raises(self, alpha):
+        # 2F1 overflows at the first, and the pole at delta = 1 amplifies
+        # the rounding of delta past the contract at the second
+        with pytest.raises(RuntimeError):
+            ppp_coverage(model(alpha=alpha, beta=1e-14))
+
 
 class TestMonteCarloConsistency:
     def test_matches_truncated_field_at_steep_exponent(self):
@@ -125,6 +193,26 @@ class TestMonteCarloConsistency:
             for p in (1.0, 3.0)
         ]
         assert pcs[1] < pcs[0] - 0.02
+
+    def test_light_field_keeps_its_stream(self):
+        # A 4096-trial block of this field holds 3.99 M expected points,
+        # just under PPP_BLOCK_POINTS, so it keeps full blocks; the values
+        # were measured with fixed 4096-trial blocks.
+        est = simulate_ppp_coverage(model(alpha=8.0, m=1.0), SQUAT, trials=5000, seed=24, padding=1.0)
+        assert est.mean == 0.682
+        assert est.ci_half_width == 0.01290853083507182
+
+    def test_block_memory_is_bounded(self):
+        # About 7,100 expected points per trial: 1200 trials in one block
+        # would hold 8.5 M points, about 0.8 GB.
+        mdl = model(alpha=3.0, m=1.0, geom=SMALL)
+        tracemalloc.start()
+        try:
+            simulate_ppp_coverage(mdl, SMALL, trials=1200, seed=26, padding=3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * PPP_BLOCK_POINTS
 
     def test_single_point_field_counts_as_covered(self):
         tiny = model(alpha=4.0, lam=1e-9, geom=SMALL)
