@@ -71,13 +71,22 @@ def _blocks(trials: int, block: int = BLOCK_TRIALS):
         index += 1
 
 
-def _sample_points(rng: Generator, geom: CylinderGeometry, n: int) -> np.ndarray:
-    """n i.i.d. volume-uniform points, shape (n, 3)."""
+def _sample_coordinates(rng: Generator, geom: CylinderGeometry, n: int):
+    """x, y and z of n i.i.d. volume-uniform points, from one (n, 3) uniform draw."""
     u = rng.random((n, 3))
     r = geom.R * np.sqrt(u[:, 0])
     phi = 2.0 * math.pi * u[:, 1]
-    z = geom.H * u[:, 2]
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    return r * np.cos(phi), r * np.sin(phi), geom.H * u[:, 2]
+
+
+def _sample_points(rng: Generator, geom: CylinderGeometry, n: int) -> np.ndarray:
+    """n i.i.d. volume-uniform points, shape (n, 3)."""
+    return np.column_stack(_sample_coordinates(rng, geom, n))
+
+
+def _distance(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Euclidean length, summed in the order of np.linalg.norm over the last axis."""
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
 def sample_point(rng: Generator, geom: CylinderGeometry) -> np.ndarray:
@@ -100,8 +109,8 @@ def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.n
     out = np.empty(pairs)
     for index, size in _blocks(pairs):
         rng = substream(seed, index)
-        pts = _sample_points(rng, geom, 2 * size)
-        d = np.linalg.norm(pts[:size] - pts[size:], axis=1)
+        x, y, z = _sample_coordinates(rng, geom, 2 * size)
+        d = _distance(x[:size] - x[size:], y[:size] - y[size:], z[:size] - z[size:])
         out[index * BLOCK_TRIALS : index * BLOCK_TRIALS + size] = d
     return out
 
@@ -144,23 +153,21 @@ def _coverage_block(
     alpha = scenario.channel.alpha
     m = scenario.channel.m
     beta = scenario.beta
-    pts = _sample_points(rng, geom, size * N).reshape(size, N, 3)
+    coords = [c.reshape(size, N) for c in _sample_coordinates(rng, geom, size * N)]
+    rows = np.arange(size)
     if receiver == "first":
-        rec = pts[:, 0, :]
-        others = pts[:, 1:, :]
+        rec = [c[:, 0] for c in coords]
     else:
         ridx = rng.integers(0, N, size)
-        rows = np.arange(size)
-        rec = pts[rows, ridx, :]
+        rec = [c[rows, ridx] for c in coords]
         # Move the receiver out of the transmitter set by swapping it into
         # slot 0 and dropping that slot.
-        pts[rows, ridx, :] = pts[rows, 0, :]
-        others = pts[:, 1:, :]
-    d = np.linalg.norm(others - rec[:, None, :], axis=2)
+        for c in coords:
+            c[rows, ridx] = c[:, 0]
+    d = _distance(*(c[:, 1:] - r[:, None] for c, r in zip(coords, rec)))
     gains = rng.gamma(m, 1.0 / m, (size, N - 1))
     powers = gains * d ** (-alpha)
     serving = np.argmin(d, axis=1)
-    rows = np.arange(size)
     signal = powers[rows, serving]
     interference = powers.sum(axis=1) - signal
     covered = (interference == 0.0) | (signal > beta * interference)

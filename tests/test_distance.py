@@ -104,6 +104,17 @@ class TestNumericPdf:
         for l in np.linspace(0.0, TALL.d_max, 200):
             assert cylinder_pair_pdf_numeric(float(l), TALL) >= 0.0
 
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_fixed_rule_matches_closed_form(self, geom):
+        # The 32-node rule agrees with the closed form within about 1e-12
+        # in every regime, including 1e-7 d_max from the regime edges.
+        for regime, pts in _regime_points(geom).items():
+            worst = max(
+                abs(cylinder_pair_pdf_closed(float(l), geom) - cylinder_pair_pdf_numeric(float(l), geom))
+                for l in pts
+            )
+            assert worst <= 1e-11, f"regime {regime} deviates by {worst}"
+
 
 def _regime_points(geom, per_regime=128):
     """Sample points inside each of the four dispatch regimes."""
@@ -167,6 +178,55 @@ class TestClosedForm:
                 if 0.0 < boundary < geom.d_max:
                     value = cylinder_pair_pdf_closed(boundary, geom)
                     assert math.isfinite(value) and value >= 0.0
+
+
+class TestPchipMatchesScipy:
+    """The in-house PCHIP reproduces scipy's PchipInterpolator bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(table):
+        from scipy.interpolate import PchipInterpolator
+
+        grid, values = table.grid, table.cdf_values
+        ref = PchipInterpolator(grid, values, extrapolate=False)
+        dref = ref.derivative()
+        # every knot and cell midpoint; F is pinned to 0 and 1 at the ends
+        mids = 0.5 * (grid[1:] + grid[:-1])
+        interior = np.concatenate((grid[1:-1], mids))
+        assert np.array_equal(table.cdf(interior), ref(interior))
+        knots = np.concatenate((grid, mids))
+        assert np.array_equal(table.pdf(knots), np.maximum(dref(knots), 0.0))
+        # a 2-D query, and scalar queries one at a time
+        pairs = knots[: knots.size // 2 * 2].reshape(-1, 2)
+        assert np.array_equal(table.pdf(pairs), np.maximum(dref(pairs), 0.0))
+        assert [table.cdf(float(l)) for l in mids[:20]] == ref(mids[:20]).tolist()
+        # outside the support: 0 and 1 for F, 0 for f
+        outside = np.array([-1.0, -1e-300, grid[-1] * (1.0 + 1e-12), 2.0 * grid[-1] + 1.0])
+        assert table.cdf(outside).tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert table.pdf(outside).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert table.cdf(grid[0]) == 0.0 and table.cdf(grid[-1]) == 1.0
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_pair_tables(self, geom):
+        self.assert_matches_scipy(get_dist(geom))
+
+    def test_receiver_table_with_plateau(self, tall_mixture):
+        # the last cell of a receiver table, out to d_max, is flat at F = 1
+        table = tall_mixture.tables[-1]
+        assert table.cdf_values[-2] == table.cdf_values[-1] == 1.0
+        self.assert_matches_scipy(table)
+
+    def test_flat_runs_and_uneven_knots(self):
+        geom = CylinderGeometry(R=3.0, H=4.0)  # d_max = 7.2111
+        grid = np.array([0.0, 0.4, 1.0, 1.1, 2.5, 3.0, 3.2, 4.7, 5.0, 6.1, geom.d_max])
+        values = np.array([0.0, 0.1, 0.1, 0.1, 0.3, 0.7, 0.7, 0.95, 0.95, 1.0, 1.0])
+        self.assert_matches_scipy(TabulatedDistribution(geom, grid, values))
+
+    def test_two_knots(self):
+        geom = CylinderGeometry(R=3.0, H=4.0)
+        self.assert_matches_scipy(
+            TabulatedDistribution(geom, np.array([0.0, geom.d_max]), np.array([0.0, 1.0]))
+        )
 
 
 class TestBuildCdf:

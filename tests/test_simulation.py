@@ -156,6 +156,37 @@ class TestSimulateCoverage:
         est = simulate_coverage(scenario(m=1.5), 20_000, seed=21)
         assert 0.0 < est.mean < 1.0
 
+    @pytest.mark.parametrize(
+        "N, m, beta, receiver, covered",
+        [
+            (3, 1.0, 0.1, "first", 9628),
+            (3, 1.0, 0.1, "random", 9657),
+            (20, 2.5, 1.0, "first", 3439),
+            (20, 2.5, 1.0, "random", 3442),
+        ],
+    )
+    def test_counts_keep_their_streams(self, N, m, beta, receiver, covered):
+        # covered-trial counts of the (n, 3)-array implementation, over two
+        # full blocks and a partial one; the draw order must not change
+        est = simulate_coverage(scenario(N=N, m=m, beta=beta), 10_000, seed=31, receiver=receiver)
+        assert round(est.mean * est.trials) == covered
+
+
+def test_pair_distances_keep_their_bits():
+    from cylcov import sample_pair_distances
+    from cylcov.simulation import BLOCK_TRIALS
+
+    d = sample_pair_distances(GEOM, 10_000, seed=31)
+    # the same draws through the (n, 3) point array and np.linalg.norm
+    parts = []
+    for index, size in enumerate((BLOCK_TRIALS, BLOCK_TRIALS, 10_000 - 2 * BLOCK_TRIALS)):
+        pts = _sample_points(substream(31, index), GEOM, 2 * size)
+        parts.append(np.linalg.norm(pts[:size] - pts[size:], axis=1))
+    assert np.array_equal(d, np.concatenate(parts))
+    # checksum of the stream as first drawn
+    assert float(d.sum()) == pytest.approx(160620.7893477158, rel=1e-13)
+    assert float(np.sum(d * d)) == pytest.approx(2959842.873975744, rel=1e-13)
+
 
 def test_pair_sampling_matches_tabulated_cdf(tall_dist):
     from scipy.stats import kstest
