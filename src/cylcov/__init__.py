@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .geometry import CylinderGeometry
-from .interference import LaplaceEvaluation, inner_integral, laplace_with_derivatives
+from .interference import LaplaceEvaluation, laplace_with_derivatives
 from .network import (
     ChannelModel,
     NetworkScenario,
@@ -44,20 +44,11 @@ from .ppp import PppModel, ppp_coverage, ppp_model_from_scenario
 from .simulation import (
     SimulationEstimate,
     empirical_distance_histogram,
-    sample_conditional_interferer_distances,
-    sample_fading_gain,
     sample_pair_distances,
-    sample_point,
     simulate_coverage,
     simulate_ppp_coverage,
 )
-from .special import (
-    complete_E,
-    complete_K,
-    gamma_tail_series,
-    incomplete_E,
-    incomplete_F,
-)
+from .special import complete_E, complete_K, incomplete_E, incomplete_F
 
 __all__ = [
     "CoverageResult",
@@ -87,17 +78,12 @@ __all__ = [
     "disk_pair_pdf",
     "empirical_distance_histogram",
     "exact_coverage_probability",
-    "gamma_tail_series",
     "incomplete_E",
     "incomplete_F",
-    "inner_integral",
     "laplace_with_derivatives",
     "ppp_coverage",
     "ppp_model_from_scenario",
-    "sample_conditional_interferer_distances",
-    "sample_fading_gain",
     "sample_pair_distances",
-    "sample_point",
     "segment_pair_pdf",
     "serving_distance_cdf",
     "serving_distance_pdf",

@@ -26,7 +26,6 @@ written in sweep order regardless of completion order.
 
 import argparse
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,10 +62,6 @@ SWEEPABLE = ("N", "R", "H", "alpha", "m", "beta", "beta_dB")
 
 def db_to_linear(beta_db: float) -> float:
     return 10.0 ** (beta_db / 10.0)
-
-
-def linear_to_db(beta: float) -> float:
-    return 10.0 * math.log10(beta)
 
 
 def _fmt(x) -> str:
@@ -349,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--grid-size", type=int, default=None, help="override CDF grid size")
     p_cov.add_argument("--beta-db", type=float, default=None,
                        help="override the SIR threshold, in dB")
-    p_cov.add_argument("--format", choices=["csv"], default="csv")
     p_cov.add_argument("--workers", type=int, default=4,
                        help="concurrent sweep-point evaluations (default 4)")
     p_cov.add_argument("--timing", choices=["on", "off"], default="off",

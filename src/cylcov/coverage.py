@@ -35,6 +35,7 @@ from typing import Any
 import numpy as np
 
 from .distance import (
+    _SURVIVAL_FLOOR,
     ReceiverMixture,
     TabulatedDistribution,
     receiver_breakpoints,
@@ -42,7 +43,7 @@ from .distance import (
 )
 from .errors import DomainError
 from .interference import laplace_with_derivatives, require_analytic_m
-from .network import _SURVIVAL_FLOOR, NetworkScenario, _check_geometry
+from .network import NetworkScenario, _check_geometry, serving_distance_pdf
 
 # Gauss order per panel of the per-receiver serving-distance integral, for
 # the reported rule and for the coarser one that checks it.
@@ -155,7 +156,7 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
         return CoverageResult(pc=1.0, method="analytic", error_estimate=0.0, scenario=scenario)
     _check_geometry(scenario.geom, dist)
     n = scenario.N
-    cutoff = dist.survival_cutoff(_SURVIVAL_FLOOR)
+    cutoff = dist.survival_cutoff()
     end = float(dist.grid[np.searchsorted(dist.grid, cutoff) - 1])
     kinks = [p for p in (2.0 * scenario.geom.R, scenario.geom.H) if 0.0 < p < end]
     edges = _panel_edges(np.array([0.0, *kinks, end]), dist, n)
@@ -166,7 +167,7 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     # the serving density on the knot cells, cut at the panel edges
     cells = np.union1d(dist.grid[dist.grid < end], edges)
     points, weights = _panel_rule(cells, _DENSITY_ORDER)
-    weights *= (n - 1) * dist.sf(points) ** (n - 2) * dist.pdf(points)
+    weights *= serving_distance_pdf(points, scenario, dist)
     panel = np.searchsorted(edges, points) - 1
     offsets = (points - mids[panel]) / halves[panel]
 

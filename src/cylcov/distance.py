@@ -63,6 +63,10 @@ _CELL_X, _CELL_W = np.polynomial.legendre.leggauss(_CELL_QUAD_ORDER)
 # Most integrand elements (rows x lower limits x nodes) that
 # integrate_pdf_product evaluates at once; bounds its temporaries.
 _BLOCK_ELEMENTS = 1 << 15
+# Conditioning on a serving distance l divides by 1 - F(l); below this floor
+# the quotient amplifies tabulation noise, and the serving-distance mass
+# beyond it, (1 - F)^(N-1), is far below the 1e-4 coverage contract.
+_SURVIVAL_FLOOR = 1e-12
 
 RECEIVER_GRID_SIZE = 256
 # Gauss nodes of the receiver rule and of the coarser rule that checks it,
@@ -320,13 +324,14 @@ class TabulatedDistribution:
     after construction and safe for concurrent queries.
     """
 
-    kind = "pchip"
-
     def __init__(self, geometry: CylinderGeometry, grid: np.ndarray, cdf_values: np.ndarray):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(cdf_values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise DomainError("grid and cdf_values must be equal-length 1-D arrays")
+        # the comparisons below let NaN values through
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise DomainError("grid and cdf values must be finite")
         if not np.all(np.diff(grid) > 0.0):
             raise DomainError("grid must be strictly increasing")
         if grid[0] != 0.0 or abs(grid[-1] - geometry.d_max) > 1e-9 * geometry.d_max:
@@ -392,14 +397,6 @@ class TabulatedDistribution:
         out = np.maximum(self._interp_pdf(inside, self._cells(inside)), 0.0)
         out = np.where((x < 0.0) | (x > self.grid[-1]), 0.0, out)
         return float(out) if np.ndim(l) == 0 else out
-
-    def ppf(self, q):
-        """Approximate quantiles by linear interpolation of the knot table.
-
-        Adequate for Monte Carlo conditioning oracles; not a high-accuracy
-        inverse.
-        """
-        return np.interp(q, self.cdf_values, self.grid)
 
     def _product_quadrature(self):
         """Per-cell Gauss-Legendre nodes with density-scaled weights.
@@ -472,9 +469,9 @@ class TabulatedDistribution:
             pos += block.size
         return out[:, 0] if np.ndim(lo) == 0 else out
 
-    def survival_cutoff(self, eps: float = 1e-12) -> float:
-        """Smallest knot beyond which 1 - F drops below eps (d_max if none)."""
-        idx = int(np.searchsorted(self.cdf_values, 1.0 - eps, side="left"))
+    def survival_cutoff(self) -> float:
+        """Smallest knot beyond which 1 - F drops below _SURVIVAL_FLOOR (d_max if none)."""
+        idx = int(np.searchsorted(self.cdf_values, 1.0 - _SURVIVAL_FLOOR, side="left"))
         return float(self.grid[min(idx, self.grid.size - 1)])
 
     def save(self, path) -> None:
@@ -500,8 +497,9 @@ class TabulatedDistribution:
     ) -> "TabulatedDistribution":
         """Reload a cache written by ``save``.
 
-        Raises StaleCacheError on a corrupt file or when the cached
-        parameters do not exactly match the requested ones.
+        Raises StaleCacheError on a corrupt file, including one whose
+        table the constructor rejects, or when the cached parameters do
+        not exactly match the requested ones.
         """
         try:
             with open(path, "r", encoding="ascii") as fh:
@@ -523,10 +521,10 @@ class TabulatedDistribution:
                 raise ValueError(f"expected {grid_size} rows, found {len(rows)}")
             grid = np.array([float(r[0]) for r in rows])
             values = np.array([float(r[1]) for r in rows])
-        except (KeyError, ValueError, IndexError) as exc:
+            table = cls(CylinderGeometry(R=R, H=H), grid, values)
+        except (KeyError, ValueError, IndexError, DomainError) as exc:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
-        geometry = CylinderGeometry(R=R, H=H)
-        if expected_geometry is not None and geometry != expected_geometry:
+        if expected_geometry is not None and table.geometry != expected_geometry:
             raise StaleCacheError(
                 f"stale CDF cache {path}: built for R={R}, H={H}, "
                 f"requested R={expected_geometry.R}, H={expected_geometry.H}"
@@ -536,7 +534,7 @@ class TabulatedDistribution:
                 f"stale CDF cache {path}: grid_size={grid_size}, "
                 f"requested {expected_grid_size}"
             )
-        return cls(geometry, grid, values)
+        return table
 
 
 def _disk_pair_cdf(v: np.ndarray, R: float) -> np.ndarray:
@@ -681,21 +679,17 @@ def receiver_breakpoints(geom: CylinderGeometry, r: float, z: float) -> np.ndarr
     return np.array([0.0] + sorted(k for k in kinks if 0.0 < k < d_end) + [d_end])
 
 
-def build_receiver_cdf(
-    geom: CylinderGeometry, r: float, z: float, grid_size: int = RECEIVER_GRID_SIZE
-) -> TabulatedDistribution:
+def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> TabulatedDistribution:
     """Tabulate F_x for the receiver at (r, z).
 
-    grid_size knots span [0, d_max(x)], the breakpoints are added as
-    knots (uniform knots closer than a quarter spacing to one are
-    dropped), and one last cell, where F_x = 1, reaches the geometry's
-    d_max so the table plugs into every pair-law consumer.
+    RECEIVER_GRID_SIZE knots span [0, d_max(x)], the breakpoints are
+    added as knots (uniform knots closer than a quarter spacing to one
+    are dropped), and one last cell, where F_x = 1, reaches the
+    geometry's d_max so the table plugs into every pair-law consumer.
     """
-    if grid_size < 64:
-        raise DomainError(f"grid_size={grid_size} must be at least 64")
     breaks = receiver_breakpoints(geom, r, z)
-    uniform = np.linspace(0.0, breaks[-1], int(grid_size))
-    spacing = breaks[-1] / (grid_size - 1)
+    uniform = np.linspace(0.0, breaks[-1], RECEIVER_GRID_SIZE)
+    spacing = breaks[-1] / (RECEIVER_GRID_SIZE - 1)
     keep = np.ones(uniform.size, dtype=bool)
     for k in breaks[1:-1]:
         keep &= np.abs(uniform - k) > 0.25 * spacing
@@ -730,10 +724,7 @@ class ReceiverMixture:
 
 
 def _receiver_mixture(
-    geom: CylinderGeometry,
-    rule: Tuple[int, int],
-    grid_size: int,
-    check: Optional[ReceiverMixture] = None,
+    geom: CylinderGeometry, rule: Tuple[int, int], check: Optional[ReceiverMixture] = None
 ) -> ReceiverMixture:
     n_u, n_z = rule if geom.R >= 0.5 * geom.H else rule[::-1]
     xu, wu = np.polynomial.legendre.leggauss(n_u)
@@ -742,13 +733,11 @@ def _receiver_mixture(
     z = 0.25 * geom.H * (xz + 1.0)
     nodes = np.array([(ri, zj) for ri in r for zj in z])
     weights = np.outer(0.5 * wu, 0.5 * wz).ravel()
-    tables = tuple(build_receiver_cdf(geom, ri, zj, grid_size) for ri, zj in nodes)
+    tables = tuple(_build_receiver_cdf(geom, ri, zj) for ri, zj in nodes)
     return ReceiverMixture(geom, nodes, weights, tables, check)
 
 
-def build_receiver_cdfs(
-    geom: CylinderGeometry, grid_size: int = RECEIVER_GRID_SIZE
-) -> ReceiverMixture:
+def build_receiver_cdfs(geom: CylinderGeometry) -> ReceiverMixture:
     """Receiver tables on the RECEIVER_RULE product Gauss rule.
 
     The rule is Gauss-Legendre in u = r^2 / R^2 on [0, 1] (uniform for a
@@ -757,5 +746,5 @@ def build_receiver_cdfs(
     returned mixture's check is the same construction on
     RECEIVER_CHECK_RULE.
     """
-    check = _receiver_mixture(geom, RECEIVER_CHECK_RULE, grid_size)
-    return _receiver_mixture(geom, RECEIVER_RULE, grid_size, check)
+    check = _receiver_mixture(geom, RECEIVER_CHECK_RULE)
+    return _receiver_mixture(geom, RECEIVER_RULE, check)

@@ -78,12 +78,10 @@ def _g_derivatives(
     l broadcast together; the result has shape (orders,) plus their
     broadcast shape.  The kernel rows come from inv = 1 / (1 + t x / m) by
     repeated multiplication, with no power per element beyond x itself.
+    t must be nonnegative; laplace_with_derivatives, the one caller,
+    checks it.
     """
     t_arr, l_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(l, dtype=float))
-    if np.any(t_arr < 0.0):
-        raise DomainError(
-            f"transform argument t={float(np.min(t_arr))!r} must be nonnegative"
-        )
     survival = np.ravel(_conditioning_survival(l_arr, dist))
     m = int(scenario.channel.m)
     alpha = scenario.channel.alpha
@@ -111,28 +109,6 @@ def _g_derivatives(
     rising = np.cumprod(np.concatenate(([1.0], m + j[:-1])))
     coef = (-1.0) ** j * rising / float(m) ** j
     return (coef[:, None] * raw).reshape((orders,) + t_arr.shape)
-
-
-def inner_integral(
-    t: float,
-    l: float,
-    j: int,
-    scenario: NetworkScenario,
-    dist: TabulatedDistribution,
-) -> float:
-    """j-th t-derivative of the single-interferer factor g(t | l).
-
-    j = 0 is g itself, in (0, 1]; higher orders carry sign (-1)^j.
-    """
-    require_analytic_m(scenario.channel.m)
-    if j != int(j) or j < 0:
-        raise DomainError(f"derivative order j={j!r} must be a nonnegative integer")
-    if j > scenario.channel.m - 1:
-        raise DomainError(
-            f"derivative order j={j} exceeds m - 1 = {scenario.channel.m - 1}"
-        )
-    _check_geometry(scenario.geom, dist)
-    return float(_g_derivatives(t, l, scenario, dist, int(j) + 1)[int(j)])
 
 
 def _power_derivatives(g: np.ndarray, n: int, orders: int) -> np.ndarray:

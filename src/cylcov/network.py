@@ -11,14 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import TabulatedDistribution
+from .distance import _SURVIVAL_FLOOR, TabulatedDistribution
 from .errors import DegenerateConditionError, DomainError
 from .geometry import CylinderGeometry
-
-# Conditioning on a serving distance l divides by 1 - F(l); below this floor
-# the quotient amplifies tabulation noise, and the serving-distance mass
-# beyond it, (1 - F)^(N-1), is far below the 1e-4 coverage contract.
-_SURVIVAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from typing import Any, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .distance import TabulatedDistribution
 from .errors import DomainError
 from .geometry import CylinderGeometry
 from .network import NetworkScenario
@@ -79,27 +78,9 @@ def _sample_coordinates(rng: Generator, geom: CylinderGeometry, n: int):
     return r * np.cos(phi), r * np.sin(phi), geom.H * u[:, 2]
 
 
-def _sample_points(rng: Generator, geom: CylinderGeometry, n: int) -> np.ndarray:
-    """n i.i.d. volume-uniform points, shape (n, 3)."""
-    return np.column_stack(_sample_coordinates(rng, geom, n))
-
-
 def _distance(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Euclidean length, summed in the order of np.linalg.norm over the last axis."""
     return np.sqrt((dx * dx + dy * dy) + dz * dz)
-
-
-def sample_point(rng: Generator, geom: CylinderGeometry) -> np.ndarray:
-    """One volume-uniform point in the cylinder (x, y, z)."""
-    return _sample_points(rng, geom, 1)[0]
-
-
-def sample_fading_gain(rng: Generator, m: float) -> float:
-    """One Nakagami power gain, Gamma(shape m, scale 1/m), mean 1."""
-    m = float(m)
-    if not (m >= 0.5):
-        raise DomainError(f"Nakagami shape m={m!r} must be at least 0.5")
-    return float(rng.gamma(m, 1.0 / m))
 
 
 def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.ndarray:
@@ -195,19 +176,6 @@ def simulate_coverage(
     p = successes / trials
     ci = 1.96 * math.sqrt(p * (1.0 - p) / trials)
     return SimulationEstimate(mean=p, ci_half_width=ci, trials=trials, seed=seed, scenario=scenario)
-
-
-def sample_conditional_interferer_distances(
-    dist: TabulatedDistribution, l: float, size: int, rng: Generator
-) -> np.ndarray:
-    """Draw interferer distances conditioned above l by inverse CDF.
-
-    Uses linear interpolation of the knot table; the residual bias is far
-    below Monte Carlo noise at oracle sample sizes.
-    """
-    fl = dist.cdf(l)
-    q = fl + rng.random(size) * (1.0 - fl)
-    return dist.ppf(q)
 
 
 def simulate_ppp_coverage(

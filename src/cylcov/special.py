@@ -1,4 +1,4 @@
-"""Elliptic integrals in modulus convention, plus the integer-shape Gamma tail.
+"""Elliptic integrals in modulus convention.
 
 All elliptic routines here take the *modulus* k, i.e. the integrand carries
 k^2 sin^2(theta):
@@ -23,7 +23,7 @@ import math
 
 from scipy import special as _sp
 
-from .errors import DomainError, UnsupportedParameterError
+from .errors import DomainError
 
 _CLAMP_SLACK = 1e-12
 _HALF_PI = math.pi / 2.0
@@ -83,29 +83,3 @@ def incomplete_E(phi: float, k: float) -> float:
     k = _clamp(float(k), 0.0, 1.0, "modulus k")
     return float(_sp.ellipeinc(phi, k * k))
 
-
-def gamma_tail_series(x: float, m: int) -> float:
-    """Tail probability P(G > x) for G ~ Gamma(shape m, scale 1/m), integer m.
-
-    Uses the finite series e^{-m x} * sum_{k=0}^{m-1} (m x)^k / k!,
-    valid only for integer shapes; accumulating from the exponential
-    keeps every partial term in [0, 1] so the sum never overflows.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"x={x!r} must be nonnegative")
-    if isinstance(m, float) and not m.is_integer():
-        raise UnsupportedParameterError(
-            f"gamma_tail_series needs integer m, got {m!r}; "
-            "use the Monte Carlo path for fractional shapes"
-        )
-    m = int(m)
-    if m < 1:
-        raise DomainError(f"m={m} must be a positive integer")
-    mx = m * x
-    term = math.exp(-mx)
-    total = term
-    for k in range(1, m):
-        term *= mx / k
-        total += term
-    return min(total, 1.0)

@@ -1,12 +1,14 @@
-"""Shared fixtures: each geometry's tables are built once per session.
+"""Shared fixtures and oracles: each geometry's tables are built once per session.
 
 A pair-distance CDF table takes milliseconds and a receiver mixture a
 fraction of a second, but many tests share them.
 """
 
+import numpy as np
 import pytest
 
 from cylcov import CylinderGeometry, build_cdf, build_receiver_cdfs
+from cylcov.simulation import _sample_coordinates
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
 TALL = CylinderGeometry(R=20.0, H=120.0)
@@ -30,6 +32,20 @@ def get_mixture(geom):
     if geom not in _mixtures:
         _mixtures[geom] = build_receiver_cdfs(geom)
     return _mixtures[geom]
+
+
+def sample_points(rng, geom, n):
+    """n i.i.d. volume-uniform points, shape (n, 3), drawn as the simulator draws them."""
+    return np.column_stack(_sample_coordinates(rng, geom, n))
+
+
+def inverse_cdf(dist, u, l=0.0):
+    """Distances of law dist conditioned on being at least l, from uniforms u.
+
+    Linear in the knot table: its bias is far below Monte Carlo noise at oracle sizes.
+    """
+    fl = dist.cdf(l)
+    return np.interp(fl + u * (1.0 - fl), dist.cdf_values, dist.grid)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 
 import cylcov
 from cylcov import CylinderGeometry, build_cdf
-from cylcov.cli import db_to_linear, linear_to_db, load_scenario_file, main
+from cylcov.cli import db_to_linear, load_scenario_file, main
 
 GEOM = CylinderGeometry(R=12.0, H=30.0)
 
@@ -40,11 +40,11 @@ def read_rows(path):
 class TestDbConversion:
     @pytest.mark.parametrize("beta", [1e-3, 0.5, 1.0, 7.25, 1e4])
     def test_round_trip(self, beta):
-        assert db_to_linear(linear_to_db(beta)) == pytest.approx(beta, rel=1e-12)
+        assert db_to_linear(10.0 * math.log10(beta)) == pytest.approx(beta, rel=1e-12)
 
     @pytest.mark.parametrize("db", [-30.0, 0.0, 3.0, 10.0])
     def test_round_trip_from_db(self, db):
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+        assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
     def test_reference_points(self):
         assert db_to_linear(0.0) == 1.0
@@ -316,6 +316,16 @@ class TestCacheCommand:
         ])
         assert rc == 1
         assert "stale" in capsys.readouterr().err.lower()
+
+    def test_nan_cache_is_reported(self, tmp_path, capsys):
+        cache = tmp_path / "cdf.tsv"
+        assert main(["cache", "--R", "12", "--H", "30", "--grid-size", "256", "--output", str(cache)]) == 0
+        lines = cache.read_text().splitlines()
+        lines[100] = lines[100].split("\t")[0] + "\tnan"
+        cache.write_text("\n".join(lines) + "\n")
+        scen, out = write_scenario(tmp_path / "s.json"), str(tmp_path / "x.csv")
+        assert main(["coverage", "--scenario", str(scen), "--output", out, "--cdf-cache", str(cache)]) == 1
+        assert "error: corrupt CDF cache" in capsys.readouterr().err
 
     def test_grid_refinement_changes_little(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import kstest
 
-from conftest import CUBIC, NEEDLE, REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture
+from conftest import CUBIC, NEEDLE, REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture, sample_points
 from cylcov import (
     CylinderGeometry,
     DomainError,
@@ -21,14 +21,13 @@ from cylcov import (
     segment_pair_pdf,
 )
 from cylcov.distance import (
-    RECEIVER_GRID_SIZE,
     RECEIVER_RULE,
+    _build_receiver_cdf,
     _receiver_mixture,
-    build_receiver_cdf,
     receiver_breakpoints,
     receiver_distance_law,
 )
-from cylcov.simulation import _sample_points, sample_pair_distances, substream
+from cylcov.simulation import sample_pair_distances, substream
 
 
 def quiet_quad(fn, a, b, **kw):
@@ -350,6 +349,17 @@ class TestSerialization:
         with pytest.raises(StaleCacheError):
             TabulatedDistribution.load(tmp_path / "absent.tsv")
 
+    def test_nan_table_is_rejected(self, tmp_path):
+        geom = CylinderGeometry(R=3.0, H=4.0)
+        grid = np.linspace(0.0, geom.d_max, 5)
+        with pytest.raises(DomainError, match="finite"):
+            TabulatedDistribution(geom, grid, np.array([0.0, 0.2, np.nan, 0.9, 1.0]))
+        path = tmp_path / "cache.tsv"
+        TabulatedDistribution(geom, grid, np.array([0.0, 0.2, 0.5, 0.9, 1.0])).save(path)
+        path.write_text(path.read_text().replace("\t0.5\n", "\tnan\n"))
+        with pytest.raises(StaleCacheError, match="corrupt"):
+            TabulatedDistribution.load(path)
+
 
 def test_coarse_grid_stays_close(dist_for):
     coarse = get_dist(CUBIC, 64)
@@ -377,7 +387,7 @@ RECEIVER_SPOTS = {
 
 def receiver_distances(geom, r, z, n, seed):
     """Distances from the receiver at (r, 0, z) to n volume-uniform points."""
-    pts = _sample_points(substream(seed, 0), geom, n)
+    pts = sample_points(substream(seed, 0), geom, n)
     return np.linalg.norm(pts - np.array([r, 0.0, z]), axis=1)
 
 
@@ -388,7 +398,7 @@ class TestReceiverLaw:
         r, z = RECEIVER_SPOTS[spot][0] * geom.R, RECEIVER_SPOTS[spot][1] * geom.H
         n = 200_000
         d = receiver_distances(geom, r, z, n, seed=77)
-        ks = kstest(d, build_receiver_cdf(geom, r, z).cdf).statistic
+        ks = kstest(d, _build_receiver_cdf(geom, r, z).cdf).statistic
         # 99.9% Kolmogorov quantile plus the 256-knot table's interpolation
         # error (below 1.5e-4 against the exact law on all four regimes)
         assert ks <= 1.95 / math.sqrt(n) + 2e-4
@@ -429,7 +439,7 @@ class TestReceiverLaw:
         F, f = receiver_distance_law(TALL, r, z, [0.0, d_end, d_end + 1.0])
         assert F[0] == 0.0 and F[1] == pytest.approx(1.0, abs=1e-15)
         assert F[2] == pytest.approx(1.0, abs=1e-15) and f[2] == 0.0
-        table = build_receiver_cdf(TALL, r, z)
+        table = _build_receiver_cdf(TALL, r, z)
         assert table.cdf(d_end) == 1.0 and table.pdf(0.5 * (d_end + TALL.d_max)) == 0.0
 
     def test_rejects_receiver_outside(self):
@@ -463,6 +473,6 @@ class TestReceiverLaw:
 
         full = gap(get_mixture(geom))
         half_rule = tuple(n // 2 for n in RECEIVER_RULE)
-        half = gap(_receiver_mixture(geom, half_rule, RECEIVER_GRID_SIZE))
+        half = gap(_receiver_mixture(geom, half_rule))
         assert full <= half / 3.0
         assert full <= 1e-3

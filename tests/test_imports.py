@@ -1,9 +1,12 @@
-"""Cold start: importing cylcov loads numpy and scipy.special, nothing heavier."""
+"""Import surface: what importing cylcov loads, and the names it exports."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import cylcov
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -25,3 +28,36 @@ def test_import_loads_no_heavy_scipy_subpackage():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+PUBLIC = """
+    CoverageResult CylinderGeometry ChannelModel DEFAULT_GRID_SIZE DegenerateConditionError
+    DomainError LaplaceEvaluation NetworkScenario PppModel ReceiverMixture ScenarioFormatError
+    SimulationEstimate StaleCacheError TabulatedDistribution UnsupportedParameterError build_cdf
+    build_receiver_cdfs complete_E complete_K conditional_coverage conditional_interferer_pdf
+    coverage_probability cylinder_pair_pdf_closed cylinder_pair_pdf_numeric disk_pair_pdf
+    empirical_distance_histogram exact_coverage_probability incomplete_E incomplete_F
+    laplace_with_derivatives ppp_coverage ppp_model_from_scenario sample_pair_distances
+    segment_pair_pdf serving_distance_cdf serving_distance_pdf simulate_coverage
+    simulate_ppp_coverage
+""".split()
+
+# helpers only tests used, as module.name under cylcov; their oracles are in tests/
+REMOVED = """
+    interference.inner_integral special.gamma_tail_series simulation.sample_point
+    simulation.sample_fading_gain simulation._sample_points cli.linear_to_db
+    simulation.sample_conditional_interferer_distances distance.build_receiver_cdf
+    distance.TabulatedDistribution.kind distance.TabulatedDistribution.ppf
+""".split()
+
+
+def test_public_surface_is_pinned():
+    assert cylcov.__all__ == PUBLIC
+    for name in PUBLIC:
+        getattr(cylcov, name)
+    for dotted in REMOVED:
+        module, *parents, name = dotted.split(".")
+        owner = importlib.import_module(f"cylcov.{module}")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        assert not hasattr(owner, name) and not hasattr(cylcov, name), dotted

@@ -7,31 +7,34 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import SQUAT, TALL
+from conftest import SQUAT, TALL, inverse_cdf
 from cylcov import (
     ChannelModel,
     DomainError,
     NetworkScenario,
     UnsupportedParameterError,
     conditional_interferer_pdf,
-    inner_integral,
     laplace_with_derivatives,
 )
-from cylcov.simulation import sample_conditional_interferer_distances, substream
+from cylcov.interference import _g_derivatives
+from cylcov.simulation import substream
 
 
 def scenario(N=10, m=2.0, alpha=3.0, geom=TALL, beta=1.0):
     return NetworkScenario(N=N, geom=geom, channel=ChannelModel(alpha=alpha, m=m), beta=beta)
 
 
+def single_factor(t, l, j, dist, m=2.0):
+    """j-th t-derivative of g(t | l): at N = 3 the transform is g itself."""
+    return laplace_with_derivatives(t, l, scenario(N=3, m=m), dist).derivatives[j]
+
+
 class TestInnerIntegral:
     def test_unit_at_zero_argument(self, tall_dist):
-        sc = scenario()
         for l in (0.1 * TALL.d_max, 0.4 * TALL.d_max):
-            assert inner_integral(0.0, l, 0, sc, tall_dist) == pytest.approx(1.0, abs=1e-9)
+            assert single_factor(0.0, l, 0, tall_dist) == pytest.approx(1.0, abs=1e-9)
 
     def test_first_derivative_at_zero_is_negative_mean_kernel(self, tall_dist):
-        sc = scenario()
         l = 0.25 * TALL.d_max
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
@@ -42,7 +45,7 @@ class TestInnerIntegral:
                 epsabs=1e-12,
                 limit=400,
             )
-        assert inner_integral(0.0, l, 1, sc, tall_dist) == pytest.approx(
+        assert single_factor(0.0, l, 1, tall_dist) == pytest.approx(
             -mean_kernel, abs=1e-9
         )
 
@@ -53,26 +56,24 @@ class TestInnerIntegral:
         t = sc.channel.m * sc.beta * l**3
         rng = substream(555, 0)
         n = 1_000_000
-        u = sample_conditional_interferer_distances(tall_dist, l, n, rng)
+        u = inverse_cdf(tall_dist, rng.random(n), l)
         g = rng.gamma(sc.channel.m, 1.0 / sc.channel.m, n)
         samples = np.exp(-t * g * u**-3.0)
         stderr = samples.std() / math.sqrt(n)
-        assert inner_integral(t, l, 0, sc, tall_dist) == pytest.approx(
+        assert single_factor(t, l, 0, tall_dist) == pytest.approx(
             samples.mean(), abs=3.0 * stderr
         )
 
     def test_value_in_unit_interval(self, tall_dist):
-        sc = scenario()
         for t in (0.0, 1.0, 1e3, 1e7):
-            g = inner_integral(t, 0.3 * TALL.d_max, 0, sc, tall_dist)
+            g = single_factor(t, 0.3 * TALL.d_max, 0, tall_dist)
             assert 0.0 < g <= 1.0
 
     def test_upper_limit_extension_changes_nothing(self, tall_dist):
         # density vanishes beyond d_max, so integrating further is a no-op
-        sc = scenario()
         l = 0.2 * TALL.d_max
         t = 2.0
-        inner = inner_integral(t, l, 0, sc, tall_dist)
+        inner = single_factor(t, l, 0, tall_dist)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             extended, _ = quad(
@@ -85,14 +86,9 @@ class TestInnerIntegral:
             )
         assert inner == pytest.approx(extended, abs=1e-8)
 
-    def test_order_and_argument_validation(self, tall_dist):
-        sc = scenario(m=2.0)
+    def test_negative_argument_rejected(self, tall_dist):
         with pytest.raises(DomainError):
-            inner_integral(1.0, 10.0, 2, sc, tall_dist)  # j > m - 1
-        with pytest.raises(DomainError):
-            inner_integral(1.0, 10.0, -1, sc, tall_dist)
-        with pytest.raises(DomainError):
-            inner_integral(-1.0, 10.0, 0, sc, tall_dist)
+            single_factor(-1.0, 10.0, 0, tall_dist)
 
 
 class TestLaplaceDerivatives:
@@ -158,10 +154,9 @@ class TestLaplaceDerivatives:
         sc = scenario(N=3, m=3.0)
         l, t = 0.3 * TALL.d_max, 5.0
         lap = laplace_with_derivatives(t, l, sc, tall_dist)
+        g = _g_derivatives(t, l, sc, tall_dist, 3)
         for k in range(3):
-            assert lap.derivatives[k] == pytest.approx(
-                inner_integral(t, l, k, sc, tall_dist), rel=1e-12
-            )
+            assert lap.derivatives[k] == pytest.approx(g[k], rel=1e-12)
 
     def test_monte_carlo_transform_equivalence(self, tall_dist):
         # empirical mean of e^{-tI} over conditioned draws, small network
@@ -172,9 +167,7 @@ class TestLaplaceDerivatives:
         rng = substream(2718, 0)
         n = 1_000_000
         interferers = sc.N - 2
-        u = sample_conditional_interferer_distances(
-            tall_dist, l, (n, interferers), rng
-        )
+        u = inverse_cdf(tall_dist, rng.random((n, interferers)), l)
         g = rng.gamma(sc.channel.m, 1.0 / sc.channel.m, (n, interferers))
         samples = np.exp(-t * (g * u**-3.0).sum(axis=1))
         stderr = samples.std() / math.sqrt(n)

@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.stats import kstest
 
-from conftest import SQUAT, TALL
+from conftest import SQUAT, TALL, inverse_cdf, sample_points
 from cylcov import (
     ChannelModel,
     CylinderGeometry,
@@ -31,7 +31,7 @@ from cylcov import (
     serving_distance_cdf,
     serving_distance_pdf,
 )
-from cylcov.simulation import _sample_points, substream
+from cylcov.simulation import substream
 
 CHANNEL = ChannelModel(alpha=3.0, m=1.0)
 
@@ -43,7 +43,7 @@ def scenario(N, geom=TALL, beta=1.0, channel=CHANNEL):
 def deployment_serving_distances(geom, N, deployments, seed):
     """Nearest-of-(N-1) distances from true node placements."""
     rng = substream(seed, 0)
-    pts = _sample_points(rng, geom, deployments * N).reshape(deployments, N, 3)
+    pts = sample_points(rng, geom, deployments * N).reshape(deployments, N, 3)
     d = np.linalg.norm(pts[:, 1:, :] - pts[:, :1, :], axis=2)
     return d.min(axis=1)
 
@@ -105,7 +105,7 @@ class TestServingDistance:
         # min of N-1 i.i.d. pair distances: the exact model behind the formula
         sc = scenario(10)
         rng = substream(31337, 0)
-        mins = tall_dist.ppf(rng.random((100_000, sc.N - 1))).min(axis=1)
+        mins = inverse_cdf(tall_dist, rng.random((100_000, sc.N - 1))).min(axis=1)
         ks = kstest(mins, lambda x: serving_distance_cdf(x, sc, tall_dist)).statistic
         assert ks <= 0.01
 
@@ -165,7 +165,7 @@ class TestConditionalInterferer:
         # i.i.d. pair distances kept above l: the exact model behind the formula
         l = 0.3 * SQUAT.d_max
         rng = substream(999, 0)
-        draws = squat_dist.ppf(rng.random(400_000))
+        draws = inverse_cdf(squat_dist, rng.random(400_000))
         kept = draws[draws >= l]
         fl = squat_dist.cdf(l)
         cdf = lambda u: np.maximum(0.0, (squat_dist.cdf(u) - fl) / (1.0 - fl))
@@ -203,7 +203,7 @@ class TestConditionalInterferer:
         block = 250_000
         for start in range(0, deployments, block):
             size = min(block, deployments - start)
-            pts = _sample_points(rng, geom, size * N).reshape(size, N, 3)
+            pts = sample_points(rng, geom, size * N).reshape(size, N, 3)
             d = np.linalg.norm(pts[:, 1:, :] - pts[:, :1, :], axis=2)
             mins = d.min(axis=1)
             if l0 is None:

@@ -1,4 +1,4 @@
-"""Elliptic integrals and the Gamma tail, checked against quadrature oracles."""
+"""Elliptic integrals, checked against quadrature oracles."""
 
 import math
 import warnings
@@ -6,18 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaincc
 
-from cylcov import (
-    DomainError,
-    UnsupportedParameterError,
-    complete_E,
-    complete_K,
-    gamma_tail_series,
-    incomplete_E,
-    incomplete_F,
-)
-from cylcov.simulation import substream
+from cylcov import DomainError, complete_E, complete_K, incomplete_E, incomplete_F
 
 
 def oracle_first_kind(phi, k):
@@ -162,47 +152,3 @@ def test_legendre_relation(k):
     )
     assert lhs == pytest.approx(math.pi / 2.0, abs=1e-10)
 
-
-class TestGammaTailSeries:
-    def test_full_tail_at_zero(self):
-        assert gamma_tail_series(0.0, 3) == 1.0
-
-    def test_vanishing_tail(self):
-        assert gamma_tail_series(1e6, 1) == pytest.approx(0.0, abs=1e-300)
-
-    def test_direct_series_value(self):
-        # e^{-2} (1 + 2), cross-checked against the regularized upper gamma
-        expected = math.exp(-2.0) * 3.0
-        assert gamma_tail_series(1.0, 2) == pytest.approx(expected, rel=1e-14)
-        assert gamma_tail_series(1.0, 2) == pytest.approx(float(gammaincc(2, 2.0)), rel=1e-13)
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
-    def test_matches_regularized_upper_gamma(self, m):
-        for x in (0.01, 0.3, 1.0, 2.5, 7.0):
-            assert gamma_tail_series(x, m) == pytest.approx(
-                float(gammaincc(m, m * x)), rel=1e-12
-            )
-
-    def test_strictly_decreasing_and_bounded(self):
-        xs = np.linspace(0.0, 6.0, 40)
-        vals = [gamma_tail_series(x, 3) for x in xs]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_non_integer_shape_unsupported(self):
-        with pytest.raises(UnsupportedParameterError):
-            gamma_tail_series(1.0, 2.5)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_tail_series(-0.1, 2)
-        with pytest.raises(DomainError):
-            gamma_tail_series(1.0, 0)
-
-    def test_matches_monte_carlo_tail(self):
-        m, x, n = 2, 1.0, 1_000_000
-        rng = substream(2024, 0)
-        draws = rng.gamma(m, 1.0 / m, n)
-        frac = float(np.mean(draws > x))
-        stderr = math.sqrt(frac * (1.0 - frac) / n)
-        assert abs(gamma_tail_series(x, m) - frac) <= 3.0 * stderr
