@@ -86,7 +86,12 @@ class TestInnerIntegral:
             )
         assert inner == pytest.approx(extended, abs=1e-8)
 
-    def test_negative_argument_rejected(self, tall_dist):
+    def test_order_and_argument_validation(self, tall_dist):
+        # orders 0 .. m - 1 and no more
+        lap = laplace_with_derivatives(1.0, 10.0, scenario(N=3, m=2.0), tall_dist)
+        assert len(lap.derivatives) == 2
+        with pytest.raises(IndexError):
+            single_factor(1.0, 10.0, 2, tall_dist)
         with pytest.raises(DomainError):
             single_factor(-1.0, 10.0, 0, tall_dist)
 

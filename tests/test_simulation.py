@@ -54,6 +54,13 @@ class TestSamplePoint:
 
 
 class TestSampleFadingGain:
+    def test_rejects_invalid_shape(self):
+        # the simulator draws Gamma(m, 1/m) gains; shapes below 0.5 are not Nakagami
+        with pytest.raises(DomainError):
+            scenario(m=0.3)
+        est = simulate_coverage(scenario(N=4, m=0.5), 2_000, seed=5)
+        assert 0.0 < est.mean < 1.0
+
     @pytest.mark.parametrize("m,var", [(1.0, 1.0), (3.0, 1.0 / 3.0)])
     def test_moments(self, m, var):
         rng = substream(6, 0)

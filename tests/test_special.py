@@ -1,4 +1,4 @@
-"""Elliptic integrals, checked against quadrature oracles."""
+"""Elliptic integrals and the Gamma tail, checked against quadrature oracles."""
 
 import math
 import warnings
@@ -6,8 +6,23 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import gammaincc
 
-from cylcov import DomainError, complete_E, complete_K, incomplete_E, incomplete_F
+from conftest import SQUAT, TALL, inverse_cdf
+from cylcov import (
+    ChannelModel,
+    DomainError,
+    NetworkScenario,
+    UnsupportedParameterError,
+    complete_E,
+    complete_K,
+    conditional_coverage,
+    conditional_interferer_pdf,
+    incomplete_E,
+    incomplete_F,
+    laplace_with_derivatives,
+)
+from cylcov.simulation import substream
 
 
 def oracle_first_kind(phi, k):
@@ -152,3 +167,97 @@ def test_legendre_relation(k):
     )
     assert lhs == pytest.approx(math.pi / 2.0, abs=1e-10)
 
+
+
+def tail_scenario(N=3, m=2.0, beta=1.0, alpha=3.0):
+    return NetworkScenario(N=N, geom=TALL, channel=ChannelModel(alpha=alpha, m=m), beta=beta)
+
+
+class TestGammaTailSeries:
+    """The integer-shape Gamma tail as the coverage pipeline evaluates it.
+
+    P(G > x) = e^{-m x} sum_{k<m} (m x)^k / k! for G ~ Gamma(m, 1/m).
+    Averaged over the interference I at x = beta l^alpha I, each
+    e^{-t I} (t I)^k becomes (-t)^k times the k-th transform derivative,
+    which is what conditional_coverage sums.
+    """
+
+    L = 0.3 * TALL.d_max
+
+    def test_full_tail_at_zero(self, tall_dist):
+        for m in (1.0, 2.0, 3.0, 5.0):
+            assert conditional_coverage(0.0, tail_scenario(N=5, m=m), tall_dist) == 1.0
+
+    def test_vanishing_tail(self, tall_dist):
+        sc = tail_scenario(N=10, m=2.0, beta=1e9)
+        assert conditional_coverage(self.L, sc, tall_dist) == pytest.approx(0.0, abs=1e-12)
+
+    def test_direct_series_value(self, tall_dist):
+        # m = 2: L(t) - t L'(t) at t = m beta l^alpha
+        sc = tail_scenario(N=5, m=2.0, beta=2.0)
+        t = 2.0 * 2.0 * self.L**3.0
+        lap = laplace_with_derivatives(t, self.L, sc, tall_dist)
+        expected = lap.derivatives[0] - t * lap.derivatives[1]
+        assert conditional_coverage(self.L, sc, tall_dist) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_matches_regularized_upper_gamma(self, m, tall_dist):
+        # one interferer (N = 3) at distance u with gain h:
+        # P(covered | l) = E_u E_h Q(m, m beta (l/u)^alpha h), Q the regularized upper gamma
+        l, beta = self.L, 1.0
+        norm = m**m / math.gamma(m)
+
+        def tail_given_u(u):
+            c = beta * (l / u) ** 3.0
+            val, _ = quad(
+                lambda h: gammaincc(m, m * c * h) * norm * h ** (m - 1) * math.exp(-m * h),
+                0.0,
+                np.inf,
+                epsabs=1e-13,
+                epsrel=1e-12,
+            )
+            return val
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            expected, _ = quad(
+                lambda u: tail_given_u(u) * conditional_interferer_pdf(u, l, tall_dist),
+                l,
+                TALL.d_max,
+                epsabs=1e-12,
+                limit=400,
+            )
+        sc = tail_scenario(N=3, m=float(m), beta=beta)
+        assert conditional_coverage(l, sc, tall_dist) == pytest.approx(expected, abs=1e-7)
+
+    def test_strictly_decreasing_and_bounded(self, tall_dist):
+        vals = [
+            conditional_coverage(self.L, tail_scenario(N=5, m=3.0, beta=b), tall_dist)
+            for b in np.logspace(-2.0, 2.0, 40)
+        ]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_non_integer_shape_unsupported(self, tall_dist):
+        with pytest.raises(UnsupportedParameterError):
+            conditional_coverage(self.L, tail_scenario(m=2.5), tall_dist)
+
+    def test_domain(self, tall_dist, squat_dist):
+        with pytest.raises(DomainError):
+            conditional_coverage(-1.0, tail_scenario(), tall_dist)
+        with pytest.raises(DomainError):
+            conditional_coverage(0.3 * SQUAT.d_max, tail_scenario(), squat_dist)
+
+    def test_matches_monte_carlo_tail(self, tall_dist):
+        # serving gain against three faded interferers drawn above l
+        m, beta, n, interferers = 2.0, 1.0, 400_000, 3
+        l = self.L
+        rng = substream(2024, 0)
+        u = inverse_cdf(tall_dist, rng.random((n, interferers)), l)
+        h = rng.gamma(m, 1.0 / m, (n, interferers))
+        g = rng.gamma(m, 1.0 / m, n)
+        covered = g * l**-3.0 > beta * np.sum(h * u**-3.0, axis=1)
+        frac = float(np.mean(covered))
+        stderr = math.sqrt(frac * (1.0 - frac) / n)
+        sc = tail_scenario(N=interferers + 2, m=m, beta=beta)
+        assert abs(conditional_coverage(l, sc, tall_dist) - frac) <= 3.0 * stderr
