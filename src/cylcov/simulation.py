@@ -16,6 +16,19 @@ Within a block the draw order is fixed and documented per estimator
 (positions first, then any receiver index, then fading gains).  Fading
 gains use NumPy's exact Gamma rejection sampler, not an approximation.
 
+What is reproducible is the draw streams and every count computed from
+them, not the bits of intermediate distances.  The coverage kernel never
+builds Cartesian coordinates: from the uniform draws (rho, v, w) of a node
+and of the receiver (index 0) it forms the squared link distance in polar
+form, with one sine per link,
+
+    d^2 = R^2 [(sqrt(rho_i) - sqrt(rho_0))^2
+               + 4 sqrt(rho_i) sqrt(rho_0) sin^2(pi (v_i - v_0))]
+          + H^2 (w_i - w_0)^2,
+
+which is within a few 1e-16 d_max^2 of the Cartesian value.
+sample_pair_distances keeps the Cartesian path through x, y and z.
+
 The typical receiver is node index 0 of each deployment; exchangeability
 of the i.i.d. deployment makes this without loss of generality, and
 ``simulate_coverage(receiver="random")`` exists to validate exactly that.
@@ -121,6 +134,36 @@ def empirical_distance_histogram(
     )
 
 
+def _link_distances_squared(
+    receiver: np.ndarray, others: np.ndarray, geom: CylinderGeometry
+) -> np.ndarray:
+    """Squared distances from a receiver to other nodes, from their uniform draws.
+
+    receiver has shape (trials, 3) and others (trials, k, 3); each row of
+    three is one node's (rho, v, w), which _sample_coordinates places at
+    radius R sqrt(rho), angle 2 pi v and height H w.  Returns shape
+    (trials, k), in the polar form of the module docstring.
+    """
+    r0 = np.sqrt(receiver[:, 0])[:, None]
+    ri = np.sqrt(others[..., 0])
+    d2 = ri - r0
+    np.square(d2, out=d2)
+    s = others[..., 1] - receiver[:, 1, None]
+    s *= math.pi
+    np.sin(s, out=s)
+    np.square(s, out=s)
+    ri *= r0
+    ri *= 4.0
+    s *= ri
+    d2 += s
+    d2 *= geom.R * geom.R
+    dz = others[..., 2] - receiver[:, 2, None]
+    np.square(dz, out=dz)
+    dz *= geom.H * geom.H
+    d2 += dz
+    return d2
+
+
 def _coverage_block(
     rng: Generator, scenario: NetworkScenario, size: int, receiver: str
 ) -> int:
@@ -130,28 +173,25 @@ def _coverage_block(
     then fading gains for all N - 1 links of each trial.
     """
     N = scenario.N
-    geom = scenario.geom
-    alpha = scenario.channel.alpha
-    m = scenario.channel.m
-    beta = scenario.beta
-    coords = [c.reshape(size, N) for c in _sample_coordinates(rng, geom, size * N)]
+    u = rng.random((size * N, 3)).reshape(size, N, 3)
     rows = np.arange(size)
     if receiver == "first":
-        rec = [c[:, 0] for c in coords]
+        rec = u[:, 0]
     else:
         ridx = rng.integers(0, N, size)
-        rec = [c[rows, ridx] for c in coords]
+        rec = u[rows, ridx]
         # Move the receiver out of the transmitter set by swapping it into
         # slot 0 and dropping that slot.
-        for c in coords:
-            c[rows, ridx] = c[:, 0]
-    d = _distance(*(c[:, 1:] - r[:, None] for c, r in zip(coords, rec)))
-    gains = rng.gamma(m, 1.0 / m, (size, N - 1))
-    powers = gains * d ** (-alpha)
-    serving = np.argmin(d, axis=1)
+        u[rows, ridx] = u[:, 0]
+    d2 = _link_distances_squared(rec, u[:, 1:], scenario.geom)
+    m = scenario.channel.m
+    powers = rng.gamma(m, 1.0 / m, (size, N - 1))
+    serving = np.argmin(d2, axis=1)
+    np.power(d2, -0.5 * scenario.channel.alpha, out=d2)
+    powers *= d2
     signal = powers[rows, serving]
     interference = powers.sum(axis=1) - signal
-    covered = (interference == 0.0) | (signal > beta * interference)
+    covered = (interference == 0.0) | (signal > scenario.beta * interference)
     return int(np.count_nonzero(covered))
 
 
@@ -223,7 +263,6 @@ def simulate_ppp_coverage(
             continue
         u = rng.random((total, 3))
         r = R * np.sqrt(u[:, 0])
-        phi = 2.0 * math.pi * u[:, 1]
         z = half_h * (2.0 * u[:, 2] - 1.0)
         d = np.sqrt(r * r + z * z)
         gains = rng.gamma(m, 1.0 / m, total)

@@ -14,7 +14,6 @@ prints its gaps for information; README "Known limitations" has the
 numbers.
 """
 
-import math
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.stats import kstest
 
-from conftest import NEEDLE, REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture
+from conftest import REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture
 from cylcov import (
     ChannelModel,
     CylinderGeometry,

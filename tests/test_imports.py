@@ -1,5 +1,6 @@
-"""Import surface: what importing cylcov loads, and the names it exports."""
+"""Import surface: what importing cylcov loads, the names it exports, and unused imports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -61,3 +62,33 @@ def test_public_surface_is_pinned():
         for parent in parents:
             owner = getattr(owner, parent)
         assert not hasattr(owner, name) and not hasattr(cylcov, name), dotted
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, with their line numbers."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # the repository has no linter; names re-exported through cylcov.__all__ count as used
+    root = SRC.parent
+    files = sorted((SRC / "cylcov").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unused = []
+    for path in files:
+        exempt = set(cylcov.__all__) if path.name == "__init__.py" else set()
+        unused += [
+            f"{path.relative_to(root)}:{line} {name}"
+            for line, name in _unused_imports(path)
+            if name not in exempt
+        ]
+    assert not unused, unused

@@ -13,8 +13,6 @@ them from the components of ``build_receiver_cdfs``.  README "Known
 limitations" gives the size of the deviation in coverage terms.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -23,7 +21,6 @@ from scipy.stats import kstest
 from conftest import SQUAT, TALL, inverse_cdf, sample_points
 from cylcov import (
     ChannelModel,
-    CylinderGeometry,
     DegenerateConditionError,
     DomainError,
     NetworkScenario,

@@ -13,7 +13,6 @@ import math
 import tracemalloc
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from cylcov import (

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from conftest import SQUAT, TALL, sample_points
+from conftest import NEEDLE, REGIME_GEOMETRIES, SQUAT, TALL, sample_points
 from cylcov import (
     ChannelModel,
     CylinderGeometry,
@@ -15,7 +17,7 @@ from cylcov import (
     empirical_distance_histogram,
     simulate_coverage,
 )
-from cylcov.simulation import substream
+from cylcov.simulation import _link_distances_squared, substream
 
 GEOM = CylinderGeometry(R=12.0, H=30.0)
 
@@ -163,6 +165,79 @@ class TestSimulateCoverage:
         # full blocks and a partial one; the draw order must not change
         est = simulate_coverage(scenario(N=N, m=m, beta=beta), 10_000, seed=31, receiver=receiver)
         assert round(est.mean * est.trials) == covered
+
+    @pytest.mark.parametrize(
+        "geom, N, m, alpha, beta, receiver, covered",
+        [
+            (SQUAT, 2, 1.0, 3.0, 1e3, "random", 10_000),
+            (NEEDLE, 2, 0.5, 4.0, 1e3, "first", 10_000),
+            (SQUAT, 12, 0.5, 3.0, 0.2, "first", 7163),
+            (SQUAT, 12, 0.5, 4.0, 0.2, "random", 7782),
+            (NEEDLE, 6, 1.5, 4.0, 2.0, "first", 7032),
+            (NEEDLE, 6, 2.5, 3.0, 2.0, "random", 6256),
+        ],
+    )
+    def test_more_counts_keep_their_streams(self, geom, N, m, alpha, beta, receiver, covered):
+        # counts of the Cartesian kernel: one link and no interference (N = 2),
+        # the Gamma branch below shape 1, alpha = 4, flat and thin regimes
+        sc = scenario(N=N, m=m, beta=beta, geom=geom, alpha=alpha)
+        est = simulate_coverage(sc, 10_000, seed=31, receiver=receiver)
+        assert round(est.mean * est.trials) == covered
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose next uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def _cartesian_d2(u, geom):
+    """Squared distances from node 0 to nodes 1.. of each row of draws u, via x, y, z."""
+    trials, N, _ = u.shape
+    pts = sample_points(_FixedDraws(u.reshape(-1, 3)), geom, trials * N).reshape(u.shape)
+    return np.sum((pts[:, 1:] - pts[:, :1]) ** 2, axis=-1)
+
+
+# bound on |polar - Cartesian| squared distance, relative to d_max^2; the largest
+# measured over 1.9e6 links per regime is 6.3e-16
+LINK_D2_TOL = 4e-15
+
+
+class TestLinkDistances:
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=lambda g: f"R{g.R:g}-H{g.H:g}")
+    def test_matches_sampled_points(self, geom):
+        trials, N = 5_000, 20
+        u = substream(41, 0).random((trials * N, 3)).reshape(trials, N, 3)
+        cartesian = _cartesian_d2(u, geom)
+        d2 = _link_distances_squared(u[:, 0], u[:, 1:], geom)
+        assert d2.shape == (trials, N - 1)
+        assert np.all(d2 >= 0.0)
+        assert np.max(np.abs(d2 - cartesian)) <= LINK_D2_TOL * geom.d_max**2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        geom=st.sampled_from(REGIME_GEOMETRIES),
+        rho=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1.0))] * 2),
+        angles=st.one_of(
+            st.floats(0.0, 1.0).map(lambda v: (v, v)),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            # gaps near +1 and -1: nearly the same direction across the branch cut
+            st.tuples(st.floats(0.0, 1e-6), st.floats(0.0, 1e-6)).flatmap(
+                lambda ab: st.sampled_from(((ab[0], 1.0 - ab[1]), (1.0 - ab[1], ab[0])))
+            ),
+        ),
+        w=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_polar_form_property(self, geom, rho, angles, w):
+        u = np.array([[[rho[0], angles[0], w[0]], [rho[1], angles[1], w[1]]]])
+        d2 = _link_distances_squared(u[:, 0], u[:, 1:], geom)
+        assert d2[0, 0] >= 0.0
+        assert abs(d2[0, 0] - _cartesian_d2(u, geom)[0, 0]) <= LINK_D2_TOL * geom.d_max**2
 
 
 def test_pair_distances_keep_their_bits():
