@@ -273,18 +273,17 @@ def cmd_coverage(args) -> int:
         idx, meth = task
         sc = scenarios[idx]
         started = time.perf_counter()
-        if meth == "analytic":
-            res = coverage_probability(sc, dists[sc.geom])
-            pc, err, row_trials, row_seed = res.pc, res.error_estimate, "", ""
-            tag = res.method
-        elif meth == "monte-carlo":
+        if meth == "monte-carlo":
             est = simulate_coverage(sc, trials, seed)
-            pc, err, row_trials, row_seed = est.mean, est.ci_half_width, str(trials), str(seed)
-            tag = "monte-carlo"
+            tag, pc, err = meth, est.mean, est.ci_half_width
+            row_trials, row_seed = str(trials), str(seed)
         else:
-            res = ppp_coverage(ppp_model_from_scenario(sc))
-            pc, err, row_trials, row_seed = res.pc, res.error_estimate, "", ""
-            tag = res.method
+            if meth == "analytic":
+                res = coverage_probability(sc, dists[sc.geom])
+            else:
+                res = ppp_coverage(ppp_model_from_scenario(sc))
+            tag, pc, err = res.method, res.pc, res.error_estimate
+            row_trials = row_seed = ""
         elapsed = _fmt(time.perf_counter() - started) if timing else "NA"
         values = [_fmt(points[idx][name]) for name in axis_names]
         return values + [tag, _fmt(pc), _fmt(err), row_trials, row_seed, elapsed]

@@ -38,6 +38,7 @@ from .distance import (
     _SURVIVAL_FLOOR,
     ReceiverMixture,
     TabulatedDistribution,
+    _gauss_on_panels,
     receiver_breakpoints,
     receiver_distance_law,
 )
@@ -45,6 +46,8 @@ from .errors import DomainError
 from .interference import laplace_with_derivatives, require_analytic_m
 from .network import NetworkScenario, _check_geometry, serving_distance_pdf
 
+# Every analytic coverage value carries an error estimate within this bound.
+COVERAGE_CONTRACT = 1e-4
 # Gauss order per panel of the per-receiver serving-distance integral, for
 # the reported rule and for the coarser one that checks it.
 EXACT_ORDER = 8
@@ -80,9 +83,8 @@ class CoverageResult:
 
     error_estimate bounds the numerical error of the analytic methods
     (the gap to a coarser rule, or for the Poisson baseline to a
-    transformed evaluation plus rounding) and is a 95% confidence
-    half-width for Monte Carlo ones.  scenario echoes whatever parameter
-    object produced the number.
+    transformed evaluation plus rounding).  scenario echoes whatever
+    parameter object produced the number.
     """
 
     pc: float
@@ -95,6 +97,24 @@ class CoverageResult:
             raise DomainError(f"coverage probability {self.pc!r} outside [0, 1]")
         if self.error_estimate < 0.0:
             raise DomainError("error_estimate must be nonnegative")
+
+
+def _within_contract(value: float, err: float, method: str, scenario: Any) -> CoverageResult:
+    """The result of an analytic method, with value clipped into [0, 1].
+
+    Raises RuntimeError when err is past COVERAGE_CONTRACT.
+    """
+    if err > COVERAGE_CONTRACT:
+        raise RuntimeError(
+            f"{method} error estimate {float(err)!r} exceeds the "
+            f"{COVERAGE_CONTRACT!r} coverage contract"
+        )
+    return CoverageResult(
+        pc=min(max(float(value), 0.0), 1.0),
+        method=method,
+        error_estimate=float(err),
+        scenario=scenario,
+    )
 
 
 def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistribution):
@@ -125,16 +145,6 @@ def _panel_edges(breaks: np.ndarray, table: TabulatedDistribution, n: int) -> np
     return np.union1d(breaks, splits[(splits > 0.0) & (splits < breaks[-1])])
 
 
-def _panel_rule(edges: np.ndarray, order: int):
-    """Nodes and weights of the Gauss rule of the given order on every panel between edges."""
-    x, w = _GAUSS_RULES[order]
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * x).ravel()
-    weights = (halves[:, None] * w).ravel()
-    return nodes, weights
-
-
 def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution) -> CoverageResult:
     """Coverage probability via the outer serving-distance integral, by a fixed product rule.
 
@@ -148,12 +158,12 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     _DENSITY_ORDER Gauss points per knot cell.  error_estimate is the gap
     to the same rule at interpolation order PAPER_CHECK_ORDER, plus the
     serving-distance mass beyond the last knot whose survival is above
-    the floor, where the integral stops; it must stay within the 1e-4
-    contract.  Deterministic given the scenario and CDF grid.
+    the floor, where the integral stops; it must stay within
+    COVERAGE_CONTRACT.  Deterministic given the scenario and CDF grid.
     """
     require_analytic_m(scenario.channel.m)
     if scenario.N == 2:
-        return CoverageResult(pc=1.0, method="analytic", error_estimate=0.0, scenario=scenario)
+        return _within_contract(1.0, 0.0, "analytic", scenario)
     _check_geometry(scenario.geom, dist)
     n = scenario.N
     cutoff = dist.survival_cutoff()
@@ -166,13 +176,13 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
 
     # the serving density on the knot cells, cut at the panel edges
     cells = np.union1d(dist.grid[dist.grid < end], edges)
-    points, weights = _panel_rule(cells, _DENSITY_ORDER)
+    points, weights = _gauss_on_panels(cells, *_GAUSS_RULES[_DENSITY_ORDER])
     weights *= serving_distance_pdf(points, scenario, dist)
     panel = np.searchsorted(edges, points) - 1
     offsets = (points - mids[panel]) / halves[panel]
 
     def integral(order: int) -> float:
-        nodes = _panel_rule(edges, order)[0]
+        nodes = _gauss_on_panels(edges, *_GAUSS_RULES[order])[0]
         covered = conditional_coverage(nodes, scenario, dist).reshape(-1, 1, order)
         coef = (_TO_LEGENDRE[order] * covered).sum(axis=-1)
         basis = np.polynomial.legendre.legvander(offsets, order - 1)
@@ -180,16 +190,7 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
 
     value = integral(PAPER_ORDER)
     err = abs(value - integral(PAPER_CHECK_ORDER)) + dist.sf(end) ** (n - 1)
-    if err > 1e-4:
-        raise RuntimeError(
-            f"coverage quadrature error estimate {err!r} exceeds the 1e-4 contract"
-        )
-    return CoverageResult(
-        pc=min(max(value, 0.0), 1.0),
-        method="analytic",
-        error_estimate=err,
-        scenario=scenario,
-    )
+    return _within_contract(value, err, "analytic", scenario)
 
 
 def _receiver_coverage(
@@ -205,7 +206,7 @@ def _receiver_coverage(
     """
     n = scenario.N
     edges = _panel_edges(receiver_breakpoints(scenario.geom, r, z), table, n)
-    nodes, weights = _panel_rule(edges, order)
+    nodes, weights = _gauss_on_panels(edges, *_GAUSS_RULES[order])
     cdf, pdf = receiver_distance_law(scenario.geom, r, z, nodes)
     density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
     live = (density > 0.0) & (table.sf(nodes) >= _SURVIVAL_FLOOR)
@@ -222,13 +223,11 @@ def exact_coverage_probability(
     Gauss order EXACT_ORDER per serving-distance panel).  error_estimate
     is the gap to the same average over mixture.check at order
     EXACT_CHECK_ORDER, a rule coarser in both integrals; it must stay
-    within the 1e-4 contract.
+    within COVERAGE_CONTRACT.
     """
     require_analytic_m(scenario.channel.m)
     if scenario.N == 2:
-        return CoverageResult(
-            pc=1.0, method="analytic-exact", error_estimate=0.0, scenario=scenario
-        )
+        return _within_contract(1.0, 0.0, "analytic-exact", scenario)
     if mixture.geometry != scenario.geom:
         raise DomainError(
             f"receiver tables built for (R={mixture.geometry.R}, H={mixture.geometry.H}), "
@@ -245,13 +244,4 @@ def exact_coverage_probability(
 
     value = average(mixture, EXACT_ORDER)
     err = abs(value - average(mixture.check, EXACT_CHECK_ORDER))
-    if err > 1e-4:
-        raise RuntimeError(
-            f"exact coverage error estimate {float(err)!r} exceeds the 1e-4 contract"
-        )
-    return CoverageResult(
-        pc=min(max(float(value), 0.0), 1.0),
-        method="analytic-exact",
-        error_estimate=float(err),
-        scenario=scenario,
-    )
+    return _within_contract(value, err, "analytic-exact", scenario)

@@ -101,6 +101,13 @@ _PAIR_CDF_PHI, _PAIR_CDF_DPHI_W = _smoothstep_rule(48)
 _PAIR_PDF_PHI, _PAIR_PDF_DPHI_W = _smoothstep_rule(32)
 
 
+def _gauss_on_panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Nodes and weights of the Gauss rule (x, w) on [-1, 1], mapped onto each panel between edges."""
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halves = 0.5 * np.diff(edges)
+    return (mids[:, None] + halves[:, None] * x).ravel(), (halves[:, None] * w).ravel()
+
+
 def disk_pair_pdf(v: float, R: float) -> float:
     """Density of the distance between two uniform points in a disk of radius R.
 
@@ -407,16 +414,10 @@ class TabulatedDistribution:
         Built lazily, then reused by every interference integral against
         this table.
         """
-        cached = getattr(self, "_prodquad", None)
-        if cached is None:
-            x, w = _CELL_X, _CELL_W
-            mids = 0.5 * (self.grid[1:] + self.grid[:-1])
-            halves = 0.5 * np.diff(self.grid)
-            nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-            weights = (halves[:, None] * w[None, :]).ravel()
-            cached = (nodes, weights * self.pdf(nodes))
-            self._prodquad = cached
-        return cached
+        if self._prodquad is None:
+            nodes, weights = _gauss_on_panels(self.grid, _CELL_X, _CELL_W)
+            self._prodquad = (nodes, weights * self.pdf(nodes))
+        return self._prodquad
 
     def integrate_pdf_product(self, lo, rows_fn, rows: int) -> np.ndarray:
         """Integrals of rows_fn(u) * f(u) du over [lo, d_max], one set of rows per lower limit.
@@ -586,26 +587,25 @@ def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> Tab
     return TabulatedDistribution(geom, grid, F)
 
 
-def _lens_area(rho: np.ndarray, c: float, R: float) -> np.ndarray:
-    """Area of the disk of radius R at the origin met by a disk of radius rho at distance c <= R."""
-    out = np.where(rho <= R - c, math.pi * rho * rho, math.pi * R * R)
+def _lens(rho: np.ndarray, c: float, R: float):
+    """The disk of radius R at the origin against the circle of radius rho at distance c <= R.
+
+    Returns the area of the disk met by the circle's disk (the lens), and
+    the angle of the circle that lies inside the disk.
+    """
+    inside = rho <= R - c
+    area = np.where(inside, math.pi * rho * rho, math.pi * R * R)
+    angle = np.where(inside, 2.0 * math.pi, 0.0)
     mid = (rho > R - c) & (rho < R + c)  # empty when c = 0
     p = rho[mid]
-    out[mid] = (
+    half_angle = np.arccos(np.clip((c * c + p * p - R * R) / (2.0 * c * p), -1.0, 1.0))
+    area[mid] = (
         R * R * np.arccos(np.clip((c * c + R * R - p * p) / (2.0 * c * R), -1.0, 1.0))
-        + p * p * np.arccos(np.clip((c * c + p * p - R * R) / (2.0 * c * p), -1.0, 1.0))
+        + p * p * half_angle
         - 0.5 * np.sqrt(np.maximum((R + p - c) * (R - p + c) * (p - R + c) * (c + R + p), 0.0))
     )
-    return out
-
-
-def _arc_angle(rho: np.ndarray, c: float, R: float) -> np.ndarray:
-    """Angle of the circle of radius rho at distance c <= R that lies inside the disk of radius R."""
-    out = np.where(rho <= R - c, 2.0 * math.pi, 0.0)
-    mid = (rho > R - c) & (rho < R + c)
-    p = rho[mid]
-    out[mid] = 2.0 * np.arccos(np.clip((p * p + c * c - R * R) / (2.0 * c * p), -1.0, 1.0))
-    return out
+    angle[mid] = 2.0 * half_angle
+    return area, angle
 
 
 def _slab(d: np.ndarray, a: np.ndarray, r: float, R: float):
@@ -628,8 +628,9 @@ def _slab(d: np.ndarray, a: np.ndarray, r: float, R: float):
     t = t_lo[:, None] + (t_hi - t_lo)[:, None] * _SLICE_PHI[None, :]
     rho = d[:, None] * np.cos(t)
     weights = (t_hi - t_lo)[:, None] * rho * _SLICE_DPHI_W[None, :]
-    lens = np.sum(_lens_area(rho.ravel(), r, R).reshape(t.shape) * weights, axis=1)
-    angle = np.sum(_arc_angle(rho.ravel(), r, R).reshape(t.shape) * weights, axis=1)
+    area, angle = _lens(rho, r, R)
+    lens = np.sum(area * weights, axis=1)
+    angle = np.sum(angle * weights, axis=1)
     inside = d * d * (a - hi) - (a**3 - hi**3) / 3.0  # int (d^2 - w^2) dw over [hi, a]
     return (
         math.pi * R * R * lo + lens + math.pi * inside,

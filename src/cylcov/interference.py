@@ -46,7 +46,6 @@ class LaplaceEvaluation:
     Floats for a scalar (t, l), arrays of their broadcast shape otherwise.
     """
 
-    t: Union[float, np.ndarray]
     value: Union[float, np.ndarray]
     derivatives: Tuple[Union[float, np.ndarray], ...]
 
@@ -155,9 +154,5 @@ def laplace_with_derivatives(
         g = _g_derivatives(t_arr, l, scenario, dist, m)
         ds = _power_derivatives(g, scenario.N - 2, m)
     if ds.ndim == 1:
-        return LaplaceEvaluation(
-            t=float(t_arr), value=float(ds[0]), derivatives=tuple(float(d) for d in ds)
-        )
-    return LaplaceEvaluation(
-        t=np.broadcast_to(t_arr, ds.shape[1:]), value=ds[0], derivatives=tuple(ds)
-    )
+        return LaplaceEvaluation(value=float(ds[0]), derivatives=tuple(float(d) for d in ds))
+    return LaplaceEvaluation(value=ds[0], derivatives=tuple(ds))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import binom, hyp2f1
 
-from .coverage import CoverageResult
+from .coverage import CoverageResult, _within_contract
 from .errors import DomainError
 from .interference import require_analytic_m
 from .network import ChannelModel, NetworkScenario
@@ -114,19 +114,15 @@ def ppp_coverage(model: PppModel) -> CoverageResult:
     Pfaff's transformation, plus a rounding bound: every term is positive,
     so rounding is relative to pc, and the rounding of delta = 3 / alpha
     is amplified by the pole of A at delta = 1, a factor 1 / (1 - delta).
-    It must stay within the 1e-4 contract.  For alpha <= 3 the infinite
+    It must stay within the coverage contract.  For alpha <= 3 the infinite
     field carries almost surely infinite interference and the result is
     exactly 0.
     """
     m = require_analytic_m(model.channel.m)
     if model.channel.alpha <= 3.0:
-        return CoverageResult(pc=0.0, method="ppp-baseline", error_estimate=0.0, scenario=model)
+        return _within_contract(0.0, 0.0, "ppp-baseline", model)
     delta = 3.0 / model.channel.alpha
     value = _coverage_sum(m, delta, model.beta, hyp2f1)
     err = abs(value - _coverage_sum(m, delta, model.beta, _pfaff_hyp2f1))
     err += _ROUNDING_ULPS * m * sys.float_info.epsilon * value / (1.0 - delta)
-    if err > 1e-4:
-        raise RuntimeError(f"PPP baseline error estimate {err!r} exceeds the 1e-4 contract")
-    return CoverageResult(
-        pc=min(value, 1.0), method="ppp-baseline", error_estimate=err, scenario=model
-    )
+    return _within_contract(value, err, "ppp-baseline", model)

@@ -91,6 +91,12 @@ def _sample_coordinates(rng: Generator, geom: CylinderGeometry, n: int):
     return r * np.cos(phi), r * np.sin(phi), geom.H * u[:, 2]
 
 
+def _binomial_estimate(successes, trials: int):
+    """Success share and its 95% normal-approximation half-width; successes may be an array."""
+    p = successes / trials
+    return p, 1.96 * np.sqrt(p * (1.0 - p) / trials)
+
+
 def _distance(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Euclidean length, summed in the order of np.linalg.norm over the last axis."""
     return np.sqrt((dx * dx + dy * dy) + dz * dz)
@@ -126,11 +132,9 @@ def empirical_distance_histogram(
     d = sample_pair_distances(geom, pairs, seed)
     counts, edges = np.histogram(d, bins=bins, range=(0.0, geom.d_max))
     widths = np.diff(edges)
-    p = counts / pairs
-    density = p / widths
-    ci = 1.96 * np.sqrt(p * (1.0 - p) / pairs) / widths
+    p, ci = _binomial_estimate(counts, pairs)
     return SimulationEstimate(
-        mean=density, ci_half_width=ci, trials=pairs, seed=seed, scenario=(geom, bins)
+        mean=p / widths, ci_half_width=ci / widths, trials=pairs, seed=seed, scenario=(geom, bins)
     )
 
 
@@ -213,9 +217,10 @@ def simulate_coverage(
     successes = 0
     for index, size in _blocks(trials):
         successes += _coverage_block(substream(seed, index), scenario, size, receiver)
-    p = successes / trials
-    ci = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return SimulationEstimate(mean=p, ci_half_width=ci, trials=trials, seed=seed, scenario=scenario)
+    p, ci = _binomial_estimate(successes, trials)
+    return SimulationEstimate(
+        mean=p, ci_half_width=float(ci), trials=trials, seed=seed, scenario=scenario
+    )
 
 
 def simulate_ppp_coverage(
@@ -279,6 +284,7 @@ def simulate_ppp_coverage(
         interference = sums - signal
         covered = (interference == 0.0) | (signal > beta * interference)
         successes += int(np.count_nonzero(covered))
-    p = successes / trials
-    ci = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return SimulationEstimate(mean=p, ci_half_width=ci, trials=trials, seed=seed, scenario=model)
+    p, ci = _binomial_estimate(successes, trials)
+    return SimulationEstimate(
+        mean=p, ci_half_width=float(ci), trials=trials, seed=seed, scenario=model
+    )
