@@ -72,9 +72,14 @@ _TO_LEGENDRE = {
     for order, (x, w) in _GAUSS_RULES.items()
     if order in (PAPER_ORDER, PAPER_CHECK_ORDER)
 }
-# Panels are also split where the serving survival (1 - F_x)^(N-1) passes
-# these levels, so that at large N no panel is mostly empty tail.
-_SERVING_SURVIVAL_SPLITS = np.array([0.5, 1e-2, 1e-4])
+# Panels are also split where the serving survival (1 - F)^(N-1) passes
+# these levels, so that at large N no panel is mostly empty tail.  The exact
+# rule adds 0.9, which splits the rise of each receiver's serving density:
+# at large N in the tall cylinder its order-8 rule misses that rise by more
+# than the contract without the split.  The paper rule keeps its three
+# levels, which its pinned CSV digits depend on.
+_PAPER_SPLITS = np.array([0.5, 1e-2, 1e-4])
+_EXACT_SPLITS = np.array([0.9, 0.5, 1e-2, 1e-4])
 
 
 @dataclass(frozen=True)
@@ -133,14 +138,15 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
     return float(out) if np.ndim(l) == 0 else out
 
 
-def _panel_edges(breaks: np.ndarray, table: TabulatedDistribution, n: int) -> np.ndarray:
+def _panel_edges(
+    breaks: np.ndarray, table: TabulatedDistribution, n: int, survivals: np.ndarray
+) -> np.ndarray:
     """Sorted breaks from 0 to the range's end, plus the serving-survival splits inside it.
 
-    The splits are where (1 - F)^(N-1) of table passes
-    _SERVING_SURVIVAL_SPLITS, read off the knot table by linear
-    interpolation.
+    The splits are where (1 - F)^(N-1) of table passes the levels in
+    survivals, read off the knot table by linear interpolation.
     """
-    levels = 1.0 - _SERVING_SURVIVAL_SPLITS ** (1.0 / (n - 1))
+    levels = 1.0 - survivals ** (1.0 / (n - 1))
     splits = np.interp(levels, table.cdf_values, table.grid)
     return np.union1d(breaks, splits[(splits > 0.0) & (splits < breaks[-1])])
 
@@ -169,7 +175,7 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     cutoff = dist.survival_cutoff()
     end = float(dist.grid[np.searchsorted(dist.grid, cutoff) - 1])
     kinks = [p for p in (2.0 * scenario.geom.R, scenario.geom.H) if 0.0 < p < end]
-    edges = _panel_edges(np.array([0.0, *kinks, end]), dist, n)
+    edges = _panel_edges(np.array([0.0, *kinks, end]), dist, n, _PAPER_SPLITS)
     edges = np.union1d(edges, 0.5 * (edges[1:] + edges[:-1]))
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * np.diff(edges)
@@ -205,7 +211,7 @@ def _receiver_coverage(
     floor are dropped.
     """
     n = scenario.N
-    edges = _panel_edges(receiver_breakpoints(scenario.geom, r, z), table, n)
+    edges = _panel_edges(receiver_breakpoints(scenario.geom, r, z), table, n, _EXACT_SPLITS)
     nodes, weights = _gauss_on_panels(edges, *_GAUSS_RULES[order])
     cdf, pdf = receiver_distance_law(scenario.geom, r, z, nodes)
     density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
