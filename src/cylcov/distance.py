@@ -102,7 +102,7 @@ _PAIR_PDF_PHI, _PAIR_PDF_DPHI_W = _smoothstep_rule(32)
 
 
 def _gauss_on_panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Nodes and weights of the Gauss rule (x, w) on [-1, 1], mapped onto each panel between edges."""
+    """Nodes and weights of the Gauss rule (x, w) on [-1, 1] mapped onto each panel of edges."""
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * np.diff(edges)
     return (mids[:, None] + halves[:, None] * x).ravel(), (halves[:, None] * w).ravel()
