@@ -91,6 +91,8 @@ def load_scenario_file(path) -> dict:
     for key in ("N", "R", "H", "alpha", "m"):
         if not isinstance(base.get(key), (int, float)) or isinstance(base.get(key), bool):
             raise ScenarioFormatError(f"field 'scenario.{key}': number required")
+    if not float(base["N"]).is_integer():
+        raise ScenarioFormatError("field 'scenario.N': integer required")
     has_beta = "beta" in base
     has_db = "beta_dB" in base
     if has_beta == has_db:
@@ -111,6 +113,8 @@ def load_scenario_file(path) -> dict:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
         ):
             raise ScenarioFormatError(f"field 'sweep.{name}': non-empty number list required")
+        if name == "N" and not all(float(v).is_integer() for v in values):
+            raise ScenarioFormatError("field 'sweep.N': integer list required")
     method = raw.get("method", "analytic")
     if method not in ("analytic", "simulate", "ppp", "all"):
         raise ScenarioFormatError(

@@ -8,13 +8,12 @@ t = m beta l^alpha:
     P(covered | l) = sum_{k=0}^{m-1} (-t)^k / k! * d^k/dt^k L_I(t | l).
 
 Averaging over the serving-distance density gives the coverage
-probability as a single outer integral over [0, d_max], evaluated by a
-fixed product rule: the smooth conditional coverage is interpolated per
-panel from one array call of the series, and the interpolant is
-integrated against the serving density cell by cell of the CDF table.
-The integral stops at the last knot where 1 - F(l) is above the survival
-floor; the discarded serving-distance mass there, (1 - F)^(N-1), is far
-below the 1e-4 error contract and is counted in the error estimate.
+probability as one outer integral per distance law, which
+``_serving_integral`` evaluates for both models by a fixed Gauss rule
+against the exact law's serving density.  It stops at the last knot of
+the CDF table where 1 - F is above the survival floor; the discarded
+serving-distance mass, (1 - F)^(N-1), is far below the 1e-4 error
+contract and is counted in the error estimate.
 
 A network of N = 2 nodes has no interferer, the SIR is infinite under
 the noise-free model, and the coverage probability is defined as 1.
@@ -30,56 +29,39 @@ average over a rule of receiver positions (``build_receiver_cdfs``).
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from .distance import (
-    _SURVIVAL_FLOOR,
     ReceiverMixture,
     TabulatedDistribution,
     _gauss_on_panels,
+    pair_distance_law,
     receiver_breakpoints,
     receiver_distance_law,
 )
 from .errors import DomainError
 from .interference import laplace_with_derivatives, require_analytic_m
-from .network import NetworkScenario, _check_geometry, serving_distance_pdf
+from .network import NetworkScenario, _check_geometry
 
 # Every analytic coverage value carries an error estimate within this bound.
 COVERAGE_CONTRACT = 1e-4
-# Gauss order per panel of the per-receiver serving-distance integral, for
-# the reported rule and for the coarser one that checks it.
-EXACT_ORDER = 8
-EXACT_CHECK_ORDER = 6
-# Interpolation order per panel of the paper model's conditional coverage,
-# for the reported rule and for the coarser one that checks it, and the
-# Gauss points per knot cell of the rule that integrates its serving density.
+# Gauss order per serving-distance panel of each model, for the reported
+# rule and for the coarser one that checks it.
 PAPER_ORDER = 12
 PAPER_CHECK_ORDER = 8
-_DENSITY_ORDER = 4
+EXACT_ORDER = 8
+EXACT_CHECK_ORDER = 6
 _GAUSS_RULES = {
     order: np.polynomial.legendre.leggauss(order)
-    for order in (EXACT_ORDER, EXACT_CHECK_ORDER, PAPER_ORDER, PAPER_CHECK_ORDER, _DENSITY_ORDER)
-}
-# Values at the Gauss nodes of one order -> Legendre coefficients of their
-# interpolating polynomial, a_k = (k + 1/2) sum_j w_j P_k(x_j) c_j (the
-# Gauss rule integrates P_k times the interpolant exactly).
-_TO_LEGENDRE = {
-    order: (np.arange(order) + 0.5)[:, None]
-    * np.polynomial.legendre.legvander(x, order - 1).T
-    * w
-    for order, (x, w) in _GAUSS_RULES.items()
-    if order in (PAPER_ORDER, PAPER_CHECK_ORDER)
+    for order in (PAPER_ORDER, PAPER_CHECK_ORDER, EXACT_ORDER, EXACT_CHECK_ORDER)
 }
 # Panels are also split where the serving survival (1 - F)^(N-1) passes
-# these levels, so that at large N no panel is mostly empty tail.  The exact
-# rule adds 0.9, which splits the rise of each receiver's serving density:
-# at large N in the tall cylinder its order-8 rule misses that rise by more
-# than the contract without the split.  The paper rule keeps its three
-# levels, which its pinned CSV digits depend on.
-_PAPER_SPLITS = np.array([0.5, 1e-2, 1e-4])
-_EXACT_SPLITS = np.array([0.9, 0.5, 1e-2, 1e-4])
+# these levels, so that at large N no panel is mostly empty tail; 0.9 splits
+# the rise of the serving density, which an order-8 rule can miss at large N.
+_SPLITS = np.array([0.9, 0.5, 1e-2, 1e-4])
 
 
 @dataclass(frozen=True)
@@ -138,86 +120,50 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
     return float(out) if np.ndim(l) == 0 else out
 
 
-def _panel_edges(
-    breaks: np.ndarray, table: TabulatedDistribution, n: int, survivals: np.ndarray
-) -> np.ndarray:
-    """Sorted breaks from 0 to the range's end, plus the serving-survival splits inside it.
+def _serving_integral(scenario: NetworkScenario, table: TabulatedDistribution, law, breaks, order):
+    """P(SIR > beta) under one distance law, and the serving-distance mass it drops.
 
-    The splits are where (1 - F)^(N-1) of table passes the levels in
-    survivals, read off the knot table by linear interpolation.
+    law(l) returns the CDF and density of a receiver-to-node distance at
+    the distances l, breaks holds its kinks, and table is its tabulated
+    CDF, which the conditional series reads.  The range runs from 0 to
+    the last knot of table whose survival is above the floor, in panels
+    cut at the breaks and where (1 - F)^(N-1) of table passes _SPLITS.
+    Each panel gets a Gauss rule of the given order, weighted by the
+    serving density (N-1) (1 - F)^(N-2) f of law; the series runs at the
+    nodes where that density is positive, in one array call.
     """
-    levels = 1.0 - survivals ** (1.0 / (n - 1))
-    splits = np.interp(levels, table.cdf_values, table.grid)
-    return np.union1d(breaks, splits[(splits > 0.0) & (splits < breaks[-1])])
+    n = scenario.N
+    last = int(np.searchsorted(table.grid, table.survival_cutoff())) - 1
+    end = table.grid[last]
+    splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), table.cdf_values, table.grid)
+    edges = np.union1d([0.0, end], np.clip(np.concatenate((breaks, splits)), 0.0, end))
+    nodes, weights = _gauss_on_panels(edges, *_GAUSS_RULES[order])
+    cdf, pdf = law(nodes)
+    density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
+    live = density > 0.0
+    covered = conditional_coverage(nodes[live], scenario, table)
+    value = float(np.sum(weights[live] * density[live] * covered))
+    return value, (1.0 - table.cdf_values[last]) ** (n - 1)
 
 
 def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution) -> CoverageResult:
-    """Coverage probability via the outer serving-distance integral, by a fixed product rule.
+    """Coverage probability of the paper's model, with i.i.d. distances of the pair law.
 
-    The integrand is the conditional coverage, smooth in l, times the
-    serving density (N-1) (1 - F)^(N-2) f, which is piecewise polynomial
-    but only continuous at the table's knots.  The range is cut into
-    panels at 2R, H and the serving-survival splits, each halved; the
-    conditional coverage is evaluated at PAPER_ORDER Gauss nodes per
-    panel, in one engine call, and its interpolating polynomial on each
-    panel is integrated against the serving density by a rule of
-    _DENSITY_ORDER Gauss points per knot cell.  error_estimate is the gap
-    to the same rule at interpolation order PAPER_CHECK_ORDER, plus the
-    serving-distance mass beyond the last knot whose survival is above
-    the floor, where the integral stops; it must stay within
-    COVERAGE_CONTRACT.  Deterministic given the scenario and CDF grid.
+    ``_serving_integral`` at Gauss order PAPER_ORDER, under the exact
+    pair law (``pair_distance_law``, kinks at 2R and H) and reading dist.
+    error_estimate is the gap to order PAPER_CHECK_ORDER plus the dropped
+    serving-distance mass; it must stay within COVERAGE_CONTRACT.
+    Deterministic given the scenario and CDF grid.
     """
     require_analytic_m(scenario.channel.m)
     if scenario.N == 2:
         return _within_contract(1.0, 0.0, "analytic", scenario)
     _check_geometry(scenario.geom, dist)
-    n = scenario.N
-    cutoff = dist.survival_cutoff()
-    end = float(dist.grid[np.searchsorted(dist.grid, cutoff) - 1])
-    kinks = [p for p in (2.0 * scenario.geom.R, scenario.geom.H) if 0.0 < p < end]
-    edges = _panel_edges(np.array([0.0, *kinks, end]), dist, n, _PAPER_SPLITS)
-    edges = np.union1d(edges, 0.5 * (edges[1:] + edges[:-1]))
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * np.diff(edges)
-
-    # the serving density on the knot cells, cut at the panel edges
-    cells = np.union1d(dist.grid[dist.grid < end], edges)
-    points, weights = _gauss_on_panels(cells, *_GAUSS_RULES[_DENSITY_ORDER])
-    weights *= serving_distance_pdf(points, scenario, dist)
-    panel = np.searchsorted(edges, points) - 1
-    offsets = (points - mids[panel]) / halves[panel]
-
-    def integral(order: int) -> float:
-        nodes = _gauss_on_panels(edges, *_GAUSS_RULES[order])[0]
-        covered = conditional_coverage(nodes, scenario, dist).reshape(-1, 1, order)
-        coef = (_TO_LEGENDRE[order] * covered).sum(axis=-1)
-        basis = np.polynomial.legendre.legvander(offsets, order - 1)
-        return float(np.sum(weights * (basis * coef[panel]).sum(axis=-1)))
-
-    value = integral(PAPER_ORDER)
-    err = abs(value - integral(PAPER_CHECK_ORDER)) + dist.sf(end) ** (n - 1)
-    return _within_contract(value, err, "analytic", scenario)
-
-
-def _receiver_coverage(
-    scenario: NetworkScenario, table: TabulatedDistribution, r: float, z: float, order: int
-) -> float:
-    """P(SIR > beta | receiver at (r, z)) by a fixed Gauss rule over serving distance.
-
-    The serving density (N-1) (1 - F_x)^(N-2) f_x comes from the exact
-    receiver law, whose kinks are panel edges; the conditional series
-    reads the tabulated F_x and takes all of the rule's serving distances
-    in one array call.  Nodes where the table's survival is below the
-    floor are dropped.
-    """
-    n = scenario.N
-    edges = _panel_edges(receiver_breakpoints(scenario.geom, r, z), table, n, _EXACT_SPLITS)
-    nodes, weights = _gauss_on_panels(edges, *_GAUSS_RULES[order])
-    cdf, pdf = receiver_distance_law(scenario.geom, r, z, nodes)
-    density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
-    live = (density > 0.0) & (table.sf(nodes) >= _SURVIVAL_FLOOR)
-    covered = conditional_coverage(nodes[live], scenario, table)
-    return float(np.sum(weights[live] * density[live] * covered))
+    law = partial(pair_distance_law, scenario.geom)
+    breaks = np.array([0.0, 2.0 * scenario.geom.R, scenario.geom.H])
+    value, tail = _serving_integral(scenario, dist, law, breaks, PAPER_ORDER)
+    check, _ = _serving_integral(scenario, dist, law, breaks, PAPER_CHECK_ORDER)
+    return _within_contract(value, abs(value - check) + tail, "analytic", scenario)
 
 
 def exact_coverage_probability(
@@ -225,11 +171,12 @@ def exact_coverage_probability(
 ) -> CoverageResult:
     """Coverage probability of a deployment, conditioned on the receiver's position.
 
-    Averages the per-receiver coverage over mixture's receiver rule (at
-    Gauss order EXACT_ORDER per serving-distance panel).  error_estimate
-    is the gap to the same average over mixture.check at order
-    EXACT_CHECK_ORDER, a rule coarser in both integrals; it must stay
-    within COVERAGE_CONTRACT.
+    Averages ``_serving_integral`` at Gauss order EXACT_ORDER over
+    mixture's receiver rule, under each receiver's exact law
+    (``receiver_distance_law``) and reading its table.  error_estimate is
+    the gap to the same average over mixture.check at order
+    EXACT_CHECK_ORDER, plus the average dropped serving-distance mass; it
+    must stay within COVERAGE_CONTRACT.
     """
     require_analytic_m(scenario.channel.m)
     if scenario.N == 2:
@@ -242,12 +189,15 @@ def exact_coverage_probability(
     if mixture.check is None:
         raise DomainError("mixture has no check rule; build it with build_receiver_cdfs")
 
-    def average(mix: ReceiverMixture, order: int) -> float:
-        return sum(
-            weight * _receiver_coverage(scenario, table, r, z, order)
-            for (r, z), weight, table in zip(mix.nodes, mix.weights, mix.tables)
-        )
+    def average(mix: ReceiverMixture, order: int):
+        value = tail = 0.0
+        for (r, z), weight, table in zip(mix.nodes, mix.weights, mix.tables):
+            law = partial(receiver_distance_law, scenario.geom, r, z)
+            breaks = receiver_breakpoints(scenario.geom, r, z)
+            part, lost = _serving_integral(scenario, table, law, breaks, order)
+            value, tail = value + weight * part, tail + weight * lost
+        return value, tail
 
-    value = average(mixture, EXACT_ORDER)
-    err = abs(value - average(mixture.check, EXACT_CHECK_ORDER))
-    return _within_contract(value, err, "analytic-exact", scenario)
+    value, tail = average(mixture, EXACT_ORDER)
+    check, _ = average(mixture.check, EXACT_CHECK_ORDER)
+    return _within_contract(value, abs(value - check) + tail, "analytic-exact", scenario)

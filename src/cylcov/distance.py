@@ -24,11 +24,12 @@ grid and wraps it in a monotone piecewise-cubic (PCHIP) interpolant: the
 Fritsch-Carlson slopes with Moler's shape-preserving end slopes, in
 numpy, bit for bit equal to scipy's ``PchipInterpolator``.  It
 integrates the closed-form disk CDF against the segment density by one
-fixed Gauss rule per knot and calls neither density route.  The
-tabulated density is the exact derivative of that interpolant, so
-downstream integrals of expressions like (1 - F)^(N-2) f are internally
-consistent.  Tables serialize to a versioned columnar text file for reuse
-across runs.
+fixed Gauss rule per knot and calls neither density route;
+``pair_distance_law`` pairs that rule with the numeric density at any
+distances.  The tabulated density is the exact derivative of the
+interpolant, so downstream integrals of expressions like (1 - F)^(N-2) f
+are internally consistent.  Tables serialize to a versioned columnar
+text file for reuse across runs.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -151,21 +152,24 @@ def cylinder_pair_pdf_numeric(l: float, geom: CylinderGeometry) -> float:
     Returns 0 outside [0, d_max].  It agrees with the closed form within
     about 1e-12 absolute on the four geometry regimes.
     """
-    l = float(l)
+    return float(_pair_pdf(geom, np.array([float(l)]))[0])
+
+
+def _pair_pdf(geom: CylinderGeometry, l: np.ndarray) -> np.ndarray:
+    """The density of ``cylinder_pair_pdf_numeric`` at every distance of the 1-D array l."""
     R, H = geom.R, geom.H
-    if l <= 0.0 or l >= geom.d_max:
-        return 0.0
-    theta_lo = math.acos(min(1.0, 2.0 * R / l)) if l > 2.0 * R else 0.0
-    theta_hi = math.asin(min(1.0, H / l)) if l > H else math.pi / 2.0
-    if theta_lo >= theta_hi:
-        return 0.0
-    theta = theta_lo + (theta_hi - theta_lo) * _PAIR_PDF_PHI
+    inside = (l > 0.0) & (l < geom.d_max)
+    l = np.where(inside, l, 1.0)  # any positive distance; zeroed below
+    theta_lo = np.arccos(np.minimum(1.0, 2.0 * R / l))  # 0 for l <= 2R
+    theta_hi = np.arcsin(np.minimum(1.0, H / l))  # pi / 2 for l <= H
+    span = np.maximum(theta_hi - theta_lo, 0.0)
+    theta = theta_lo[:, None] + span[:, None] * _PAIR_PDF_PHI
     # disk_pair_pdf at v = 2 R x and segment_pair_pdf, on all nodes at once
-    x = np.minimum(l * np.cos(theta) / (2.0 * R), 1.0)
+    x = np.minimum(l[:, None] * np.cos(theta) / (2.0 * R), 1.0)
     disk = (8.0 * x / (math.pi * R)) * (np.arccos(x) - x * np.sqrt(1.0 - x * x))
-    segment = 2.0 * np.maximum(H - l * np.sin(theta), 0.0) / (H * H)
-    val = (theta_hi - theta_lo) * float(np.sum(disk * segment * _PAIR_PDF_DPHI_W))
-    return l * max(val, 0.0)
+    segment = 2.0 * np.maximum(H - l[:, None] * np.sin(theta), 0.0) / (H * H)
+    val = span * np.sum(disk * segment * _PAIR_PDF_DPHI_W, axis=1)
+    return np.where(inside, l * np.maximum(val, 0.0), 0.0)
 
 
 def _kp2_times_K_minus_F(kp2: float, k: float, phi: float) -> float:
@@ -551,8 +555,8 @@ def _disk_pair_cdf(v: np.ndarray, R: float) -> np.ndarray:
     )
 
 
-def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedDistribution:
-    """Tabulate F_L on an equally spaced grid by one fixed rule per knot.
+def _pair_cdf(geom: CylinderGeometry, l: np.ndarray) -> np.ndarray:
+    """F_L at every distance of the 1-D array l by one fixed rule per distance.
 
     Conditioning on the vertical separation z gives
 
@@ -560,22 +564,39 @@ def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> Tab
 
     Below z0 = sqrt(l^2 - 4 R^2) the disk CDF is 1, so that piece is the
     segment CDF (2 z H - z^2) / H^2 in closed form; the rest is a 48-node
-    Gauss rule through the smoothstep map, applied to every knot at once.
+    Gauss rule through the smoothstep map, applied to every distance at once.
+    """
+    R, H = geom.R, geom.H
+    top = np.minimum(l, H)
+    low = np.minimum(np.sqrt(np.maximum(l * l - 4.0 * R * R, 0.0)), top)
+    z = low[:, None] + (top - low)[:, None] * _PAIR_CDF_PHI
+    disk = _disk_pair_cdf(np.sqrt(np.maximum(l[:, None] ** 2 - z * z, 0.0)), R)
+    weights = (top - low)[:, None] * _PAIR_CDF_DPHI_W
+    return (2.0 * low * H - low * low) / (H * H) + np.sum(
+        disk * (2.0 * (H - z) / (H * H)) * weights, axis=1
+    )
+
+
+def pair_distance_law(geom: CylinderGeometry, l):
+    """CDF and density of the pair distance at the distances l, like ``receiver_distance_law``.
+
+    The CDF is ``build_cdf``'s rule before normalization and the density
+    ``cylinder_pair_pdf_numeric``'s, both on all of l at once.
+    """
+    l = np.atleast_1d(np.asarray(l, dtype=float))
+    return _pair_cdf(geom, l), _pair_pdf(geom, l)
+
+
+def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedDistribution:
+    """Tabulate F_L on an equally spaced grid by ``pair_distance_law``'s CDF rule.
+
     The total mass must come out within 1e-6 of 1 and is normalized away
     so F(d_max) is exactly 1.
     """
     if grid_size < 64:
         raise DomainError(f"grid_size={grid_size} must be at least 64")
-    R, H = geom.R, geom.H
     grid = np.linspace(0.0, geom.d_max, int(grid_size))
-    top = np.minimum(grid, H)
-    low = np.minimum(np.sqrt(np.maximum(grid * grid - 4.0 * R * R, 0.0)), top)
-    z = low[:, None] + (top - low)[:, None] * _PAIR_CDF_PHI
-    disk = _disk_pair_cdf(np.sqrt(np.maximum(grid[:, None] ** 2 - z * z, 0.0)), R)
-    weights = (top - low)[:, None] * _PAIR_CDF_DPHI_W
-    F = (2.0 * low * H - low * low) / (H * H) + np.sum(
-        disk * (2.0 * (H - z) / (H * H)) * weights, axis=1
-    )
+    F = _pair_cdf(geom, grid)
     total = F[-1]
     if abs(total - 1.0) > 1e-6:
         raise RuntimeError(

@@ -56,6 +56,8 @@ class TestScenarioFile:
         spec = load_scenario_file(write_scenario(tmp_path / "s.json"))
         assert spec["base"]["N"] == 6
         assert spec["method"] == "analytic"
+        whole = load_scenario_file(write_scenario(tmp_path / "t.json", sweep={"N": [5.0, 6]}))
+        assert whole["sweep"]["N"] == [5.0, 6]
 
     @pytest.mark.parametrize(
         "overrides,field",
@@ -74,6 +76,11 @@ class TestScenarioFile:
             ),
             ({"sweep": {"gamma": [1, 2]}}, "sweep.gamma"),
             ({"sweep": {"N": []}}, "sweep.N"),
+            # int() would truncate these, and the row would be labelled
+            # with the requested N but computed at another
+            ({"scenario": {"N": 5.5, "R": 12.0, "H": 30.0, "alpha": 3, "m": 1, "beta": 1}},
+             "scenario.N"),
+            ({"sweep": {"N": [5.7, 5]}}, "sweep.N"),
             ({"method": "exactly"}, "method"),
             ({"trials": -5}, "trials"),
             ({"output": {"grid_size": 10}}, "grid_size"),

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import kstest
 
@@ -24,6 +26,7 @@ from cylcov.distance import (
     RECEIVER_RULE,
     _build_receiver_cdf,
     _receiver_mixture,
+    pair_distance_law,
     receiver_breakpoints,
     receiver_distance_law,
 )
@@ -306,6 +309,52 @@ class TestBuildCdf:
         dense = np.linspace(0.0, SQUAT.d_max, 100_001)
         mass = np.trapezoid(squat_dist.pdf(dense), dense)
         assert mass == pytest.approx(1.0, abs=1e-7)
+
+
+def _clear_of(l, points, margin):
+    """The distances of l farther than margin from each of points."""
+    return l[np.min(np.abs(l[:, None] - np.asarray(points)[None, :]), axis=1) > margin]
+
+
+class TestPairDistanceLaw:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        geom=st.sampled_from(REGIME_GEOMETRIES),
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    )
+    def test_density_is_the_numeric_density(self, geom, fracs):
+        # Within 1e-12 of the closed form at least 1e-7 d_max from the
+        # regime edges (measured at most 2e-13 there), and the same rule as
+        # cylinder_pair_pdf_numeric, up to rounding in the array calls.
+        l = np.array(fracs) * geom.d_max
+        l = _clear_of(l, [0.0, 2.0 * geom.R, geom.H, geom.d_max], 1e-7 * geom.d_max)
+        f = pair_distance_law(geom, l)[1]
+        closed = np.array([cylinder_pair_pdf_closed(float(x), geom) for x in l])
+        assert np.all(np.abs(f - closed) <= 1e-12)
+        numeric = [cylinder_pair_pdf_numeric(float(x), geom) for x in l]
+        np.testing.assert_allclose(f, numeric, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_cdf_is_the_tabulated_cdf(self, geom):
+        table = get_dist(geom)
+        F = pair_distance_law(geom, table.grid)[0]
+        assert np.max(np.abs(F - table.cdf_values)) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        geom=st.sampled_from(REGIME_GEOMETRIES),
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    )
+    def test_density_is_derivative_of_cdf(self, geom, fracs):
+        # Central differences at h = 1e-6 d_max, clear of the kinks of f
+        # (measured at most 3e-10 of the largest density).
+        l = _clear_of(np.array(fracs) * geom.d_max, [0.0, 2.0 * geom.R, geom.H, geom.d_max],
+                      1e-4 * geom.d_max)
+        h = 1e-6 * geom.d_max
+        slope = (pair_distance_law(geom, l + h)[0] - pair_distance_law(geom, l - h)[0]) / (2.0 * h)
+        f = pair_distance_law(geom, l)[1]
+        peak = np.max(pair_distance_law(geom, np.linspace(0.0, geom.d_max, 513))[1])
+        assert np.all(np.abs(slope - f) <= 1e-8 * peak)
 
 
 class TestSerialization:
