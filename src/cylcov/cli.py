@@ -70,6 +70,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _check_grid_size(grid_size, name: str) -> None:
+    if not isinstance(grid_size, int) or grid_size < 64:
+        raise ScenarioFormatError(f"{name}: integer >= 64 required")
+
+
 def load_scenario_file(path) -> dict:
     """Parse and validate a scenario JSON file."""
     try:
@@ -132,8 +137,7 @@ def load_scenario_file(path) -> dict:
     if output.get("format", "csv") != "csv":
         raise ScenarioFormatError("field 'output.format': only 'csv' is supported")
     grid_size = output.get("grid_size", DEFAULT_GRID_SIZE)
-    if not isinstance(grid_size, int) or grid_size < 64:
-        raise ScenarioFormatError("field 'output.grid_size': integer >= 64 required")
+    _check_grid_size(grid_size, "field 'output.grid_size'")
     return {
         "base": dict(base),
         "sweep": {k: list(v) for k, v in sweep.items()},
@@ -243,6 +247,7 @@ def cmd_coverage(args) -> int:
     if args.seed is not None:
         spec["seed"] = args.seed
     if args.grid_size is not None:
+        _check_grid_size(args.grid_size, "--grid-size")
         spec["grid_size"] = args.grid_size
     if args.beta_db is not None:
         spec["base"].pop("beta", None)
@@ -256,10 +261,10 @@ def cmd_coverage(args) -> int:
     axis_names, points = _sweep_points(spec["base"], spec["sweep"])
     scenarios = [_point_scenario(p) for p in points]
 
-    # One CDF table per distinct geometry; reuse a supplied cache when its
-    # parameters match exactly.
+    # One CDF table per distinct geometry, for analytic rows only; reuse a
+    # supplied cache when its parameters match exactly.
     dists: dict = {}
-    if args.cdf_cache:
+    if args.cdf_cache and "analytic" in methods:
         cached = TabulatedDistribution.load(
             args.cdf_cache,
             expected_geometry=scenarios[0].geom,
@@ -267,7 +272,7 @@ def cmd_coverage(args) -> int:
         )
         dists[cached.geometry] = cached
     for sc in scenarios:
-        if sc.geom not in dists:
+        if "analytic" in methods and sc.geom not in dists:
             dists[sc.geom] = build_cdf(sc.geom, spec["grid_size"])
 
     trials, seed = spec["trials"], spec["seed"]

@@ -59,7 +59,9 @@ from .special import complete_E, complete_K, incomplete_E, incomplete_F
 _CACHE_MAGIC = "# cylcov-cdf v1"
 
 DEFAULT_GRID_SIZE = 2048
-_CELL_QUAD_ORDER = 10
+# Gauss points per knot cell: the density is quadratic on a cell and 4 points
+# integrate degree 7, leaving the kernel's remainder past degree 5 per cell.
+_CELL_QUAD_ORDER = 4
 _CELL_X, _CELL_W = np.polynomial.legendre.leggauss(_CELL_QUAD_ORDER)
 # Most integrand elements (rows x lower limits x nodes) that
 # integrate_pdf_product evaluates at once; bounds its temporaries.
@@ -413,10 +415,9 @@ class TabulatedDistribution:
         """Per-cell Gauss-Legendre nodes with density-scaled weights.
 
         The tabulated density is the derivative of a PCHIP cubic, so it is
-        piecewise quadratic, and quadrature aligned to the knot cells is
-        exact up to the (tiny) Gauss error on the smooth kernel factor.
-        Built lazily, then reused by every interference integral against
-        this table.
+        piecewise quadratic, and 4 Gauss points per knot cell integrate it
+        times a kernel of degree 5 exactly, leaving the kernel's remainder.
+        Built lazily, then reused by every interference integral against it.
         """
         if self._prodquad is None:
             nodes, weights = _gauss_on_panels(self.grid, _CELL_X, _CELL_W)
@@ -443,9 +444,7 @@ class TabulatedDistribution:
         nodes, wf = self._product_quadrature()
         live = np.flatnonzero(lo_arr < self.grid[-1])
         a = lo_arr[live]
-        cell = np.minimum(
-            np.searchsorted(self.grid, a, side="right") - 1, self.grid.size - 2
-        )
+        cell = np.minimum(np.searchsorted(self.grid, a, side="right") - 1, self.grid.size - 2)
         b = self.grid[cell + 1]
         half = 0.5 * (b - a)
         part_nodes = (0.5 * (a + b))[:, None] + half[:, None] * _CELL_X

@@ -17,13 +17,13 @@ derivatives of g, and the derivatives of g^(N-2) follow from the
 Taylor-coefficient recurrence for powers.  Numeric differentiation is
 used only as a test oracle.
 
-The u-integrals for all needed orders share one quadrature pass through
-the tabulated density's cell-aligned Gauss rule (the tabulated density is
-piecewise quadratic, so cell alignment makes the rule exact up to the tiny
-Gauss error on the smooth kernel factor).  The transform takes arrays of
-(t, l) and evaluates them in that one pass; a scalar pair is its
-one-element case.  Everything is deterministic and pure; evaluations can
-run concurrently.
+The u-integrals for all needed orders share one pass of a 4-point Gauss
+rule per knot cell.  The tabulated density is quadratic on a cell, so only
+the kernel's Gauss error is left: at m = 5, beta = 10 a series term moves
+up to 4e-8 for l in the first cells and under 1e-10 from three cells on.
+The transform takes arrays of (t, l) and evaluates them in that one pass;
+a scalar pair is its one-element case.  Everything is deterministic and
+pure; evaluations can run concurrently.
 """
 
 import math

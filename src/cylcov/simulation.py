@@ -69,8 +69,15 @@ class SimulationEstimate:
 
 
 def substream(seed: int, index: int) -> Generator:
-    """Independent counter-based stream for one block of work."""
-    return Generator(Philox(key=[int(seed), int(index)]))
+    """Independent counter-based stream for one block of work.
+
+    Every estimator draws through here, so the seed is checked here: an
+    integer in [0, 2^64), one Philox key word.  The key goes in as uint64,
+    since through float64 a seed past 2^63 would lose its low bits.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed={seed!r} must be an integer in [0, 2**64)")
+    return Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _blocks(trials: int, block: int = BLOCK_TRIALS):

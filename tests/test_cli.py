@@ -130,6 +130,16 @@ class TestPdfCommand:
         masses = sum(float(r["f_empirical"]) for r in rows) * (dmax / 64)
         assert masses == pytest.approx(1.0, abs=1e-9)
 
+    def test_negative_histogram_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "pdf.csv"
+        rc = main([
+            "pdf", "--R", "12", "--H", "30", "--points", "64", "--with-histogram",
+            "--pairs", "20000", "--seed", "-1", "--output", str(out),
+        ])
+        assert rc == 1
+        assert "seed=-1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_geometry(self, tmp_path, capsys):
         rc = main(["pdf", "--output", str(tmp_path / "x.csv")])
         assert rc == 1
@@ -284,6 +294,35 @@ class TestCoverageCommand:
         scen = write_scenario(tmp_path / "s.json")
         assert main(["coverage", "--scenario", str(scen)]) == 1
         assert "output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["simulate", "all"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, method):
+        # the scenario file's seed field already refuses -1
+        scen = write_scenario(tmp_path / "s.json", method=method)
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--seed", "-1"]) == 1
+        assert "seed=-1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["simulate", "ppp"])
+    def test_rows_without_analytic_build_no_table(self, tmp_path, monkeypatch, method):
+        def no_table(*args):
+            raise AssertionError("a CDF table was built for no analytic row")
+
+        monkeypatch.setattr(cylcov.cli, "build_cdf", no_table)
+        scen = write_scenario(tmp_path / "s.json", method=method, sweep={"R": [8.0, 12.0]})
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("method", ["analytic", "simulate"])
+    def test_grid_size_flag_checked_like_the_file_field(self, tmp_path, capsys, method):
+        scen = write_scenario(tmp_path / "s.json", method=method)
+        args = ["coverage", "--scenario", str(scen), "--output", str(tmp_path / "x.csv")]
+        assert main(args + ["--grid-size", "10"]) == 1
+        assert "error: --grid-size: integer >= 64 required" in capsys.readouterr().err
+        assert main(args + ["--grid-size", "64"]) == 0
 
     def test_timing_flag_emits_numbers(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import SQUAT, TALL, inverse_cdf
+from conftest import REGIME_GEOMETRIES, SQUAT, TALL, get_dist, inverse_cdf
 from cylcov import (
     ChannelModel,
     DomainError,
@@ -16,6 +16,7 @@ from cylcov import (
     conditional_interferer_pdf,
     laplace_with_derivatives,
 )
+from cylcov.distance import _build_receiver_cdf
 from cylcov.interference import _g_derivatives
 from cylcov.simulation import substream
 
@@ -187,3 +188,54 @@ class TestLaplaceDerivatives:
     def test_negative_argument_rejected(self, tall_dist):
         with pytest.raises(DomainError):
             laplace_with_derivatives(-0.5, 10.0, scenario(), tall_dist)
+
+
+def _series_terms_by_cell_rule(dist, t, l, m, alpha, order=16):
+    """t^j g^(j)(t | l) / j! for j < m, by an order-`order` Gauss rule on every knot cell.
+
+    These are the terms of the coverage series; with y = t u^-alpha / m each
+    is (-1)^j (m)_j / j! times the mean of y^j (1 + y)^(-m-j) over u >= l.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.concatenate(([l], dist.grid[dist.grid > l]))
+    halves = 0.5 * np.diff(edges)
+    u = (0.5 * (edges[1:] + edges[:-1]))[:, None] + halves[:, None] * x
+    weights = halves[:, None] * w * dist.pdf(u)
+    y = t / m * u**-alpha
+    terms = []
+    for j in range(m):
+        rising = math.prod(range(m, m + j))
+        mean = np.sum(weights * y**j * (1.0 + y) ** (-m - j)) / dist.sf(l)
+        terms.append((-1.0) ** j * rising / math.factorial(j) * mean)
+    return np.array(terms)
+
+
+@pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+def test_cell_rule_matches_a_finer_rule(geom):
+    # The steepest kernel the analytic path takes (m = 5, beta = 10), at
+    # serving distances a fraction of a knot cell to a few cells from 0
+    # and at the median, against the pair table and the receiver tables
+    # on the axis and at the wall.  Within the first cell the kernel falls
+    # from (1 + beta)^-m to near 1 across it, and 4 points per cell leave
+    # up to 4e-8 there (order 3: 2e-7); from three cells on they leave
+    # 2e-11 (order 3: 6e-10).  The serving density puts a mass of order
+    # (cell / d_max)^3 on the first cells, so coverage moves far less.
+    m, beta = 5, 10.0
+    tables = {
+        "pair": get_dist(geom),
+        "axis": _build_receiver_cdf(geom, 0.0, 0.25 * geom.H),
+        "wall": _build_receiver_cdf(geom, geom.R, 0.25 * geom.H),
+    }
+    for name, dist in tables.items():
+        cell = dist.grid[1]
+        median = float(np.interp(0.5, dist.cdf_values, dist.grid))
+        for alpha in (3.0, 4.0):
+            sc = scenario(N=10, m=float(m), alpha=alpha, geom=geom, beta=beta)
+            for l in (0.3 * cell, cell, 3.0 * cell, median):
+                t = m * beta * l**alpha
+                g = _g_derivatives(t, l, sc, dist, m)
+                terms = g * t ** np.arange(m) / [math.factorial(j) for j in range(m)]
+                ref = _series_terms_by_cell_rule(dist, t, l, m, alpha)
+                gap = np.max(np.abs(terms - ref))
+                bound = 1e-10 if l >= 3.0 * cell else 1e-7
+                assert gap <= bound, (name, alpha, l / cell, gap)

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: sampling laws, determinism, convergence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from cylcov import (
     DomainError,
     NetworkScenario,
     empirical_distance_histogram,
+    ppp_model_from_scenario,
     simulate_coverage,
+    simulate_ppp_coverage,
 )
-from cylcov.simulation import _link_distances_squared, substream
+from cylcov.simulation import _link_distances_squared, sample_pair_distances, substream
 
 GEOM = CylinderGeometry(R=12.0, H=30.0)
 
@@ -183,6 +186,39 @@ class TestSimulateCoverage:
         sc = scenario(N=N, m=m, beta=beta, geom=geom, alpha=alpha)
         est = simulate_coverage(sc, 10_000, seed=31, receiver=receiver)
         assert round(est.mean * est.trials) == covered
+
+
+class TestSeeds:
+    # A Philox key word holds an integer in [0, 2^64); anything else used to
+    # go through int(), which truncates a fraction and casts a negative
+    # number to whatever the platform gives.
+    BAD = [-1, -(2**63), np.int64(-1), 2**64, 1.5, 2.0, float("nan"), True, "3", None]
+
+    @pytest.mark.parametrize("seed", BAD, ids=repr)
+    def test_every_estimator_rejects_the_seed(self, seed):
+        sc = scenario()
+        calls = [
+            lambda: simulate_coverage(sc, 100, seed),
+            lambda: simulate_ppp_coverage(ppp_model_from_scenario(sc), GEOM, 100, seed),
+            lambda: empirical_distance_histogram(GEOM, 10_000, 8, seed),
+            lambda: sample_pair_distances(GEOM, 10, seed),
+            lambda: substream(seed, 0),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=re.escape(f"seed={seed!r}")):
+                call()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)], ids=repr)
+    def test_range_ends_and_numpy_integers_accepted(self, seed):
+        a = simulate_coverage(scenario(), 5_000, seed)
+        b = simulate_coverage(scenario(), 5_000, int(seed))
+        assert a.mean == b.mean
+
+    def test_high_seeds_keep_their_low_bits(self):
+        # keyed through float64 these two seeds gave one stream
+        a = substream(2**64 - 1025, 0).random(4)
+        b = substream(2**64 - 2048, 0).random(4)
+        assert not np.array_equal(a, b)
 
 
 class _FixedDraws:
