@@ -75,6 +75,14 @@ def _check_grid_size(grid_size, name: str) -> None:
         raise ScenarioFormatError(f"{name}: integer >= 64 required")
 
 
+def _check_trials_and_seed(trials, seed, names) -> None:
+    """The file fields and the flags alike; a seed is one Philox key word, as in substream."""
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ScenarioFormatError(f"{names[0]}: positive integer required, got trials={trials!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ScenarioFormatError(f"{names[1]}: integer in [0, 2**64) required, got seed={seed!r}")
+
+
 def load_scenario_file(path) -> dict:
     """Parse and validate a scenario JSON file."""
     try:
@@ -125,12 +133,8 @@ def load_scenario_file(path) -> dict:
         raise ScenarioFormatError(
             f"field 'method': {method!r} not one of analytic | simulate | ppp | all"
         )
-    trials = raw.get("trials", DEFAULT_TRIALS)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ScenarioFormatError("field 'trials': positive integer required")
-    seed = raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioFormatError("field 'seed': nonnegative integer required")
+    trials, seed = raw.get("trials", DEFAULT_TRIALS), raw.get("seed", DEFAULT_SEED)
+    _check_trials_and_seed(trials, seed, ("field 'trials'", "field 'seed'"))
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ScenarioFormatError("field 'output': object required")
@@ -242,10 +246,10 @@ def _sweep_points(base: dict, sweep: dict):
 
 def cmd_coverage(args) -> int:
     spec = load_scenario_file(args.scenario)
-    if args.trials is not None:
-        spec["trials"] = args.trials
-    if args.seed is not None:
-        spec["seed"] = args.seed
+    for key in ("trials", "seed"):
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    _check_trials_and_seed(spec["trials"], spec["seed"], ("--trials", "--seed"))
     if args.grid_size is not None:
         _check_grid_size(args.grid_size, "--grid-size")
         spec["grid_size"] = args.grid_size

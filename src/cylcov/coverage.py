@@ -13,7 +13,11 @@ probability as one outer integral per distance law, which
 against the exact law's serving density.  It stops at the last knot of
 the CDF table where 1 - F is above the survival floor; the discarded
 serving-distance mass, (1 - F)^(N-1), is far below the 1e-4 error
-contract and is counted in the error estimate.
+contract and is counted in the error estimate.  The laws come as a
+``TableStack`` of their tables, and all serving distances of all laws go
+through the law, the conditional series and the interferer integral in
+one array pass: the paper model is a stack of one table, the exact model
+a stack of one table per receiver of its rule.
 
 A network of N = 2 nodes has no interferer, the SIR is infinite under
 the noise-free model, and the coverage probability is defined as 1.
@@ -24,18 +28,18 @@ deployment they share the receiver's position, which biases that model
 high at small N.  ``exact_coverage_probability`` conditions on the
 receiver instead: given x the distances are i.i.d. with law F_x, so the
 same conditional series applies per receiver, and the result is its
-average over a rule of receiver positions (``build_receiver_cdfs``).
+weighted average over a rule of receiver positions (``build_receiver_cdfs``).
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 import numpy as np
 
 from .distance import (
     ReceiverMixture,
+    TableStack,
     TabulatedDistribution,
     _gauss_on_panels,
     pair_distance_law,
@@ -120,30 +124,35 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
     return float(out) if np.ndim(l) == 0 else out
 
 
-def _serving_integral(scenario: NetworkScenario, table: TabulatedDistribution, law, breaks, order):
-    """P(SIR > beta) under one distance law, and the serving-distance mass it drops.
+def _serving_integral(scenario: NetworkScenario, stack: TableStack, weights, law, breaks, order):
+    """P(SIR > beta) averaged with weights over distance laws, and the mass it drops.
 
-    law(l) returns the CDF and density of a receiver-to-node distance at
-    the distances l, breaks holds its kinks, and table is its tabulated
-    CDF, which the conditional series reads.  The range runs from 0 to
-    the last knot of table whose survival is above the floor, in panels
-    cut at the breaks and where (1 - F)^(N-1) of table passes _SPLITS.
-    Each panel gets a Gauss rule of the given order, weighted by the
-    serving density (N-1) (1 - F)^(N-2) f of law; the series runs at the
-    nodes where that density is positive, in one array call.
+    law(which, l) returns the CDF and density at l of the laws which, each
+    tabulated by its table in stack, and breaks holds each law's kinks in a
+    row.  Per law the range runs from 0 to its table's last knot above the
+    survival floor, in panels cut at the breaks and where (1 - F)^(N-1)
+    passes _SPLITS, each with a Gauss rule of the given order weighted by
+    the serving density (N-1) (1 - F)^(N-2) f.  The series runs at the
+    nodes of all laws where that density is positive, in one array call.
     """
     n = scenario.N
-    last = int(np.searchsorted(table.grid, table.survival_cutoff())) - 1
-    end = table.grid[last]
-    splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), table.cdf_values, table.grid)
-    edges = np.union1d([0.0, end], np.clip(np.concatenate((breaks, splits)), 0.0, end))
-    nodes, weights = _gauss_on_panels(edges, *_GAUSS_RULES[order])
-    cdf, pdf = law(nodes)
+    end = stack.ends[:, None]
+    splits = stack.quantiles(1.0 - _SPLITS ** (1.0 / (n - 1)))
+    edges = np.sort(np.clip(np.concatenate((end, breaks, splits), axis=1), 0.0, end), axis=1)
+    nodes, rule = _gauss_on_panels(edges, *_GAUSS_RULES[order])
+    panels = np.repeat(np.diff(edges) > 0.0, order, axis=1)
+    which, nodes, rule = np.nonzero(panels)[0], nodes[panels], rule[panels]
+    cdf, pdf = law(which, nodes)
     density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
-    live = density > 0.0
-    covered = conditional_coverage(nodes[live], scenario, table)
-    value = float(np.sum(weights[live] * density[live] * covered))
-    return value, (1.0 - table.cdf_values[last]) ** (n - 1)
+    live = np.flatnonzero(density > 0.0)
+    which = which[live]
+    covered = conditional_coverage(nodes[live], scenario, stack.take(which))
+    # a left-aligned row of terms per law: its sum is the pairwise sum of its own terms
+    terms = np.zeros((len(weights), np.bincount(which).max(initial=1)))
+    column = np.arange(which.size) - np.searchsorted(which, which)
+    terms[which, column] = rule[live] * density[live] * covered
+    tail = weights * (1.0 - stack.end_cdf) ** (n - 1)
+    return float(np.sum(weights * terms.sum(axis=1))), float(np.sum(tail))
 
 
 def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution) -> CoverageResult:
@@ -159,10 +168,11 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     if scenario.N == 2:
         return _within_contract(1.0, 0.0, "analytic", scenario)
     _check_geometry(scenario.geom, dist)
-    law = partial(pair_distance_law, scenario.geom)
-    breaks = np.array([0.0, 2.0 * scenario.geom.R, scenario.geom.H])
-    value, tail = _serving_integral(scenario, dist, law, breaks, PAPER_ORDER)
-    check, _ = _serving_integral(scenario, dist, law, breaks, PAPER_CHECK_ORDER)
+    geom, one = scenario.geom, np.ones(1)
+    law = lambda which, l: pair_distance_law(geom, l)
+    breaks = np.array([[0.0, 2.0 * geom.R, geom.H]])
+    value, tail = _serving_integral(scenario, dist.stack, one, law, breaks, PAPER_ORDER)
+    check, _ = _serving_integral(scenario, dist.stack, one, law, breaks, PAPER_CHECK_ORDER)
     return _within_contract(value, abs(value - check) + tail, "analytic", scenario)
 
 
@@ -171,8 +181,8 @@ def exact_coverage_probability(
 ) -> CoverageResult:
     """Coverage probability of a deployment, conditioned on the receiver's position.
 
-    Averages ``_serving_integral`` at Gauss order EXACT_ORDER over
-    mixture's receiver rule, under each receiver's exact law
+    ``_serving_integral`` at Gauss order EXACT_ORDER over all receivers
+    of mixture's rule at once, under each receiver's exact law
     (``receiver_distance_law``) and reading its table.  error_estimate is
     the gap to the same average over mixture.check at order
     EXACT_CHECK_ORDER, plus the average dropped serving-distance mass; it
@@ -181,22 +191,15 @@ def exact_coverage_probability(
     require_analytic_m(scenario.channel.m)
     if scenario.N == 2:
         return _within_contract(1.0, 0.0, "analytic-exact", scenario)
-    if mixture.geometry != scenario.geom:
-        raise DomainError(
-            f"receiver tables built for (R={mixture.geometry.R}, H={mixture.geometry.H}), "
-            f"scenario has (R={scenario.geom.R}, H={scenario.geom.H})"
-        )
+    _check_geometry(scenario.geom, mixture)
     if mixture.check is None:
         raise DomainError("mixture has no check rule; build it with build_receiver_cdfs")
 
     def average(mix: ReceiverMixture, order: int):
-        value = tail = 0.0
-        for (r, z), weight, table in zip(mix.nodes, mix.weights, mix.tables):
-            law = partial(receiver_distance_law, scenario.geom, r, z)
-            breaks = receiver_breakpoints(scenario.geom, r, z)
-            part, lost = _serving_integral(scenario, table, law, breaks, order)
-            value, tail = value + weight * part, tail + weight * lost
-        return value, tail
+        r, z = mix.nodes.T
+        law = lambda which, l: receiver_distance_law(scenario.geom, r[which], z[which], l)
+        breaks = receiver_breakpoints(scenario.geom, r, z)
+        return _serving_integral(scenario, mix.stack, mix.weights, law, breaks, order)
 
     value, tail = average(mixture, EXACT_ORDER)
     check, _ = average(mixture.check, EXACT_CHECK_ORDER)

@@ -46,8 +46,10 @@ receiver positions, so the pair law is the rule's weighted mixture.
 The module needs numpy and, through ``special``, ``scipy.special`` only.
 """
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -105,10 +107,10 @@ _PAIR_PDF_PHI, _PAIR_PDF_DPHI_W = _smoothstep_rule(32)
 
 
 def _gauss_on_panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Nodes and weights of the Gauss rule (x, w) on [-1, 1] mapped onto each panel of edges."""
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * np.diff(edges)
-    return (mids[:, None] + halves[:, None] * x).ravel(), (halves[:, None] * w).ravel()
+    """Nodes and weights of the Gauss rule (x, w) on [-1, 1] on each panel of edges' last axis."""
+    mids, halves = 0.5 * (edges[..., 1:] + edges[..., :-1]), 0.5 * np.diff(edges)
+    nodes, weights = mids[..., None] + halves[..., None] * x, halves[..., None] * w
+    return nodes.reshape(mids.shape[:-1] + (-1,)), weights.reshape(mids.shape[:-1] + (-1,))
 
 
 def disk_pair_pdf(v: float, R: float) -> float:
@@ -324,6 +326,16 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
+def _pchip_cubic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows of left knots and c0..c3 of the cells' cubics c3 + c2 s + c1 s^2 + c0 s^3 (PCHIP)."""
+    h = np.diff(grid)
+    secant = np.diff(values) / h
+    d = _pchip_slopes(grid, values)
+    t = (d[:-1] + d[1:] - 2.0 * secant) / h
+    c0, c1 = t / h, (secant - d[:-1]) / h - t
+    return np.stack((grid[:-1], c0, c1, d[:-1], values[:-1]))
+
+
 class TabulatedDistribution:
     """Tabulated CDF of the pair distance with a monotone cubic interpolant.
 
@@ -356,32 +368,6 @@ class TabulatedDistribution:
         self.geometry = geometry
         self.grid = grid
         self.cdf_values = values
-        # Hermite cubic per cell from the knot slopes d
-        h = np.diff(grid)
-        secant = np.diff(values) / h
-        d = _pchip_slopes(grid, values)
-        t = (d[:-1] + d[1:] - 2.0 * secant) / h
-        c0, c1 = t / h, (secant - d[:-1]) / h - t
-        self._inner = grid[1:-1]  # searchsorted on it gives the cell index
-        # rows: left knot, then the power coefficients of F and of f = F'
-        self._cubic = np.stack((grid[:-1], c0, c1, d[:-1], values[:-1]))
-        self._quadratic = np.stack((grid[:-1], 3.0 * c0, 2.0 * c1, d[:-1]))
-        self._prodquad = None  # lazy cell-quadrature cache
-
-    def _cells(self, x: np.ndarray) -> np.ndarray:
-        """Cell index of each x: the knot interval [l_i, l_i+1) holding it, closed at d_max."""
-        return np.searchsorted(self._inner, x, side="right")
-
-    def _interp_cdf(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        knot, c0, c1, c2, c3 = np.take(self._cubic, cells, axis=1)
-        s = x - knot
-        s2 = s * s
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-
-    def _interp_pdf(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        knot, c0, c1, c2 = np.take(self._quadratic, cells, axis=1)
-        s = x - knot
-        return c2 + c1 * s + c0 * (s * s)
 
     @property
     def d_max(self) -> float:
@@ -393,10 +379,7 @@ class TabulatedDistribution:
 
     def cdf(self, l):
         """F_L(l); 0 below the support, 1 above."""
-        x = np.asarray(l, dtype=float)
-        inside = np.clip(x, 0.0, self.grid[-1])
-        out = self._interp_cdf(inside, self._cells(inside))
-        out = np.where(x <= 0.0, 0.0, np.where(x >= self.grid[-1], 1.0, out))
+        out = self._queries(l).cdf(l)
         return float(out) if np.ndim(l) == 0 else out
 
     def sf(self, l):
@@ -405,72 +388,21 @@ class TabulatedDistribution:
 
     def pdf(self, l):
         """f_L(l) as the derivative of the interpolated CDF; 0 outside."""
-        x = np.asarray(l, dtype=float)
-        inside = np.clip(x, 0.0, self.grid[-1])
-        out = np.maximum(self._interp_pdf(inside, self._cells(inside)), 0.0)
-        out = np.where((x < 0.0) | (x > self.grid[-1]), 0.0, out)
+        out = self._queries(l).pdf(l)
         return float(out) if np.ndim(l) == 0 else out
 
-    def _product_quadrature(self):
-        """Per-cell Gauss-Legendre nodes with density-scaled weights.
+    @cached_property
+    def stack(self) -> "TableStack":
+        """This table as a ``TableStack`` of one, built on first use; it evaluates the table."""
+        return TableStack((self,))
 
-        The tabulated density is the derivative of a PCHIP cubic, so it is
-        piecewise quadratic, and 4 Gauss points per knot cell integrate it
-        times a kernel of degree 5 exactly, leaving the kernel's remainder.
-        Built lazily, then reused by every interference integral against it.
-        """
-        if self._prodquad is None:
-            nodes, weights = _gauss_on_panels(self.grid, _CELL_X, _CELL_W)
-            self._prodquad = (nodes, weights * self.pdf(nodes))
-        return self._prodquad
+    def _queries(self, x) -> "TableStack":
+        return self.stack.take(np.zeros(np.shape(x), dtype=int))
 
-    def integrate_pdf_product(self, lo, rows_fn, rows: int) -> np.ndarray:
-        """Integrals of rows_fn(u) * f(u) du over [lo, d_max], one set of rows per lower limit.
-
-        lo is a scalar or a 1-D array of n lower limits; the result has
-        shape (rows,) or (rows, n).  rows_fn(u, sel) returns the integrand
-        rows of the lower limits lo[sel] at the nodes u, shape
-        (rows, len(sel), u.shape[-1]), where u is either one 1-D node array
-        shared by all of sel or a (len(sel), q) array with a row per limit.
-        The rows must be smooth; the piecewise structure of f is handled by
-        cell-aligned quadrature.  Per lower limit, the cell containing it
-        is integrated on its remaining part and the full cells after it by
-        the table's rule, masked per row.  Lower limits are taken in blocks
-        of at most _BLOCK_ELEMENTS integrand elements, and every row is
-        summed over its nodes in a fixed order.
-        """
-        lo_arr = np.maximum(np.atleast_1d(np.asarray(lo, dtype=float)), 0.0)
-        out = np.zeros((rows, lo_arr.size))
-        nodes, wf = self._product_quadrature()
-        live = np.flatnonzero(lo_arr < self.grid[-1])
-        a = lo_arr[live]
-        cell = np.minimum(np.searchsorted(self.grid, a, side="right") - 1, self.grid.size - 2)
-        b = self.grid[cell + 1]
-        half = 0.5 * (b - a)
-        part_nodes = (0.5 * (a + b))[:, None] + half[:, None] * _CELL_X
-        # the nodes lie inside the cell of their lower limit, so no search
-        part_f = np.maximum(self._interp_pdf(part_nodes, cell[:, None]), 0.0)
-        part_w = half[:, None] * _CELL_W * part_f
-        start = (cell + 1) * _CELL_QUAD_ORDER
-        order = np.argsort(start, kind="stable")
-        pos = 0
-        while pos < order.size:
-            first = start[order[pos]]
-            width = nodes.size - first + _CELL_QUAD_ORDER
-            block = order[pos : pos + max(1, _BLOCK_ELEMENTS // (rows * width))]
-            sel = live[block]
-            # pairwise summation over the last axis: a fixed order, with
-            # rounding error growing like log(nodes)
-            total = (rows_fn(part_nodes[block], sel) * part_w[block]).sum(axis=-1)
-            if first < nodes.size:
-                w = wf[first:]
-                if start[block[-1]] > first:  # rows starting at later cells
-                    w = np.where(np.arange(first, nodes.size) >= start[block][:, None], w, 0.0)
-                full = rows_fn(nodes[first:], sel)
-                full *= w
-                total += full.sum(axis=-1)
-            out[:, sel] = total
-            pos += block.size
+    def integrate_pdf_product(self, lo, rows_fn, rows: int, node_map) -> np.ndarray:
+        """``TableStack.integrate_pdf_product`` on this table; shape (rows,) for a scalar lo."""
+        lo_arr = np.atleast_1d(np.asarray(lo, dtype=float))
+        out = self._queries(lo_arr).integrate_pdf_product(lo_arr, rows_fn, rows, node_map)
         return out[:, 0] if np.ndim(lo) == 0 else out
 
     def survival_cutoff(self) -> float:
@@ -541,6 +473,136 @@ class TabulatedDistribution:
         return table
 
 
+class TableStack:
+    """Tables of one geometry side by side, for one array pass over all of them.
+
+    In the view ``take(which)``, query i reads table which[i], and ``cdf``,
+    ``pdf`` and ``integrate_pdf_product`` give that table's values.  Knots
+    and CDF values are held as complex keys table + 1j x, which numpy
+    orders lexicographically, so one search finds the cells of every
+    query.  Row k of the cell rule holds table k's weights times the
+    density, zero on the padding at d_max of shorter tables.  ends holds
+    each table's last knot whose survival is above _SURVIVAL_FLOOR, and
+    end_cdf the CDF there.
+    """
+
+    def __init__(self, tables):
+        self.tables = tuple(tables)
+        self.geometry = self.tables[0].geometry
+        sizes = np.array([t.grid.size for t in self.tables])
+        index = np.repeat(np.arange(sizes.size), sizes)
+        self._knots = index + 1j * np.concatenate([t.grid for t in self.tables])
+        self._values = index + 1j * np.concatenate([t.cdf_values for t in self.tables])
+        cubics = [_pchip_cubic(t.grid, t.cdf_values) for t in self.tables]
+        self._cubic = np.concatenate(cubics, axis=1)
+        offsets = np.cumsum(sizes) - sizes
+        self._first_cell = offsets - np.arange(sizes.size)  # table k's first cell in _cubic
+        self._last_cell = self._first_cell + sizes - 2
+        self._last_knot = self._knots.imag[offsets + sizes - 1]
+        cut = offsets + [np.searchsorted(t.grid, t.survival_cutoff()) - 1 for t in self.tables]
+        self.ends, self.end_cdf = self._knots.imag[cut], self._values.imag[cut]
+        self._grids = np.repeat(self._last_knot[:, None], sizes.max(), axis=1)
+        self._grids[np.arange(sizes.max()) < sizes[:, None]] = self._knots.imag
+        self._weights = np.zeros((sizes.size, _CELL_QUAD_ORDER * (sizes.max() - 1)))
+        for k, t in enumerate(self.tables):  # row by row, to keep the temporaries small
+            nodes, weights = _gauss_on_panels(t.grid, _CELL_X, _CELL_W)
+            cells = self._first_cell[k] + np.arange(nodes.size) // _CELL_QUAD_ORDER
+            self._weights[k, : nodes.size] = weights * np.maximum(self._pdf_at(nodes, cells), 0.0)
+
+    def take(self, which) -> "TableStack":
+        """The same tables, with query i reading the table which[i]."""
+        view = copy.copy(self)
+        view._which = np.asarray(which)
+        return view
+
+    def _cells(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Index in _cubic of the cell of table which holding x, for x in [0, its d_max]."""
+        knot = np.searchsorted(self._knots, which + 1j * x, side="right") - 1
+        return np.minimum(knot - which, self._last_cell[which])
+
+    def _pdf_at(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The density at x, the derivative of the cubic of each x's cell."""
+        knot, c0, c1, c2 = np.take(self._cubic[:4], cells, axis=1)
+        s = x - knot
+        return c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)
+
+    def cdf(self, l) -> np.ndarray:
+        """F of each query's table at l; 0 below the support, 1 above."""
+        x = np.asarray(l, dtype=float)
+        last = self._last_knot[self._which]
+        inside = np.clip(x, 0.0, last)
+        knot, c0, c1, c2, c3 = np.take(self._cubic, self._cells(self._which, inside), axis=1)
+        s = inside - knot
+        out = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        return np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, out))
+
+    def pdf(self, l) -> np.ndarray:
+        """f = F' of each query's table at l; 0 outside the support."""
+        x = np.asarray(l, dtype=float)
+        last = self._last_knot[self._which]
+        inside = np.clip(x, 0.0, last)
+        out = np.maximum(self._pdf_at(inside, self._cells(self._which, inside)), 0.0)
+        return np.where((x < 0.0) | (x > last), 0.0, out)
+
+    def quantiles(self, levels: np.ndarray) -> np.ndarray:
+        """np.interp(levels, cdf_values, grid) for levels in (0, 1), one row per table."""
+        which = np.arange(len(self.tables))[:, None]
+        j = np.searchsorted(self._values, which + 1j * levels, side="right") - 1
+        (x0, x1), (y0, y1) = self._values.imag[[j, j + 1]], self._knots.imag[[j, j + 1]]
+        return (y1 - y0) / (x1 - x0) * (levels - x0) + y0
+
+    def integrate_pdf_product(self, lo, rows_fn, rows: int, node_map) -> np.ndarray:
+        """Integrals of rows_fn(u) * f(u) du over [lo, d_max], one set of rows per lower limit.
+
+        The i-th of the n lower limits lo is against the density f of table
+        which[i]; the result has shape (rows, n).  rows_fn(x, sel) returns
+        the rows of the limits lo[sel] at x = node_map(u), shape (rows,
+        len(sel), x.shape[-1]), with a row of x per limit.  The rows must be
+        smooth: per lower limit, the rest of its cell and the full cells
+        after it take the cell rule, masked per row.  Limits go in blocks of
+        at most _BLOCK_ELEMENTS integrand elements, and each row is summed
+        over its nodes in a fixed order.
+        """
+        lo_arr = np.maximum(np.asarray(lo, dtype=float), 0.0)
+        out = np.zeros((rows, lo_arr.size))
+        # the cell rule's nodes are rebuilt per call: cheaper in time than holding them in memory
+        x, wf = node_map(_gauss_on_panels(self._grids, _CELL_X, _CELL_W)[0]), self._weights
+        live = np.flatnonzero(lo_arr < self._last_knot[self._which])
+        a, table = lo_arr[live], self._which[live]
+        cell = self._cells(table, a)
+        b = self._knots.imag[cell + table + 1]  # knots run one ahead of cells per table
+        half = 0.5 * (b - a)
+        part_nodes = (0.5 * (a + b))[:, None] + half[:, None] * _CELL_X
+        # the nodes lie inside the cell of their lower limit, so no search
+        part_f = np.maximum(self._pdf_at(part_nodes, cell[:, None]), 0.0)
+        part_w = half[:, None] * _CELL_W * part_f
+        part_x = node_map(part_nodes)
+        start = (cell - self._first_cell[table] + 1) * _CELL_QUAD_ORDER
+        order = np.argsort(start, kind="stable")
+        size = x.shape[1]
+        pos = 0
+        while pos < order.size:
+            first = start[order[pos]]
+            width = size - first + _CELL_QUAD_ORDER
+            block = order[pos : pos + max(1, _BLOCK_ELEMENTS // (rows * width))]
+            sel = live[block]
+            # pairwise summation over the last axis: a fixed order, with
+            # rounding error growing like log(nodes)
+            total = (rows_fn(part_x[block], sel) * part_w[block]).sum(axis=-1)
+            if first < size:
+                k = table[block]
+                k = slice(k[0], k[0] + 1) if np.all(k == k[0]) else k  # one table: no gather
+                w = wf[k, first:]
+                if start[block[-1]] > first:  # rows starting at later cells
+                    w = np.where(np.arange(first, size) >= start[block][:, None], w, 0.0)
+                full = rows_fn(x[k, first:], sel)
+                full *= w
+                total += full.sum(axis=-1)
+            out[:, sel] = total
+            pos += block.size
+        return out
+
+
 def _disk_pair_cdf(v: np.ndarray, R: float) -> np.ndarray:
     """CDF of the distance between two uniform points in a disk of radius R.
 
@@ -607,17 +669,17 @@ def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> Tab
     return TabulatedDistribution(geom, grid, F)
 
 
-def _lens(rho: np.ndarray, c: float, R: float):
+def _lens(rho: np.ndarray, c: np.ndarray, R: float):
     """The disk of radius R at the origin against the circle of radius rho at distance c <= R.
 
     Returns the area of the disk met by the circle's disk (the lens), and
-    the angle of the circle that lies inside the disk.
+    the angle of the circle that lies inside the disk; c broadcasts with rho.
     """
     inside = rho <= R - c
     area = np.where(inside, math.pi * rho * rho, math.pi * R * R)
     angle = np.where(inside, 2.0 * math.pi, 0.0)
-    mid = (rho > R - c) & (rho < R + c)  # empty when c = 0
-    p = rho[mid]
+    mid = (rho > R - c) & (rho < R + c)  # empty where c = 0
+    p, c = rho[mid], (np.broadcast_to(c, rho.shape)[mid] if np.size(c) > 1 else c)
     half_angle = np.arccos(np.clip((c * c + p * p - R * R) / (2.0 * c * p), -1.0, 1.0))
     area[mid] = (
         R * R * np.arccos(np.clip((c * c + R * R - p * p) / (2.0 * c * R), -1.0, 1.0))
@@ -628,29 +690,31 @@ def _lens(rho: np.ndarray, c: float, R: float):
     return area, angle
 
 
-def _slab(d: np.ndarray, a: np.ndarray, r: float, R: float):
-    """Integrals over slice offsets w in [0, a] of the ball of radius d.
+def _slab(d: np.ndarray, a: np.ndarray, r: np.ndarray, R: float):
+    """Integrals over slice offsets w in [0, a] of the ball of radius d about a receiver at r.
 
     Returns (int lens area dw, int arc angle dw) for the slices of radius
-    rho = sqrt(d^2 - w^2).  Below w_full the slice covers the whole cross
-    section (rho >= R + r); above w_in it lies inside it (rho <= R - r);
-    only the lens range in between needs quadrature.  It runs over the
-    slice angle t, w = d sin t and rho = d cos t, so dw = rho dt has no
-    endpoint singularity even where R - r is small next to d.
+    rho = sqrt(d^2 - w^2); d and a are 1-D, and r broadcasts with them.  Below
+    w_full the slice covers the whole cross section (rho >= R + r); above
+    w_in it lies inside it (rho <= R - r); only the lens range in between
+    needs quadrature.  It runs over the slice angle t, w = d sin t and
+    rho = d cos t, so dw = rho dt has no endpoint singularity even where
+    R - r is small next to d.  The slice nodes run down the first axis, so
+    the arrays broadcast against d, a and r along the last.
     """
-    w_full = np.sqrt(np.maximum(d * d - (R + r) ** 2, 0.0))
-    w_in = np.sqrt(np.maximum(d * d - (R - r) ** 2, 0.0))
+    w_full = np.sqrt(np.maximum(d * d - np.square(R + r), 0.0))
+    w_in = np.sqrt(np.maximum(d * d - np.square(R - r), 0.0))
     lo = np.minimum(a, w_full)
     hi = np.minimum(a, w_in)
     radius = np.where(d > 0.0, d, 1.0)  # lo = hi = 0 at d = 0
     t_lo = np.arcsin(np.minimum(lo / radius, 1.0))
     t_hi = np.arcsin(np.minimum(hi / radius, 1.0))
-    t = t_lo[:, None] + (t_hi - t_lo)[:, None] * _SLICE_PHI[None, :]
-    rho = d[:, None] * np.cos(t)
-    weights = (t_hi - t_lo)[:, None] * rho * _SLICE_DPHI_W[None, :]
+    t = t_lo + (t_hi - t_lo) * _SLICE_PHI[:, None]
+    rho = d * np.cos(t)
+    weights = (t_hi - t_lo) * rho * _SLICE_DPHI_W[:, None]
     area, angle = _lens(rho, r, R)
-    lens = np.sum(area * weights, axis=1)
-    angle = np.sum(angle * weights, axis=1)
+    lens = np.sum(area * weights, axis=0)
+    angle = np.sum(angle * weights, axis=0)
     inside = d * d * (a - hi) - (a**3 - hi**3) / 3.0  # int (d^2 - w^2) dw over [hi, a]
     return (
         math.pi * R * R * lo + lens + math.pi * inside,
@@ -658,7 +722,7 @@ def _slab(d: np.ndarray, a: np.ndarray, r: float, R: float):
     )
 
 
-def receiver_distance_law(geom: CylinderGeometry, r: float, z: float, d):
+def receiver_distance_law(geom: CylinderGeometry, r, z, d):
     """CDF and density of the distance from the receiver at (r, z) to a uniform node.
 
     r is the receiver's distance from the axis and z its height.  The
@@ -671,33 +735,42 @@ def receiver_distance_law(geom: CylinderGeometry, r: float, z: float, d):
 
     the latter because the sphere's zone between two slices has area
     2 pi d dw (Archimedes) and a share angle / 2 pi of it lies inside.
-    Both integrals run over w in [-min(z, d), min(H - z, d)].
+    Both integrals run over w in [-min(z, d), min(H - z, d)].  r and z are
+    scalars, or 1-D arrays with one receiver per distance; distances are
+    taken in chunks.
     """
     R, H = geom.R, geom.H
-    if not (0.0 <= r <= R and 0.0 <= z <= H):
+    r, z, d = np.asarray(r, dtype=float), np.asarray(z, dtype=float), np.asarray(d, dtype=float)
+    outside = ~((0.0 <= r) & (r <= R) & (0.0 <= z) & (z <= H))
+    if np.any(outside):
+        r, z = (float(np.broadcast_to(v, outside.shape).flat[np.argmax(outside)]) for v in (r, z))
         raise DomainError(f"receiver (r={r!r}, z={z!r}) outside the cylinder")
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = np.atleast_1d(d)
     if np.any(d < 0.0):
         raise DomainError("distances must be nonnegative")
+    step = _BLOCK_ELEMENTS // (4 * _SLICE_PHI.size)  # a slice node has ~4x the temporaries
+    if d.size > step:
+        cut = lambda v, k: v[k : k + step] if v.size > 1 else v
+        parts = [receiver_distance_law(geom, cut(r, k), cut(z, k), d[k : k + step])
+                 for k in range(0, d.size, step)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     below = _slab(d, np.minimum(z, d), r, R)
     above = _slab(d, np.minimum(H - z, d), r, R)
-    cdf = (below[0] + above[0]) / geom.volume
-    pdf = d * (below[1] + above[1]) / geom.volume
-    return cdf, pdf
+    return (below[0] + above[0]) / geom.volume, d * (below[1] + above[1]) / geom.volume
 
 
-def receiver_breakpoints(geom: CylinderGeometry, r: float, z: float) -> np.ndarray:
-    """0, the distances where F_x changes form, and the largest distance d_max(x).
+def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
+    """0, the distances where F_x changes form, and the largest distance d_max(x), sorted.
 
     The ball first touches the wall (R - r), the floor and ceiling (z,
     H - z) and the rims (their hypotenuses), and swallows a whole cross
-    section at R + r; d_max(x) = hypot(R + r, max(z, H - z)).
+    section at R + r; d_max(x) = hypot(R + r, max(z, H - z)).  r and z
+    broadcast, the distances run along a last axis and can repeat.
     """
     R, H = geom.R, geom.H
-    d_end = math.hypot(R + r, max(z, H - z))
-    kinks = {R - r, R + r, z, H - z}
-    kinks.update(math.hypot(a, b) for a in (R - r, R + r) for b in (z, H - z))
-    return np.array([0.0] + sorted(k for k in kinks if 0.0 < k < d_end) + [d_end])
+    across, up = (R - np.asarray(r), R + np.asarray(r)), (np.asarray(z), H - np.asarray(z))
+    kinks = [*across, *up, *(np.hypot(a, b) for a in across for b in up)]
+    return np.sort(np.stack([np.zeros_like(kinks[0]), *kinks], axis=-1), axis=-1)
 
 
 def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> TabulatedDistribution:
@@ -711,9 +784,7 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> Tabulated
     breaks = receiver_breakpoints(geom, r, z)
     uniform = np.linspace(0.0, breaks[-1], RECEIVER_GRID_SIZE)
     spacing = breaks[-1] / (RECEIVER_GRID_SIZE - 1)
-    keep = np.ones(uniform.size, dtype=bool)
-    for k in breaks[1:-1]:
-        keep &= np.abs(uniform - k) > 0.25 * spacing
+    keep = np.all(np.abs(uniform[:, None] - breaks[1:-1]) > 0.25 * spacing, axis=1)
     keep[0] = keep[-1] = True
     grid = np.union1d(uniform[keep], breaks)
     F = np.maximum.accumulate(np.clip(receiver_distance_law(geom, r, z, grid)[0], 0.0, 1.0))
@@ -734,7 +805,9 @@ class ReceiverMixture:
     2 r / R^2 in r and uniform in z, folded onto z <= H / 2 by symmetry;
     the weights sum to 1).  sum_q weights[q] F_q approximates the pair
     law.  check holds a coarser rule over the same geometry, against
-    which results of this one are compared for an error estimate.
+    which results of this one are compared for an error estimate.  stack,
+    built on first use, holds the tables as one ``TableStack``, so the
+    exact model evaluates all receivers of the rule in one array pass.
     """
 
     geometry: CylinderGeometry
@@ -742,6 +815,10 @@ class ReceiverMixture:
     weights: np.ndarray
     tables: Tuple[TabulatedDistribution, ...]
     check: Optional["ReceiverMixture"] = None
+
+    @cached_property
+    def stack(self) -> TableStack:
+        return TableStack(self.tables)
 
 
 def _receiver_mixture(

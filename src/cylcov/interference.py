@@ -75,10 +75,11 @@ def _g_derivatives(
     g^(j) = (-1)^j (m)_j m^{-j} int x^j (1 + t x / m)^{-m-j} f(u|l) du,
     and (m)_j the rising factorial from the Gamma-kernel derivative.  t and
     l broadcast together; the result has shape (orders,) plus their
-    broadcast shape.  The kernel rows come from inv = 1 / (1 + t x / m) by
-    repeated multiplication, with no power per element beyond x itself.
-    t must be nonnegative; laplace_with_derivatives, the one caller,
-    checks it.
+    broadcast shape.  dist is a table or a ``TableStack`` with a table per
+    serving distance.  The kernel rows come from inv = 1 / (1 + t x / m) by
+    repeated multiplication; x = u^{-a} is taken once per node of the
+    cell rule.  t must be nonnegative; laplace_with_derivatives, the one
+    caller, checks it.
     """
     t_arr, l_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(l, dtype=float))
     survival = np.ravel(_conditioning_survival(l_arr, dist))
@@ -86,8 +87,7 @@ def _g_derivatives(
     alpha = scenario.channel.alpha
     t_scaled = t_arr.ravel() / m
 
-    def rows_fn(u, sel):
-        x = u**-alpha
+    def rows_fn(x, sel):
         inv = t_scaled[sel, None] * x
         inv += 1.0
         out = np.empty((orders,) + inv.shape)
@@ -100,7 +100,7 @@ def _g_derivatives(
             np.multiply(out[j - 1], inv, out=out[j])
         return out
 
-    raw = dist.integrate_pdf_product(l_arr.ravel(), rows_fn, orders) / survival
+    raw = dist.integrate_pdf_product(l_arr.ravel(), rows_fn, orders, lambda u: u**-alpha) / survival
     # the conditional density integrates to 1 by construction; pin the
     # normalization identity g(0 | l) = 1 instead of its float residue
     raw[0, t_scaled == 0.0] = 1.0

@@ -86,10 +86,10 @@ def _conditioning_survival(l, dist: TabulatedDistribution):
     survival floor.
     """
     l_arr = np.ravel(np.asarray(l, dtype=float))
-    outside = np.flatnonzero(~((l_arr >= 0.0) & (l_arr < dist.d_max)))
+    outside = np.flatnonzero(~((l_arr >= 0.0) & (l_arr < dist.geometry.d_max)))
     if outside.size:
         raise DomainError(f"serving distance l={float(l_arr[outside[0]])!r} outside [0, d_max)")
-    survival = dist.sf(l)
+    survival = 1.0 - dist.cdf(l)
     degenerate = np.flatnonzero(np.ravel(survival) < _SURVIVAL_FLOOR)
     if degenerate.size:
         first = degenerate[0]

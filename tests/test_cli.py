@@ -83,6 +83,9 @@ class TestScenarioFile:
             ({"sweep": {"N": [5.7, 5]}}, "sweep.N"),
             ({"method": "exactly"}, "method"),
             ({"trials": -5}, "trials"),
+            # simulation.substream takes a seed below 2**64, one Philox key word
+            ({"seed": 2**64}, "seed"),
+            ({"seed": -1}, "seed"),
             ({"output": {"grid_size": 10}}, "grid_size"),
         ],
     )
@@ -303,6 +306,35 @@ class TestCoverageCommand:
         assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--seed", "-1"]) == 1
         assert "seed=-1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["analytic", "ppp"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1", "--trials", "0"], "trials=0"),
+            (["--seed", "-1"], "seed=-1"),
+            (["--trials", "0"], "trials=0"),
+            (["--seed", str(2**64)], f"seed={2**64}"),
+        ],
+    )
+    def test_seed_and_trials_flags_checked_without_simulation(
+        self, tmp_path, capsys, method, flags, message
+    ):
+        # checked like the scenario file's fields, though no row uses them
+        scen = write_scenario(tmp_path / "s.json", method=method)
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_field_past_the_key_range_rejected(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", seed=2**64)
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 1
+        assert "field 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+        scen = write_scenario(tmp_path / "s.json", seed=2**64 - 1)
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 0
 
     @pytest.mark.parametrize("method", ["simulate", "ppp"])
     def test_rows_without_analytic_build_no_table(self, tmp_path, monkeypatch, method):

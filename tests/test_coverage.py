@@ -25,8 +25,14 @@ from cylcov import (
     ppp_model_from_scenario,
     simulate_coverage,
 )
-from cylcov.coverage import _SPLITS, _within_contract
-from cylcov.distance import _gauss_on_panels, pair_distance_law
+from cylcov.coverage import EXACT_ORDER, _SPLITS, _serving_integral, _within_contract
+from cylcov.distance import (
+    TableStack,
+    _gauss_on_panels,
+    pair_distance_law,
+    receiver_breakpoints,
+    receiver_distance_law,
+)
 from cylcov.simulation import substream
 
 
@@ -51,6 +57,34 @@ def finer_paper_rule(sc, dist, order=24, halvings=3):
     density = weights * (n - 1) * (1.0 - cdf) ** (n - 2) * pdf
     live = density > 0.0
     return float(np.sum(density[live] * conditional_coverage(nodes[live], sc, dist)))
+
+
+def per_receiver_oracle(sc, mixture, index, order=EXACT_ORDER):
+    """The exact model's serving-distance rule over the receivers index, one receiver at a time.
+
+    Per receiver: panels from 0 to its table's last knot above the
+    survival floor, cut at its breakpoints and where the serving survival
+    passes _SPLITS, a Gauss rule of the given order, and the series on its
+    table alone.  Returns the weighted sums of the integrals and of the
+    dropped serving-distance masses.
+    """
+    geom, n = sc.geom, sc.N
+    x, w = np.polynomial.legendre.leggauss(order)
+    value = tail = 0.0
+    for q in index:
+        (r, z), weight, table = mixture.nodes[q], mixture.weights[q], mixture.tables[q]
+        last = int(np.searchsorted(table.grid, table.survival_cutoff())) - 1
+        end = table.grid[last]
+        splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), table.cdf_values, table.grid)
+        cuts = np.concatenate((receiver_breakpoints(geom, r, z), splits))
+        nodes, weights = _gauss_on_panels(np.union1d([0.0, end], np.clip(cuts, 0.0, end)), x, w)
+        cdf, pdf = receiver_distance_law(geom, r, z, nodes)
+        density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
+        live = density > 0.0
+        covered = conditional_coverage(nodes[live], sc, table)
+        value += weight * float(np.sum(weights[live] * density[live] * covered))
+        tail += weight * (1.0 - table.cdf_values[last]) ** (n - 1)
+    return value, tail
 
 
 class TestCoverageResult:
@@ -267,6 +301,24 @@ class TestCoverageProbability:
             assert abs(res.pc - pc) <= 1e-6, (N, beta_db, m, res.pc)
             assert res.error_estimate <= 1e-4
 
+    def test_paper_figures_digits_pinned(self, tall_dist):
+        # The analytic rows of the paper-figures sweep (tall, alpha = 4) at
+        # every digit the CSV prints: value and error estimate.
+        pinned = [
+            (5, 0, 1, 0.7269415873144578, 6.664017204727202e-08),
+            (5, 0, 2, 0.7828704286685726, 7.26469511214134e-08),
+            (5, 10, 1, 0.3035520699965881, 8.600957057680603e-09),
+            (5, 10, 2, 0.2899168586280425, 4.472914594266797e-09),
+            (20, 0, 1, 0.5125526435560992, 1.4600401998521306e-09),
+            (20, 0, 2, 0.546359864316765, 5.260214486213499e-11),
+            (20, 10, 1, 0.1296505945045506, 1.431665896944878e-10),
+            (20, 10, 2, 0.12499913113463046, 8.20398471379491e-11),
+        ]
+        for N, beta_db, m, pc, err in pinned:
+            sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
+            res = coverage_probability(sc, tall_dist)
+            assert (res.pc, res.error_estimate) == (pc, err), (N, beta_db, m, res)
+
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES)
     def test_matches_cell_aligned_reference(self, geom):
         # Reference: 4 Gauss points in every knot cell up to the survival
@@ -368,6 +420,53 @@ class TestExactCoverage:
             )
             assert abs(res.pc - pc) <= 1e-12, (geom, N, m, beta, res.pc)
             assert res.error_estimate <= 1e-4
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        geom=st.sampled_from(REGIME_GEOMETRIES),
+        picks=st.lists(st.integers(0, 71), max_size=6, unique=True),
+        N=st.sampled_from([3, 10, 40, 80]),
+        m=st.sampled_from([1, 3, 5]),
+        beta=st.sampled_from([0.3, 10.0]),
+    )
+    def test_stacked_pass_matches_per_receiver_oracle(self, geom, picks, N, m, beta):
+        # The receivers with the fewest and the most knots make the stack
+        # ragged (258 to 264 knots), so some rows carry padding nodes.
+        mix = get_mixture(geom)
+        sizes = [t.grid.size for t in mix.tables]
+        index = sorted({*picks, int(np.argmin(sizes)), int(np.argmax(sizes))})
+        sc = scenario(N=N, m=float(m), geom=geom, beta=beta)
+        r, z = mix.nodes[index].T
+        value, tail = _serving_integral(
+            sc,
+            TableStack([mix.tables[q] for q in index]),
+            mix.weights[index],
+            lambda which, l: receiver_distance_law(geom, r[which], z[which], l),
+            receiver_breakpoints(geom, r, z),
+            EXACT_ORDER,
+        )
+        ref_value, ref_tail = per_receiver_oracle(sc, mix, index)
+        assert abs(value - ref_value) <= 1e-15, (value, ref_value)
+        assert abs(tail - ref_tail) <= 1e-15, (tail, ref_tail)
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_padding_nodes_weigh_exactly_zero(self, geom):
+        # Each row of the stacked cell rule holds 4 nodes per knot cell of
+        # its table; the rest pad it at the table's last knot, d_max, where
+        # the kernel is finite, so with weight 0 they add exactly 0.
+        mix = get_mixture(geom)
+        stack = mix.stack
+        nodes = _gauss_on_panels(stack._grids, *np.polynomial.legendre.leggauss(4))[0]
+        used = np.array([4 * (t.grid.size - 1) for t in mix.tables])
+        pad = np.arange(nodes.shape[1]) >= used[:, None]
+        assert pad.any() and not pad.all(axis=1).any()
+        assert np.all(stack._weights[pad] == 0.0)
+        assert np.all(nodes[pad] == geom.d_max)
+        assert np.all(stack._weights[~pad] >= 0.0)
+        for k, table in enumerate(mix.tables):
+            own = _gauss_on_panels(table.grid, *np.polynomial.legendre.leggauss(4))[0]
+            assert np.array_equal(nodes[k, : used[k]], own)
+            assert np.array_equal(stack._weights[k, : used[k]], table.stack._weights[0])
 
     def test_scale_invariance(self):
         # SIR coverage depends on the cylinder's shape only

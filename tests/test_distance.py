@@ -497,6 +497,36 @@ class TestReceiverLaw:
         with pytest.raises(DomainError):
             receiver_distance_law(TALL, 1.0, -1.0, 5.0)
 
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_array_form_matches_scalar_calls(self, geom):
+        # Receivers on the axis, at the wall, on the floor, at the ceiling's
+        # rim and inside, each at distances over its whole support and past
+        # it; 2,400 distances in all, so the law runs in several chunks.
+        R, H = geom.R, geom.H
+        spots = [(0.0, 0.3 * H), (R, 0.5 * H), (0.5 * R, 0.0), (R, H), (0.7 * R, 0.2 * H), (0.0, 0.0)]
+        d = np.linspace(0.0, 1.05 * geom.d_max, 400)
+        r = np.repeat([s[0] for s in spots], d.size)
+        z = np.repeat([s[1] for s in spots], d.size)
+        cdf, pdf = receiver_distance_law(geom, r, z, np.tile(d, len(spots)))
+        for k, (rk, zk) in enumerate(spots):
+            one_cdf, one_pdf = receiver_distance_law(geom, rk, zk, d)
+            assert np.array_equal(cdf[k * d.size : (k + 1) * d.size], one_cdf), (rk, zk)
+            assert np.array_equal(pdf[k * d.size : (k + 1) * d.size], one_pdf), (rk, zk)
+        # one receiver against many distances broadcasts as a scalar does
+        assert np.array_equal(receiver_distance_law(geom, np.array([R]), 0.5 * H, d)[0], cdf[400:800])
+
+    @pytest.mark.parametrize(
+        "r, z",
+        [(-1e-9, 1.0), (TALL.R * (1.0 + 1e-12), 1.0), (1.0, -1e-9), (1.0, TALL.H + 1e-9),
+         (math.nan, 1.0), (1.0, math.nan)],
+    )
+    def test_each_receiver_outside_raises_in_an_array(self, r, z):
+        with pytest.raises(DomainError, match="outside the cylinder"):
+            receiver_distance_law(TALL, r, z, 5.0)
+        rs, zs = np.array([0.0, TALL.R, r, 1.0]), np.array([0.0, TALL.H, z, 1.0])
+        with pytest.raises(DomainError, match="outside the cylinder"):
+            receiver_distance_law(TALL, rs, zs, np.full(4, 5.0))
+
     def test_rule_is_a_probability_rule(self, tall_mixture):
         for mix in (tall_mixture, tall_mixture.check):
             assert mix.weights.sum() == pytest.approx(1.0, abs=1e-14)
