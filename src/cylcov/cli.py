@@ -29,6 +29,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -180,8 +181,10 @@ def cmd_pdf(args) -> int:
     else:
         raise ScenarioFormatError("pdf needs either --scenario or both --R and --H")
     points = args.points
+    if points < 1:
+        raise ScenarioFormatError(f"--points: positive integer required, got points={points!r}")
     grid = np.linspace(0.0, geom.d_max, points)
-    f_num = [cylinder_pair_pdf_numeric(l, geom) for l in grid]
+    f_num = cylinder_pair_pdf_numeric(grid, geom).tolist()
     f_clo = [cylinder_pair_pdf_closed(l, geom) for l in grid]
 
     header = [
@@ -189,30 +192,19 @@ def cmd_pdf(args) -> int:
         f"# tool cylcov {__version__}",
         f"# R={geom.R!r} H={geom.H!r} points={points}",
     ]
-    columns = ["l", "f_numeric", "f_closed"]
-    hist_centers = hist_density = None
+    columns = {"l": grid.tolist(), "f_numeric": f_num, "f_closed": f_clo}
     if args.with_histogram:
         bins = args.bins if args.bins is not None else points
         est = empirical_distance_histogram(geom, args.pairs, bins, args.seed)
         edges = np.linspace(0.0, geom.d_max, bins + 1)
-        hist_centers = 0.5 * (edges[:-1] + edges[1:])
-        hist_density = est.mean
+        columns["bin_center"] = (0.5 * (edges[:-1] + edges[1:])).tolist()
+        columns["f_empirical"] = est.mean.tolist()
         header.append(f"# histogram pairs={args.pairs} bins={bins} seed={args.seed}")
-        columns += ["bin_center", "f_empirical"]
 
-    nrows = points if hist_centers is None else max(points, len(hist_centers))
+    # a shorter column is padded with empty cells
+    rows = (",".join(map(_fmt, row)) for row in zip_longest(*columns.values(), fillvalue=""))
     with _open_output(args.output) as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for i in range(nrows):
-            row = []
-            row += [_fmt(float(grid[i])), _fmt(f_num[i]), _fmt(f_clo[i])] if i < points else ["", "", ""]
-            if hist_centers is not None:
-                if i < len(hist_centers):
-                    row += [_fmt(float(hist_centers[i])), _fmt(float(hist_density[i]))]
-                else:
-                    row += ["", ""]
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join((*header, ",".join(columns), *rows, "")))
     return 0
 
 

@@ -165,9 +165,9 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     Deterministic given the scenario and CDF grid.
     """
     require_analytic_m(scenario.channel.m)
+    _check_geometry(scenario.geom, dist)
     if scenario.N == 2:
         return _within_contract(1.0, 0.0, "analytic", scenario)
-    _check_geometry(scenario.geom, dist)
     geom, one = scenario.geom, np.ones(1)
     law = lambda which, l: pair_distance_law(geom, l)
     breaks = np.array([[0.0, 2.0 * geom.R, geom.H]])
@@ -189,11 +189,11 @@ def exact_coverage_probability(
     must stay within COVERAGE_CONTRACT.
     """
     require_analytic_m(scenario.channel.m)
-    if scenario.N == 2:
-        return _within_contract(1.0, 0.0, "analytic-exact", scenario)
     _check_geometry(scenario.geom, mixture)
     if mixture.check is None:
         raise DomainError("mixture has no check rule; build it with build_receiver_cdfs")
+    if scenario.N == 2:
+        return _within_contract(1.0, 0.0, "analytic-exact", scenario)
 
     def average(mix: ReceiverMixture, order: int):
         r, z = mix.nodes.T

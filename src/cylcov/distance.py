@@ -10,7 +10,10 @@ picking and segment line picking).  Two evaluation routes are provided:
   over the angle t with a bounded integrand, so the 1/sqrt endpoint
   singularity of the raw squared-vertical density never reaches the
   rule; a smoothstep map of the rule absorbs the (t - t_lo)^(3/2) end of
-  the disk density.
+  the disk density.  It takes a distance or an array of distances, and
+  its integrand calls ``disk_pair_pdf`` and ``segment_pair_pdf`` on all
+  nodes at once: the three densities take arrays, and a scalar is the
+  one-element case of the same code.
 * ``cylinder_pair_pdf_closed``: a four-branch closed form in complete and
   incomplete elliptic integrals, dispatched on the signs of (l - 2R) and
   (l - H).  Exact regime boundaries are assigned to the "<=" branch.
@@ -113,37 +116,40 @@ def _gauss_on_panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
     return nodes.reshape(mids.shape[:-1] + (-1,)), weights.reshape(mids.shape[:-1] + (-1,))
 
 
-def disk_pair_pdf(v: float, R: float) -> float:
+def disk_pair_pdf(v, R: float):
     """Density of the distance between two uniform points in a disk of radius R.
 
-    f(v) = (4 v / (pi R^2)) (arccos(v / 2R) - (v / 2R) sqrt(1 - (v / 2R)^2))
-    on [0, 2R], zero above.
+    f(v) = (8 x / (pi R)) (arccos(x) - x sqrt(1 - x^2)) with x = v / 2R
+    on [0, 2R], zero above.  v is a distance (a float out) or an array of
+    them (an array out); a negative one raises DomainError.
     """
     if R <= 0.0:
         raise DomainError(f"disk radius R={R!r} must be positive")
-    if v < 0.0:
-        raise DomainError(f"distance v={v!r} must be nonnegative")
-    if v == 0.0 or v >= 2.0 * R:
-        return 0.0
-    x = v / (2.0 * R)
-    return 4.0 * v / (math.pi * R * R) * (math.acos(x) - x * math.sqrt(1.0 - x * x))
+    v_arr = np.asarray(v, dtype=float)
+    if np.any(v_arr < 0.0):
+        raise DomainError(f"distance v={float(np.min(v_arr))!r} must be nonnegative")
+    x = np.minimum(v_arr / (2.0 * R), 1.0)
+    out = (8.0 * x / (math.pi * R)) * (np.arccos(x) - x * np.sqrt(1.0 - x * x))
+    return float(out) if np.ndim(v) == 0 else out
 
 
-def segment_pair_pdf(z: float, H: float) -> float:
+def segment_pair_pdf(z, H: float):
     """Density of the distance between two uniform points on a segment of length H.
 
-    The triangular density 2 (H - z) / H^2 on [0, H], zero above.
+    The triangular density 2 (H - z) / H^2 on [0, H], zero above.  z is a
+    distance (a float out) or an array of them (an array out); a negative
+    one raises DomainError.
     """
     if H <= 0.0:
         raise DomainError(f"segment length H={H!r} must be positive")
-    if z < 0.0:
-        raise DomainError(f"distance z={z!r} must be nonnegative")
-    if z > H:
-        return 0.0
-    return 2.0 * (H - z) / (H * H)
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(z_arr < 0.0):
+        raise DomainError(f"distance z={float(np.min(z_arr))!r} must be nonnegative")
+    out = 2.0 * np.maximum(H - z_arr, 0.0) / (H * H)
+    return float(out) if np.ndim(z) == 0 else out
 
 
-def cylinder_pair_pdf_numeric(l: float, geom: CylinderGeometry) -> float:
+def cylinder_pair_pdf_numeric(l, geom: CylinderGeometry):
     """Pair-distance density by numeric convolution of the component densities.
 
     Parameterizing the planar/vertical split as (l cos t, l sin t) gives
@@ -153,27 +159,23 @@ def cylinder_pair_pdf_numeric(l: float, geom: CylinderGeometry) -> float:
     where the limits trim the arc to l cos t <= 2R and l sin t <= H.  The
     integral is a fixed 32-node Gauss rule through the smoothstep map,
     which absorbs the (t - t_lo)^(3/2) end of the disk density at l > 2R.
-    Returns 0 outside [0, d_max].  It agrees with the closed form within
-    about 1e-12 absolute on the four geometry regimes.
+    l is a distance (a float out) or an array of them (an array out), all
+    evaluated at once.  Returns 0 outside [0, d_max].  It agrees with the
+    closed form within about 1e-12 absolute on the four geometry regimes.
     """
-    return float(_pair_pdf(geom, np.array([float(l)]))[0])
-
-
-def _pair_pdf(geom: CylinderGeometry, l: np.ndarray) -> np.ndarray:
-    """The density of ``cylinder_pair_pdf_numeric`` at every distance of the 1-D array l."""
     R, H = geom.R, geom.H
-    inside = (l > 0.0) & (l < geom.d_max)
-    l = np.where(inside, l, 1.0)  # any positive distance; zeroed below
-    theta_lo = np.arccos(np.minimum(1.0, 2.0 * R / l))  # 0 for l <= 2R
-    theta_hi = np.arcsin(np.minimum(1.0, H / l))  # pi / 2 for l <= H
+    l_arr = np.asarray(l, dtype=float)
+    inside = (l_arr > 0.0) & (l_arr < geom.d_max)
+    l_arr = np.where(inside, l_arr, 1.0)[..., None]  # any positive distance; zeroed below
+    theta_lo = np.arccos(np.minimum(1.0, 2.0 * R / l_arr))  # 0 for l <= 2R
+    theta_hi = np.arcsin(np.minimum(1.0, H / l_arr))  # pi / 2 for l <= H
     span = np.maximum(theta_hi - theta_lo, 0.0)
-    theta = theta_lo[:, None] + span[:, None] * _PAIR_PDF_PHI
-    # disk_pair_pdf at v = 2 R x and segment_pair_pdf, on all nodes at once
-    x = np.minimum(l[:, None] * np.cos(theta) / (2.0 * R), 1.0)
-    disk = (8.0 * x / (math.pi * R)) * (np.arccos(x) - x * np.sqrt(1.0 - x * x))
-    segment = 2.0 * np.maximum(H - l[:, None] * np.sin(theta), 0.0) / (H * H)
-    val = span * np.sum(disk * segment * _PAIR_PDF_DPHI_W, axis=1)
-    return np.where(inside, l * np.maximum(val, 0.0), 0.0)
+    theta = theta_lo + span * _PAIR_PDF_PHI
+    disk = disk_pair_pdf(l_arr * np.cos(theta), R)
+    segment = segment_pair_pdf(l_arr * np.sin(theta), H)
+    val = span[..., 0] * np.sum(disk * segment * _PAIR_PDF_DPHI_W, axis=-1)
+    out = np.where(inside, l_arr[..., 0] * np.maximum(val, 0.0), 0.0)
+    return float(out) if np.ndim(l) == 0 else out
 
 
 def _kp2_times_K_minus_F(kp2: float, k: float, phi: float) -> float:
@@ -379,7 +381,7 @@ class TabulatedDistribution:
 
     def cdf(self, l):
         """F_L(l); 0 below the support, 1 above."""
-        out = self._queries(l).cdf(l)
+        out = self.stack.cdf(l)
         return float(out) if np.ndim(l) == 0 else out
 
     def sf(self, l):
@@ -388,22 +390,17 @@ class TabulatedDistribution:
 
     def pdf(self, l):
         """f_L(l) as the derivative of the interpolated CDF; 0 outside."""
-        out = self._queries(l).pdf(l)
+        out = self.stack.pdf(l)
         return float(out) if np.ndim(l) == 0 else out
 
     @cached_property
     def stack(self) -> "TableStack":
-        """This table as a ``TableStack`` of one, built on first use; it evaluates the table."""
-        return TableStack((self,))
-
-    def _queries(self, x) -> "TableStack":
-        return self.stack.take(np.zeros(np.shape(x), dtype=int))
+        """This table as a ``TableStack`` of one whose every query reads it, built on first use."""
+        return TableStack((self,)).take(0)
 
     def integrate_pdf_product(self, lo, rows_fn, rows: int, node_map) -> np.ndarray:
-        """``TableStack.integrate_pdf_product`` on this table; shape (rows,) for a scalar lo."""
-        lo_arr = np.atleast_1d(np.asarray(lo, dtype=float))
-        out = self._queries(lo_arr).integrate_pdf_product(lo_arr, rows_fn, rows, node_map)
-        return out[:, 0] if np.ndim(lo) == 0 else out
+        """``TableStack.integrate_pdf_product`` on this table, for a 1-D array lo."""
+        return self.stack.integrate_pdf_product(lo, rows_fn, rows, node_map)
 
     def survival_cutoff(self) -> float:
         """Smallest knot beyond which 1 - F drops below _SURVIVAL_FLOOR (d_max if none)."""
@@ -412,17 +409,11 @@ class TabulatedDistribution:
 
     def save(self, path) -> None:
         """Write the versioned columnar text cache (header: R, H, grid_size)."""
-        lines = [
-            _CACHE_MAGIC,
-            f"# R={self.geometry.R!r}",
-            f"# H={self.geometry.H!r}",
-            f"# grid_size={self.grid.size}",
-        ]
-        lines.extend(
-            f"{l!r}\t{F!r}" for l, F in zip(self.grid.tolist(), self.cdf_values.tolist())
-        )
+        header = (_CACHE_MAGIC, f"# R={self.geometry.R!r}", f"# H={self.geometry.H!r}",
+                  f"# grid_size={self.grid.size}")
+        rows = (f"{l!r}\t{F!r}" for l, F in zip(self.grid.tolist(), self.cdf_values.tolist()))
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join((*header, *rows, "")))
 
     @classmethod
     def load(
@@ -445,19 +436,13 @@ class TabulatedDistribution:
         try:
             if not lines or lines[0] != _CACHE_MAGIC:
                 raise ValueError(f"missing magic line {_CACHE_MAGIC!r}")
-            header = {}
-            for line in lines[1:4]:
-                key, _, value = line.lstrip("# ").partition("=")
-                header[key] = value
-            R = float(header["R"])
-            H = float(header["H"])
-            grid_size = int(header["grid_size"])
-            rows = [line.split("\t") for line in lines[4:] if line]
-            if len(rows) != grid_size:
-                raise ValueError(f"expected {grid_size} rows, found {len(rows)}")
-            grid = np.array([float(r[0]) for r in rows])
-            values = np.array([float(r[1]) for r in rows])
-            table = cls(CylinderGeometry(R=R, H=H), grid, values)
+            header = dict(line.lstrip("# ").partition("=")[::2] for line in lines[1:4])
+            R, H, grid_size = float(header["R"]), float(header["H"]), int(header["grid_size"])
+            # columns past the second are ignored; a row with one column is corrupt
+            rows = np.array([line.split("\t")[:2] for line in lines[4:] if line], dtype=float)
+            if rows.shape != (grid_size, 2):
+                raise ValueError(f"expected {grid_size} rows of 2 columns, found {rows.shape}")
+            table = cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
         except (KeyError, ValueError, IndexError, DomainError) as exc:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
         if expected_geometry is not None and table.geometry != expected_geometry:
@@ -510,7 +495,7 @@ class TableStack:
             self._weights[k, : nodes.size] = weights * np.maximum(self._pdf_at(nodes, cells), 0.0)
 
     def take(self, which) -> "TableStack":
-        """The same tables, with query i reading the table which[i]."""
+        """The same tables, with query i reading table which[i] (each query, for a scalar which)."""
         view = copy.copy(self)
         view._which = np.asarray(which)
         return view
@@ -568,7 +553,7 @@ class TableStack:
         # the cell rule's nodes are rebuilt per call: cheaper in time than holding them in memory
         x, wf = node_map(_gauss_on_panels(self._grids, _CELL_X, _CELL_W)[0]), self._weights
         live = np.flatnonzero(lo_arr < self._last_knot[self._which])
-        a, table = lo_arr[live], self._which[live]
+        a, table = lo_arr[live], np.broadcast_to(self._which, lo_arr.shape)[live]
         cell = self._cells(table, a)
         b = self._knots.imag[cell + table + 1]  # knots run one ahead of cells per table
         half = 0.5 * (b - a)
@@ -645,7 +630,7 @@ def pair_distance_law(geom: CylinderGeometry, l):
     ``cylinder_pair_pdf_numeric``'s, both on all of l at once.
     """
     l = np.atleast_1d(np.asarray(l, dtype=float))
-    return _pair_cdf(geom, l), _pair_pdf(geom, l)
+    return _pair_cdf(geom, l), cylinder_pair_pdf_numeric(l, geom)
 
 
 def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedDistribution:

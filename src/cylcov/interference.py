@@ -146,11 +146,11 @@ def laplace_with_derivatives(
         raise DomainError(
             f"transform argument t={float(np.min(t_arr))!r} must be nonnegative"
         )
+    _check_geometry(scenario.geom, dist)
     if scenario.N == 2:
         ds = np.zeros((m,) + np.broadcast(t_arr, np.asarray(l)).shape)
         ds[0] = 1.0
     else:
-        _check_geometry(scenario.geom, dist)
         g = _g_derivatives(t_arr, l, scenario, dist, m)
         ds = _power_derivatives(g, scenario.N - 2, m)
     if ds.ndim == 1:

@@ -143,6 +143,28 @@ class TestPdfCommand:
         assert "seed=-1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_numeric_column_is_one_array_call(self, tmp_path, monkeypatch):
+        shapes = []
+        density = cylcov.cli.cylinder_pair_pdf_numeric
+
+        def counted(l, geom):
+            shapes.append(np.shape(l))
+            return density(l, geom)
+
+        monkeypatch.setattr(cylcov.cli, "cylinder_pair_pdf_numeric", counted)
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--R", "12", "--H", "30", "--points", "64", "--output", str(out)]) == 0
+        assert shapes == [(64,)]
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_non_positive_points_rejected(self, tmp_path, capsys, points):
+        out = tmp_path / "pdf.csv"
+        rc = main(["pdf", "--R", "12", "--H", "30", "--points", points, "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points: ") and f"points={points}" in err
+        assert not out.exists()
+
     def test_requires_geometry(self, tmp_path, capsys):
         rc = main(["pdf", "--output", str(tmp_path / "x.csv")])
         assert rc == 1

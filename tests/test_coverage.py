@@ -181,6 +181,11 @@ class TestCoverageProbability:
         assert res.error_estimate == 0.0
         assert res.method == "analytic"
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_geometry_mismatch_rejected_at_every_N(self, squat_dist, N):
+        with pytest.raises(DomainError, match="tabulated distribution built for"):
+            coverage_probability(scenario(N=N), squat_dist)
+
     def test_vanishing_threshold(self, tall_dist):
         res = coverage_probability(scenario(beta=1e-9), tall_dist)
         assert res.pc >= 0.999
@@ -370,6 +375,12 @@ class TestExactCoverage:
     def test_check_rule_required(self, tall_mixture):
         with pytest.raises(DomainError):
             exact_coverage_probability(scenario(), tall_mixture.check)
+
+    def test_two_nodes_still_checks_inputs(self, squat_mixture, tall_mixture):
+        with pytest.raises(DomainError):
+            exact_coverage_probability(scenario(N=2, geom=TALL), squat_mixture)
+        with pytest.raises(DomainError, match="check rule"):
+            exact_coverage_probability(scenario(N=2), tall_mixture.check)
 
     def test_unsupported_shape_propagates(self, tall_mixture):
         with pytest.raises(UnsupportedParameterError):

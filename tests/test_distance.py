@@ -118,6 +118,39 @@ class TestNumericPdf:
             assert worst <= 1e-11, f"regime {regime} deviates by {worst}"
 
 
+class TestArrayForms:
+    """The three densities on arrays equal their per-element calls bit for bit."""
+
+    @staticmethod
+    def _distances(geom):
+        marks = [0.0, 2.0 * geom.R, geom.H, geom.d_max, np.nextafter(geom.d_max, 0.0),
+                 1.1 * geom.d_max, geom.d_max + 1.0]
+        return np.concatenate([marks, *_regime_points(geom, per_regime=16).values()])
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_numeric_density(self, geom):
+        l = np.concatenate([[-1.0], self._distances(geom)])
+        batched = cylinder_pair_pdf_numeric(l, geom)
+        single = [cylinder_pair_pdf_numeric(float(x), geom) for x in l]
+        assert all(type(v) is float for v in single)
+        assert batched.shape == l.shape and np.array_equal(batched, single)
+        assert np.array_equal(pair_distance_law(geom, l)[1], batched)
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_component_densities(self, geom):
+        x = self._distances(geom)
+        for density, size in ((disk_pair_pdf, geom.R), (segment_pair_pdf, geom.H)):
+            batched = density(x, size)
+            single = [density(float(v), size) for v in x]
+            assert all(type(v) is float for v in single)
+            assert batched.shape == x.shape and np.array_equal(batched, single), density
+
+    def test_negative_entry_raises(self):
+        for density in (disk_pair_pdf, segment_pair_pdf):
+            with pytest.raises(DomainError, match="-0.5"):
+                density(np.array([0.0, 1.0, -0.5, 2.0]), 3.0)
+
+
 def _regime_points(geom, per_regime=128):
     """Sample points inside each of the four dispatch regimes."""
     bounds = sorted({0.0, min(2.0 * geom.R, geom.d_max), min(geom.H, geom.d_max), geom.d_max})
@@ -387,6 +420,24 @@ class TestSerialization:
         path.write_text("\n".join(text[:100]) + "\n")
         with pytest.raises(StaleCacheError):
             TabulatedDistribution.load(path)
+
+    @pytest.mark.parametrize("row", ["{l}", "{l}\tx", "{l}\t{F}\t0.5\n{l}"])
+    def test_malformed_row_is_stale(self, tmp_path, squat_dist, row):
+        path = tmp_path / "cache.tsv"
+        squat_dist.save(path)
+        lines = path.read_text().splitlines()
+        l, F = lines[10].split("\t")
+        lines[10] = row.format(l=l, F=F)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StaleCacheError, match="corrupt"):
+            TabulatedDistribution.load(path)
+
+    def test_columns_past_the_second_are_ignored(self, tmp_path, squat_dist):
+        path = tmp_path / "cache.tsv"
+        squat_dist.save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + [line + "\tnote" for line in lines[4:]]) + "\n")
+        assert np.array_equal(TabulatedDistribution.load(path).cdf_values, squat_dist.cdf_values)
 
     def test_wrong_magic_is_stale(self, tmp_path):
         path = tmp_path / "cache.tsv"

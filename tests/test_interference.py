@@ -110,6 +110,11 @@ class TestLaplaceDerivatives:
             assert lap.value == 1.0
             assert lap.derivatives == (1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_geometry_mismatch_rejected_at_every_N(self, squat_dist, N):
+        with pytest.raises(DomainError, match="tabulated distribution built for"):
+            laplace_with_derivatives(1.0, 0.1 * TALL.d_max, scenario(N=N), squat_dist)
+
     def test_strictly_decreasing_in_t(self, tall_dist):
         sc = scenario(N=5, m=1.0)
         l = 0.2 * TALL.d_max
