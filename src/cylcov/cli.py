@@ -91,7 +91,7 @@ def load_scenario_file(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioFormatError("scenario file must hold a JSON object")

@@ -66,6 +66,8 @@ _GAUSS_RULES = {
 # these levels, so that at large N no panel is mostly empty tail; 0.9 splits
 # the rise of the serving density, which an order-8 rule can miss at large N.
 _SPLITS = np.array([0.9, 0.5, 1e-2, 1e-4])
+# How far the conditional coverage series may leave [0, 1] by rounding.
+_SERIES_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,22 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
 
     Accepts scalar or array l (a float or an array of l's shape out); all
     serving distances share one evaluation of the transform and its
-    derivatives.
+    derivatives.  Every series term is nonnegative, so the clip trims
+    rounding only: a sum outside [-_SERIES_SLACK, 1 + _SERIES_SLACK]
+    is a numerical failure and raises RuntimeError.
     """
     m = require_analytic_m(scenario.channel.m)
     l_arr = np.asarray(l, dtype=float)
     t = m * scenario.beta * l_arr**scenario.channel.alpha
     lap = laplace_with_derivatives(t, l_arr, scenario, dist)
     total = sum((-t) ** k / math.factorial(k) * d for k, d in enumerate(lap.derivatives))
+    # written so that NaN fails it too
+    bad = np.flatnonzero(~((total >= -_SERIES_SLACK) & (total <= 1.0 + _SERIES_SLACK)))
+    if bad.size:
+        raise RuntimeError(
+            f"coverage series at l={float(np.ravel(l_arr)[bad[0]])!r} sums to "
+            f"{float(np.ravel(total)[bad[0]])!r}, outside [0, 1] beyond rounding"
+        )
     out = np.clip(total, 0.0, 1.0)
     return float(out) if np.ndim(l) == 0 else out
 

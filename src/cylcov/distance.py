@@ -56,6 +56,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .errors import DomainError, StaleCacheError
 from .geometry import CylinderGeometry
@@ -68,6 +69,17 @@ DEFAULT_GRID_SIZE = 2048
 # integrate degree 7, leaving the kernel's remainder past degree 5 per cell.
 _CELL_QUAD_ORDER = 4
 _CELL_X, _CELL_W = np.polynomial.legendre.leggauss(_CELL_QUAD_ORDER)
+# Product-rule panels of the interferer integral (``_product_panels``): knot
+# edges halving from the support's last knot down, kept while a panel holds
+# more than _PANEL_MIN_CELLS cells, and _PANEL_NODES Chebyshev points of the
+# first kind per panel, _PANEL_X on [-1, 1], with _PANEL_T[j, q] = T_j(x_q).
+# They serve kernels in u^-alpha for alpha up to _PANEL_MAX_ALPHA;
+# the bound is in interference.py.
+_PANEL_NODES = 24
+_PANEL_MIN_CELLS = 6
+_PANEL_MAX_ALPHA = 6.0
+_PANEL_X = np.cos(np.arange(0.5, _PANEL_NODES) * math.pi / _PANEL_NODES)
+_PANEL_T = chebvander(_PANEL_X, _PANEL_NODES - 1).T
 # Most integrand elements (rows x lower limits x nodes) that
 # integrate_pdf_product evaluates at once; bounds its temporaries.
 _BLOCK_ELEMENTS = 1 << 15
@@ -398,9 +410,9 @@ class TabulatedDistribution:
         """This table as a ``TableStack`` of one whose every query reads it, built on first use."""
         return TableStack((self,)).take(0)
 
-    def integrate_pdf_product(self, lo, rows_fn, rows: int, node_map) -> np.ndarray:
+    def integrate_pdf_product(self, lo, rows_fn, rows: int, alpha: float) -> np.ndarray:
         """``TableStack.integrate_pdf_product`` on this table, for a 1-D array lo."""
-        return self.stack.integrate_pdf_product(lo, rows_fn, rows, node_map)
+        return self.stack.integrate_pdf_product(lo, rows_fn, rows, alpha)
 
     def survival_cutoff(self) -> float:
         """Smallest knot beyond which 1 - F drops below _SURVIVAL_FLOOR (d_max if none)."""
@@ -433,6 +445,8 @@ class TabulatedDistribution:
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise StaleCacheError(f"cannot read CDF cache {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
         try:
             if not lines or lines[0] != _CACHE_MAGIC:
                 raise ValueError(f"missing magic line {_CACHE_MAGIC!r}")
@@ -458,6 +472,62 @@ class TabulatedDistribution:
         return table
 
 
+def _panel_edges(table: "TabulatedDistribution") -> np.ndarray:
+    """Knot indices of the edges of a table's product panels, ascending.
+
+    The last is the knot where the CDF reaches its final value, so the
+    density vanishes past it; each one below is the first knot at or above
+    half the one above, while the panel between them holds more than
+    _PANEL_MIN_CELLS cells, so a panel's ends differ by a factor of at
+    most 2.
+    """
+    grid = table.grid
+    edges = [int(np.searchsorted(table.cdf_values, table.cdf_values[-1]))]
+    while True:
+        low = int(np.searchsorted(grid, 0.5 * grid[edges[-1]]))
+        if edges[-1] - low <= _PANEL_MIN_CELLS:
+            return np.array(edges[::-1])
+        edges.append(low)
+
+
+def _product_panels(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, edges: np.ndarray):
+    """The rule of each level of a table's panels, as (nodes, weights) pairs.
+
+    nodes and weights are the table's cell rule, the weights times the
+    density, and edges its ``_panel_edges``.  Level L holds the cell rule
+    on the cells below edge P - L (down to the edge below it, or to 0) and
+    then the nodes and product weights of the L panels above that edge,
+    the top panel last: a lower limit in those cells needs exactly that
+    rule past its cell.  A panel's weights are its cell-rule weights times
+    the Lagrange basis of its Chebyshev nodes, summed over its cell-rule
+    nodes, so sum_q W_q k(x_q) is the cell rule applied to the kernel's
+    interpolant and the density stays exact.  On [-1, 1] the basis is
+    L_q(s) = (1 + 2 sum_{j>=1} T_j(x_q) T_j(s)) / n, with no division, so
+    W_q follows from the panel's Chebyshev moments of the weights.
+    """
+    x = w = np.empty(0)
+    if edges.size > 1:
+        a, b = grid[edges[:-1]], grid[edges[1:]]
+        inside = slice(_CELL_QUAD_ORDER * edges[0], _CELL_QUAD_ORDER * edges[-1])
+        panel = np.repeat(np.arange(a.size), _CELL_QUAD_ORDER * np.diff(edges))
+        s = (2.0 * nodes[inside] - (a + b)[panel]) / (b - a)[panel]
+        # Chebyshev moments of the weights per panel, as sums rather than BLAS
+        # products, so that the digits do not depend on the BLAS build
+        starts = _CELL_QUAD_ORDER * (edges[:-1] - edges[0])
+        moments = np.add.reduceat(weights[inside, None] * chebvander(s, _PANEL_NODES - 1), starts)
+        moments[:, 1:] *= 2.0
+        w = (np.sum(moments[:, :, None] * _PANEL_T, axis=1) / _PANEL_NODES).ravel()
+        x = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _PANEL_X).ravel()
+    cuts = _CELL_QUAD_ORDER * np.concatenate(([0], edges))
+    levels = []
+    for level in range(edges.size):
+        cells = slice(cuts[-2 - level], cuts[-1 - level])
+        coarse = slice(x.size - _PANEL_NODES * level, x.size)
+        levels.append((np.concatenate((nodes[cells], x[coarse])),
+                       np.concatenate((weights[cells], w[coarse]))))
+    return levels
+
+
 class TableStack:
     """Tables of one geometry side by side, for one array pass over all of them.
 
@@ -465,10 +535,11 @@ class TableStack:
     ``pdf`` and ``integrate_pdf_product`` give that table's values.  Knots
     and CDF values are held as complex keys table + 1j x, which numpy
     orders lexicographically, so one search finds the cells of every
-    query.  Row k of the cell rule holds table k's weights times the
-    density, zero on the padding at d_max of shorter tables.  ends holds
-    each table's last knot whose survival is above _SURVIVAL_FLOOR, and
-    end_cdf the CDF there.
+    query.  Row k of the cell rule (``_weights``, built on first use)
+    holds table k's weights times the density, zero on the padding at
+    d_max of shorter tables; row k of the panel rule holds the levels of table k's product panels
+    (``_product_panels``) side by side.  ends holds each table's last knot
+    whose survival is above _SURVIVAL_FLOOR, and end_cdf the CDF there.
     """
 
     def __init__(self, tables):
@@ -488,11 +559,55 @@ class TableStack:
         self.ends, self.end_cdf = self._knots.imag[cut], self._values.imag[cut]
         self._grids = np.repeat(self._last_knot[:, None], sizes.max(), axis=1)
         self._grids[np.arange(sizes.max()) < sizes[:, None]] = self._knots.imag
-        self._weights = np.zeros((sizes.size, _CELL_QUAD_ORDER * (sizes.max() - 1)))
-        for k, t in enumerate(self.tables):  # row by row, to keep the temporaries small
-            nodes, weights = _gauss_on_panels(t.grid, _CELL_X, _CELL_W)
-            cells = self._first_cell[k] + np.arange(nodes.size) // _CELL_QUAD_ORDER
-            self._weights[k, : nodes.size] = weights * np.maximum(self._pdf_at(nodes, cells), 0.0)
+        self._lazy = {}
+        # The panel rule: level L of every table right-aligned in one column
+        # range ending at _level_end[L], padded on the left with weight-0
+        # nodes at d_max.  A lower limit whose first full cell starts at knot
+        # i of table k needs columns _column[k, i] to _level_end[_level[k, i]].
+        edges = [_panel_edges(t) for t in self.tables]
+        width = np.zeros(max(e.size for e in edges), dtype=int)
+        for e in edges:  # level L: the cells between two edges, then L panels
+            cells = np.diff(np.concatenate(([0], e)))[::-1]
+            need = _CELL_QUAD_ORDER * cells + _PANEL_NODES * np.arange(e.size)
+            width[: e.size] = np.maximum(width[: e.size], need)
+        self._level_end = np.cumsum(width)
+        self._panel_nodes = np.full((sizes.size, self._level_end[-1]), self.geometry.d_max)
+        self._panel_weights = np.zeros(self._panel_nodes.shape)
+        self._level = np.zeros((sizes.size, sizes.max()), dtype=np.int32)
+        # past the support a limit needs no columns
+        self._column = np.full(self._level.shape, self._level_end[0], dtype=np.int32)
+        for k, (t, e) in enumerate(zip(self.tables, edges)):  # table by table: small temporaries
+            for L, (x, w) in enumerate(_product_panels(t.grid, *self._cell_rule(k), e)):
+                self._panel_nodes[k, self._level_end[L] - x.size : self._level_end[L]] = x
+                self._panel_weights[k, self._level_end[L] - w.size : self._level_end[L]] = w
+            knot = np.arange(e[-1] + 1)
+            after = np.searchsorted(e, knot)
+            level = e.size - 1 - after
+            self._level[k, knot] = level
+            self._column[k, knot] = (self._level_end[level] - _PANEL_NODES * level
+                                     - _CELL_QUAD_ORDER * (e[after] - knot))
+
+    def _cell_rule(self, k: int):
+        """Nodes of table k's cell rule, and their weights times the density."""
+        nodes, weights = _gauss_on_panels(self.tables[k].grid, _CELL_X, _CELL_W)
+        cells = self._first_cell[k] + np.arange(nodes.size) // _CELL_QUAD_ORDER
+        return nodes, weights * np.maximum(self._pdf_at(nodes, cells), 0.0)
+
+    @property
+    def _weights(self) -> np.ndarray:
+        """The cell rule's weights, a row per table padded with 0, built on first use.
+
+        Only kernels the panels do not serve read it, so a stack that never
+        meets one does not hold it.  It is kept in _lazy, which every view
+        of the stack shares.
+        """
+        if "weights" not in self._lazy:
+            out = np.zeros((len(self.tables), _CELL_QUAD_ORDER * (self._grids.shape[1] - 1)))
+            for k in range(len(self.tables)):  # row by row, to keep the temporaries small
+                weights = self._cell_rule(k)[1]
+                out[k, : weights.size] = weights
+            self._lazy["weights"] = out
+        return self._lazy["weights"]
 
     def take(self, which) -> "TableStack":
         """The same tables, with query i reading table which[i] (each query, for a scalar which)."""
@@ -536,22 +651,25 @@ class TableStack:
         (x0, x1), (y0, y1) = self._values.imag[[j, j + 1]], self._knots.imag[[j, j + 1]]
         return (y1 - y0) / (x1 - x0) * (levels - x0) + y0
 
-    def integrate_pdf_product(self, lo, rows_fn, rows: int, node_map) -> np.ndarray:
-        """Integrals of rows_fn(u) * f(u) du over [lo, d_max], one set of rows per lower limit.
+    def integrate_pdf_product(self, lo, rows_fn, rows: int, alpha: float) -> np.ndarray:
+        """Integrals of rows_fn(u^-alpha) * f(u) du over [lo, d_max], one set of rows per lower limit.
 
         The i-th of the n lower limits lo is against the density f of table
         which[i]; the result has shape (rows, n).  rows_fn(x, sel) returns
-        the rows of the limits lo[sel] at x = node_map(u), shape (rows,
-        len(sel), x.shape[-1]), with a row of x per limit.  The rows must be
-        smooth: per lower limit, the rest of its cell and the full cells
-        after it take the cell rule, masked per row.  Limits go in blocks of
-        at most _BLOCK_ELEMENTS integrand elements, and each row is summed
-        over its nodes in a fixed order.
+        the rows of the limits lo[sel] at x = u^-alpha, shape (rows,
+        len(sel), x.shape[-1]), with a row of x per limit.  Per lower limit,
+        the rest of its cell takes the cell rule, and so do the full cells
+        up to the next panel edge; for alpha <= _PANEL_MAX_ALPHA every
+        panel above that edge takes its Chebyshev nodes and product weights
+        (``_product_panels``), otherwise the cell rule runs to d_max.  The
+        rows must be analytic in u off the rays arg u = +-pi / alpha, as
+        the Gamma kernel's rows are, for the panels' bound in
+        interference.py to hold.  Limits go in blocks of at most
+        _BLOCK_ELEMENTS integrand elements, and each row is summed over its
+        nodes in a fixed order.
         """
         lo_arr = np.maximum(np.asarray(lo, dtype=float), 0.0)
         out = np.zeros((rows, lo_arr.size))
-        # the cell rule's nodes are rebuilt per call: cheaper in time than holding them in memory
-        x, wf = node_map(_gauss_on_panels(self._grids, _CELL_X, _CELL_W)[0]), self._weights
         live = np.flatnonzero(lo_arr < self._last_knot[self._which])
         a, table = lo_arr[live], np.broadcast_to(self._which, lo_arr.shape)[live]
         cell = self._cells(table, a)
@@ -559,32 +677,46 @@ class TableStack:
         half = 0.5 * (b - a)
         part_nodes = (0.5 * (a + b))[:, None] + half[:, None] * _CELL_X
         # the nodes lie inside the cell of their lower limit, so no search
-        part_f = np.maximum(self._pdf_at(part_nodes, cell[:, None]), 0.0)
-        part_w = half[:, None] * _CELL_W * part_f
-        part_x = node_map(part_nodes)
-        start = (cell - self._first_cell[table] + 1) * _CELL_QUAD_ORDER
-        order = np.argsort(start, kind="stable")
-        size = x.shape[1]
+        part_w = half[:, None] * _CELL_W * np.maximum(self._pdf_at(part_nodes, cell[:, None]), 0.0)
+        part_x = part_nodes**-alpha
+        step = max(1, _BLOCK_ELEMENTS // (rows * _CELL_QUAD_ORDER))
+        for pos in range(0, live.size, step):
+            block = slice(pos, pos + step)
+            out[:, live[block]] = (rows_fn(part_x[block], live[block]) * part_w[block]).sum(axis=-1)
+        knot = cell - self._first_cell[table] + 1  # the first full cell's left knot in its table
+        if alpha <= _PANEL_MAX_ALPHA:
+            nodes, wf = self._panel_nodes, self._panel_weights
+            level, column = self._level[table, knot], self._column[table, knot]
+            ends = self._level_end
+        else:
+            # the cell rule's nodes are rebuilt per call: cheaper in time than
+            # holding them in memory
+            nodes, wf = _gauss_on_panels(self._grids, _CELL_X, _CELL_W)[0], self._weights
+            level, column, ends = np.zeros_like(knot), _CELL_QUAD_ORDER * knot, [wf.shape[1]]
+        x = nodes**-alpha
+        order = np.lexsort((column, level))
+        level_stop = np.searchsorted(level[order], np.arange(len(ends)), side="right")
         pos = 0
         while pos < order.size:
-            first = start[order[pos]]
-            width = size - first + _CELL_QUAD_ORDER
-            block = order[pos : pos + max(1, _BLOCK_ELEMENTS // (rows * width))]
-            sel = live[block]
+            first, L = column[order[pos]], level[order[pos]]
+            last = ends[L]
+            if first == last:  # no rule past their cells: the rest of the level
+                pos = level_stop[L]
+                continue
+            count = max(1, _BLOCK_ELEMENTS // (rows * (last - first)))
+            block = order[pos : min(pos + count, level_stop[L])]
+            pos += block.size
+            sel, k = live[block], table[block]
+            # one table: a view of its row, no gather
+            k = slice(k[0], k[0] + 1) if np.all(k == k[0]) else k
+            w = wf[k, first:last]
+            if column[block[-1]] > first:  # limits whose rule starts at later columns
+                w = w * (np.arange(first, last) >= column[block][:, None])
+            full = rows_fn(x[k, first:last], sel)
+            full *= w
             # pairwise summation over the last axis: a fixed order, with
             # rounding error growing like log(nodes)
-            total = (rows_fn(part_x[block], sel) * part_w[block]).sum(axis=-1)
-            if first < size:
-                k = table[block]
-                k = slice(k[0], k[0] + 1) if np.all(k == k[0]) else k  # one table: no gather
-                w = wf[k, first:]
-                if start[block[-1]] > first:  # rows starting at later cells
-                    w = np.where(np.arange(first, size) >= start[block][:, None], w, 0.0)
-                full = rows_fn(x[k, first:], sel)
-                full *= w
-                total += full.sum(axis=-1)
-            out[:, sel] = total
-            pos += block.size
+            out[:, sel] += full.sum(axis=-1)
         return out
 
 

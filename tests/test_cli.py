@@ -104,6 +104,14 @@ class TestScenarioFile:
         with pytest.raises(ScenarioFormatError):
             load_scenario_file(path)
 
+    def test_undecodable_scenario_is_an_error_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "s.json")
+        path.write_bytes(path.read_bytes().replace(b'"analytic"', b'"analytic\xff"'))
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(path), "--output", str(out)]) == 1
+        assert "error: scenario file" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPdfCommand:
     def test_csv_shape_and_agreement(self, tmp_path):
@@ -426,6 +434,18 @@ class TestCacheCommand:
         scen, out = write_scenario(tmp_path / "s.json"), str(tmp_path / "x.csv")
         assert main(["coverage", "--scenario", str(scen), "--output", out, "--cdf-cache", str(cache)]) == 1
         assert "error: corrupt CDF cache" in capsys.readouterr().err
+
+    def test_undecodable_cache_is_reported(self, tmp_path, capsys):
+        cache = tmp_path / "cdf.tsv"
+        assert main(["cache", "--R", "12", "--H", "30", "--grid-size", "256", "--output", str(cache)]) == 0
+        lines = cache.read_bytes().splitlines()
+        lines[100] = lines[100] + b"\xe9"
+        cache.write_bytes(b"\n".join(lines) + b"\n")
+        scen, out = write_scenario(tmp_path / "s.json"), tmp_path / "x.csv"
+        rc = main(["coverage", "--scenario", str(scen), "--output", str(out), "--cdf-cache", str(cache)])
+        assert rc == 1
+        assert "error: corrupt CDF cache" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_refinement_changes_little(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")

@@ -33,6 +33,7 @@ from cylcov.distance import (
     receiver_breakpoints,
     receiver_distance_law,
 )
+from cylcov.interference import LaplaceEvaluation
 from cylcov.simulation import substream
 
 
@@ -137,6 +138,25 @@ class TestConditionalCoverage:
         for l in np.linspace(0.01, 0.8, 20) * TALL.d_max:
             value = conditional_coverage(float(l), sc, tall_dist)
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("total", [1.0 + 1e-6, -1e-6, float("nan")])
+    def test_series_outside_unit_interval_raises(self, tall_dist, monkeypatch, total):
+        # A transform whose series sums past [0, 1] by more than rounding.
+        sc = scenario(N=10, m=2.0)
+        stub = lambda t, l, *_: LaplaceEvaluation(total + 0.0 * t, (total + 0.0 * t, 0.0 * t))
+        monkeypatch.setattr("cylcov.coverage.laplace_with_derivatives", stub)
+        ls = np.array([0.1, 0.2]) * TALL.d_max
+        with pytest.raises(RuntimeError, match=f"l={float(ls[0])!r}"):
+            conditional_coverage(ls, sc, tall_dist)
+
+    @pytest.mark.parametrize("total, clipped", [(1.0 + 1e-10, 1.0), (-1e-10, 0.0)])
+    def test_rounding_past_the_unit_interval_is_clipped(
+        self, tall_dist, monkeypatch, total, clipped
+    ):
+        sc = scenario(N=10, m=2.0)
+        stub = lambda t, l, *_: LaplaceEvaluation(total + 0.0 * t, (total + 0.0 * t, 0.0 * t))
+        monkeypatch.setattr("cylcov.coverage.laplace_with_derivatives", stub)
+        assert conditional_coverage(0.1 * TALL.d_max, sc, tall_dist) == clipped
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -308,16 +328,18 @@ class TestCoverageProbability:
 
     def test_paper_figures_digits_pinned(self, tall_dist):
         # The analytic rows of the paper-figures sweep (tall, alpha = 4) at
-        # every digit the CSV prints: value and error estimate.
+        # every digit the CSV prints: value and error estimate.  Re-taken
+        # when the interferer integral took product panels above the first
+        # panel edge; no value moved by more than 1.6e-15.
         pinned = [
-            (5, 0, 1, 0.7269415873144578, 6.664017204727202e-08),
-            (5, 0, 2, 0.7828704286685726, 7.26469511214134e-08),
-            (5, 10, 1, 0.3035520699965881, 8.600957057680603e-09),
-            (5, 10, 2, 0.2899168586280425, 4.472914594266797e-09),
-            (20, 0, 1, 0.5125526435560992, 1.4600401998521306e-09),
-            (20, 0, 2, 0.546359864316765, 5.260214486213499e-11),
-            (20, 10, 1, 0.1296505945045506, 1.431665896944878e-10),
-            (20, 10, 2, 0.12499913113463046, 8.20398471379491e-11),
+            (5, 0, 1, 0.7269415873144582, 6.664017204727202e-08),
+            (5, 0, 2, 0.782870428668573, 7.26469511214134e-08),
+            (5, 10, 1, 0.30355206999658835, 8.600957057680603e-09),
+            (5, 10, 2, 0.28991685862804273, 4.472914649777948e-09),
+            (20, 0, 1, 0.5125526435561008, 1.4600400888298282e-09),
+            (20, 0, 2, 0.5463598643167666, 5.2602255884437454e-11),
+            (20, 10, 1, 0.1296505945045509, 1.4316667296121466e-10),
+            (20, 10, 2, 0.12499913113463088, 8.203998591582717e-11),
         ]
         for N, beta_db, m, pc, err in pinned:
             sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
