@@ -10,14 +10,16 @@ t = m beta l^alpha:
 Averaging over the serving-distance density gives the coverage
 probability as one outer integral per distance law, which
 ``_serving_integral`` evaluates for both models by a fixed Gauss rule
-against the exact law's serving density.  It stops at the last knot of
-the CDF table where 1 - F is above the survival floor; the discarded
+against the law's serving density.  It stops at the last knot of the
+CDF table where 1 - F is above the survival floor; the discarded
 serving-distance mass, (1 - F)^(N-1), is far below the 1e-4 error
 contract and is counted in the error estimate.  The laws come as a
 ``TableStack`` of their tables, and all serving distances of all laws go
 through the law, the conditional series and the interferer integral in
-one array pass: the paper model is a stack of one table, the exact model
-a stack of one table per receiver of its rule.
+one array pass: the paper model is a stack of one table read with the
+exact pair law, the exact model a stack of one table per receiver of its
+rule, each table holding its receiver's exact density at its knots and
+serving as the law.
 
 A network of N = 2 nodes has no interferer, the SIR is infinite under
 the noise-free model, and the coverage probability is defined as 1.
@@ -44,7 +46,6 @@ from .distance import (
     _gauss_on_panels,
     pair_distance_law,
     receiver_breakpoints,
-    receiver_distance_law,
 )
 from .errors import DomainError
 from .interference import laplace_with_derivatives, require_analytic_m
@@ -139,11 +140,12 @@ def _serving_integral(scenario: NetworkScenario, stack: TableStack, weights, law
     """P(SIR > beta) averaged with weights over distance laws, and the mass it drops.
 
     law(which, l) returns the CDF and density at l of the laws which, each
-    tabulated by its table in stack, and breaks holds each law's kinks in a
-    row.  Per law the range runs from 0 to its table's last knot above the
-    survival floor, in panels cut at the breaks and where (1 - F)^(N-1)
-    passes _SPLITS, each with a Gauss rule of the given order weighted by
-    the serving density (N-1) (1 - F)^(N-2) f.  The series runs at the
+    tabulated by its table in stack (for the exact model, the tables
+    themselves: ``TableStack.cdf_and_pdf``), and breaks holds each law's
+    kinks in a row.  Per law the range runs from 0 to its table's last
+    knot above the survival floor, in panels cut at the breaks and where
+    (1 - F)^(N-1) passes _SPLITS, each with a Gauss rule of the given
+    order weighted by the serving density (N-1) (1 - F)^(N-2) f.  The series runs at the
     nodes of all laws where that density is positive, in one array call.
     """
     n = scenario.N
@@ -193,11 +195,12 @@ def exact_coverage_probability(
     """Coverage probability of a deployment, conditioned on the receiver's position.
 
     ``_serving_integral`` at Gauss order EXACT_ORDER over all receivers
-    of mixture's rule at once, under each receiver's exact law
-    (``receiver_distance_law``) and reading its table.  error_estimate is
-    the gap to the same average over mixture.check at order
-    EXACT_CHECK_ORDER, plus the average dropped serving-distance mass; it
-    must stay within COVERAGE_CONTRACT.
+    of mixture's rule at once, under each receiver's table: its cubic
+    carries the exact law (``receiver_distance_law``) at its knots, and
+    between them serves as the law.  error_estimate is the gap to the
+    same average over mixture.check at order EXACT_CHECK_ORDER, plus the
+    average dropped serving-distance mass; it must stay within
+    COVERAGE_CONTRACT.
     """
     require_analytic_m(scenario.channel.m)
     _check_geometry(scenario.geom, mixture)
@@ -207,9 +210,8 @@ def exact_coverage_probability(
         return _within_contract(1.0, 0.0, "analytic-exact", scenario)
 
     def average(mix: ReceiverMixture, order: int):
-        r, z = mix.nodes.T
-        law = lambda which, l: receiver_distance_law(scenario.geom, r[which], z[which], l)
-        breaks = receiver_breakpoints(scenario.geom, r, z)
+        law = lambda which, l: mix.stack.take(which).cdf_and_pdf(l)
+        breaks = receiver_breakpoints(scenario.geom, *mix.nodes.T)
         return _serving_integral(scenario, mix.stack, mix.weights, law, breaks, order)
 
     value, tail = average(mixture, EXACT_ORDER)

@@ -32,7 +32,8 @@ fixed Gauss rule per knot and calls neither density route;
 distances.  The tabulated density is the exact derivative of the
 interpolant, so downstream integrals of expressions like (1 - F)^(N-2) f
 are internally consistent.  Tables serialize to a versioned columnar
-text file for reuse across runs.
+text file for reuse across runs, with a third column for tables that
+carry knot densities.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -44,7 +45,11 @@ given x they are i.i.d. with the receiver-conditioned law
 Gauss rule over horizontal slices of the ball, each slice meeting the
 cylinder's cross-section in a circle-disk lens), and
 ``build_receiver_cdfs`` tabulates it at the nodes of a fixed rule over
-receiver positions, so the pair law is the rule's weighted mixture.
+receiver positions, so the pair law is the rule's weighted mixture.  A
+receiver table is a cubic Hermite interpolant whose knot slopes are the
+exact density, so it equals the law, F_x and f_x, at its knots; the
+exact model reads it as the law and calls ``receiver_distance_law`` only
+while building tables.
 
 The module needs numpy and, through ``special``, ``scipy.special`` only.
 """
@@ -87,8 +92,17 @@ _BLOCK_ELEMENTS = 1 << 15
 # the quotient amplifies tabulation noise, and the serving-distance mass
 # beyond it, (1 - F)^(N-1), is far below the 1e-4 coverage contract.
 _SURVIVAL_FLOOR = 1e-12
+# How far below 0 a table's cell density may dip by rounding: this share of
+# its largest knot slope, plus _CDF_ERROR over the cell's width, the error of
+# the CDF values read as density.  The receiver law's CDF is off by up to
+# 1.4e-12 at breakpoints 1e-8 R from the axis, in cells far narrower than a
+# knot spacing.
+_DENSITY_SLACK = 1e-9
+_CDF_ERROR = 1e-11
 
 RECEIVER_GRID_SIZE = 256
+# Times a receiver table's build halves the cells where its density dips.
+_DIP_SPLITS = 4
 # Gauss nodes of the receiver rule and of the coarser rule that checks it,
 # as (longer axis, shorter axis): the axes are r in [0, R] and z in
 # [0, H/2].  Coverage varies fastest in a layer about one node spacing
@@ -340,30 +354,65 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def _pchip_cubic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rows of left knots and c0..c3 of the cells' cubics c3 + c2 s + c1 s^2 + c0 s^3 (PCHIP)."""
+def _hermite_cubic(grid: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rows of left knots and c0..c3 of the cells' cubics c3 + c2 s + c1 s^2 + c0 s^3.
+
+    The cubic of a cell is the Hermite cubic through its knot values with
+    knot slopes d.
+    """
     h = np.diff(grid)
     secant = np.diff(values) / h
-    d = _pchip_slopes(grid, values)
     t = (d[:-1] + d[1:] - 2.0 * secant) / h
     c0, c1 = t / h, (secant - d[:-1]) / h - t
     return np.stack((grid[:-1], c0, c1, d[:-1], values[:-1]))
 
 
-class TabulatedDistribution:
-    """Tabulated CDF of the pair distance with a monotone cubic interpolant.
+def _dipping_cells(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Indices of the cells whose Hermite cubic's density dips below 0 beyond rounding.
 
-    The table holds (l, F(l)) knots on an equally spaced grid spanning
-    [0, d_max].  Queries go through a PCHIP interpolant (``_pchip_slopes``),
-    whose piecewise monotonicity guarantees a nonnegative implied density;
-    ``pdf`` is the exact derivative of ``cdf``.  Each cell holds its cubic
-    in powers of the offset s from its left knot, evaluated as
-    c3 + c2 s + c1 s^2 + c0 s^3 in that order of additions, so values match
-    scipy's ``PchipInterpolator`` bit for bit.  Instances are immutable
-    after construction and safe for concurrent queries.
+    With knot slopes a, b and secant m, the density at u = s / h of a cell
+    of width h is the quadratic a + B u + C u^2, B = 6 m - 4 a - 2 b and
+    C = 3 (a + b) - 6 m: least at a knot, or at its vertex u = -B / 2C
+    where that lies inside the cell and C > 0.  It may dip by rounding:
+    _DENSITY_SLACK times the largest slope plus _CDF_ERROR / h.
+    """
+    h = grid[1:] - grid[:-1]
+    a, b, secant = slopes[:-1], slopes[1:], (values[1:] - values[:-1]) / h
+    B = 6.0 * secant - 4.0 * a - 2.0 * b
+    C = 3.0 * (a + b) - 6.0 * secant
+    inside = (C > 0.0) & (B < 0.0) & (-B < 2.0 * C)
+    least = np.where(inside, a - B * B / (4.0 * np.where(inside, C, 1.0)), np.minimum(a, b))
+    # the slack times h, so that a cell of subnormal width cannot overflow it
+    return np.flatnonzero((least + _DENSITY_SLACK * np.max(slopes)) * h < -_CDF_ERROR)
+
+
+class TabulatedDistribution:
+    """Tabulated CDF of a distance law with a monotone cubic interpolant.
+
+    The table holds (l, F(l)) knots spanning [0, d_max] and knot slopes
+    ``slopes``; on each cell the interpolant is the cubic Hermite
+    interpolant through its two knots, and ``pdf`` is the exact derivative
+    of ``cdf``.  A table built with knot densities (a receiver table) takes
+    them as its slopes, so its density equals the law's at every knot.  One without them (the pair
+    table, from ``build_cdf`` or a two-column cache) takes the PCHIP slopes
+    (``_pchip_slopes``), and its values match scipy's ``PchipInterpolator``
+    bit for bit: each cell holds its cubic in powers of the offset s from
+    its left knot, evaluated as c3 + c2 s + c1 s^2 + c0 s^3 in that order
+    of additions.  Knot densities must be finite and nonnegative.  On a
+    cell of width h the density must stay at or above -(1e-9 times the
+    largest knot slope + 1e-11 / h), the cubic's rounding plus the error of
+    the CDF values read as density (``_DENSITY_SLACK``, ``_CDF_ERROR``); a
+    cubic that dips below that raises DomainError.  Instances are
+    immutable after construction and safe for concurrent queries.
     """
 
-    def __init__(self, geometry: CylinderGeometry, grid: np.ndarray, cdf_values: np.ndarray):
+    def __init__(
+        self,
+        geometry: CylinderGeometry,
+        grid: np.ndarray,
+        cdf_values: np.ndarray,
+        densities: Optional[np.ndarray] = None,
+    ):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(cdf_values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
@@ -379,9 +428,21 @@ class TabulatedDistribution:
             raise DomainError("cdf values must be non-decreasing")
         if abs(values[0]) > 1e-9 or abs(values[-1] - 1.0) > 1e-9:
             raise DomainError("cdf must run from 0 to 1")
+        if densities is not None:
+            densities = np.asarray(densities, dtype=float)
+            if densities.shape != grid.shape:
+                raise DomainError("densities must have the grid's shape")
+            if not np.all(np.isfinite(densities) & (densities >= 0.0)):
+                raise DomainError("densities must be finite and nonnegative")
         self.geometry = geometry
         self.grid = grid
         self.cdf_values = values
+        self.densities = densities
+        self.slopes = _pchip_slopes(grid, values) if densities is None else densities
+        dips = _dipping_cells(grid, values, self.slopes)
+        if dips.size:
+            a, b = grid[dips[0] : dips[0] + 2].tolist()
+            raise DomainError(f"the density dips below 0 in the cell [{a!r}, {b!r}]")
 
     @property
     def d_max(self) -> float:
@@ -420,10 +481,15 @@ class TabulatedDistribution:
         return float(self.grid[min(idx, self.grid.size - 1)])
 
     def save(self, path) -> None:
-        """Write the versioned columnar text cache (header: R, H, grid_size)."""
+        """Write the versioned columnar text cache (header: R, H, grid_size).
+
+        Each row holds a knot and its CDF value, and its density as a third
+        column when the table has knot densities.
+        """
         header = (_CACHE_MAGIC, f"# R={self.geometry.R!r}", f"# H={self.geometry.H!r}",
                   f"# grid_size={self.grid.size}")
-        rows = (f"{l!r}\t{F!r}" for l, F in zip(self.grid.tolist(), self.cdf_values.tolist()))
+        columns = [c for c in (self.grid, self.cdf_values, self.densities) if c is not None]
+        rows = ("\t".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join((*header, *rows, "")))
 
@@ -452,10 +518,11 @@ class TabulatedDistribution:
                 raise ValueError(f"missing magic line {_CACHE_MAGIC!r}")
             header = dict(line.lstrip("# ").partition("=")[::2] for line in lines[1:4])
             R, H, grid_size = float(header["R"]), float(header["H"]), int(header["grid_size"])
-            # columns past the second are ignored; a row with one column is corrupt
-            rows = np.array([line.split("\t")[:2] for line in lines[4:] if line], dtype=float)
-            if rows.shape != (grid_size, 2):
-                raise ValueError(f"expected {grid_size} rows of 2 columns, found {rows.shape}")
+            # l, F and, where the table has them, the knot densities; rows of
+            # unequal length make the array ragged and raise ValueError
+            rows = np.array([line.split("\t") for line in lines[4:] if line], dtype=float)
+            if rows.ndim != 2 or rows.shape[0] != grid_size or rows.shape[1] not in (2, 3):
+                raise ValueError(f"expected {grid_size} rows of 2 or 3 columns, found {rows.shape}")
             table = cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
         except (KeyError, ValueError, IndexError, DomainError) as exc:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
@@ -532,14 +599,16 @@ class TableStack:
     """Tables of one geometry side by side, for one array pass over all of them.
 
     In the view ``take(which)``, query i reads table which[i], and ``cdf``,
-    ``pdf`` and ``integrate_pdf_product`` give that table's values.  Knots
+    ``pdf``, ``cdf_and_pdf`` and ``integrate_pdf_product`` give that
+    table's values, from the cubics on each table's stored slopes.  Knots
     and CDF values are held as complex keys table + 1j x, which numpy
     orders lexicographically, so one search finds the cells of every
     query.  Row k of the cell rule (``_weights``, built on first use)
     holds table k's weights times the density, zero on the padding at
-    d_max of shorter tables; row k of the panel rule holds the levels of table k's product panels
-    (``_product_panels``) side by side.  ends holds each table's last knot
-    whose survival is above _SURVIVAL_FLOOR, and end_cdf the CDF there.
+    d_max of shorter tables; row k of the panel rule holds the levels of
+    table k's product panels (``_product_panels``) side by side.  ends
+    holds each table's last knot whose survival is above _SURVIVAL_FLOOR,
+    and end_cdf the CDF there.
     """
 
     def __init__(self, tables):
@@ -549,7 +618,7 @@ class TableStack:
         index = np.repeat(np.arange(sizes.size), sizes)
         self._knots = index + 1j * np.concatenate([t.grid for t in self.tables])
         self._values = index + 1j * np.concatenate([t.cdf_values for t in self.tables])
-        cubics = [_pchip_cubic(t.grid, t.cdf_values) for t in self.tables]
+        cubics = [_hermite_cubic(t.grid, t.cdf_values, t.slopes) for t in self.tables]
         self._cubic = np.concatenate(cubics, axis=1)
         offsets = np.cumsum(sizes) - sizes
         self._first_cell = offsets - np.arange(sizes.size)  # table k's first cell in _cubic
@@ -628,21 +697,23 @@ class TableStack:
 
     def cdf(self, l) -> np.ndarray:
         """F of each query's table at l; 0 below the support, 1 above."""
+        return self.cdf_and_pdf(l)[0]
+
+    def pdf(self, l) -> np.ndarray:
+        """f = F' of each query's table at l; 0 outside the support."""
+        return self.cdf_and_pdf(l)[1]
+
+    def cdf_and_pdf(self, l):
+        """``cdf(l)`` and ``pdf(l)``, from one search for the cells of l."""
         x = np.asarray(l, dtype=float)
         last = self._last_knot[self._which]
         inside = np.clip(x, 0.0, last)
         knot, c0, c1, c2, c3 = np.take(self._cubic, self._cells(self._which, inside), axis=1)
         s = inside - knot
-        out = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-        return np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, out))
-
-    def pdf(self, l) -> np.ndarray:
-        """f = F' of each query's table at l; 0 outside the support."""
-        x = np.asarray(l, dtype=float)
-        last = self._last_knot[self._which]
-        inside = np.clip(x, 0.0, last)
-        out = np.maximum(self._pdf_at(inside, self._cells(self._which, inside)), 0.0)
-        return np.where((x < 0.0) | (x > last), 0.0, out)
+        cdf = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        pdf = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s), 0.0)
+        return (np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, cdf)),
+                np.where((x < 0.0) | (x > last), 0.0, pdf))
 
     def quantiles(self, levels: np.ndarray) -> np.ndarray:
         """np.interp(levels, cdf_values, grid) for levels in (0, 1), one row per table."""
@@ -853,8 +924,7 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
     the latter because the sphere's zone between two slices has area
     2 pi d dw (Archimedes) and a share angle / 2 pi of it lies inside.
     Both integrals run over w in [-min(z, d), min(H - z, d)].  r and z are
-    scalars, or 1-D arrays with one receiver per distance; distances are
-    taken in chunks.
+    scalars, or 1-D arrays with one receiver per distance.
     """
     R, H = geom.R, geom.H
     r, z, d = np.asarray(r, dtype=float), np.asarray(z, dtype=float), np.asarray(d, dtype=float)
@@ -865,12 +935,6 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
     d = np.atleast_1d(d)
     if np.any(d < 0.0):
         raise DomainError("distances must be nonnegative")
-    step = _BLOCK_ELEMENTS // (4 * _SLICE_PHI.size)  # a slice node has ~4x the temporaries
-    if d.size > step:
-        cut = lambda v, k: v[k : k + step] if v.size > 1 else v
-        parts = [receiver_distance_law(geom, cut(r, k), cut(z, k), d[k : k + step])
-                 for k in range(0, d.size, step)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
     below = _slab(d, np.minimum(z, d), r, R)
     above = _slab(d, np.minimum(H - z, d), r, R)
     return (below[0] + above[0]) / geom.volume, d * (below[1] + above[1]) / geom.volume
@@ -891,12 +955,16 @@ def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
 
 
 def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> TabulatedDistribution:
-    """Tabulate F_x for the receiver at (r, z).
+    """Tabulate F_x and its density f_x for the receiver at (r, z).
 
     RECEIVER_GRID_SIZE knots span [0, d_max(x)], the breakpoints are
     added as knots (uniform knots closer than a quarter spacing to one
-    are dropped), and one last cell, where F_x = 1, reaches the
-    geometry's d_max so the table plugs into every pair-law consumer.
+    are dropped), and one last cell, where F_x = 1 and f_x = 0, reaches
+    the geometry's d_max so the table plugs into every pair-law consumer.
+    The knot densities are the cubic's knot slopes, so the table is the
+    law at its knots.  A cell where that cubic's density would dip below 0
+    is split at its midpoint, up to _DIP_SPLITS times; the constructor
+    raises if one still dips.
     """
     breaks = receiver_breakpoints(geom, r, z)
     uniform = np.linspace(0.0, breaks[-1], RECEIVER_GRID_SIZE)
@@ -904,13 +972,18 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> Tabulated
     keep = np.all(np.abs(uniform[:, None] - breaks[1:-1]) > 0.25 * spacing, axis=1)
     keep[0] = keep[-1] = True
     grid = np.union1d(uniform[keep], breaks)
-    F = np.maximum.accumulate(np.clip(receiver_distance_law(geom, r, z, grid)[0], 0.0, 1.0))
-    # the ball contains the cylinder at d_max(x), so F is 1 there up to rounding
-    F[0], F[-1] = 0.0, 1.0
+    for splits_left in range(_DIP_SPLITS, -1, -1):
+        F, f = receiver_distance_law(geom, r, z, grid)
+        F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
+        # the ball contains the cylinder at d_max(x), so F is 1 there up to rounding
+        F[0], F[-1] = 0.0, 1.0
+        dips = _dipping_cells(grid, F, f)
+        if dips.size == 0 or splits_left == 0:
+            break
+        grid = np.union1d(grid, 0.5 * (grid[dips] + grid[dips + 1]))
     if grid[-1] < geom.d_max:
-        grid = np.append(grid, geom.d_max)
-        F = np.append(F, 1.0)
-    return TabulatedDistribution(geom, grid, F)
+        grid, F, f = np.append(grid, geom.d_max), np.append(F, 1.0), np.append(f, 0.0)
+    return TabulatedDistribution(geom, grid, F, f)
 
 
 @dataclass(frozen=True)

@@ -430,22 +430,21 @@ class TestExactCoverage:
         # Measured with one BLAS thread once the exact rule split its panels
         # at the serving survival 0.9.  Each value is within its error
         # estimate of the same splits at Gauss order 16; the last two points
-        # raised past the contract without that split.  The first was
-        # re-taken when the rule stopped at the table's last knot above the
-        # survival floor (it moved 3.9e-9, within its 1.2e-5 estimate).  All
-        # were re-taken when the interferer integral went from 10 to 4 Gauss
-        # points per knot cell; none moved by more than 2.8e-12.
+        # raised past the contract without that split.  All were re-taken
+        # when the receiver tables took the exact density as their knot
+        # slopes and became the serving law: they moved by at most 4.6e-7
+        # (tall, N = 10), each within its estimate.
         pinned = [
-            (squat_mixture, SQUAT, 3, 1, 0.1, 0.968852704144937),
-            (squat_mixture, SQUAT, 10, 2, 1.0, 0.5734282653086094),
-            (squat_mixture, SQUAT, 20, 4, 3.0, 0.2356933194792271),
-            (squat_mixture, SQUAT, 40, 5, 10.0, 0.06242783428633797),
-            (tall_mixture, TALL, 3, 5, 10.0, 0.35834178643807585),
-            (tall_mixture, TALL, 10, 1, 0.3, 0.7534353560698226),
-            (tall_mixture, TALL, 20, 3, 10.0, 0.049967255574251385),
-            (tall_mixture, TALL, 40, 2, 1.0, 0.30788260572976467),
-            (tall_mixture, TALL, 80, 3, 10.0, 0.02925360889304234),
-            (tall_mixture, TALL, 40, 5, 10.0, 0.036169540147179595),
+            (squat_mixture, SQUAT, 3, 1, 0.1, 0.9688525895162465),
+            (squat_mixture, SQUAT, 10, 2, 1.0, 0.5734282831492025),
+            (squat_mixture, SQUAT, 20, 4, 3.0, 0.23569325309615155),
+            (squat_mixture, SQUAT, 40, 5, 10.0, 0.06242781548484699),
+            (tall_mixture, TALL, 3, 5, 10.0, 0.35834208731677086),
+            (tall_mixture, TALL, 10, 1, 0.3, 0.7534358122121569),
+            (tall_mixture, TALL, 20, 3, 10.0, 0.049967265723531024),
+            (tall_mixture, TALL, 40, 2, 1.0, 0.3078824989648322),
+            (tall_mixture, TALL, 80, 3, 10.0, 0.029253641353172884),
+            (tall_mixture, TALL, 40, 5, 10.0, 0.03616954117033068),
         ]
         for mixture, geom, N, m, beta, pc in pinned:
             res = exact_coverage_probability(
@@ -481,6 +480,29 @@ class TestExactCoverage:
         ref_value, ref_tail = per_receiver_oracle(sc, mix, index)
         assert abs(value - ref_value) <= 1e-15, (value, ref_value)
         assert abs(tail - ref_tail) <= 1e-15, (tail, ref_tail)
+
+    @pytest.mark.parametrize("beta", [1.0, 10.0])
+    @pytest.mark.parametrize("N", [3, 10, 40])
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_tabulation_gap_within_the_estimate(self, geom, N, beta):
+        # The tables stand in for the exact law as the serving law; the
+        # same rule under the exact law moves the value by far less than
+        # the returned estimate (at most 0.63 of it, on the needle at N = 3).
+        mix = get_mixture(geom)
+        sc = scenario(N=N, m=3.0, geom=geom, beta=beta)
+        res = exact_coverage_probability(sc, mix)
+        r, z = mix.nodes.T
+        breaks = receiver_breakpoints(geom, r, z)
+        laws = {
+            "exact": lambda which, l: receiver_distance_law(geom, r[which], z[which], l),
+            "table": lambda which, l: mix.stack.take(which).cdf_and_pdf(l),
+        }
+        value = {
+            name: _serving_integral(sc, mix.stack, mix.weights, law, breaks, EXACT_ORDER)[0]
+            for name, law in laws.items()
+        }
+        assert value["table"] == res.pc
+        assert abs(value["exact"] - value["table"]) <= res.error_estimate
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_padding_nodes_weigh_exactly_zero(self, geom):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import kstest
@@ -216,7 +216,7 @@ class TestClosedForm:
 
 
 class TestPchipMatchesScipy:
-    """The in-house PCHIP reproduces scipy's PchipInterpolator bit for bit."""
+    """Tables without knot densities reproduce scipy's PchipInterpolator bit for bit."""
 
     @staticmethod
     def assert_matches_scipy(table):
@@ -245,12 +245,6 @@ class TestPchipMatchesScipy:
     def test_pair_tables(self, geom):
         self.assert_matches_scipy(get_dist(geom))
 
-    def test_receiver_table_with_plateau(self, tall_mixture):
-        # the last cell of a receiver table, out to d_max, is flat at F = 1
-        table = tall_mixture.tables[-1]
-        assert table.cdf_values[-2] == table.cdf_values[-1] == 1.0
-        self.assert_matches_scipy(table)
-
     def test_flat_runs_and_uneven_knots(self):
         geom = CylinderGeometry(R=3.0, H=4.0)  # d_max = 7.2111
         grid = np.array([0.0, 0.4, 1.0, 1.1, 2.5, 3.0, 3.2, 4.7, 5.0, 6.1, geom.d_max])
@@ -262,6 +256,78 @@ class TestPchipMatchesScipy:
         self.assert_matches_scipy(
             TabulatedDistribution(geom, np.array([0.0, geom.d_max]), np.array([0.0, 1.0]))
         )
+
+
+class TestKnotDensities:
+    GEOM = CylinderGeometry(R=3.0, H=4.0)  # d_max = 7.2111
+    GRID = np.linspace(0.0, GEOM.d_max, 5)
+    VALUES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize(
+        "densities, match",
+        [(np.full(4, 0.1), "shape"), (np.array([0.1, 0.1, -1e-300, 0.1, 0.1]), "nonnegative"),
+         (np.array([0.1, 0.1, np.nan, 0.1, 0.1]), "finite"),
+         (np.array([0.1, 0.1, np.inf, 0.1, 0.1]), "finite")],
+    )
+    def test_invalid_densities_raise(self, densities, match):
+        with pytest.raises(DomainError, match=match):
+            TabulatedDistribution(self.GEOM, self.GRID, self.VALUES, densities)
+
+    def test_negative_interior_minimum_raises(self):
+        # secant 0.139 on every cell; a slope of 1 at the middle knot makes
+        # both neighbouring cubics overshoot, so their densities dip below 0
+        # between the knots although every knot density is positive
+        secant = 0.25 / self.GRID[1]
+        densities = np.array([secant, secant, 1.0, secant, secant])
+        with pytest.raises(DomainError, match="dips below 0 in the cell"):
+            TabulatedDistribution(self.GEOM, self.GRID, self.VALUES, densities)
+        # three times the secant keeps both cubics monotone
+        densities[2] = 3.0 * secant
+        table = TabulatedDistribution(self.GEOM, self.GRID, self.VALUES, densities)
+        probe = np.linspace(0.0, self.GEOM.d_max, 2001)
+        assert np.min(table.stack._pdf_at(probe, table.stack._cells(0, probe))) >= -1e-15
+
+    def test_slopes_are_the_densities(self):
+        densities = np.array([0.0, 0.2, 0.1, 0.15, 0.0])
+        table = TabulatedDistribution(self.GEOM, self.GRID, self.VALUES, densities)
+        assert np.array_equal(table.pdf(self.GRID[:-1]), densities[:-1])
+        assert table.pdf(self.GRID[-1]) == pytest.approx(0.0, abs=1e-15)
+        assert np.array_equal(table.cdf(self.GRID), self.VALUES)
+        assert TabulatedDistribution(self.GEOM, self.GRID, self.VALUES).densities is None
+
+    def test_stack_law_is_cdf_and_pdf(self, tall_mixture):
+        # the exact model's serving law: both values from one cell search,
+        # inside, at the ends of and outside each table's support
+        stack = tall_mixture.stack
+        rng = np.random.default_rng(3)
+        which = rng.integers(0, len(tall_mixture.tables), 500)
+        edges = [0.0, -0.0, -1e-300, TALL.d_max, 1e300, 5.0]
+        l = np.concatenate((rng.uniform(-1.0, 1.05 * TALL.d_max, 494), edges))
+        cdf, pdf = stack.take(which).cdf_and_pdf(l)
+        assert np.array_equal(cdf, stack.take(which).cdf(l))
+        assert np.array_equal(pdf, stack.take(which).pdf(l))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geom=st.sampled_from(REGIME_GEOMETRIES),
+        r=st.floats(0.0, 1.0),
+        z=st.floats(0.0, 1.0),
+    )
+    # a squat receiver near the axis at mid-height, whose last cell needs a
+    # split, and one 1e-8 R from the axis, where the law's CDF is off by
+    # about 1e-12 at the breakpoints R - r and R + r
+    @example(geom=SQUAT, r=0.0031623, z=0.5)
+    @example(geom=SQUAT, r=1.7782794100389228e-08, z=1e-05)
+    @example(geom=SQUAT, r=3.1622776601683795e-09, z=9.999999999999999e-06)
+    def test_receiver_tables_carry_the_law_at_their_knots(self, geom, r, z):
+        r, z = r * geom.R, z * geom.H
+        table = _build_receiver_cdf(geom, r, z)  # raises if a cell's density dips
+        grid = table.grid
+        F, f = receiver_distance_law(geom, r, z, grid)
+        assert np.array_equal(table.pdf(grid[:-1]), f[:-1])
+        assert abs(table.pdf(grid[-1]) - f[-1]) <= 1e-12 * np.max(f)
+        assert np.array_equal(table.cdf(grid), table.cdf_values)
+        assert np.max(np.abs(table.cdf_values - F)) <= 1e-12
 
 
 class TestBuildCdf:
@@ -432,12 +498,33 @@ class TestSerialization:
         with pytest.raises(StaleCacheError, match="corrupt"):
             TabulatedDistribution.load(path)
 
-    def test_columns_past_the_second_are_ignored(self, tmp_path, squat_dist):
+    def test_receiver_table_round_trip_bit_identical(self, tmp_path, tall_mixture):
+        table = tall_mixture.tables[0]
+        path = tmp_path / "cache.tsv"
+        table.save(path)
+        rows = path.read_text().splitlines()[4:]
+        assert all(len(row.split("\t")) == 3 for row in rows)
+        loaded = TabulatedDistribution.load(path)
+        assert np.array_equal(loaded.densities, table.densities)
+        probe = np.linspace(0.0, TALL.d_max, 997)
+        assert np.array_equal(loaded.cdf(probe), table.cdf(probe))
+        assert np.array_equal(loaded.pdf(probe), table.pdf(probe))
+
+    def test_pair_cache_keeps_two_columns(self, tmp_path, squat_dist):
+        path = tmp_path / "cache.tsv"
+        squat_dist.save(path)
+        rows = path.read_text().splitlines()[4:]
+        assert all(len(row.split("\t")) == 2 for row in rows)
+        assert TabulatedDistribution.load(path).densities is None
+
+    @pytest.mark.parametrize("extra", ["\tnote", "\t0.0\t0.0"])
+    def test_unreadable_or_extra_columns_are_corrupt(self, tmp_path, squat_dist, extra):
         path = tmp_path / "cache.tsv"
         squat_dist.save(path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:4] + [line + "\tnote" for line in lines[4:]]) + "\n")
-        assert np.array_equal(TabulatedDistribution.load(path).cdf_values, squat_dist.cdf_values)
+        path.write_text("\n".join(lines[:4] + [line + extra for line in lines[4:]]) + "\n")
+        with pytest.raises(StaleCacheError, match="corrupt"):
+            TabulatedDistribution.load(path)
 
     def test_wrong_magic_is_stale(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -552,7 +639,7 @@ class TestReceiverLaw:
     def test_array_form_matches_scalar_calls(self, geom):
         # Receivers on the axis, at the wall, on the floor, at the ceiling's
         # rim and inside, each at distances over its whole support and past
-        # it; 2,400 distances in all, so the law runs in several chunks.
+        # it; 2,400 distances in all, in one array call.
         R, H = geom.R, geom.H
         spots = [(0.0, 0.3 * H), (R, 0.5 * H), (0.5 * R, 0.0), (R, H), (0.7 * R, 0.2 * H), (0.0, 0.0)]
         d = np.linspace(0.0, 1.05 * geom.d_max, 400)
