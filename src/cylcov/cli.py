@@ -237,6 +237,9 @@ def _sweep_points(base: dict, sweep: dict):
 
 
 def cmd_coverage(args) -> int:
+    workers = args.workers
+    if workers < 1:
+        raise ScenarioFormatError(f"--workers: positive integer required, got workers={workers!r}")
     spec = load_scenario_file(args.scenario)
     for key in ("trials", "seed"):
         if getattr(args, key) is not None:
@@ -294,7 +297,7 @@ def cmd_coverage(args) -> int:
         return values + [tag, _fmt(pc), _fmt(err), row_trials, row_seed, elapsed]
 
     tasks = [(i, meth) for i in range(len(points)) for meth in methods]
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(run, tasks))
 
     base_echo = " ".join(f"{k}={_fmt(v)}" for k, v in spec["base"].items())

@@ -56,6 +56,7 @@ The module needs numpy and, through ``special``, ``scipy.special`` only.
 
 import copy
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -75,14 +76,15 @@ DEFAULT_GRID_SIZE = 2048
 _CELL_QUAD_ORDER = 4
 _CELL_X, _CELL_W = np.polynomial.legendre.leggauss(_CELL_QUAD_ORDER)
 # Product-rule panels of the interferer integral (``_product_panels``): knot
-# edges halving from the support's last knot down, kept while a panel holds
-# more than _PANEL_MIN_CELLS cells, and _PANEL_NODES Chebyshev points of the
-# first kind per panel, _PANEL_X on [-1, 1], with _PANEL_T[j, q] = T_j(x_q).
-# They serve kernels in u^-alpha for alpha up to _PANEL_MAX_ALPHA;
-# the bound is in interference.py.
+# edges stepping down by the factor 2^(-1/k) from the support's last knot,
+# kept while a panel holds more than _PANEL_MIN_CELLS cells, and _PANEL_NODES
+# Chebyshev points of the first kind per panel, _PANEL_X on [-1, 1], with
+# _PANEL_T[j, q] = T_j(x_q).  A kernel in u^-alpha takes
+# k = ceil(alpha / _PANEL_ALPHA), which keeps the bound in interference.py at
+# its alpha = 6 value or better.
 _PANEL_NODES = 24
 _PANEL_MIN_CELLS = 6
-_PANEL_MAX_ALPHA = 6.0
+_PANEL_ALPHA = 6.0
 _PANEL_X = np.cos(np.arange(0.5, _PANEL_NODES) * math.pi / _PANEL_NODES)
 _PANEL_T = chebvander(_PANEL_X, _PANEL_NODES - 1).T
 # Most integrand elements (rows x lower limits x nodes) that
@@ -539,19 +541,19 @@ class TabulatedDistribution:
         return table
 
 
-def _panel_edges(table: "TabulatedDistribution") -> np.ndarray:
-    """Knot indices of the edges of a table's product panels, ascending.
+def _panel_edges(table: "TabulatedDistribution", k: int) -> np.ndarray:
+    """Knot indices of the edges of a table's product panels of ratio 2^(1/k), ascending.
 
     The last is the knot where the CDF reaches its final value, so the
     density vanishes past it; each one below is the first knot at or above
-    half the one above, while the panel between them holds more than
-    _PANEL_MIN_CELLS cells, so a panel's ends differ by a factor of at
-    most 2.
+    2^(-1/k) times the one above, while the panel between them holds more
+    than _PANEL_MIN_CELLS cells, so a panel's ends differ by a factor of at
+    most 2^(1/k).
     """
-    grid = table.grid
+    grid, ratio = table.grid, 0.5 ** (1.0 / k)
     edges = [int(np.searchsorted(table.cdf_values, table.cdf_values[-1]))]
     while True:
-        low = int(np.searchsorted(grid, 0.5 * grid[edges[-1]]))
+        low = int(np.searchsorted(grid, ratio * grid[edges[-1]]))
         if edges[-1] - low <= _PANEL_MIN_CELLS:
             return np.array(edges[::-1])
         edges.append(low)
@@ -603,12 +605,10 @@ class TableStack:
     table's values, from the cubics on each table's stored slopes.  Knots
     and CDF values are held as complex keys table + 1j x, which numpy
     orders lexicographically, so one search finds the cells of every
-    query.  Row k of the cell rule (``_weights``, built on first use)
-    holds table k's weights times the density, zero on the padding at
-    d_max of shorter tables; row k of the panel rule holds the levels of
-    table k's product panels (``_product_panels``) side by side.  ends
-    holds each table's last knot whose survival is above _SURVIVAL_FLOOR,
-    and end_cdf the CDF there.
+    query.  The panel rule of ratio 2^(1/k) (``_layout``) is built on
+    first use and kept in _layouts, which every view shares, with the lock
+    that guards it.  ends holds each table's last knot whose survival is
+    above _SURVIVAL_FLOOR, and end_cdf the CDF there.
     """
 
     def __init__(self, tables):
@@ -626,57 +626,57 @@ class TableStack:
         self._last_knot = self._knots.imag[offsets + sizes - 1]
         cut = offsets + [np.searchsorted(t.grid, t.survival_cutoff()) - 1 for t in self.tables]
         self.ends, self.end_cdf = self._knots.imag[cut], self._values.imag[cut]
-        self._grids = np.repeat(self._last_knot[:, None], sizes.max(), axis=1)
-        self._grids[np.arange(sizes.max()) < sizes[:, None]] = self._knots.imag
-        self._lazy = {}
-        # The panel rule: level L of every table right-aligned in one column
-        # range ending at _level_end[L], padded on the left with weight-0
-        # nodes at d_max.  A lower limit whose first full cell starts at knot
-        # i of table k needs columns _column[k, i] to _level_end[_level[k, i]].
-        edges = [_panel_edges(t) for t in self.tables]
+        self._layouts, self._layouts_lock = {}, threading.Lock()
+
+    def _layout(self, k: int):
+        """The panel rule of ratio 2^(1/k) (``_build_layout``), built once, on first use.
+
+        A layout in which no table has a panel is the cell rule to d_max,
+        the same for every such k, so it is built once and shared by them.
+        """
+        with self._layouts_lock:
+            if k not in self._layouts:
+                edges = [_panel_edges(t, k) for t in self.tables]
+                key = k if max(e.size for e in edges) > 1 else 0
+                if key not in self._layouts:
+                    self._layouts[key] = self._build_layout(edges)
+                self._layouts[k] = self._layouts[key]
+            return self._layouts[k]
+
+    def _build_layout(self, edges):
+        """(nodes, weights, level, column, level_end): the panel rule on each table's edges.
+
+        edges holds each table's ``_panel_edges``.  Row t of nodes and
+        weights holds the levels of table t's product panels
+        (``_product_panels``) side by side: level L of every table
+        right-aligned in one column range ending at level_end[L], padded on
+        the left with weight-0 nodes at d_max.  A lower limit whose first
+        full cell starts at knot i of table t needs columns column[t, i] to
+        level_end[level[t, i]].
+        """
         width = np.zeros(max(e.size for e in edges), dtype=int)
         for e in edges:  # level L: the cells between two edges, then L panels
             cells = np.diff(np.concatenate(([0], e)))[::-1]
             need = _CELL_QUAD_ORDER * cells + _PANEL_NODES * np.arange(e.size)
             width[: e.size] = np.maximum(width[: e.size], need)
-        self._level_end = np.cumsum(width)
-        self._panel_nodes = np.full((sizes.size, self._level_end[-1]), self.geometry.d_max)
-        self._panel_weights = np.zeros(self._panel_nodes.shape)
-        self._level = np.zeros((sizes.size, sizes.max()), dtype=np.int32)
-        # past the support a limit needs no columns
-        self._column = np.full(self._level.shape, self._level_end[0], dtype=np.int32)
-        for k, (t, e) in enumerate(zip(self.tables, edges)):  # table by table: small temporaries
-            for L, (x, w) in enumerate(_product_panels(t.grid, *self._cell_rule(k), e)):
-                self._panel_nodes[k, self._level_end[L] - x.size : self._level_end[L]] = x
-                self._panel_weights[k, self._level_end[L] - w.size : self._level_end[L]] = w
+        level_end = np.cumsum(width)
+        nodes = np.full((len(self.tables), level_end[-1]), self.geometry.d_max)
+        weights = np.zeros(nodes.shape)
+        level = np.zeros((len(self.tables), max(t.grid.size for t in self.tables)), dtype=np.int32)
+        column = np.full(level.shape, level_end[0], dtype=np.int32)  # past the support: no columns
+        for t, (table, e) in enumerate(zip(self.tables, edges)):  # by table: small temporaries
+            x, w = _gauss_on_panels(table.grid, _CELL_X, _CELL_W)  # the cell rule
+            cell = self._first_cell[t] + np.arange(x.size) // _CELL_QUAD_ORDER
+            levels = _product_panels(table.grid, x, w * np.maximum(self._pdf_at(x, cell), 0.0), e)
+            for L, (x, w) in enumerate(levels):
+                nodes[t, level_end[L] - x.size : level_end[L]] = x
+                weights[t, level_end[L] - w.size : level_end[L]] = w
             knot = np.arange(e[-1] + 1)
             after = np.searchsorted(e, knot)
-            level = e.size - 1 - after
-            self._level[k, knot] = level
-            self._column[k, knot] = (self._level_end[level] - _PANEL_NODES * level
-                                     - _CELL_QUAD_ORDER * (e[after] - knot))
-
-    def _cell_rule(self, k: int):
-        """Nodes of table k's cell rule, and their weights times the density."""
-        nodes, weights = _gauss_on_panels(self.tables[k].grid, _CELL_X, _CELL_W)
-        cells = self._first_cell[k] + np.arange(nodes.size) // _CELL_QUAD_ORDER
-        return nodes, weights * np.maximum(self._pdf_at(nodes, cells), 0.0)
-
-    @property
-    def _weights(self) -> np.ndarray:
-        """The cell rule's weights, a row per table padded with 0, built on first use.
-
-        Only kernels the panels do not serve read it, so a stack that never
-        meets one does not hold it.  It is kept in _lazy, which every view
-        of the stack shares.
-        """
-        if "weights" not in self._lazy:
-            out = np.zeros((len(self.tables), _CELL_QUAD_ORDER * (self._grids.shape[1] - 1)))
-            for k in range(len(self.tables)):  # row by row, to keep the temporaries small
-                weights = self._cell_rule(k)[1]
-                out[k, : weights.size] = weights
-            self._lazy["weights"] = out
-        return self._lazy["weights"]
+            level[t, knot] = e.size - 1 - after
+            column[t, knot] = (level_end[level[t, knot]] - _PANEL_NODES * level[t, knot]
+                               - _CELL_QUAD_ORDER * (e[after] - knot))
+        return nodes, weights, level, column, level_end
 
     def take(self, which) -> "TableStack":
         """The same tables, with query i reading table which[i] (each query, for a scalar which)."""
@@ -730,14 +730,13 @@ class TableStack:
         the rows of the limits lo[sel] at x = u^-alpha, shape (rows,
         len(sel), x.shape[-1]), with a row of x per limit.  Per lower limit,
         the rest of its cell takes the cell rule, and so do the full cells
-        up to the next panel edge; for alpha <= _PANEL_MAX_ALPHA every
-        panel above that edge takes its Chebyshev nodes and product weights
-        (``_product_panels``), otherwise the cell rule runs to d_max.  The
-        rows must be analytic in u off the rays arg u = +-pi / alpha, as
-        the Gamma kernel's rows are, for the panels' bound in
-        interference.py to hold.  Limits go in blocks of at most
-        _BLOCK_ELEMENTS integrand elements, and each row is summed over its
-        nodes in a fixed order.
+        up to the next panel edge; every panel above that edge takes its
+        Chebyshev nodes and product weights (``_product_panels``), on
+        panels of ratio 2^(1/k) with k = ceil(alpha / 6).  The rows must
+        be analytic in u off the rays arg u = +-pi / alpha, as the Gamma
+        kernel's rows are, for the panels' bound in interference.py to
+        hold.  Limits go in blocks of at most _BLOCK_ELEMENTS integrand
+        elements, and each row is summed over its nodes in a fixed order.
         """
         lo_arr = np.maximum(np.asarray(lo, dtype=float), 0.0)
         out = np.zeros((rows, lo_arr.size))
@@ -755,16 +754,8 @@ class TableStack:
             block = slice(pos, pos + step)
             out[:, live[block]] = (rows_fn(part_x[block], live[block]) * part_w[block]).sum(axis=-1)
         knot = cell - self._first_cell[table] + 1  # the first full cell's left knot in its table
-        if alpha <= _PANEL_MAX_ALPHA:
-            nodes, wf = self._panel_nodes, self._panel_weights
-            level, column = self._level[table, knot], self._column[table, knot]
-            ends = self._level_end
-        else:
-            # the cell rule's nodes are rebuilt per call: cheaper in time than
-            # holding them in memory
-            nodes, wf = _gauss_on_panels(self._grids, _CELL_X, _CELL_W)[0], self._weights
-            level, column, ends = np.zeros_like(knot), _CELL_QUAD_ORDER * knot, [wf.shape[1]]
-        x = nodes**-alpha
+        nodes, wf, level, column, ends = self._layout(math.ceil(alpha / _PANEL_ALPHA))
+        level, column, x = level[table, knot], column[table, knot], nodes**-alpha
         order = np.lexsort((column, level))
         level_stop = np.searchsorted(level[order], np.arange(len(ends)), side="right")
         pos = 0

@@ -23,22 +23,24 @@ per knot cell: the tabulated density is quadratic on a cell, so only the
 kernel's Gauss error is left, and at m = 5, beta = 10 a series term moves
 up to 4e-8 for l in the first cells and under 1e-10 from three cells on.
 Past the first panel edge above l it is a product rule: on each geometric
-panel [e, 2e] of the table (edges on knots, so the ratio is at most 2)
-the kernel is interpolated at 24 Chebyshev points and the cell rule times
-the density is folded into the weights, so the rule is the cell rule
-applied to the kernel's interpolant.  With y = t u^-alpha / m the series
-terms are (m)_j/j! y^j (1 + y)^(-m-j) averaged over u.  Their poles lie at
+panel [e, 2^(1/k) e] of the table, k = ceil(alpha / 6) (edges on knots,
+so the ratio is at most 2^(1/k)), the kernel is interpolated at 24
+Chebyshev points and the cell rule times the density is folded into the
+weights, so the rule is the cell rule applied to the kernel's
+interpolant.  With y = t u^-alpha / m the series terms are
+(m)_j/j! y^j (1 + y)^(-m-j) averaged over u.  Their poles lie at
 u^alpha = -t / m, on the rays arg u = +-pi / alpha whatever t, l or the
-scale, and the Bernstein ellipse of [e, 2e] that touches those rays has
-rho_alpha = 5.1, 4.2, 3.1 at alpha = 3, 4, 6 (2.6 at 8).  Inside a smaller
-ellipse |arg y| < pi, so a term is bounded there by a constant of rho,
-alpha, m and j alone, and Chebyshev interpolation errs by at most
+scale, and the Bernstein ellipse of a panel that touches those rays has
+rho = 5.1, 4.2, 3.1 at alpha = 3, 4, 6 (k = 1) and 5.2, 4.6, 3.3, 3.9,
+3.3 at alpha = 7, 8, 12, 20, 30: it is least at multiples of 6, and
+never below its alpha = 6 value, 3.15.  Inside a smaller ellipse
+|arg y| < pi, so a term is bounded there by a constant of rho, alpha, m
+and j alone, and Chebyshev interpolation errs by at most
 4 M rho^-24 / (rho - 1) (Trefethen, Approximation Theory and
-Approximation Practice, 2013, thm. 8.2): about rho_alpha^-24, or 1e-17,
-9e-16 and 1e-12 at alpha = 3, 4, 6.  Against the cell rule the largest
-term error measured over every panel of receiver and pair tables of the
-four regimes is 7e-16 at alpha <= 4 and 1e-12 at alpha = 6.  Above
-alpha = 6 (rho^-24 = 2e-10 at 8) the cell rule runs to d_max.
+Approximation Practice, 2013, thm. 8.2): about rho^-24, or 1e-17, 9e-16
+and 1e-12 at alpha = 3, 4, 6.  Against the cell rule the largest term
+error measured over panels of receiver and pair tables of the four
+regimes is 7e-16 at alpha <= 4, and under 1e-12 at alpha from 6 to 20.
 
 The transform takes arrays of (t, l) and evaluates them in that one pass;
 a scalar pair is its one-element case.  Everything is deterministic and

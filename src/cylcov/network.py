@@ -20,18 +20,18 @@ from .geometry import CylinderGeometry
 class ChannelModel:
     """Path-loss exponent and Nakagami fading shape.
 
-    alpha must exceed 2.  m >= 0.5 is accepted here (any valid Nakagami
-    shape, usable by the simulator); the analytic pipeline additionally
-    requires an integer m between 1 and 5 and rejects the rest at its
-    own entry points.
+    alpha must be finite and exceed 2.  m >= 0.5 is accepted here (any
+    valid Nakagami shape, usable by the simulator); the analytic pipeline
+    additionally requires an integer m between 1 and 5 and rejects the
+    rest at its own entry points.
     """
 
     alpha: float
     m: float
 
     def __post_init__(self):
-        if not (self.alpha > 2.0):
-            raise DomainError(f"path-loss exponent alpha={self.alpha!r} must exceed 2")
+        if not (2.0 < self.alpha < np.inf):
+            raise DomainError(f"path-loss exponent alpha={self.alpha!r} must be finite, above 2")
         if not (self.m >= 0.5):
             raise DomainError(f"Nakagami shape m={self.m!r} must be at least 0.5")
 

@@ -247,8 +247,10 @@ class TestCoverageCommand:
         scen = write_scenario(
             tmp_path / "s.json",
             method="all",
-            sweep={"m": [1, 2]},
+            sweep={"m": [1, 2], "alpha": [3, 8, 20]},
         )
+        # the alpha axis needs panel layouts of three ratios, which the
+        # workers build on first use and share through one table
         outs = [tmp_path / f"d{i}.csv" for i in range(3)]
         assert main(["coverage", "--scenario", str(scen), "--output", str(outs[0]), "--workers", "1"]) == 0
         assert main(["coverage", "--scenario", str(scen), "--output", str(outs[1]), "--workers", "4"]) == 0
@@ -385,6 +387,15 @@ class TestCoverageCommand:
         assert main(args + ["--grid-size", "10"]) == 1
         assert "error: --grid-size: integer >= 64 required" in capsys.readouterr().err
         assert main(args + ["--grid-size", "64"]) == 0
+
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_non_positive_workers_rejected(self, tmp_path, capsys, workers):
+        scen = write_scenario(tmp_path / "s.json")
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers: positive integer required") and f"workers={workers}" in err
+        assert not out.exists()
 
     def test_timing_flag_emits_numbers(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")

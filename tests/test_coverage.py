@@ -506,22 +506,32 @@ class TestExactCoverage:
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_padding_nodes_weigh_exactly_zero(self, geom):
-        # Each row of the stacked cell rule holds 4 nodes per knot cell of
-        # its table; the rest pad it at the table's last knot, d_max, where
-        # the kernel is finite, so with weight 0 they add exactly 0.
+        # Level L of the stacked panel rule of ratio 2^(1/k) ends at column
+        # ends[L] for every table.  A table's columns of that level, those of
+        # a one-table stack of it, end there; the columns to their left pad
+        # it at d_max, where the kernel is finite, so with weight 0 they add
+        # exactly 0.  At k = 40 no receiver table has a panel.
         mix = get_mixture(geom)
-        stack = mix.stack
-        nodes = _gauss_on_panels(stack._grids, *np.polynomial.legendre.leggauss(4))[0]
-        used = np.array([4 * (t.grid.size - 1) for t in mix.tables])
-        pad = np.arange(nodes.shape[1]) >= used[:, None]
-        assert pad.any() and not pad.all(axis=1).any()
-        assert np.all(stack._weights[pad] == 0.0)
-        assert np.all(nodes[pad] == geom.d_max)
-        assert np.all(stack._weights[~pad] >= 0.0)
-        for k, table in enumerate(mix.tables):
-            own = _gauss_on_panels(table.grid, *np.polynomial.legendre.leggauss(4))[0]
-            assert np.array_equal(nodes[k, : used[k]], own)
-            assert np.array_equal(stack._weights[k, : used[k]], table.stack._weights[0])
+        for k in (1, 2, 4, 40):
+            nodes, weights, level, column, ends = mix.stack._layout(k)
+            starts = np.concatenate(([0], ends[:-1]))
+            pad = np.zeros(nodes.shape, dtype=bool)
+            for t, table in enumerate(mix.tables):
+                own_nodes, own_weights, own_level, own_column, own_ends = table.stack._layout(k)
+                own_starts = np.concatenate(([0], own_ends[:-1]))
+                for L in range(ends.size):
+                    own = slice(own_starts[L], own_ends[L]) if L < own_ends.size else slice(0, 0)
+                    cols = slice(ends[L] - (own.stop - own.start), ends[L])
+                    assert np.array_equal(nodes[t, cols], own_nodes[0, own])
+                    assert np.array_equal(weights[t, cols], own_weights[0, own])
+                    pad[t, starts[L] : cols.start] = True
+                n = table.grid.size
+                assert np.array_equal(level[t, :n], own_level[0])
+                assert np.array_equal(column[t, :n] - ends[level[t, :n]],
+                                      own_column[0] - own_ends[own_level[0]])
+            assert pad.any() and not pad.all(axis=1).any()
+            assert np.all(nodes[pad] == geom.d_max)
+            assert np.all(weights[pad] == 0.0)
 
     def test_scale_invariance(self):
         # SIR coverage depends on the cylinder's shape only

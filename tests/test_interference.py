@@ -1,7 +1,11 @@
 """Laplace transform of the aggregate interference and its derivatives."""
 
 import math
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from cylcov import (
     conditional_interferer_pdf,
     laplace_with_derivatives,
 )
-from cylcov.distance import _build_receiver_cdf, _gauss_on_panels, _panel_edges
+import cylcov.distance
+from cylcov.distance import TableStack, _build_receiver_cdf, _gauss_on_panels, _panel_edges
 from cylcov.interference import _g_derivatives
 from cylcov.simulation import substream
 
@@ -290,7 +295,7 @@ def cell_rule_oracle(tables, which, lo, rows_fn, rows, alpha):
         min_size=1,
         max_size=8,
     ),
-    alpha=st.sampled_from([2.5, 3.0, 4.0, 6.0, 8.0]),
+    alpha=st.sampled_from([2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0]),
     log_beta=st.floats(-1.0, 3.0),
     m=st.integers(1, 5),
 )
@@ -298,15 +303,15 @@ def test_panel_rule_matches_the_cell_rule(geom, receivers, picks, alpha, log_bet
     # Lower limits at a panel edge, just below one, below the lowest edge and
     # in the last cell above the survival floor, on receiver tables of one
     # stack (so a panel reading another table's weights shows) or on the
-    # pair table.  The panels interpolate the kernel only: a term
-    # (t / m)^j row_j / (1 - F(l)) of the series moves by at most 1e-13
-    # for alpha <= 4 and 1e-10 for alpha <= 6; above that no panel is used.
+    # pair table.  The panels, of ratio 2^(1/k) with k = ceil(alpha / 6),
+    # interpolate the kernel only: a term (t / m)^j row_j / (1 - F(l)) of
+    # the series moves by at most 1e-13 for alpha <= 4 and 1e-10 above.
     stack = get_mixture(geom).stack if receivers else get_dist(geom).stack
     tables = stack.tables
     which, lo = [], []
     for k, kind, edge, frac in picks:
         k = k % len(tables)
-        grid, edges = tables[k].grid, _panel_edges(tables[k])
+        grid, edges = tables[k].grid, _panel_edges(tables[k], math.ceil(alpha / 6.0))
         e = edges[edge % (edges.size - 1)] if edges.size > 1 else edges[0]
         if kind == "edge":
             l = grid[e]
@@ -327,5 +332,92 @@ def test_panel_rule_matches_the_cell_rule(geom, receivers, picks, alpha, log_bet
     survival = np.array([tables[k].sf(l) for k, l in zip(which, lo)])
     scale = (t / m) ** np.arange(m)[:, None] / survival
     gap = float(np.max(np.abs(got - ref) * scale))
-    bound = 1e-13 if alpha <= 4.0 else 1e-10 if alpha <= 6.0 else 1e-15
+    bound = 1e-13 if alpha <= 4.0 else 1e-10
     assert gap <= bound, (gap, alpha, m, log_beta)
+
+
+class TestPanelLayouts:
+    def test_built_once_per_ratio_and_shared_by_views(self, monkeypatch):
+        # A fresh stack builds the layout of k = ceil(alpha / 6) on the first
+        # integral that needs it, computing each table's edges once; every
+        # view reads the same layouts, and an alpha = 8 call leaves the
+        # alpha = 3 values as they were, bit for bit.
+        stack = TableStack(get_mixture(TALL).tables)
+        calls = []
+        edges = cylcov.distance._panel_edges
+        monkeypatch.setattr(cylcov.distance, "_panel_edges",
+                            lambda table, k: calls.append(k) or edges(table, k))
+        rng = np.random.default_rng(4)
+        which = rng.integers(0, len(stack.tables), 40)
+        lo = rng.uniform(0.0, TALL.d_max, 40)
+
+        def integral(alpha, view):
+            return view.integrate_pdf_product(lo, gamma_rows(30.0 * lo**alpha, 3), 3, alpha)
+
+        before = integral(3.0, stack.take(which))
+        integral(8.0, stack.take(which))
+        integral(4.0, stack.take(which[::-1]))
+        assert np.array_equal(integral(3.0, stack.take(which)), before)
+        assert calls == [1] * len(stack.tables) + [2] * len(stack.tables)
+        assert sorted(stack._layouts) == [1, 2]
+        assert stack.take(0)._layouts is stack._layouts
+
+    def test_racing_threads_build_each_layout_once(self, monkeypatch):
+        # Sixteen threads ask one fresh stack for four ratios at once,
+        # the last (k = 7 on a 64-knot table) with no panel left, while the
+        # interpreter switches threads often: each layout is built once, and
+        # every value equals that of a stack no other thread touched.
+        tables = (get_dist(TALL, 64),)
+        stack = TableStack(tables)
+        calls = []
+        edges = cylcov.distance._panel_edges
+
+        def slow_edges(table, k):  # holds a build open while other threads arrive
+            calls.append(k)
+            time.sleep(0.01)
+            return edges(table, k)
+
+        monkeypatch.setattr(cylcov.distance, "_panel_edges", slow_edges)
+        lo = np.linspace(0.0, TALL.d_max, 50)
+        alphas = [3.0, 8.0, 20.0, 40.0] * 4
+
+        start = threading.Barrier(len(alphas))
+
+        def integral(target, alpha, wait=False):
+            if wait:
+                start.wait(timeout=60)
+            return target.integrate_pdf_product(lo, gamma_rows(30.0 * lo**alpha, 2), 2, alpha)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(alphas)) as pool:
+                futures = [pool.submit(integral, stack.take(0), alpha, True) for alpha in alphas]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == [1, 2, 4, 7]
+        assert stack._layouts[7] is stack._layouts[0]
+        fresh = TableStack(tables).take(0)
+        for alpha, value in zip(alphas, got):
+            assert np.array_equal(value, integral(fresh, alpha))
+
+    def test_layouts_stay_bounded_over_an_alpha_sweep(self):
+        # On a 64-knot table the panels shrink with the ratio until none is
+        # left: from that k on the layout is the cell rule, one array that
+        # every larger k shares, whatever order the sweep runs in.
+        stack = get_dist(TALL, 64).stack
+        for alpha in [*range(3, 301, 3), *range(300, 2, -7)]:
+            stack._layout(math.ceil(alpha / 6.0))
+        panelled = sorted(k for k, held in stack._layouts.items() if held[-1].size > 1)
+        assert panelled == list(range(1, len(panelled) + 1))
+        assert 1 < len(panelled) < 10
+        cell_rule = stack._layouts[0]
+        assert all(held is cell_rule for k, held in stack._layouts.items() if k not in panelled)
+        assert len({id(held) for held in stack._layouts.values()}) == len(panelled) + 1
+        nodes, weights, level, column, ends = cell_rule
+        top = stack.tables[0].grid.size - 1
+        assert np.array_equal(ends, [4 * top]) and not level.any()
+        assert np.array_equal(column[0], 4 * np.arange(top + 1))
+        grid = stack.tables[0].grid
+        assert np.array_equal(nodes[0], _gauss_on_panels(grid, *np.polynomial.legendre.leggauss(4))[0])

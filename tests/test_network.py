@@ -13,6 +13,8 @@ them from the components of ``build_receiver_cdfs``.  README "Known
 limitations" gives the size of the deviation in coverage terms.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -57,6 +59,11 @@ class TestScenarioValidation:
     def test_rejects_shallow_path_loss(self):
         with pytest.raises(DomainError):
             ChannelModel(alpha=2.0, m=1.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_rejects_non_finite_path_loss(self, alpha):
+        with pytest.raises(DomainError):
+            ChannelModel(alpha=alpha, m=1.0)
 
     def test_rejects_sub_nakagami_shape(self):
         with pytest.raises(DomainError):
