@@ -47,7 +47,6 @@ from .errors import (
     DegenerateConditionError,
     DomainError,
     ScenarioFormatError,
-    StaleCacheError,
     UnsupportedParameterError,
 )
 from .geometry import CylinderGeometry
@@ -372,13 +371,15 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # RuntimeError covers StaleCacheError and an analytic row whose error
+    # estimate or derivative series fails its check
     except (
         ScenarioFormatError,
-        StaleCacheError,
         DomainError,
         UnsupportedParameterError,
         DegenerateConditionError,
         OSError,
+        RuntimeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

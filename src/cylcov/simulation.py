@@ -13,25 +13,24 @@ processes.  Accumulation is an integer success count and
 therefore order-independent.  No wall-clock seeding anywhere.
 
 Within a block the draw order is fixed and documented per estimator
-(positions first, then any receiver index, then fading gains).  Fading
-gains use NumPy's exact Gamma rejection sampler, not an approximation.
+(positions first, then fading gains).  Fading gains use NumPy's exact
+Gamma rejection sampler, not an approximation.
 
 What is reproducible is the draw streams and every count computed from
-them, not the bits of intermediate distances.  The coverage kernel never
-builds Cartesian coordinates: from the uniform draws (rho, v, w) of a node
-and of the receiver (index 0) it forms the squared link distance in polar
-form, with one sine per link,
+them, not the bits of intermediate distances.  No estimator builds
+Cartesian coordinates: a node's uniform draws (rho, v, w) place it at
+radius R sqrt(rho), angle 2 pi v and height H w, and one kernel forms the
+squared distance between two nodes in polar form, with one sine per link,
 
     d^2 = R^2 [(sqrt(rho_i) - sqrt(rho_0))^2
                + 4 sqrt(rho_i) sqrt(rho_0) sin^2(pi (v_i - v_0))]
           + H^2 (w_i - w_0)^2,
 
-which is within a few 1e-16 d_max^2 of the Cartesian value.
-sample_pair_distances keeps the Cartesian path through x, y and z.
+which is within a few 1e-16 d_max^2 of the Cartesian value.  Coverage
+trials and the pair-distance histogram both measure through it.
 
 The typical receiver is node index 0 of each deployment; exchangeability
-of the i.i.d. deployment makes this without loss of generality, and
-``simulate_coverage(receiver="random")`` exists to validate exactly that.
+of the i.i.d. deployment makes this without loss of generality.
 """
 
 import math
@@ -90,23 +89,10 @@ def _blocks(trials: int, block: int = BLOCK_TRIALS):
         index += 1
 
 
-def _sample_coordinates(rng: Generator, geom: CylinderGeometry, n: int):
-    """x, y and z of n i.i.d. volume-uniform points, from one (n, 3) uniform draw."""
-    u = rng.random((n, 3))
-    r = geom.R * np.sqrt(u[:, 0])
-    phi = 2.0 * math.pi * u[:, 1]
-    return r * np.cos(phi), r * np.sin(phi), geom.H * u[:, 2]
-
-
 def _binomial_estimate(successes, trials: int):
     """Success share and its 95% normal-approximation half-width; successes may be an array."""
     p = successes / trials
     return p, 1.96 * np.sqrt(p * (1.0 - p) / trials)
-
-
-def _distance(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Euclidean length, summed in the order of np.linalg.norm over the last axis."""
-    return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
 def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.ndarray:
@@ -115,10 +101,9 @@ def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.n
         raise DomainError("pairs must be positive")
     out = np.empty(pairs)
     for index, size in _blocks(pairs):
-        rng = substream(seed, index)
-        x, y, z = _sample_coordinates(rng, geom, 2 * size)
-        d = _distance(x[:size] - x[size:], y[:size] - y[size:], z[:size] - z[size:])
-        out[index * BLOCK_TRIALS : index * BLOCK_TRIALS + size] = d
+        u = substream(seed, index).random((2 * size, 3))
+        d2 = _link_distances_squared(u[:size], u[size:, None], geom)[:, 0]
+        out[index * BLOCK_TRIALS : index * BLOCK_TRIALS + size] = np.sqrt(d2)
     return out
 
 
@@ -151,9 +136,8 @@ def _link_distances_squared(
     """Squared distances from a receiver to other nodes, from their uniform draws.
 
     receiver has shape (trials, 3) and others (trials, k, 3); each row of
-    three is one node's (rho, v, w), which _sample_coordinates places at
-    radius R sqrt(rho), angle 2 pi v and height H w.  Returns shape
-    (trials, k), in the polar form of the module docstring.
+    three is one node's (rho, v, w).  Returns shape (trials, k), in the
+    polar form of the module docstring.
     """
     r0 = np.sqrt(receiver[:, 0])[:, None]
     ri = np.sqrt(others[..., 0])
@@ -175,55 +159,38 @@ def _link_distances_squared(
     return d2
 
 
-def _coverage_block(
-    rng: Generator, scenario: NetworkScenario, size: int, receiver: str
-) -> int:
-    """Covered-trial count for one block.
+def _coverage_block(rng: Generator, scenario: NetworkScenario, size: int) -> int:
+    """Covered-trial count for one block, with node 0 of each trial as the receiver.
 
-    Draw order: positions, then (random mode only) receiver indices,
-    then fading gains for all N - 1 links of each trial.
+    Draw order: positions, then fading gains for all N - 1 links of each trial.
     """
     N = scenario.N
     u = rng.random((size * N, 3)).reshape(size, N, 3)
-    rows = np.arange(size)
-    if receiver == "first":
-        rec = u[:, 0]
-    else:
-        ridx = rng.integers(0, N, size)
-        rec = u[rows, ridx]
-        # Move the receiver out of the transmitter set by swapping it into
-        # slot 0 and dropping that slot.
-        u[rows, ridx] = u[:, 0]
-    d2 = _link_distances_squared(rec, u[:, 1:], scenario.geom)
+    d2 = _link_distances_squared(u[:, 0], u[:, 1:], scenario.geom)
     m = scenario.channel.m
     powers = rng.gamma(m, 1.0 / m, (size, N - 1))
     serving = np.argmin(d2, axis=1)
     np.power(d2, -0.5 * scenario.channel.alpha, out=d2)
     powers *= d2
-    signal = powers[rows, serving]
+    signal = powers[np.arange(size), serving]
     interference = powers.sum(axis=1) - signal
     covered = (interference == 0.0) | (signal > scenario.beta * interference)
     return int(np.count_nonzero(covered))
 
 
-def simulate_coverage(
-    scenario: NetworkScenario, trials: int, seed: int, receiver: str = "first"
-) -> SimulationEstimate:
+def simulate_coverage(scenario: NetworkScenario, trials: int, seed: int) -> SimulationEstimate:
     """Empirical coverage probability over independent deployments.
 
     Each trial places N nodes, serves the receiver from its nearest node,
     sums faded interference from the other N - 2, and compares the SIR to
-    beta.  Zero interference (N = 2) counts as covered.  receiver is
-    "first" (node 0, the default and the documented convention) or
-    "random" (per-trial uniform index, for exchangeability checks).
+    beta.  Zero interference (N = 2) counts as covered.  The receiver is
+    node 0 of each trial.
     """
     if trials < 1:
         raise DomainError("trials must be positive")
-    if receiver not in ("first", "random"):
-        raise DomainError(f"receiver={receiver!r} must be 'first' or 'random'")
     successes = 0
     for index, size in _blocks(trials):
-        successes += _coverage_block(substream(seed, index), scenario, size, receiver)
+        successes += _coverage_block(substream(seed, index), scenario, size)
     p, ci = _binomial_estimate(successes, trials)
     return SimulationEstimate(
         mean=p, ci_half_width=float(ci), trials=trials, seed=seed, scenario=scenario

@@ -4,11 +4,12 @@ A pair-distance CDF table takes milliseconds and a receiver mixture a
 fraction of a second, but many tests share them.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from cylcov import CylinderGeometry, build_cdf, build_receiver_cdfs
-from cylcov.simulation import _sample_coordinates
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
 TALL = CylinderGeometry(R=20.0, H=120.0)
@@ -35,8 +36,16 @@ def get_mixture(geom):
 
 
 def sample_points(rng, geom, n):
-    """n i.i.d. volume-uniform points, shape (n, 3), drawn as the simulator draws them."""
-    return np.column_stack(_sample_coordinates(rng, geom, n))
+    """n i.i.d. volume-uniform points, shape (n, 3), drawn as the simulator draws them.
+
+    One (n, 3) uniform draw (rho, v, w) per point, placed at radius
+    R sqrt(rho), angle 2 pi v and height H w: the Cartesian reference that
+    the simulator's polar distance kernel is checked against.
+    """
+    u = rng.random((n, 3))
+    r = geom.R * np.sqrt(u[:, 0])
+    phi = 2.0 * math.pi * u[:, 1]
+    return np.column_stack((r * np.cos(phi), r * np.sin(phi), geom.H * u[:, 2]))
 
 
 def inverse_cdf(dist, u, l=0.0):

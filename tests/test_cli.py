@@ -397,6 +397,27 @@ class TestCoverageCommand:
         assert err.startswith("error: --workers: positive integer required") and f"workers={workers}" in err
         assert not out.exists()
 
+    def test_failed_analytic_row_is_an_error_line(self, tmp_path):
+        # At alpha = 200, l^alpha overflows and the coverage series sums to
+        # nan: the library raises RuntimeError, and the command reports it.
+        # Run as a user runs it, where numpy's overflow warnings only print.
+        scen = write_scenario(
+            tmp_path / "s.json",
+            scenario={"N": 5, "R": 20.0, "H": 120.0, "alpha": 200.0, "m": 1, "beta": 1.0},
+            output={"grid_size": 64},
+        )
+        out = tmp_path / "x.csv"
+        src = str(Path(cylcov.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cylcov.cli", "coverage", "--scenario", str(scen), "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: coverage series at l=")
+        assert not out.exists()
+
     def test_timing_flag_emits_numbers(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")
         out = tmp_path / "cov.csv"

@@ -49,6 +49,7 @@ REMOVED = """
     simulation.sample_fading_gain simulation._sample_points cli.linear_to_db
     simulation.sample_conditional_interferer_distances distance.build_receiver_cdf
     distance.TabulatedDistribution.kind distance.TabulatedDistribution.ppf
+    simulation._sample_coordinates simulation._distance
 """.split()
 
 
