@@ -21,7 +21,10 @@ file exactly.  All randomness is seeded (default seed 1, never the
 clock), so repeated runs are byte-identical; the wall_time_s column is
 the lone intentional exception and therefore defaults to off
 (--timing on opts in).  Sweep points evaluate concurrently, but rows are
-written in sweep order regardless of completion order.
+written in sweep order regardless of completion order.  Monte Carlo rows
+that share geometry and N are one task, counted from one set of draws, and
+each such row's wall_time_s is the group's wall time divided by its row
+count, so the column still sums to the sweep's Monte Carlo time.
 """
 
 import argparse
@@ -277,27 +280,32 @@ def cmd_coverage(args) -> int:
     timing = args.timing == "on"
 
     def run(task):
-        idx, meth = task
-        sc = scenarios[idx]
+        """CSV rows keyed by (point, method); a Monte Carlo task is a whole group."""
+        meth, indices = task
         started = time.perf_counter()
         if meth == "monte-carlo":
-            est = simulate_coverage(sc, trials, seed)
-            tag, pc, err = meth, est.mean, est.ci_half_width
-            row_trials, row_seed = str(trials), str(seed)
+            ests = simulate_coverage([scenarios[i] for i in indices], trials, seed)
+            cells = [(meth, e.mean, e.ci_half_width, str(trials), str(seed)) for e in ests]
         else:
-            if meth == "analytic":
-                res = coverage_probability(sc, dists[sc.geom])
-            else:
-                res = ppp_coverage(ppp_model_from_scenario(sc))
-            tag, pc, err = res.method, res.pc, res.error_estimate
-            row_trials = row_seed = ""
-        elapsed = _fmt(time.perf_counter() - started) if timing else "NA"
-        values = [_fmt(points[idx][name]) for name in axis_names]
-        return values + [tag, _fmt(pc), _fmt(err), row_trials, row_seed, elapsed]
+            sc = scenarios[indices[0]]
+            res = (coverage_probability(sc, dists[sc.geom]) if meth == "analytic"
+                   else ppp_coverage(ppp_model_from_scenario(sc)))
+            cells = [(res.method, res.pc, res.error_estimate, "", "")]
+        elapsed = _fmt((time.perf_counter() - started) / len(indices)) if timing else "NA"
+        return {
+            (i, meth): [_fmt(points[i][name]) for name in axis_names]
+            + [tag, _fmt(pc), _fmt(err), row_trials, row_seed, elapsed]
+            for i, (tag, pc, err, row_trials, row_seed) in zip(indices, cells)
+        }
 
-    tasks = [(i, meth) for i in range(len(points)) for meth in methods]
+    # Monte Carlo rows sharing geometry and N share their draws: one task per group.
+    groups: dict = {}
+    for i, sc in enumerate(scenarios):
+        groups.setdefault((sc.geom, sc.N), []).append(i)
+    tasks = [("monte-carlo", indices) for indices in groups.values() if "monte-carlo" in methods]
+    tasks += [(meth, [i]) for i in range(len(points)) for meth in methods if meth != "monte-carlo"]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run, tasks))
+        rows = {key: row for done in pool.map(run, tasks) for key, row in done.items()}
 
     base_echo = " ".join(f"{k}={_fmt(v)}" for k, v in spec["base"].items())
     sweep_echo = (
@@ -313,8 +321,7 @@ def cmd_coverage(args) -> int:
             f"grid_size={spec['grid_size']} timing={'on' if timing else 'off'}\n"
         )
         fh.write(",".join(axis_names + ["method", "pc", "err", "trials", "seed", "wall_time_s"]) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(rows[i, meth]) + "\n" for i in range(len(points)) for meth in methods)
     return 0
 
 

@@ -14,7 +14,10 @@ therefore order-independent.  No wall-clock seeding anywhere.
 
 Within a block the draw order is fixed and documented per estimator
 (positions first, then fading gains).  Fading gains use NumPy's exact
-Gamma rejection sampler, not an approximation.
+Gamma rejection sampler, not an approximation.  Coverage gains are drawn
+from the state the positions left, so scenarios that share geometry, N,
+trials and seed share their positions and each m keeps its own gain
+stream: simulate_coverage counts such a group from one set of draws.
 
 What is reproducible is the draw streams and every count computed from
 them, not the bits of intermediate distances.  No estimator builds
@@ -79,6 +82,12 @@ def substream(seed: int, index: int) -> Generator:
     return Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Trials, pairs and bins: an integer, not a bool, of at least least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name}={value!r} must be an integer >= {least}")
+
+
 def _blocks(trials: int, block: int = BLOCK_TRIALS):
     done = 0
     index = 0
@@ -97,8 +106,7 @@ def _binomial_estimate(successes, trials: int):
 
 def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.ndarray:
     """Distances of i.i.d. uniform point pairs, for empirical CDF work."""
-    if pairs < 1:
-        raise DomainError("pairs must be positive")
+    _check_count("pairs", pairs)
     out = np.empty(pairs)
     for index, size in _blocks(pairs):
         u = substream(seed, index).random((2 * size, 3))
@@ -117,10 +125,8 @@ def empirical_distance_histogram(
     density scale.  Bin edges are equally spaced, reconstructible from
     (geom, bins).
     """
-    if pairs < 10_000:
-        raise DomainError(f"pairs={pairs} too few for a stable histogram (need >= 10^4)")
-    if bins < 1:
-        raise DomainError("bins must be positive")
+    _check_count("pairs", pairs, 10_000)  # fewer is too few for a stable histogram
+    _check_count("bins", bins)
     d = sample_pair_distances(geom, pairs, seed)
     counts, edges = np.histogram(d, bins=bins, range=(0.0, geom.d_max))
     widths = np.diff(edges)
@@ -159,42 +165,55 @@ def _link_distances_squared(
     return d2
 
 
-def _coverage_block(rng: Generator, scenario: NetworkScenario, size: int) -> int:
-    """Covered-trial count for one block, with node 0 of each trial as the receiver.
+def _coverage_block(rng: Generator, group: list, size: int) -> list:
+    """Covered-trial counts for one block, one per scenario of a group sharing geometry and N.
 
-    Draw order: positions, then fading gains for all N - 1 links of each trial.
+    Node 0 of each trial is the receiver.  Draw order: positions, then fading
+    gains for all N - 1 links of each trial, each m from the state the
+    positions left.
     """
-    N = scenario.N
+    N = group[0].N
     u = rng.random((size * N, 3)).reshape(size, N, 3)
-    d2 = _link_distances_squared(u[:, 0], u[:, 1:], scenario.geom)
-    m = scenario.channel.m
-    powers = rng.gamma(m, 1.0 / m, (size, N - 1))
+    d2 = _link_distances_squared(u[:, 0], u[:, 1:], group[0].geom)
     serving = np.argmin(d2, axis=1)
-    np.power(d2, -0.5 * scenario.channel.alpha, out=d2)
-    powers *= d2
-    signal = powers[np.arange(size), serving]
-    interference = powers.sum(axis=1) - signal
-    covered = (interference == 0.0) | (signal > scenario.beta * interference)
-    return int(np.count_nonzero(covered))
+    after_positions = rng.bit_generator.state
+    alphas = {sc.channel.alpha for sc in group}
+    in_place = len(alphas) == 1  # then nothing else reads d2 or the gains
+    path = {a: np.power(d2, -0.5 * a, out=d2 if in_place else None) for a in alphas}
+    sir = {}
+    for m in {sc.channel.m for sc in group}:
+        rng.bit_generator.state = after_positions
+        gains = rng.gamma(m, 1.0 / m, (size, N - 1))
+        for alpha in {sc.channel.alpha for sc in group if sc.channel.m == m}:
+            powers = np.multiply(gains, path[alpha], out=gains if in_place else None)
+            signal = powers[np.arange(size), serving]
+            sir[m, alpha] = signal, powers.sum(axis=1) - signal
+    counts = []
+    for sc in group:
+        signal, interference = sir[sc.channel.m, sc.channel.alpha]
+        counts.append(int(np.count_nonzero((interference == 0.0) | (signal > sc.beta * interference))))
+    return counts
 
 
-def simulate_coverage(scenario: NetworkScenario, trials: int, seed: int) -> SimulationEstimate:
+def simulate_coverage(scenario, trials: int, seed: int) -> Union[SimulationEstimate, list]:
     """Empirical coverage probability over independent deployments.
 
     Each trial places N nodes, serves the receiver from its nearest node,
     sums faded interference from the other N - 2, and compares the SIR to
     beta.  Zero interference (N = 2) counts as covered.  The receiver is
-    node 0 of each trial.
+    node 0 of each trial.  A sequence of scenarios sharing geometry and N
+    gets one estimate per scenario, in order, each that of its own call.
     """
-    if trials < 1:
-        raise DomainError("trials must be positive")
-    successes = 0
+    group = [scenario] if isinstance(scenario, NetworkScenario) else list(scenario)
+    _check_count("trials", trials)
+    if not group or any((sc.geom, sc.N) != (group[0].geom, group[0].N) for sc in group):
+        raise DomainError("a scenario group must be non-empty and share one geometry and N")
+    successes = np.zeros(len(group), dtype=np.int64)
     for index, size in _blocks(trials):
-        successes += _coverage_block(substream(seed, index), scenario, size)
+        successes += _coverage_block(substream(seed, index), group, size)
     p, ci = _binomial_estimate(successes, trials)
-    return SimulationEstimate(
-        mean=p, ci_half_width=float(ci), trials=trials, seed=seed, scenario=scenario
-    )
+    estimates = [SimulationEstimate(float(pi), float(c), trials, seed, sc) for sc, pi, c in zip(group, p, ci)]
+    return estimates[0] if isinstance(scenario, NetworkScenario) else estimates
 
 
 def simulate_ppp_coverage(
@@ -221,8 +240,7 @@ def simulate_ppp_coverage(
     BLOCK_TRIALS trials, or fewer when their expected point count would
     pass PPP_BLOCK_POINTS.
     """
-    if trials < 1:
-        raise DomainError("trials must be positive")
+    _check_count("trials", trials)
     if padding <= 0.0:
         raise DomainError("padding must be positive")
     R = padding * geom.d_max

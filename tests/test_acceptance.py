@@ -141,27 +141,28 @@ def coverage_grid():
         dist = get_dist(geom)
         mixture = get_mixture(geom)
         for N in GRID_N:
-            for m in GRID_M:
-                for beta in GRID_BETA:
-                    sc = scenario(N, geom, m, beta)
-                    analytic = coverage_probability(sc, dist).pc
-                    exact = exact_coverage_probability(sc, mixture)
-                    est = simulate_coverage(sc, MC_TRIALS, seed=MC_SEED)
-                    ppp = ppp_coverage(ppp_model_from_scenario(sc)).pc
-                    rows.append(
-                        {
-                            "geom": geom,
-                            "N": N,
-                            "m": m,
-                            "beta": beta,
-                            "analytic": analytic,
-                            "exact": exact.pc,
-                            "exact_error": exact.error_estimate,
-                            "mc": est.mean,
-                            "stderr": est.ci_half_width / 1.96,
-                            "ppp": ppp,
-                        }
-                    )
+            points = [(m, beta) for m in GRID_M for beta in GRID_BETA]
+            group = [scenario(N, geom, m, beta) for m, beta in points]
+            # one simulator call per (geometry, N): the same estimates as one call per point
+            estimates = simulate_coverage(group, MC_TRIALS, seed=MC_SEED)
+            for (m, beta), sc, est in zip(points, group, estimates):
+                analytic = coverage_probability(sc, dist).pc
+                exact = exact_coverage_probability(sc, mixture)
+                ppp = ppp_coverage(ppp_model_from_scenario(sc)).pc
+                rows.append(
+                    {
+                        "geom": geom,
+                        "N": N,
+                        "m": m,
+                        "beta": beta,
+                        "analytic": analytic,
+                        "exact": exact.pc,
+                        "exact_error": exact.error_estimate,
+                        "mc": est.mean,
+                        "stderr": est.ci_half_width / 1.96,
+                        "ppp": ppp,
+                    }
+                )
     return rows, time.perf_counter() - started
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: scenario files, CSV schemas, caching, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,22 @@ def write_scenario(path, **overrides):
     spec.update(overrides)
     path.write_text(json.dumps(spec))
     return path
+
+
+# Sweeps over the default scenario of write_scenario at 5,000 trials, and the
+# SHA-256 of their --timing off CSVs as written when every Monte Carlo row was
+# its own simulate_coverage call.  A Monte Carlo task now counts all the rows
+# of one (geometry, N) from one set of draws; not a byte may move.
+PINNED_SWEEPS = {
+    "all": (
+        {"N": [3, 8], "beta_dB": [-5, 0, 10], "m": [1, 2], "alpha": [3, 4, 8]},
+        "3abfdb01c50e6d21f9a9bc14dfee21f9da8c36a008eca79afe744bde2ed22ba6",
+    ),
+    "simulate": (
+        {"N": [3, 8], "beta_dB": [-5, 0, 10], "m": [0.5, 1.5], "alpha": [3, 4, 8]},
+        "3e0502636f064cd9f5e6d829173da51737af11dc2425ec308d595b134a423b0d",
+    ),
+}
 
 
 def read_rows(path):
@@ -418,12 +435,32 @@ class TestCoverageCommand:
         assert proc.stderr.splitlines()[-1].startswith("error: coverage series at l=")
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2", "4"])
+    @pytest.mark.parametrize("method", sorted(PINNED_SWEEPS))
+    def test_grouped_sweeps_keep_their_bytes(self, tmp_path, method, workers):
+        sweep, digest = PINNED_SWEEPS[method]
+        scen = write_scenario(tmp_path / "s.json", method=method, sweep=sweep, trials=5000)
+        out = tmp_path / "cov.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--workers", workers]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_timing_flag_emits_numbers(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")
         out = tmp_path / "cov.csv"
         assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--timing", "on"]) == 0
         _, rows = read_rows(out)
         assert float(rows[0]["wall_time_s"]) > 0.0
+        # each grouped Monte Carlo row holds its group's time over the group's rows
+        scen = write_scenario(
+            tmp_path / "g.json", method="all", sweep={"N": [3, 8], "m": [1, 2], "beta": [0.5, 2.0]}
+        )
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--timing", "on"]) == 0
+        _, rows = read_rows(out)
+        assert all(float(r["wall_time_s"]) > 0.0 for r in rows)
+        mc = [r for r in rows if r["method"] == "monte-carlo"]
+        assert len(mc) == 8
+        for N in ("3", "8"):
+            assert len({r["wall_time_s"] for r in mc if r["N"] == N}) == 1
 
 
 class TestCacheCommand:

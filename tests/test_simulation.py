@@ -220,6 +220,87 @@ class TestSeeds:
         assert not np.array_equal(a, b)
 
 
+class TestCounts:
+    # Trials, pairs and bins are integers.  A bool used to run as one trial
+    # and come back as trials=True, and a float ended in numpy's TypeError.
+    BAD = [True, False, 1000.0, 1.5, float("nan"), "3", None, 0, -1]
+
+    @pytest.mark.parametrize("count", BAD, ids=repr)
+    def test_every_estimator_rejects_the_count(self, count):
+        sc = scenario()
+        calls = [
+            ("trials", lambda: simulate_coverage(sc, count, 1)),
+            ("trials", lambda: simulate_coverage([sc, scenario(m=2.0)], count, 1)),
+            ("trials", lambda: simulate_ppp_coverage(ppp_model_from_scenario(sc), GEOM, count, 1)),
+            ("pairs", lambda: sample_pair_distances(GEOM, count, 1)),
+            ("pairs", lambda: empirical_distance_histogram(GEOM, count, 8, 1)),
+            ("bins", lambda: empirical_distance_histogram(GEOM, 10_000, count, 1)),
+        ]
+        for name, call in calls:
+            with pytest.raises(DomainError, match=re.escape(f"{name}={count!r}")):
+                call()
+
+    def test_numpy_integers_accepted(self):
+        a = simulate_coverage(scenario(), np.int64(5_000), 1)
+        b = simulate_coverage(scenario(), 5_000, 1)
+        assert a.mean == b.mean
+        assert sample_pair_distances(GEOM, np.uint16(10), 1).shape == (10,)
+        est = empirical_distance_histogram(GEOM, np.int32(10_000), np.int8(8), 1)
+        assert est.mean.shape == (8,)
+
+
+class TestGroups:
+    """A sequence of scenarios sharing geometry and N counts from one set of draws."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        geom=st.sampled_from(REGIME_GEOMETRIES),
+        N=st.sampled_from([2, 3, 7]),
+        ms=st.lists(st.sampled_from([1.0, 2.0, 3.0]), max_size=1).map(lambda x: [0.5, 1.5] + x),
+        alphas=st.lists(st.sampled_from([4.0, 6.0]), max_size=1).map(lambda x: [3.0, 8.0] + x),
+        betas=st.lists(st.floats(1e-3, 1e3), max_size=1).map(lambda x: [1e-3, 1e3] + x),
+        trials=st.sampled_from([4095, 4096, 4097]),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_grouped_counts_equal_one_scenario_counts(
+        self, geom, N, ms, alphas, betas, trials, seed, data
+    ):
+        group = [
+            scenario(N=N, m=m, beta=beta, geom=geom, alpha=alpha)
+            for m in ms for alpha in alphas for beta in betas
+        ]
+        group = data.draw(st.permutations(group))
+        grouped = simulate_coverage(group, trials, seed)
+        assert len(grouped) == len(group)
+        for sc, est in zip(group, grouped):
+            alone = simulate_coverage(sc, trials, seed)
+            assert est.scenario == sc and est.trials == trials and est.seed == seed
+            assert round(est.mean * trials) == round(alone.mean * trials)
+            assert (est.mean, est.ci_half_width) == (alone.mean, alone.ci_half_width)
+
+    def test_one_alpha_groups_repeats_and_tuples(self):
+        # with one alpha, the path gain and each m's products go in place
+        group = [scenario(N=5, m=m, beta=beta) for m in (0.5, 1.0, 1.5) for beta in (0.5, 2.0)]
+        group += group[:2]
+        alone = [simulate_coverage(sc, 5_000, 4) for sc in group]
+        assert simulate_coverage(tuple(group), 5_000, 4) == alone
+        assert simulate_coverage(group[:1], 5_000, 4) == alone[:1]
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            [],
+            [scenario(geom=SQUAT), scenario(geom=TALL)],
+            [scenario(N=3), scenario(N=3, m=2.0), scenario(N=4)],
+        ],
+        ids=["empty", "mixed-geometry", "mixed-N"],
+    )
+    def test_rejects_groups_that_cannot_share_draws(self, group):
+        with pytest.raises(DomainError, match="one geometry and N"):
+            simulate_coverage(group, 1_000, 1)
+
+
 class _FixedDraws:
     """Stands in for a Generator whose next uniform draw is u."""
 
