@@ -40,7 +40,7 @@ from .network import (
     serving_distance_cdf,
     serving_distance_pdf,
 )
-from .ppp import PppModel, ppp_coverage, ppp_model_from_scenario
+from .ppp import ppp_coverage
 from .simulation import (
     SimulationEstimate,
     empirical_distance_histogram,
@@ -59,7 +59,6 @@ __all__ = [
     "DomainError",
     "LaplaceEvaluation",
     "NetworkScenario",
-    "PppModel",
     "ReceiverMixture",
     "ScenarioFormatError",
     "SimulationEstimate",
@@ -82,7 +81,6 @@ __all__ = [
     "incomplete_F",
     "laplace_with_derivatives",
     "ppp_coverage",
-    "ppp_model_from_scenario",
     "sample_pair_distances",
     "segment_pair_pdf",
     "serving_distance_cdf",

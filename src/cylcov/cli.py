@@ -54,7 +54,7 @@ from .errors import (
 )
 from .geometry import CylinderGeometry
 from .network import ChannelModel, NetworkScenario
-from .ppp import ppp_coverage, ppp_model_from_scenario
+from .ppp import ppp_coverage
 from .simulation import empirical_distance_histogram, simulate_coverage
 
 SCHEMA_VERSION = 1
@@ -64,7 +64,10 @@ SWEEPABLE = ("N", "R", "H", "alpha", "m", "beta", "beta_dB")
 
 
 def db_to_linear(beta_db: float) -> float:
-    return 10.0 ** (beta_db / 10.0)
+    try:
+        return 10.0 ** (beta_db / 10.0)
+    except OverflowError:
+        raise ScenarioFormatError(f"field 'beta_dB': {beta_db!r} dB overflows a float") from None
 
 
 def _fmt(x) -> str:
@@ -288,8 +291,7 @@ def cmd_coverage(args) -> int:
             cells = [(meth, e.mean, e.ci_half_width, str(trials), str(seed)) for e in ests]
         else:
             sc = scenarios[indices[0]]
-            res = (coverage_probability(sc, dists[sc.geom]) if meth == "analytic"
-                   else ppp_coverage(ppp_model_from_scenario(sc)))
+            res = ppp_coverage(sc) if meth == "ppp" else coverage_probability(sc, dists[sc.geom])
             cells = [(res.method, res.pc, res.error_estimate, "", "")]
         elapsed = _fmt((time.perf_counter() - started) / len(indices)) if timing else "NA"
         return {

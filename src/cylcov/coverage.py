@@ -77,8 +77,9 @@ class CoverageResult:
 
     error_estimate bounds the numerical error of the analytic methods
     (the gap to a coarser rule, or for the Poisson baseline to a
-    transformed evaluation plus rounding).  scenario echoes whatever
-    parameter object produced the number.
+    transformed evaluation plus rounding).  scenario echoes the
+    NetworkScenario that produced the number, for the Poisson baseline
+    as for the finite-network models.
     """
 
     pc: float
@@ -118,11 +119,18 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
     serving distances share one evaluation of the transform and its
     derivatives.  Every series term is nonnegative, so the clip trims
     rounding only: a sum outside [-_SERIES_SLACK, 1 + _SERIES_SLACK]
-    is a numerical failure and raises RuntimeError.
+    is a numerical failure and raises RuntimeError.  Where the
+    transform argument m beta l^alpha overflows, it raises DomainError.
     """
     m = require_analytic_m(scenario.channel.m)
     l_arr = np.asarray(l, dtype=float)
-    t = m * scenario.beta * l_arr**scenario.channel.alpha
+    alpha = scenario.channel.alpha
+    with np.errstate(over="ignore"):
+        t = m * scenario.beta * l_arr**alpha
+    over = np.flatnonzero(np.isinf(t))
+    if over.size:
+        first = float(np.ravel(l_arr)[over[0]])
+        raise DomainError(f"m beta l^alpha overflows at alpha={alpha!r}, l={first!r}")
     lap = laplace_with_derivatives(t, l_arr, scenario, dist)
     total = sum((-t) ** k / math.factorial(k) * d for k, d in enumerate(lap.derivatives))
     # written so that NaN fails it too

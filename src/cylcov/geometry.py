@@ -12,17 +12,17 @@ class CylinderGeometry:
 
     Attributes:
         R: base radius (> 0).
-        H: height (> 0).
+        H: height (> 0), with d_max and the volume finite and nonzero.
     """
 
     R: float
     H: float
 
     def __post_init__(self):
-        if not (self.R > 0.0):
-            raise DomainError(f"radius R={self.R!r} must be positive")
-        if not (self.H > 0.0):
-            raise DomainError(f"height H={self.H!r} must be positive")
+        # written so that NaN fails it too; given R > 0, a volume > 0 needs H > 0
+        if not (self.R > 0.0 and self.d_max < math.inf and 0.0 < self.volume < math.inf):
+            raise DomainError(f"radius R={self.R!r} and height H={self.H!r} must be positive, "
+                              "with a finite, nonzero d_max and volume")
 
     @property
     def d_max(self) -> float:

@@ -158,15 +158,16 @@ def laplace_with_derivatives(
     """L_I(t | l) = g(t | l)^(N-2) with derivatives of order 0 .. m-1.
 
     t and l are scalars or arrays that broadcast together; every pair is
-    evaluated in one pass.  N = 2 means no interferers: the transform is
-    identically 1 and all derivatives vanish.
+    evaluated in one pass, and every t must be finite and nonnegative.
+    N = 2 means no interferers: the transform is identically 1 and all
+    derivatives vanish.
     """
     m = require_analytic_m(scenario.channel.m)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError(
-            f"transform argument t={float(np.min(t_arr))!r} must be nonnegative"
-        )
+    bad = np.flatnonzero(~((t_arr >= 0.0) & (t_arr < np.inf)))
+    if bad.size:
+        first = float(t_arr.flat[bad[0]])
+        raise DomainError(f"transform argument t={first!r} must be finite and nonnegative")
     _check_geometry(scenario.geom, dist)
     if scenario.N == 2:
         ds = np.zeros((m,) + np.broadcast(t_arr, np.asarray(l)).shape)

@@ -48,8 +48,8 @@ class NetworkScenario:
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
             raise DomainError(f"node count N={self.N!r} must be an integer >= 2")
-        if not (self.beta > 0.0):
-            raise DomainError(f"SIR threshold beta={self.beta!r} must be positive")
+        if not (0.0 < self.beta < np.inf):
+            raise DomainError(f"SIR threshold beta={self.beta!r} must be finite and positive")
 
 
 def _check_geometry(scenario_geom: CylinderGeometry, dist: TabulatedDistribution) -> None:

@@ -1,10 +1,11 @@
 """Conventional infinite-field Poisson baseline for comparison.
 
 The finite-deployment model has no canonical Poisson counterpart, so this
-repo pins one and documents it: a homogeneous Poisson point process of
-intensity lam = N / (pi R^2 H) filling all of 3-D space, nearest-point
-association, every other point interfering, with the same path-loss and
-Nakagami fading laws.  The serving distance then has the standard density
+repo pins one and documents it: for a NetworkScenario, a homogeneous
+Poisson point process of the matched intensity lam = N / (pi R^2 H)
+filling all of 3-D space, nearest-point association, every other point
+interfering, with the same path-loss and Nakagami fading laws.  The
+serving distance then has the standard density
 
     f(l) = 4 pi lam l^2 exp(-(4/3) pi lam l^3),
 
@@ -26,9 +27,12 @@ coefficients in x of 1 / D(x), D(x) = 1 + 3 A(beta (1 - x)).  The
 coefficients of D are derivatives of the hypergeometric function, one
 scipy hyp2f1 call for all m of them, and those of 1 / D follow by the
 power-series reciprocal.  A value costs a few hundredths of a
-millisecond; the intensity cancels, so the result does not depend on lam
-at all.  At m = 1 it is the textbook 1 / (1 + 3 A(beta)), the 3-D form
-of Andrews, Baccelli & Ganti (IEEE TCOM 2011).
+millisecond.  The intensity cancels, so the result does not depend on N,
+R or H: ``ppp_coverage`` reads only alpha, m and beta of its scenario,
+and only the truncated-field simulator (``simulate_ppp_coverage``) takes
+lam from N and the cylinder.  At m = 1 it is the textbook
+1 / (1 + 3 A(beta)), the 3-D form of Andrews, Baccelli & Ganti (IEEE
+TCOM 2011).
 
 Caveat, stated prominently: in an infinite 3-D field the aggregate
 interference is almost surely infinite unless alpha > 3.  For
@@ -40,15 +44,13 @@ down as the truncation grows, consistent with the collapse.
 """
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import binom, hyp2f1
 
 from .coverage import CoverageResult, _within_contract
-from .errors import DomainError
 from .interference import require_analytic_m
-from .network import ChannelModel, NetworkScenario
+from .network import NetworkScenario
 
 # Rounding allowance, in units of m * eps * pc / (1 - delta): a few ulps
 # for each hyp2f1 value on top of the recurrence's own rounding.  Against a
@@ -56,30 +58,6 @@ from .network import ChannelModel, NetworkScenario
 # beta 1e-6 to 1e6, m 1 to 5) the error beyond the Pfaff gap reached 1.06
 # units.
 _ROUNDING_ULPS = 4.0
-
-
-@dataclass(frozen=True)
-class PppModel:
-    """Homogeneous Poisson field: intensity, channel, SIR threshold."""
-
-    lam: float
-    channel: ChannelModel
-    beta: float
-
-    def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise DomainError(f"intensity lam={self.lam!r} must be positive")
-        if not (self.beta > 0.0):
-            raise DomainError(f"SIR threshold beta={self.beta!r} must be positive")
-
-
-def ppp_model_from_scenario(scenario: NetworkScenario) -> PppModel:
-    """Intensity-matched baseline, lam = N / (pi R^2 H)."""
-    return PppModel(
-        lam=scenario.N / scenario.geom.volume,
-        channel=scenario.channel,
-        beta=scenario.beta,
-    )
 
 
 def _pfaff_hyp2f1(a, b, c, z):
@@ -106,23 +84,24 @@ def _coverage_sum(m: int, delta: float, beta: float, hyp) -> float:
     return float(sum(q))
 
 
-def ppp_coverage(model: PppModel) -> CoverageResult:
-    """Coverage probability of the typical receiver in the Poisson field.
+def ppp_coverage(scenario: NetworkScenario) -> CoverageResult:
+    """Coverage probability of the typical receiver in the scenario's Poisson field.
 
-    Exact for alpha > 3, in closed form (see module docstring).
-    error_estimate is the gap to the same sum with every 2F1 taken through
-    Pfaff's transformation, plus a rounding bound: every term is positive,
+    Reads alpha, m and beta; N, R and H do not enter.  Exact for
+    alpha > 3, in closed form (see module docstring).  error_estimate is
+    the gap to the same sum with every 2F1 taken through Pfaff's
+    transformation, plus a rounding bound: every term is positive,
     so rounding is relative to pc, and the rounding of delta = 3 / alpha
     is amplified by the pole of A at delta = 1, a factor 1 / (1 - delta).
     It must stay within the coverage contract.  For alpha <= 3 the infinite
     field carries almost surely infinite interference and the result is
     exactly 0.
     """
-    m = require_analytic_m(model.channel.m)
-    if model.channel.alpha <= 3.0:
-        return _within_contract(0.0, 0.0, "ppp-baseline", model)
-    delta = 3.0 / model.channel.alpha
-    value = _coverage_sum(m, delta, model.beta, hyp2f1)
-    err = abs(value - _coverage_sum(m, delta, model.beta, _pfaff_hyp2f1))
+    m = require_analytic_m(scenario.channel.m)
+    if scenario.channel.alpha <= 3.0:
+        return _within_contract(0.0, 0.0, "ppp-baseline", scenario)
+    delta = 3.0 / scenario.channel.alpha
+    value = _coverage_sum(m, delta, scenario.beta, hyp2f1)
+    err = abs(value - _coverage_sum(m, delta, scenario.beta, _pfaff_hyp2f1))
     err += _ROUNDING_ULPS * m * sys.float_info.epsilon * value / (1.0 - delta)
-    return _within_contract(value, err, "ppp-baseline", model)
+    return _within_contract(value, err, "ppp-baseline", scenario)

@@ -46,7 +46,6 @@ from numpy.random import Generator, Philox
 from .errors import DomainError
 from .geometry import CylinderGeometry
 from .network import NetworkScenario
-from .ppp import PppModel
 
 BLOCK_TRIALS = 4096
 # Expected field points per block of simulate_ppp_coverage: its arrays take
@@ -217,22 +216,19 @@ def simulate_coverage(scenario, trials: int, seed: int) -> Union[SimulationEstim
 
 
 def simulate_ppp_coverage(
-    model: PppModel,
-    geom: CylinderGeometry,
-    trials: int,
-    seed: int,
-    padding: float = 2.0,
+    scenario: NetworkScenario, trials: int, seed: int, padding: float = 2.0
 ) -> SimulationEstimate:
-    """Monte Carlo coverage in a truncated homogeneous Poisson field.
+    """Monte Carlo coverage in the scenario's truncated homogeneous Poisson field.
 
-    Points fall as a Poisson process of intensity model.lam inside a
-    cylinder of radius M and half-height M centered on the receiver,
-    where M = padding * geom.d_max, so the region engulfs the ball of
-    radius M around the receiver.  Padding large enough that further
-    growth moves the estimate by < 0.002 stands in for the infinite
-    field; how large that is depends strongly on the path-loss exponent
-    (the far-field truncation error decays like M^(3 - alpha)), and for
-    alpha <= 3 no finite padding achieves it: the infinite-field
+    Points fall as a Poisson process of the matched intensity
+    lam = N / (pi R^2 H) inside a cylinder of radius M and half-height M
+    centered on the receiver, where M = padding * d_max of the scenario's
+    cylinder, so the region engulfs the ball of radius M around the
+    receiver; padding must be finite and positive.  Padding large enough
+    that further growth moves the estimate by < 0.002 stands in for the
+    infinite field; how large that is depends strongly on the path-loss
+    exponent (the far-field truncation error decays like M^(3 - alpha)),
+    and for alpha <= 3 no finite padding achieves it: the infinite-field
     interference diverges and the estimate keeps falling forever.
 
     Trials with an empty field count as not covered; a single point in
@@ -241,15 +237,11 @@ def simulate_ppp_coverage(
     pass PPP_BLOCK_POINTS.
     """
     _check_count("trials", trials)
-    if padding <= 0.0:
-        raise DomainError("padding must be positive")
-    R = padding * geom.d_max
-    half_h = padding * geom.d_max
-    volume = math.pi * R * R * (2.0 * half_h)
-    lam_v = model.lam * volume
-    alpha = model.channel.alpha
-    m = model.channel.m
-    beta = model.beta
+    if not (0.0 < padding < math.inf):
+        raise DomainError(f"padding={padding!r} must be finite and positive")
+    M = padding * scenario.geom.d_max
+    lam_v = scenario.N / scenario.geom.volume * (math.pi * M * M * (2.0 * M))  # lam * volume
+    m = scenario.channel.m
     block = max(1, int(min(BLOCK_TRIALS, PPP_BLOCK_POINTS // lam_v)))
     successes = 0
     for index, size in _blocks(trials, block):
@@ -259,24 +251,18 @@ def simulate_ppp_coverage(
         if total == 0:
             continue
         u = rng.random((total, 3))
-        r = R * np.sqrt(u[:, 0])
-        z = half_h * (2.0 * u[:, 2] - 1.0)
+        r = M * np.sqrt(u[:, 0])
+        z = M * (2.0 * u[:, 2] - 1.0)
         d = np.sqrt(r * r + z * z)
         gains = rng.gamma(m, 1.0 / m, total)
-        powers = gains * d ** (-alpha)
-        owner_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        nonempty = counts > 0
-        starts = owner_starts[nonempty]
-        # Segmented nearest point: sort by (owner, distance), take segment heads.
-        owner = np.repeat(np.arange(size), counts)
-        order = np.lexsort((d, owner))
-        serving_idx = order[np.searchsorted(owner[order], np.arange(size)[nonempty])]
-        signal = powers[serving_idx]
-        sums = np.add.reduceat(powers, starts)
-        interference = sums - signal
-        covered = (interference == 0.0) | (signal > beta * interference)
+        powers = gains * d ** (-scenario.channel.alpha)
+        # Segmented nearest point: sort by (owner, distance); the head of each
+        # nonempty trial's segment sits where its points start.
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        order = np.lexsort((d, np.repeat(np.arange(size), counts)))
+        signal = powers[order[starts]]
+        interference = np.add.reduceat(powers, starts) - signal
+        covered = (interference == 0.0) | (signal > scenario.beta * interference)
         successes += int(np.count_nonzero(covered))
     p, ci = _binomial_estimate(successes, trials)
-    return SimulationEstimate(
-        mean=p, ci_half_width=float(ci), trials=trials, seed=seed, scenario=model
-    )
+    return SimulationEstimate(p, float(ci), trials, seed, scenario)

@@ -33,7 +33,6 @@ from cylcov import (
     exact_coverage_probability,
     laplace_with_derivatives,
     ppp_coverage,
-    ppp_model_from_scenario,
     sample_pair_distances,
     serving_distance_pdf,
     simulate_coverage,
@@ -148,7 +147,7 @@ def coverage_grid():
             for (m, beta), sc, est in zip(points, group, estimates):
                 analytic = coverage_probability(sc, dist).pc
                 exact = exact_coverage_probability(sc, mixture)
-                ppp = ppp_coverage(ppp_model_from_scenario(sc)).pc
+                ppp = ppp_coverage(sc).pc
                 rows.append(
                     {
                         "geom": geom,

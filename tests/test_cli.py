@@ -415,9 +415,9 @@ class TestCoverageCommand:
         assert not out.exists()
 
     def test_failed_analytic_row_is_an_error_line(self, tmp_path):
-        # At alpha = 200, l^alpha overflows and the coverage series sums to
-        # nan: the library raises RuntimeError, and the command reports it.
-        # Run as a user runs it, where numpy's overflow warnings only print.
+        # At alpha = 200, m beta l^alpha overflows for l > 34.8: the library
+        # raises DomainError, and the command reports it.  Run as a user
+        # runs it, where numpy's overflow warnings would only print.
         scen = write_scenario(
             tmp_path / "s.json",
             scenario={"N": 5, "R": 20.0, "H": 120.0, "alpha": 200.0, "m": 1, "beta": 1.0},
@@ -432,7 +432,36 @@ class TestCoverageCommand:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("error: coverage series at l=")
+        assert proc.stderr.splitlines()[-1].startswith("error: m beta l^alpha overflows at alpha=200.0, l=")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["analytic", "simulate", "ppp"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"R": math.inf}, "R=inf"),
+            ({"H": math.inf}, "H=inf"),
+            ({"R": 20e150, "H": 120e150}, "R=2e+151"),  # the volume overflows
+            ({"beta_dB": 4000}, "field 'beta_dB': 4000 dB"),
+            ({"beta_dB": math.inf}, "beta=inf"),
+        ],
+    )
+    def test_non_finite_scenario_is_an_error_line(self, tmp_path, capsys, method, fields, message):
+        # json writes inf as Infinity, which json.load reads back
+        base = {"N": 5, "R": 20.0, "H": 120.0, "alpha": 4.0, "m": 1, "beta_dB": 0.0, **fields}
+        scen = write_scenario(tmp_path / "s.json", scenario=base, method=method)
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert not out.exists()
+
+    def test_overflowing_beta_db_flag_is_an_error_line(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", method="ppp")
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--beta-db", "4000"]) == 1
+        assert capsys.readouterr().err.startswith("error: field 'beta_dB': 4000.0 dB overflows")
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2", "4"])

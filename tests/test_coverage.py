@@ -22,7 +22,6 @@ from cylcov import (
     exact_coverage_probability,
     laplace_with_derivatives,
     ppp_coverage,
-    ppp_model_from_scenario,
     simulate_coverage,
 )
 from cylcov.coverage import EXACT_ORDER, _SPLITS, _serving_integral, _within_contract
@@ -109,7 +108,7 @@ class TestCoverageResult:
         for res in (
             coverage_probability(sc, tall_dist),
             exact_coverage_probability(sc, tall_mixture),
-            ppp_coverage(ppp_model_from_scenario(sc)),
+            ppp_coverage(sc),
         ):
             assert type(res.pc) is float, res.method
             assert type(res.error_estimate) is float, res.method
@@ -148,6 +147,18 @@ class TestConditionalCoverage:
         ls = np.array([0.1, 0.2]) * TALL.d_max
         with pytest.raises(RuntimeError, match=f"l={float(ls[0])!r}"):
             conditional_coverage(ls, sc, tall_dist)
+
+    def test_overflowing_argument_raises(self):
+        # At alpha = 200, m beta l^alpha passes the largest float for every
+        # l above 34.8.  The suite turns numpy's overflow warning into an
+        # error, so this also checks that none is raised.
+        dist = get_dist(TALL, 256)
+        sc = scenario(N=5, alpha=200.0)
+        assert 0.0 <= conditional_coverage(34.0, sc, dist) <= 1.0
+        with pytest.raises(DomainError, match=r"alpha=200\.0, l=40\.0"):
+            conditional_coverage(np.array([30.0, 34.0, 40.0, 50.0]), sc, dist)
+        with pytest.raises(DomainError, match=r"alpha=200\.0, l="):
+            coverage_probability(sc, dist)
 
     @pytest.mark.parametrize("total, clipped", [(1.0 + 1e-10, 1.0), (-1e-10, 0.0)])
     def test_rounding_past_the_unit_interval_is_clipped(
@@ -192,6 +203,25 @@ class TestConditionalCoverage:
         for l, value in zip(ls, batched):
             single = conditional_coverage(float(l), sc, dist)
             assert abs(value - single) <= 1e-13 * abs(single), (l, value, single)
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_batching_moves_only_the_last_digits(self, geom):
+        # In integrate_pdf_product a lower limit's row starts at its block's
+        # first column, and pairwise summation groups terms by position, so
+        # a value's last bits depend on which limits share its block: alone
+        # and among 400 limits the values differed by up to 1.3e-14.
+        rng = np.random.default_rng(11)
+        cases = []
+        for stack in (get_dist(geom).stack, get_mixture(geom).stack):
+            which = rng.integers(0, len(stack.tables), 400)
+            cases.append((stack, which, rng.random(400) * stack.ends[which]))
+        for m, beta, N in product((1, 3, 5), (0.1, 10.0), (3, 40)):
+            sc = scenario(N=N, m=float(m), geom=geom, beta=beta)
+            for stack, which, ls in cases:
+                batched = conditional_coverage(ls, sc, stack.take(which))
+                for i in range(0, ls.size, 20):
+                    single = conditional_coverage(float(ls[i]), sc, stack.take(which[i : i + 1]))
+                    assert abs(batched[i] - single) <= 1e-13, (m, beta, N, ls[i])
 
 
 class TestCoverageProbability:

@@ -33,14 +33,13 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 PUBLIC = """
     CoverageResult CylinderGeometry ChannelModel DEFAULT_GRID_SIZE DegenerateConditionError
-    DomainError LaplaceEvaluation NetworkScenario PppModel ReceiverMixture ScenarioFormatError
+    DomainError LaplaceEvaluation NetworkScenario ReceiverMixture ScenarioFormatError
     SimulationEstimate StaleCacheError TabulatedDistribution UnsupportedParameterError build_cdf
     build_receiver_cdfs complete_E complete_K conditional_coverage conditional_interferer_pdf
     coverage_probability cylinder_pair_pdf_closed cylinder_pair_pdf_numeric disk_pair_pdf
     empirical_distance_histogram exact_coverage_probability incomplete_E incomplete_F
-    laplace_with_derivatives ppp_coverage ppp_model_from_scenario sample_pair_distances
-    segment_pair_pdf serving_distance_cdf serving_distance_pdf simulate_coverage
-    simulate_ppp_coverage
+    laplace_with_derivatives ppp_coverage sample_pair_distances segment_pair_pdf
+    serving_distance_cdf serving_distance_pdf simulate_coverage simulate_ppp_coverage
 """.split()
 
 # helpers only tests used, as module.name under cylcov; their oracles are in tests/
@@ -49,7 +48,7 @@ REMOVED = """
     simulation.sample_fading_gain simulation._sample_points cli.linear_to_db
     simulation.sample_conditional_interferer_distances distance.build_receiver_cdf
     distance.TabulatedDistribution.kind distance.TabulatedDistribution.ppf
-    simulation._sample_coordinates simulation._distance
+    simulation._sample_coordinates simulation._distance ppp.PppModel ppp.ppp_model_from_scenario
 """.split()
 
 

@@ -201,6 +201,13 @@ class TestLaplaceDerivatives:
         with pytest.raises(DomainError):
             laplace_with_derivatives(-0.5, 10.0, scenario(), tall_dist)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, tall_dist, t):
+        with pytest.raises(DomainError, match=f"t={t!r}"):
+            laplace_with_derivatives(t, 10.0, scenario(), tall_dist)
+        with pytest.raises(DomainError, match=f"t={t!r}"):
+            laplace_with_derivatives(np.array([1.0, t, -1.0]), 10.0, scenario(m=2.0), tall_dist)
+
 
 def _series_terms_by_cell_rule(dist, t, l, m, alpha, order=16):
     """t^j g^(j)(t | l) / j! for j < m, by an order-`order` Gauss rule on every knot cell.

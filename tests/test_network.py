@@ -23,6 +23,7 @@ from scipy.stats import kstest
 from conftest import SQUAT, TALL, inverse_cdf, sample_points
 from cylcov import (
     ChannelModel,
+    CylinderGeometry,
     DegenerateConditionError,
     DomainError,
     NetworkScenario,
@@ -55,6 +56,28 @@ class TestScenarioValidation:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(DomainError):
             scenario(5, beta=0.0)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(DomainError, match="beta"):
+            scenario(5, beta=beta)
+
+    @pytest.mark.parametrize(
+        "R, H",
+        [
+            (math.inf, 120.0), (20.0, math.inf), (math.nan, 120.0), (20.0, math.nan),
+            (-20.0, 120.0), (20.0, -120.0), (0.0, 120.0), (20.0, 0.0),
+            # d_max or the volume overflows, or the volume underflows to 0
+            (20e150, 120e150), (1e200, 1.0), (1e-200, 1e-200),
+        ],
+    )
+    def test_rejects_cylinders_without_finite_size(self, R, H):
+        with pytest.raises(DomainError, match="radius R"):
+            CylinderGeometry(R=R, H=H)
+
+    def test_accepts_large_finite_cylinders(self):
+        geom = CylinderGeometry(R=20e60, H=120e60)
+        assert math.isfinite(geom.d_max) and math.isfinite(geom.volume)
 
     def test_rejects_shallow_path_loss(self):
         with pytest.raises(DomainError):

@@ -20,10 +20,8 @@ from cylcov import (
     CylinderGeometry,
     DomainError,
     NetworkScenario,
-    PppModel,
     UnsupportedParameterError,
     ppp_coverage,
-    ppp_model_from_scenario,
     simulate_coverage,
     simulate_ppp_coverage,
 )
@@ -33,10 +31,12 @@ SQUAT = CylinderGeometry(R=120.0, H=20.0)
 SMALL = CylinderGeometry(R=12.0, H=30.0)
 
 
-def model(alpha=4.0, m=1.0, beta=1.0, lam=None, geom=SQUAT, N=10):
-    if lam is None:
-        lam = N / geom.volume
-    return PppModel(lam=lam, channel=ChannelModel(alpha=alpha, m=m), beta=beta)
+def scenario(alpha=4.0, m=1.0, beta=1.0, geom=SQUAT, N=10):
+    return NetworkScenario(N=N, geom=geom, channel=ChannelModel(alpha=alpha, m=m), beta=beta)
+
+
+def scaled(geom, f):
+    return CylinderGeometry(R=geom.R * f, H=geom.H * f)
 
 
 def oracle_coverage(alpha, m, beta, dps=30):
@@ -84,59 +84,48 @@ def oracle_coverage(alpha, m, beta, dps=30):
 
 
 class TestModel:
-    def test_intensity_matching(self):
-        sc = NetworkScenario(
-            N=10, geom=SQUAT, channel=ChannelModel(alpha=3.0, m=1.0), beta=1.0
-        )
-        ppp = ppp_model_from_scenario(sc)
-        assert ppp.lam == pytest.approx(10.0 / (math.pi * 120.0**2 * 20.0), rel=1e-12)
-        assert ppp.channel == sc.channel
-        assert ppp.beta == sc.beta
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            PppModel(lam=0.0, channel=ChannelModel(alpha=4.0, m=1.0), beta=1.0)
-        with pytest.raises(DomainError):
-            PppModel(lam=1.0, channel=ChannelModel(alpha=4.0, m=1.0), beta=-1.0)
+    def test_results_echo_the_scenario(self):
+        sc = scenario(alpha=8.0)
+        assert ppp_coverage(sc).scenario is sc
+        assert simulate_ppp_coverage(sc, trials=10, seed=1, padding=0.1).scenario is sc
 
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedParameterError):
-            ppp_coverage(model(m=2.5))
+            ppp_coverage(scenario(m=2.5))
         with pytest.raises(UnsupportedParameterError):
-            ppp_coverage(model(m=7.0))
+            ppp_coverage(scenario(m=7.0))
 
 
 class TestAnalytic:
     def test_vanishing_threshold(self):
-        res = ppp_coverage(model(alpha=4.0, beta=1e-9))
+        res = ppp_coverage(scenario(alpha=4.0, beta=1e-9))
         assert res.pc >= 0.999
         assert res.method == "ppp-baseline"
 
     def test_intensity_invariance(self):
         # Rescaling space maps PPP(lam) to PPP(lam'), and the SIR is a
         # ratio of distance powers, so coverage cannot depend on the
-        # intensity at all.  In particular it does NOT approach 1 as the
-        # field thins out: the nearest transmitter recedes at the same
-        # rate as the interferers.
-        lam0 = 10.0 / SQUAT.volume
+        # matched intensity N / (pi R^2 H) at all.  In particular it does
+        # NOT approach 1 as the field thins out: the nearest transmitter
+        # recedes at the same rate as the interferers.
         pcs = [
-            ppp_coverage(model(alpha=4.0, lam=lam0 * f)).pc
-            for f in (1e-6, 1.0, 1e6)
+            ppp_coverage(scenario(alpha=4.0, geom=geom, N=N)).pc
+            for geom, N in ((scaled(SQUAT, 1e2), 2), (SQUAT, 10), (scaled(SQUAT, 1e-2), 10**6))
         ]
         assert pcs[0] == pytest.approx(pcs[1], abs=1e-4)
         assert pcs[2] == pytest.approx(pcs[1], abs=1e-4)
 
     def test_decreasing_in_beta(self):
-        pcs = [ppp_coverage(model(alpha=4.0, beta=b)).pc for b in (0.1, 1.0, 10.0)]
+        pcs = [ppp_coverage(scenario(alpha=4.0, beta=b)).pc for b in (0.1, 1.0, 10.0)]
         assert pcs[0] > pcs[1] > pcs[2]
 
     def test_improves_with_fading_shape(self):
-        pcs = [ppp_coverage(model(alpha=4.0, m=m)).pc for m in (1.0, 2.0, 3.0)]
+        pcs = [ppp_coverage(scenario(alpha=4.0, m=m)).pc for m in (1.0, 2.0, 3.0)]
         assert pcs[0] < pcs[1] < pcs[2]
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0])
     def test_collapse_below_supercritical_exponent(self, alpha):
-        res = ppp_coverage(model(alpha=alpha))
+        res = ppp_coverage(scenario(alpha=alpha))
         assert res.pc == 0.0
         assert res.error_estimate == 0.0
 
@@ -144,14 +133,19 @@ class TestAnalytic:
     def test_matches_mpmath_oracle(self, alpha):
         for m in range(1, 6):
             for beta in (0.1, 10.0):
-                res = ppp_coverage(model(alpha=alpha, m=float(m), beta=beta))
+                res = ppp_coverage(scenario(alpha=alpha, m=float(m), beta=beta))
                 gap = abs(res.pc - oracle_coverage(alpha, m, beta))
                 assert gap <= res.error_estimate <= 1e-12, (m, beta, gap, res.error_estimate)
 
     def test_intensity_cancels_exactly(self):
-        lam0 = 10.0 / SQUAT.volume
+        # N, R and H do not enter the closed form: every bit is the same
+        shapes = (SQUAT, SMALL, scaled(SQUAT, 1e-6), scaled(SMALL, 1e6))
         for alpha, m, beta in ((3.05, 5.0, 0.1), (4.0, 1.0, 1.0), (6.0, 3.0, 10.0)):
-            pcs = {ppp_coverage(model(alpha, m, beta, lam=lam0 * f)).pc for f in (1e-6, 1.0, 1e6)}
+            pcs = {
+                ppp_coverage(scenario(alpha, m, beta, geom=geom, N=N)).pc
+                for geom in shapes
+                for N in (2, 10, 10**6)
+            }
             assert len(pcs) == 1, (alpha, m, beta, pcs)
 
     @pytest.mark.parametrize("alpha", [3.0 + 1e-13, 3.0 + 1e-12])
@@ -159,15 +153,15 @@ class TestAnalytic:
         # 2F1 overflows at the first, and the pole at delta = 1 amplifies
         # the rounding of delta past the contract at the second
         with pytest.raises(RuntimeError):
-            ppp_coverage(model(alpha=alpha, beta=1e-14))
+            ppp_coverage(scenario(alpha=alpha, beta=1e-14))
 
 
 class TestMonteCarloConsistency:
     def test_matches_truncated_field_at_steep_exponent(self):
         # alpha = 8: truncation error ~ M^-5 is negligible at padding 1
-        mdl = model(alpha=8.0, m=1.0)
-        res = ppp_coverage(mdl)
-        est = simulate_ppp_coverage(mdl, SQUAT, trials=20_000, seed=24, padding=1.0)
+        sc = scenario(alpha=8.0, m=1.0)
+        res = ppp_coverage(sc)
+        est = simulate_ppp_coverage(sc, trials=20_000, seed=24, padding=1.0)
         stderr = est.ci_half_width / 1.96
         assert abs(res.pc - est.mean) <= max(0.01, 3.0 * stderr)
 
@@ -175,9 +169,9 @@ class TestMonteCarloConsistency:
         # paired construction: the larger region reuses the smaller one's
         # points plus an independent shell, so the padding effect is
         # isolated from Monte Carlo noise
-        mdl = model(alpha=8.0, m=1.0)
-        near = simulate_ppp_coverage(mdl, SQUAT, trials=8_000, seed=25, padding=1.0)
-        far = simulate_ppp_coverage(mdl, SQUAT, trials=8_000, seed=25, padding=1.6)
+        sc = scenario(alpha=8.0, m=1.0)
+        near = simulate_ppp_coverage(sc, trials=8_000, seed=25, padding=1.0)
+        far = simulate_ppp_coverage(sc, trials=8_000, seed=25, padding=1.6)
         # same seed reuses the same block substreams; the remaining
         # difference is dominated by the true padding effect plus the
         # resampling noise of the region change
@@ -186,9 +180,9 @@ class TestMonteCarloConsistency:
         ) / 1.96
 
     def test_estimate_keeps_falling_when_field_diverges(self):
-        mdl = model(alpha=3.0, m=1.0, geom=SMALL)
+        sc = scenario(alpha=3.0, m=1.0, geom=SMALL)
         pcs = [
-            simulate_ppp_coverage(mdl, SMALL, trials=4_000, seed=26, padding=p).mean
+            simulate_ppp_coverage(sc, trials=4_000, seed=26, padding=p).mean
             for p in (1.0, 3.0)
         ]
         assert pcs[1] < pcs[0] - 0.02
@@ -197,32 +191,55 @@ class TestMonteCarloConsistency:
         # A 4096-trial block of this field holds 3.99 M expected points,
         # just under PPP_BLOCK_POINTS, so it keeps full blocks; the values
         # were measured with fixed 4096-trial blocks.
-        est = simulate_ppp_coverage(model(alpha=8.0, m=1.0), SQUAT, trials=5000, seed=24, padding=1.0)
+        est = simulate_ppp_coverage(scenario(alpha=8.0, m=1.0), trials=5000, seed=24, padding=1.0)
         assert est.mean == 0.682
         assert est.ci_half_width == 0.01290853083507182
 
     def test_block_memory_is_bounded(self):
         # About 7,100 expected points per trial: 1200 trials in one block
         # would hold 8.5 M points, about 0.8 GB.
-        mdl = model(alpha=3.0, m=1.0, geom=SMALL)
+        sc = scenario(alpha=3.0, m=1.0, geom=SMALL)
         tracemalloc.start()
         try:
-            simulate_ppp_coverage(mdl, SMALL, trials=1200, seed=26, padding=3.0)
+            simulate_ppp_coverage(sc, trials=1200, seed=26, padding=3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 160 * PPP_BLOCK_POINTS
 
     def test_single_point_field_counts_as_covered(self):
-        tiny = model(alpha=4.0, lam=1e-9, geom=SMALL)
-        est = simulate_ppp_coverage(tiny, SMALL, trials=500, seed=27, padding=1.0)
-        # field almost surely empty or a lone serving node
-        assert est.mean <= 1.0
+        # N = 2 in SMALL at padding 0.27 puts mu = 2 N p^3 d_max^3 / (R^2 H)
+        # = 1.03 points in a field.  Covered are the lone points, P1 = mu
+        # e^-mu = 0.37, and a share of the fields of two or more points, so
+        # the estimate lies in [P1, 1 - P0] = [0.37, 0.64].  Counting empty
+        # fields as covered would lift it to at least P0 + P1 = 0.72, and
+        # lone points as not covered cap it at 1 - P0 - P1 = 0.28.
+        padding = 0.27
+        sc = scenario(alpha=4.0, geom=SMALL, N=2)
+        mu = 2 * sc.N * padding**3 * SMALL.d_max**3 / (SMALL.R**2 * SMALL.H)
+        assert 0.9 < mu < 1.1
+        est = simulate_ppp_coverage(sc, trials=4_000, seed=27, padding=padding)
+        slack = 3.0 * est.ci_half_width / 1.96
+        assert mu * math.exp(-mu) - slack <= est.mean <= 1.0 - math.exp(-mu) + slack
+
+    def test_same_stream_at_every_scale(self):
+        # Scaling R and H by a power of two scales every distance exactly
+        # and leaves the field's mean point count N / V * volume unchanged,
+        # so the draws and the counts are the same.
+        sc = scenario(alpha=8.0, m=1.0)
+        big = scenario(alpha=8.0, m=1.0, geom=scaled(SQUAT, 2.0**20))
+        near, far = (simulate_ppp_coverage(s, trials=3000, seed=29, padding=1.0) for s in (sc, big))
+        assert near.mean == far.mean
+
+    @pytest.mark.parametrize("padding", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_padding_must_be_finite_and_positive(self, padding):
+        with pytest.raises(DomainError, match="padding"):
+            simulate_ppp_coverage(scenario(), trials=10, seed=1, padding=padding)
 
 
 class TestFigureFiveOrdering:
     def test_ppp_deviates_more_than_bpp_analytic(self, squat_dist):
-        # lam matched to N=10 in the squat cylinder, alpha=3, m=1, beta=1
+        # N=10 in the squat cylinder, alpha=3, m=1, beta=1
         from cylcov import coverage_probability
 
         sc = NetworkScenario(
@@ -230,5 +247,5 @@ class TestFigureFiveOrdering:
         )
         truth = simulate_coverage(sc, 100_000, seed=28).mean
         bpp = coverage_probability(sc, squat_dist).pc
-        ppp = ppp_coverage(ppp_model_from_scenario(sc)).pc
+        ppp = ppp_coverage(sc).pc
         assert abs(ppp - truth) > abs(bpp - truth)

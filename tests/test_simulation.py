@@ -16,7 +16,6 @@ from cylcov import (
     DomainError,
     NetworkScenario,
     empirical_distance_histogram,
-    ppp_model_from_scenario,
     simulate_coverage,
     simulate_ppp_coverage,
 )
@@ -198,7 +197,7 @@ class TestSeeds:
         sc = scenario()
         calls = [
             lambda: simulate_coverage(sc, 100, seed),
-            lambda: simulate_ppp_coverage(ppp_model_from_scenario(sc), GEOM, 100, seed),
+            lambda: simulate_ppp_coverage(sc, 100, seed),
             lambda: empirical_distance_histogram(GEOM, 10_000, 8, seed),
             lambda: sample_pair_distances(GEOM, 10, seed),
             lambda: substream(seed, 0),
@@ -231,7 +230,7 @@ class TestCounts:
         calls = [
             ("trials", lambda: simulate_coverage(sc, count, 1)),
             ("trials", lambda: simulate_coverage([sc, scenario(m=2.0)], count, 1)),
-            ("trials", lambda: simulate_ppp_coverage(ppp_model_from_scenario(sc), GEOM, count, 1)),
+            ("trials", lambda: simulate_ppp_coverage(sc, count, 1)),
             ("pairs", lambda: sample_pair_distances(GEOM, count, 1)),
             ("pairs", lambda: empirical_distance_histogram(GEOM, count, 8, 1)),
             ("bins", lambda: empirical_distance_histogram(GEOM, 10_000, count, 1)),
