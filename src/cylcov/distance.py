@@ -51,7 +51,7 @@ exact density, so it equals the law, F_x and f_x, at its knots; the
 exact model reads it as the law and calls ``receiver_distance_law`` only
 while building tables.
 
-The module needs numpy and, through ``special``, ``scipy.special`` only.
+The module needs numpy only; ``special`` is pure Python.
 """
 
 import copy

@@ -23,16 +23,17 @@ form.  With delta = 3 / alpha,
     1 + 3 A(s) = 2F1(m, -delta; 1 - delta; -s),
 
 and the coverage probability is the sum of the first m Taylor
-coefficients in x of 1 / D(x), D(x) = 1 + 3 A(beta (1 - x)).  The
-coefficients of D are derivatives of the hypergeometric function, one
-scipy hyp2f1 call for all m of them, and those of 1 / D follow by the
-power-series reciprocal.  A value costs a few hundredths of a
-millisecond.  The intensity cancels, so the result does not depend on N,
-R or H: ``ppp_coverage`` reads only alpha, m and beta of its scenario,
-and only the truncated-field simulator (``simulate_ppp_coverage``) takes
-lam from N and the cylinder.  At m = 1 it is the textbook
-1 / (1 + 3 A(beta)), the 3-D form of Andrews, Baccelli & Ganti (IEEE
-TCOM 2011).
+coefficients in x of 1 / D(x), D(x) = 1 + 3 A(beta (1 - x)).  Those of D
+are unnormalised incomplete beta functions at w = beta / (1 + beta),
+d_0 = 1 + delta beta^delta sum_{i<m} B_w(1 - delta, delta + i) and
+d_j = -delta C(m + j - 1, j) beta^delta B_w(j - delta, m + delta), each a
+continued fraction, and those of 1 / D follow by the power-series
+reciprocal.  A value costs about a tenth of a millisecond.  The
+intensity cancels, so the result does not depend on N, R or H:
+``ppp_coverage`` reads only alpha, m and beta of its scenario, and only
+the truncated-field simulator (``simulate_ppp_coverage``) takes lam from
+N and the cylinder.  At m = 1 it is the textbook 1 / (1 + 3 A(beta)),
+the 3-D form of Andrews, Baccelli & Ganti (IEEE TCOM 2011).
 
 Caveat, stated prominently: in an infinite 3-D field the aggregate
 interference is almost surely infinite unless alpha > 3.  For
@@ -43,41 +44,65 @@ the field ad hoc.  Truncated Monte Carlo runs at alpha <= 3 keep drifting
 down as the truncation grows, consistent with the collapse.
 """
 
+import math
 import sys
-
-import numpy as np
-from scipy.special import binom, hyp2f1
 
 from .coverage import CoverageResult, _within_contract
 from .interference import require_analytic_m
 from .network import NetworkScenario
 
-# Rounding allowance, in units of m * eps * pc / (1 - delta): a few ulps
-# for each hyp2f1 value on top of the recurrence's own rounding.  Against a
-# 25-digit mpmath quadrature over 310 random points (alpha 3.001 to 20,
-# beta 1e-6 to 1e6, m 1 to 5) the error beyond the Pfaff gap reached 1.06
-# units.
+# Rounding allowance, in units of m * eps * pc / (1 - delta), for the
+# incomplete beta values and the recurrence.  Against a 30-digit mpmath
+# quadrature at 910 random points (alpha 3.001 to 20, beta 1e-6 to 1e6,
+# m 1 to 5) the error beyond the power-series gap reached 3.2 units.
 _ROUNDING_ULPS = 4.0
+_TERMS = 1000  # cap on the terms of either incomplete beta route
 
 
-def _pfaff_hyp2f1(a, b, c, z):
-    """2F1(a, b; c; z) through Pfaff's transformation, z / (z - 1) in place of z."""
-    return (1.0 - z) ** (-a) * hyp2f1(a, c - b, c, z / (z - 1.0))
+def _lentz_tail(p: float, q: float, x: float) -> float:
+    """p B_x(p, q) / (x^p (1 - x)^q), by the modified Lentz method on DLMF 8.17.22."""
+    f, c, d = 1.0, 1.0, 0.0
+    for n in range(1, _TERMS):
+        i = n // 2
+        a = (-(p + i) * (p + q + i) if n % 2 else i * (q - i)) * x / ((p + n - 1) * (p + n))
+        d = 1.0 / ((1.0 + a * d) or 1e-300)
+        c = (1.0 + a / c) or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            return 1.0 / f
+    raise RuntimeError(f"continued fraction of B_x(p, q) unsettled at p={p!r}, q={q!r}, x={x!r}")
 
 
-def _coverage_sum(m: int, delta: float, beta: float, hyp) -> float:
-    """Sum of the Taylor coefficients of order < m of 1 / D(x), with 2F1 evaluated by hyp.
+def _series_tail(p: float, q: float, x: float) -> float:
+    """The same ratio as sum_n (p + q)_n / (p + 1)_n x^n; on _beta_inc's side its terms fall."""
+    term = total = 1.0
+    for n in range(_TERMS):
+        term *= (p + q + n) / (p + 1.0 + n) * x
+        total += term
+        if term <= sys.float_info.epsilon * total:
+            return total
+    raise RuntimeError(f"power series of B_x(p, q) unsettled at p={p!r}, q={q!r}, x={x!r}")
 
-    d_j = beta^j (m)_j (-delta)_j / ((1 - delta)_j j!) 2F1(m + j, j - delta; j + 1 - delta; -beta)
-    is the x^j coefficient of D(x) = 2F1(m, -delta; 1 - delta; -beta (1 - x)).
-    d_0 >= 1 and d_j < 0 for j >= 1, so every coefficient of 1 / D is positive.
+
+def _beta_inc(p: float, q: float, beta: float, tail) -> float:
+    """B_w(p, q) at w = beta / (1 + beta), from the side of w on which tail converges."""
+    w, w1 = beta / (1.0 + beta), 1.0 / (1.0 + beta)
+    if w < (p + 1.0) / (p + q + 2.0):
+        return w**p * w1**q / p * tail(p, q, w)
+    whole = math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+    return whole - w1**q * w**p / q * tail(q, p, w1)
+
+
+def _coverage_sum(m: int, delta: float, beta: float, tail) -> float:
+    """Sum of the Taylor coefficients of order < m of 1 / D(x), with B_w taken through tail.
+
+    d_0 >= 1 and d_j < 0 for j >= 1 (module docstring), so every coefficient of 1 / D is positive.
     """
-    j = np.arange(m)
-    d = -delta / (j - delta) * binom(m + j - 1, j) * beta**j * hyp(
-        m + j, j - delta, j + 1.0 - delta, -beta
-    )
-    if not np.isfinite(d).all():
-        raise RuntimeError(f"2F1 is not finite at delta={delta!r}, beta={beta!r}")
+    s = delta * beta**delta
+    d = [1.0 + s * sum(_beta_inc(1.0 - delta, delta + i, beta, tail) for i in range(m))]
+    d += [-s * math.comb(m + j - 1, j) * _beta_inc(j - delta, m + delta, beta, tail) for j in range(1, m)]
+    if not all(map(math.isfinite, d)):
+        raise RuntimeError(f"B_w is not finite at delta={delta!r}, beta={beta!r}")
     q = [1.0 / d[0]]
     for k in range(1, m):
         q.append(-sum(d[i] * q[k - i] for i in range(1, k + 1)) / d[0])
@@ -89,8 +114,8 @@ def ppp_coverage(scenario: NetworkScenario) -> CoverageResult:
 
     Reads alpha, m and beta; N, R and H do not enter.  Exact for
     alpha > 3, in closed form (see module docstring).  error_estimate is
-    the gap to the same sum with every 2F1 taken through Pfaff's
-    transformation, plus a rounding bound: every term is positive,
+    the gap to the same sum with every incomplete beta function taken by
+    its power series, plus a rounding bound: every term is positive,
     so rounding is relative to pc, and the rounding of delta = 3 / alpha
     is amplified by the pole of A at delta = 1, a factor 1 / (1 - delta).
     It must stay within the coverage contract.  For alpha <= 3 the infinite
@@ -101,7 +126,7 @@ def ppp_coverage(scenario: NetworkScenario) -> CoverageResult:
     if scenario.channel.alpha <= 3.0:
         return _within_contract(0.0, 0.0, "ppp-baseline", scenario)
     delta = 3.0 / scenario.channel.alpha
-    value = _coverage_sum(m, delta, scenario.beta, hyp2f1)
-    err = abs(value - _coverage_sum(m, delta, scenario.beta, _pfaff_hyp2f1))
+    value = _coverage_sum(m, delta, scenario.beta, _lentz_tail)
+    err = abs(value - _coverage_sum(m, delta, scenario.beta, _series_tail))
     err += _ROUNDING_ULPS * m * sys.float_info.epsilon * value / (1.0 - delta)
     return _within_contract(value, err, "ppp-baseline", scenario)

@@ -11,24 +11,56 @@ import cylcov
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# scipy subpackages whose import costs about 0.6 s of a cold start
-HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.linalg")
 
-
-def test_import_loads_no_heavy_scipy_subpackage():
+def _run(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_import_loads_no_scipy():
     code = (
         "import sys\n"
         "import cylcov\n"
-        f"loaded = [name for name in {HEAVY!r} if name in sys.modules]\n"
+        "import cylcov.cli\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
-        "assert 'scipy.special' in sys.modules\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _run(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # with sys.modules["scipy"] = None every import of scipy raises ImportError
+    scenario = tmp_path / "s.json"
+    scenario.write_text(
+        '{"version": 1, "scenario": {"N": 5, "R": 20, "H": 120, "alpha": 4, "m": 2, "beta_dB": 0},'
+        ' "sweep": {"beta_dB": [0, 10]}, "method": "all", "trials": 2000,'
+        ' "output": {"grid_size": 64}}'
+    )
+    runs = [
+        ["pdf", "--R", "20", "--H", "120", "--points", "16", "--with-histogram",
+         "--pairs", "10000", "--bins", "8", "--output", str(tmp_path / "pdf.csv")],
+        ["cache", "--R", "20", "--H", "120", "--grid-size", "64", "--output", str(tmp_path / "c.tsv")],
+        ["coverage", "--scenario", str(scenario), "--cdf-cache", str(tmp_path / "c.tsv"),
+         "--trials", "2000", "--output", str(tmp_path / "cov.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cylcov.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    proc = _run(code)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in (tmp_path / "cov.csv").read_text().splitlines() if line[0] != "#"]
+    column = lines[0].split(",").index("method")
+    methods = sorted(line.split(",")[column] for line in lines[1:])
+    assert methods == ["analytic", "analytic", "monte-carlo", "monte-carlo",
+                       "ppp-baseline", "ppp-baseline"], methods
 
 
 PUBLIC = """

@@ -13,7 +13,9 @@ import math
 import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
+from scipy.special import binom, hyp2f1
 
 from cylcov import (
     ChannelModel,
@@ -25,6 +27,7 @@ from cylcov import (
     simulate_coverage,
     simulate_ppp_coverage,
 )
+from cylcov.ppp import _lentz_tail, _series_tail
 from cylcov.simulation import PPP_BLOCK_POINTS
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
@@ -81,6 +84,24 @@ def oracle_coverage(alpha, m, beta, dps=30):
             return mp.exp(-c[0] * z) * sum((-1) ** k * b[k] for k in range(m))
 
         return float(mp.quad(lambda z: conditional(z) * mp.exp(-z / 3) / 3, [0, 1, 10, mp.inf]))
+
+
+def hyp2f1_coverage(alpha, m, beta):
+    """The closed form's sum with the coefficients of D(x) as derivatives of 2F1.
+
+    d_j = beta^j (m)_j (-delta)_j / ((1 - delta)_j j!)
+          2F1(m + j, j - delta; j + 1 - delta; -beta),
+    one scipy hyp2f1 call for all m of them.
+    """
+    delta = 3.0 / alpha
+    j = np.arange(m)
+    d = -delta / (j - delta) * binom(m + j - 1, j) * beta**j * hyp2f1(
+        m + j, j - delta, j + 1.0 - delta, -beta
+    )
+    q = [1.0 / d[0]]
+    for k in range(1, m):
+        q.append(-sum(d[i] * q[k - i] for i in range(1, k + 1)) / d[0])
+    return float(sum(q))
 
 
 class TestModel:
@@ -154,6 +175,23 @@ class TestAnalytic:
         # the rounding of delta past the contract at the second
         with pytest.raises(RuntimeError):
             ppp_coverage(scenario(alpha=alpha, beta=1e-14))
+
+    def test_matches_hypergeometric_route(self):
+        rng = np.random.default_rng(21)
+        for _ in range(1000):
+            alpha = float(rng.uniform(3.001, 20.0))
+            beta = float(10.0 ** rng.uniform(-6.0, 6.0))
+            m = int(rng.integers(1, 6))
+            res = ppp_coverage(scenario(alpha=alpha, m=float(m), beta=beta))
+            gap = abs(res.pc - hyp2f1_coverage(alpha, m, beta))
+            assert gap <= max(res.error_estimate, 1e-14), (alpha, m, beta, gap, res.error_estimate)
+
+    @pytest.mark.parametrize("tail", [_lentz_tail, _series_tail])
+    def test_unsettled_incomplete_beta_raises(self, tail):
+        # at p = q = 1e8 either route needs about 1e4 terms, past its cap
+        with pytest.raises(RuntimeError, match="unsettled"):
+            tail(1e8, 1e8, 0.5)
+        assert tail(2.0, 3.0, 0.2) == pytest.approx(1.4713541666666667, rel=1e-15)
 
 
 class TestMonteCarloConsistency:

@@ -3,8 +3,10 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaincc
 
@@ -167,6 +169,61 @@ def test_legendre_relation(k):
     )
     assert lhs == pytest.approx(math.pi / 2.0, abs=1e-10)
 
+
+# Moduli and amplitudes for the scipy comparison: a dense grid, the last
+# twelve decades below k = 1 and phi = pi/2, and float noise past each end
+# that the clamp takes back.
+GRID_K = np.concatenate([np.linspace(0.0, 1.0, 401), 1.0 - np.logspace(-12, -1, 34), [-1e-12, 1.0 + 1e-12]])
+GRID_PHI = np.concatenate(
+    [np.linspace(0.0, HALF_PI, 41), HALF_PI - np.logspace(-12, -1, 12), [-1e-12, HALF_PI + 1e-12]]
+)
+
+
+def test_agrees_with_scipy_on_dense_grid():
+    # scipy.special takes the parameter k^2.  At phi = pi/2 the oracle is
+    # scipy's complete routine: its ellipkinc is 2.9e-12 off there at
+    # k = 1 - 1e-12, where complete_K agrees with mpmath to 3e-16.
+    worst = {"K": 0.0, "E": 0.0, "F": 0.0, "E(phi)": 0.0}
+
+    def record(name, got, ref):
+        worst[name] = max(worst[name], abs(got - ref) / abs(ref) if ref else abs(got))
+
+    for k in map(float, GRID_K):
+        m = min(max(k, 0.0), 1.0) ** 2
+        if m < 1.0:
+            record("K", complete_K(k), sp.ellipk(m))
+        record("E", complete_E(k), sp.ellipe(m))
+        for phi in map(float, GRID_PHI):
+            quarter = phi >= HALF_PI
+            amp = min(max(phi, 0.0), HALF_PI)
+            if not (quarter and m == 1.0):
+                record("F", incomplete_F(phi, k), sp.ellipk(m) if quarter else sp.ellipkinc(amp, m))
+            record("E(phi)", incomplete_E(phi, k), sp.ellipe(m) if quarter else sp.ellipeinc(amp, m))
+    assert max(worst.values()) <= 1e-13, worst
+
+
+@pytest.mark.parametrize(
+    "phi,k",
+    [(0.3, 0.2), (1.2, 0.9), (HALF_PI - 1e-10, 1.0), (1.5, 1.0 - 1e-9), (HALF_PI - 1e-6, 1.0 - 1e-12)],
+)
+def test_incomplete_agree_with_mpmath(phi, k):
+    # the parameter is k^2 rounded to a float, as scipy.special takes it
+    with mp.workdps(30):
+        m = mp.mpf(k * k)
+        refs = float(mp.ellipf(phi, m)), float(mp.ellipe(phi, m))
+    assert incomplete_F(phi, k) == pytest.approx(refs[0], rel=1e-14, abs=0.0)
+    assert incomplete_E(phi, k) == pytest.approx(refs[1], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [0.1, 0.7, 0.999, 1.0 - 1e-9, 1.0 - 1e-12])
+def test_complete_agree_with_mpmath(k):
+    # the float pi/2 stands for the quarter period, whatever its rounding
+    with mp.workdps(30):
+        m = mp.mpf(k * k)
+        refs = float(mp.ellipk(m)), float(mp.ellipe(m))
+    for K, E in ((complete_K(k), complete_E(k)), (incomplete_F(HALF_PI, k), incomplete_E(HALF_PI, k))):
+        assert K == pytest.approx(refs[0], rel=1e-14, abs=0.0)
+        assert E == pytest.approx(refs[1], rel=1e-14, abs=0.0)
 
 
 def tail_scenario(N=3, m=2.0, beta=1.0, alpha=3.0):
