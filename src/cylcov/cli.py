@@ -13,7 +13,8 @@ Scenario files are JSON: a ``version`` (currently 1), a ``scenario``
 object with N, R, H, alpha, m and exactly one of beta / beta_dB, an
 optional ``sweep`` object mapping parameter names to value lists
 (cartesian product, file order), plus optional method / trials / seed /
-output settings.  Flags override file entries.
+output settings.  Each run parameter has one home: --seed and --output
+are the only flags that override a file entry (seed, output.path).
 
 Every CSV starts with '#' comment lines recording the schema version,
 tool version, full parameter echo, and seed, enough to regenerate the
@@ -50,6 +51,7 @@ from .errors import (
     DegenerateConditionError,
     DomainError,
     ScenarioFormatError,
+    StaleCacheError,
     UnsupportedParameterError,
 )
 from .geometry import CylinderGeometry
@@ -76,17 +78,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _check_grid_size(grid_size, name: str) -> None:
-    if not isinstance(grid_size, int) or grid_size < 64:
-        raise ScenarioFormatError(f"{name}: integer >= 64 required")
-
-
-def _check_trials_and_seed(trials, seed, names) -> None:
-    """The file fields and the flags alike; a seed is one Philox key word, as in substream."""
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ScenarioFormatError(f"{names[0]}: positive integer required, got trials={trials!r}")
+def _check_seed(seed, name: str) -> None:
+    """The file field and the flag alike; a seed is one Philox key word, as in substream."""
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ScenarioFormatError(f"{names[1]}: integer in [0, 2**64) required, got seed={seed!r}")
+        raise ScenarioFormatError(f"{name}: integer in [0, 2**64) required, got seed={seed!r}")
 
 
 def load_scenario_file(path) -> dict:
@@ -140,14 +135,17 @@ def load_scenario_file(path) -> dict:
             f"field 'method': {method!r} not one of analytic | simulate | ppp | all"
         )
     trials, seed = raw.get("trials", DEFAULT_TRIALS), raw.get("seed", DEFAULT_SEED)
-    _check_trials_and_seed(trials, seed, ("field 'trials'", "field 'seed'"))
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ScenarioFormatError(f"field 'trials': positive integer required, got trials={trials!r}")
+    _check_seed(seed, "field 'seed'")
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ScenarioFormatError("field 'output': object required")
     if output.get("format", "csv") != "csv":
         raise ScenarioFormatError("field 'output.format': only 'csv' is supported")
     grid_size = output.get("grid_size", DEFAULT_GRID_SIZE)
-    _check_grid_size(grid_size, "field 'output.grid_size'")
+    if not isinstance(grid_size, int) or grid_size < 64:
+        raise ScenarioFormatError("field 'output.grid_size': integer >= 64 required")
     return {
         "base": dict(base),
         "sweep": {k: list(v) for k, v in sweep.items()},
@@ -177,14 +175,7 @@ def _open_output(path):
 
 
 def cmd_pdf(args) -> int:
-    if args.scenario:
-        spec = load_scenario_file(args.scenario)
-        base = spec["base"]
-        geom = CylinderGeometry(R=float(base["R"]), H=float(base["H"]))
-    elif args.R is not None and args.H is not None:
-        geom = CylinderGeometry(R=args.R, H=args.H)
-    else:
-        raise ScenarioFormatError("pdf needs either --scenario or both --R and --H")
+    geom = CylinderGeometry(R=args.R, H=args.H)
     points = args.points
     if points < 1:
         raise ScenarioFormatError(f"--points: positive integer required, got points={points!r}")
@@ -246,16 +237,9 @@ def cmd_coverage(args) -> int:
     if workers < 1:
         raise ScenarioFormatError(f"--workers: positive integer required, got workers={workers!r}")
     spec = load_scenario_file(args.scenario)
-    for key in ("trials", "seed"):
-        if getattr(args, key) is not None:
-            spec[key] = getattr(args, key)
-    _check_trials_and_seed(spec["trials"], spec["seed"], ("--trials", "--seed"))
-    if args.grid_size is not None:
-        _check_grid_size(args.grid_size, "--grid-size")
-        spec["grid_size"] = args.grid_size
-    if args.beta_db is not None:
-        spec["base"].pop("beta", None)
-        spec["base"]["beta_dB"] = args.beta_db
+    if args.seed is not None:
+        _check_seed(args.seed, "--seed")
+        spec["seed"] = args.seed
     output_path = args.output or spec["output_path"]
     if output_path is None:
         raise ScenarioFormatError("no output path: pass --output or set output.path")
@@ -266,14 +250,14 @@ def cmd_coverage(args) -> int:
     scenarios = [_point_scenario(p) for p in points]
 
     # One CDF table per distinct geometry, for analytic rows only; reuse a
-    # supplied cache when its parameters match exactly.
+    # supplied cache built at the grid size for one of the sweep's geometries.
     dists: dict = {}
     if args.cdf_cache and "analytic" in methods:
-        cached = TabulatedDistribution.load(
-            args.cdf_cache,
-            expected_geometry=scenarios[0].geom,
-            expected_grid_size=spec["grid_size"],
-        )
+        cached = TabulatedDistribution.load(args.cdf_cache, expected_grid_size=spec["grid_size"])
+        if cached.geometry not in {sc.geom for sc in scenarios}:
+            g = cached.geometry
+            raise StaleCacheError(f"stale CDF cache {args.cdf_cache}: built for R={g.R}, H={g.H}, "
+                                  "which no sweep point has")
         dists[cached.geometry] = cached
     for sc in scenarios:
         if "analytic" in methods and sc.geom not in dists:
@@ -336,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pdf = sub.add_parser("pdf", help="tabulate the pair-distance density")
-    p_pdf.add_argument("--scenario", help="scenario file supplying R and H")
-    p_pdf.add_argument("--R", type=float, help="cylinder radius")
-    p_pdf.add_argument("--H", type=float, help="cylinder height")
+    p_pdf.add_argument("--R", type=float, required=True, help="cylinder radius")
+    p_pdf.add_argument("--H", type=float, required=True, help="cylinder height")
     p_pdf.add_argument("--points", type=int, default=512, help="grid points (default 512)")
     p_pdf.add_argument("--output", required=True, help="CSV output path")
     p_pdf.add_argument("--with-histogram", action="store_true",
@@ -355,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--output", help="CSV output path (overrides output.path)")
     p_cov.add_argument("--cdf-cache", help="CDF cache file from 'cylcov cache'")
     p_cov.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_cov.add_argument("--trials", type=int, default=None, help="override scenario trials")
-    p_cov.add_argument("--grid-size", type=int, default=None, help="override CDF grid size")
-    p_cov.add_argument("--beta-db", type=float, default=None,
-                       help="override the SIR threshold, in dB")
     p_cov.add_argument("--workers", type=int, default=4,
                        help="concurrent sweep-point evaluations (default 4)")
     p_cov.add_argument("--timing", choices=["on", "off"], default="off",

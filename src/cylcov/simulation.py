@@ -32,6 +32,14 @@ squared distance between two nodes in polar form, with one sine per link,
 which is within a few 1e-16 d_max^2 of the Cartesian value.  Coverage
 trials and the pair-distance histogram both measure through it.
 
+SIR does not depend on the unit of length, so both coverage simulators
+measure their SIR distances in 2^e, the smallest power of two above d_max
+(e from frexp(d_max)): whether d^-alpha stays in the float range does not
+depend on the cylinder's scale.  Scaling by a power of two is exact, so a
+cylinder scaled by 2^j forms the same SIR bits and counts the same trials
+as at j = 0.  Returned distances (sample_pair_distances) keep the
+caller's unit.
+
 The typical receiver is node index 0 of each deployment; exchangeability
 of the i.i.d. deployment makes this without loss of generality.
 """
@@ -135,15 +143,22 @@ def empirical_distance_histogram(
     )
 
 
+def _sir_unit(geom: CylinderGeometry) -> float:
+    """1 / 2^e for the SIR unit 2^e of the module docstring; d_max times it lies in [0.5, 1)."""
+    return math.ldexp(1.0, -math.frexp(geom.d_max)[1])
+
+
 def _link_distances_squared(
-    receiver: np.ndarray, others: np.ndarray, geom: CylinderGeometry
+    receiver: np.ndarray, others: np.ndarray, geom: CylinderGeometry, unit: float = 1.0
 ) -> np.ndarray:
     """Squared distances from a receiver to other nodes, from their uniform draws.
 
     receiver has shape (trials, 3) and others (trials, k, 3); each row of
     three is one node's (rho, v, w).  Returns shape (trials, k), in the
-    polar form of the module docstring.
+    polar form of the module docstring, with R and H multiplied by unit
+    before squaring, so that a huge cylinder's d^2 does not overflow.
     """
+    R, H = geom.R * unit, geom.H * unit
     r0 = np.sqrt(receiver[:, 0])[:, None]
     ri = np.sqrt(others[..., 0])
     d2 = ri - r0
@@ -156,24 +171,24 @@ def _link_distances_squared(
     ri *= 4.0
     s *= ri
     d2 += s
-    d2 *= geom.R * geom.R
+    d2 *= R * R
     dz = others[..., 2] - receiver[:, 2, None]
     np.square(dz, out=dz)
-    dz *= geom.H * geom.H
+    dz *= H * H
     d2 += dz
     return d2
 
 
-def _coverage_block(rng: Generator, group: list, size: int) -> list:
+def _coverage_block(rng: Generator, group: list, size: int, unit: float) -> list:
     """Covered-trial counts for one block, one per scenario of a group sharing geometry and N.
 
-    Node 0 of each trial is the receiver.  Draw order: positions, then fading
-    gains for all N - 1 links of each trial, each m from the state the
-    positions left.
+    Node 0 of each trial is the receiver, and distances are measured in
+    lengths times unit.  Draw order: positions, then fading gains for all
+    N - 1 links of each trial, each m from the state the positions left.
     """
     N = group[0].N
     u = rng.random((size * N, 3)).reshape(size, N, 3)
-    d2 = _link_distances_squared(u[:, 0], u[:, 1:], group[0].geom)
+    d2 = _link_distances_squared(u[:, 0], u[:, 1:], group[0].geom, unit)
     serving = np.argmin(d2, axis=1)
     after_positions = rng.bit_generator.state
     alphas = {sc.channel.alpha for sc in group}
@@ -208,8 +223,9 @@ def simulate_coverage(scenario, trials: int, seed: int) -> Union[SimulationEstim
     if not group or any((sc.geom, sc.N) != (group[0].geom, group[0].N) for sc in group):
         raise DomainError("a scenario group must be non-empty and share one geometry and N")
     successes = np.zeros(len(group), dtype=np.int64)
+    unit = _sir_unit(group[0].geom)
     for index, size in _blocks(trials):
-        successes += _coverage_block(substream(seed, index), group, size)
+        successes += _coverage_block(substream(seed, index), group, size, unit)
     p, ci = _binomial_estimate(successes, trials)
     estimates = [SimulationEstimate(float(pi), float(c), trials, seed, sc) for sc, pi, c in zip(group, p, ci)]
     return estimates[0] if isinstance(scenario, NetworkScenario) else estimates
@@ -241,6 +257,7 @@ def simulate_ppp_coverage(
         raise DomainError(f"padding={padding!r} must be finite and positive")
     M = padding * scenario.geom.d_max
     lam_v = scenario.N / scenario.geom.volume * (math.pi * M * M * (2.0 * M))  # lam * volume
+    M_unit = M * _sir_unit(scenario.geom)  # the field's size in SIR units
     m = scenario.channel.m
     block = max(1, int(min(BLOCK_TRIALS, PPP_BLOCK_POINTS // lam_v)))
     successes = 0
@@ -251,8 +268,8 @@ def simulate_ppp_coverage(
         if total == 0:
             continue
         u = rng.random((total, 3))
-        r = M * np.sqrt(u[:, 0])
-        z = M * (2.0 * u[:, 2] - 1.0)
+        r = M_unit * np.sqrt(u[:, 0])
+        z = M_unit * (2.0 * u[:, 2] - 1.0)
         d = np.sqrt(r * r + z * z)
         gains = rng.gamma(m, 1.0 / m, total)
         powers = gains * d ** (-scenario.channel.alpha)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,9 +197,12 @@ class TestPdfCommand:
         assert not out.exists()
 
     def test_requires_geometry(self, tmp_path, capsys):
-        rc = main(["pdf", "--output", str(tmp_path / "x.csv")])
-        assert rc == 1
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["pdf", "--output", str(out)])
+        assert exc.value.code == 2
         assert "--R" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_reports_path(self, tmp_path, capsys):
         bad = tmp_path / "missing-dir" / "out.csv"
@@ -324,19 +328,6 @@ class TestCoverageCommand:
         _, rows_db = read_rows(out_db)
         assert rows_lin[0]["pc"] == rows_db[0]["pc"]
 
-    def test_beta_db_flag_override(self, tmp_path):
-        scen = write_scenario(tmp_path / "s.json")
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["coverage", "--scenario", str(scen), "--output", str(out_a), "--beta-db", "10"]) == 0
-        ten = write_scenario(
-            tmp_path / "ten.json",
-            scenario={"N": 6, "R": 12.0, "H": 30.0, "alpha": 3.0, "m": 1, "beta": 10.0},
-        )
-        assert main(["coverage", "--scenario", str(ten), "--output", str(out_b)]) == 0
-        _, rows_a = read_rows(out_a)
-        _, rows_b = read_rows(out_b)
-        assert float(rows_a[0]["pc"]) == pytest.approx(float(rows_b[0]["pc"]), abs=1e-12)
-
     def test_header_metadata(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")
         out = tmp_path / "cov.csv"
@@ -365,16 +356,14 @@ class TestCoverageCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--seed", "-1", "--trials", "0"], "trials=0"),
             (["--seed", "-1"], "seed=-1"),
-            (["--trials", "0"], "trials=0"),
             (["--seed", str(2**64)], f"seed={2**64}"),
         ],
     )
-    def test_seed_and_trials_flags_checked_without_simulation(
+    def test_seed_flag_checked_without_simulation(
         self, tmp_path, capsys, method, flags, message
     ):
-        # checked like the scenario file's fields, though no row uses them
+        # checked like the scenario file's field, though no row uses it
         scen = write_scenario(tmp_path / "s.json", method=method)
         out = tmp_path / "x.csv"
         assert main(["coverage", "--scenario", str(scen), "--output", str(out), *flags]) == 1
@@ -401,14 +390,6 @@ class TestCoverageCommand:
         assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 0
         _, rows = read_rows(out)
         assert len(rows) == 2
-
-    @pytest.mark.parametrize("method", ["analytic", "simulate"])
-    def test_grid_size_flag_checked_like_the_file_field(self, tmp_path, capsys, method):
-        scen = write_scenario(tmp_path / "s.json", method=method)
-        args = ["coverage", "--scenario", str(scen), "--output", str(tmp_path / "x.csv")]
-        assert main(args + ["--grid-size", "10"]) == 1
-        assert "error: --grid-size: integer >= 64 required" in capsys.readouterr().err
-        assert main(args + ["--grid-size", "64"]) == 0
 
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_non_positive_workers_rejected(self, tmp_path, capsys, workers):
@@ -462,13 +443,6 @@ class TestCoverageCommand:
         assert err.startswith("error: ") and message in err, err
         assert not out.exists()
 
-    def test_overflowing_beta_db_flag_is_an_error_line(self, tmp_path, capsys):
-        scen = write_scenario(tmp_path / "s.json", method="ppp")
-        out = tmp_path / "x.csv"
-        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--beta-db", "4000"]) == 1
-        assert capsys.readouterr().err.startswith("error: field 'beta_dB': 4000.0 dB overflows")
-        assert not out.exists()
-
     @pytest.mark.parametrize("workers", ["1", "2", "4"])
     @pytest.mark.parametrize("method", sorted(PINNED_SWEEPS))
     def test_grouped_sweeps_keep_their_bytes(self, tmp_path, method, workers):
@@ -483,6 +457,45 @@ class TestCoverageCommand:
                 line for line in data.splitlines(keepends=True) if b",ppp-baseline," not in line
             )
             assert hashlib.sha256(kept).hexdigest() == ALL_WITHOUT_PPP
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("coverage", ["--trials", "10"]),
+            ("coverage", ["--grid-size", "64"]),
+            ("coverage", ["--beta-db", "10"]),
+            ("pdf", ["--scenario", "s.json", "--R", "12", "--H", "30"]),
+        ],
+        ids=["trials", "grid-size", "beta-db", "pdf-scenario"],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, command, flags):
+        # each was a second route to a scenario field or to --R / --H
+        scen = write_scenario(tmp_path / "s.json")
+        out = tmp_path / "x.csv"
+        argv = [command, *(["--scenario", str(scen)] if command == "coverage" else []), *flags]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("coverage", "--scenario --output --cdf-cache --seed --workers --timing"),
+            ("pdf", "--R --H --points --output --with-histogram --pairs --bins --seed"),
+        ],
+        ids=["coverage", "pdf"],
+    )
+    def test_each_flag_has_one_home(self, capsys, command, flags):
+        # --seed and --output are the only flags that override a file field
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert re.findall(r"^  (--[\w-]+)", text, flags=re.M) == flags.split()
+        if command == "pdf":
+            assert "[-h] --R R --H H " in text  # both required
 
     def test_timing_flag_emits_numbers(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")
@@ -556,11 +569,35 @@ class TestCacheCommand:
         assert "error: corrupt CDF cache" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cache_of_a_later_sweep_point_is_used(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cdf.tsv"
+        assert main(["cache", "--R", "12", "--H", "30", "--grid-size", "256", "--output", str(cache)]) == 0
+        scen = write_scenario(tmp_path / "s.json", sweep={"R": [10.0, 12.0]})
+        out_cached, out_fresh = tmp_path / "cached.csv", tmp_path / "fresh.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out_fresh)]) == 0
+        built = []
+        build = cylcov.cli.build_cdf
+        monkeypatch.setattr(cylcov.cli, "build_cdf", lambda geom, n: built.append(geom) or build(geom, n))
+        rc = main(["coverage", "--scenario", str(scen), "--output", str(out_cached), "--cdf-cache", str(cache)])
+        assert rc == 0
+        assert built == [CylinderGeometry(R=10.0, H=30.0)]
+        assert out_cached.read_bytes() == out_fresh.read_bytes()
+
+    def test_cache_of_no_sweep_point_is_stale(self, tmp_path, capsys):
+        cache = tmp_path / "cdf.tsv"
+        assert main(["cache", "--R", "9", "--H", "30", "--grid-size", "256", "--output", str(cache)]) == 0
+        scen = write_scenario(tmp_path / "s.json", sweep={"R": [10.0, 12.0]})
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--cdf-cache", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stale CDF cache") and "R=9.0, H=30.0, which no sweep point has" in err
+        assert not out.exists()
+
     def test_grid_refinement_changes_little(self, tmp_path):
-        scen = write_scenario(tmp_path / "s.json")
         coarse, fine = tmp_path / "c.csv", tmp_path / "f.csv"
-        assert main(["coverage", "--scenario", str(scen), "--output", str(coarse), "--grid-size", "64"]) == 0
-        assert main(["coverage", "--scenario", str(scen), "--output", str(fine), "--grid-size", "2048"]) == 0
+        for grid_size, out in ((64, coarse), (2048, fine)):
+            scen = write_scenario(tmp_path / "s.json", output={"grid_size": grid_size})
+            assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 0
         _, rows_c = read_rows(coarse)
         _, rows_f = read_rows(fine)
         assert abs(float(rows_c[0]["pc"]) - float(rows_f[0]["pc"])) <= 1e-3

@@ -45,7 +45,7 @@ def test_commands_run_without_scipy(tmp_path):
          "--pairs", "10000", "--bins", "8", "--output", str(tmp_path / "pdf.csv")],
         ["cache", "--R", "20", "--H", "120", "--grid-size", "64", "--output", str(tmp_path / "c.tsv")],
         ["coverage", "--scenario", str(scenario), "--cdf-cache", str(tmp_path / "c.tsv"),
-         "--trials", "2000", "--output", str(tmp_path / "cov.csv")],
+         "--output", str(tmp_path / "cov.csv")],
     ]
     code = (
         "import sys\n"

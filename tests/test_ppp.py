@@ -171,8 +171,8 @@ class TestAnalytic:
 
     @pytest.mark.parametrize("alpha", [3.0 + 1e-13, 3.0 + 1e-12])
     def test_unresolved_near_critical_exponent_raises(self, alpha):
-        # 2F1 overflows at the first, and the pole at delta = 1 amplifies
-        # the rounding of delta past the contract at the second
+        # no value overflows at either: near the pole at delta = 1 the
+        # rounding allowance m eps pc / (1 - delta) passes the 1e-4 contract
         with pytest.raises(RuntimeError):
             ppp_coverage(scenario(alpha=alpha, beta=1e-14))
 

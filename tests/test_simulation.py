@@ -393,3 +393,30 @@ def test_pair_sampling_matches_tabulated_cdf(tall_dist):
 
     d = sample_pair_distances(TALL, 200_000, seed=22)
     assert kstest(d, tall_dist.cdf).statistic <= 0.004
+
+
+class TestUnitOfLength:
+    """SIR does not depend on the unit of length, and neither do the simulators' counts."""
+
+    @staticmethod
+    def _means(scale):
+        geom = CylinderGeometry(R=20.0 * scale, H=120.0 * scale)
+        group = [scenario(N=5, geom=geom, alpha=alpha) for alpha in (4.0, 8.0)]
+        coverage = [est.mean for est in simulate_coverage(group, 1_000, 1)]
+        return coverage, [simulate_ppp_coverage(sc, 200, 1, padding=0.5).mean for sc in group]
+
+    def test_power_of_two_scales_keep_every_count(self):
+        # a scale of 2^j moves no bit of the lengths in the simulators' unit,
+        # while in the caller's unit d^-8 leaves the float range far from 1
+        reference = self._means(1.0)
+        for j in range(-300, 301):
+            assert self._means(math.ldexp(1.0, j)) == reference, j
+
+    def test_needle_past_the_volume_of_its_unit_shape(self):
+        # in the unit 2^e near d_max = 1e100 the radius's square underflows,
+        # so no second CylinderGeometry of the scaled shape could be built
+        needle = scenario(N=5, geom=CylinderGeometry(R=1e-100, H=1e100), alpha=8.0)
+        line = scenario(N=5, geom=CylinderGeometry(R=1e-20, H=1.0), alpha=8.0)
+        est = simulate_coverage(needle, 4_096, 1)
+        assert est.mean == simulate_coverage(line, 4_096, 1).mean
+        assert est.mean < 0.95
