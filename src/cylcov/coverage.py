@@ -172,7 +172,7 @@ def _serving_integral(scenario: NetworkScenario, stack: TableStack, weights, law
     terms = np.zeros((len(weights), np.bincount(which).max(initial=1)))
     column = np.arange(which.size) - np.searchsorted(which, which)
     terms[which, column] = rule[live] * density[live] * covered
-    tail = weights * (1.0 - stack.end_cdf) ** (n - 1)
+    tail = weights * stack.end_sf ** (n - 1)
     return float(np.sum(weights * terms.sum(axis=1))), float(np.sum(tail))
 
 

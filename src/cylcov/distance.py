@@ -446,26 +446,19 @@ class TabulatedDistribution:
             a, b = grid[dips[0] : dips[0] + 2].tolist()
             raise DomainError(f"the density dips below 0 in the cell [{a!r}, {b!r}]")
 
-    @property
-    def d_max(self) -> float:
-        return self.geometry.d_max
-
-    @property
-    def grid_size(self) -> int:
-        return int(self.grid.size)
-
     def cdf(self, l):
         """F_L(l); 0 below the support, 1 above."""
-        out = self.stack.cdf(l)
+        out = self.stack.cdf_and_pdf(l)[0]
         return float(out) if np.ndim(l) == 0 else out
 
     def sf(self, l):
-        """Survival function 1 - F_L(l)."""
-        return 1.0 - self.cdf(l)
+        """Survival function 1 - F_L(l) (``TableStack.sf``)."""
+        out = self.stack.sf(l)
+        return float(out) if np.ndim(l) == 0 else out
 
     def pdf(self, l):
         """f_L(l) as the derivative of the interpolated CDF; 0 outside."""
-        out = self.stack.pdf(l)
+        out = self.stack.cdf_and_pdf(l)[1]
         return float(out) if np.ndim(l) == 0 else out
 
     @cached_property
@@ -476,11 +469,6 @@ class TabulatedDistribution:
     def integrate_pdf_product(self, lo, rows_fn, rows: int, alpha: float) -> np.ndarray:
         """``TableStack.integrate_pdf_product`` on this table, for a 1-D array lo."""
         return self.stack.integrate_pdf_product(lo, rows_fn, rows, alpha)
-
-    def survival_cutoff(self) -> float:
-        """Smallest knot beyond which 1 - F drops below _SURVIVAL_FLOOR (d_max if none)."""
-        idx = int(np.searchsorted(self.cdf_values, 1.0 - _SURVIVAL_FLOOR, side="left"))
-        return float(self.grid[min(idx, self.grid.size - 1)])
 
     def save(self, path) -> None:
         """Write the versioned columnar text cache (header: R, H, grid_size).
@@ -496,17 +484,12 @@ class TabulatedDistribution:
             fh.write("\n".join((*header, *rows, "")))
 
     @classmethod
-    def load(
-        cls,
-        path,
-        expected_geometry: Optional[CylinderGeometry] = None,
-        expected_grid_size: Optional[int] = None,
-    ) -> "TabulatedDistribution":
+    def load(cls, path, expected_grid_size: Optional[int] = None) -> "TabulatedDistribution":
         """Reload a cache written by ``save``.
 
         Raises StaleCacheError on a corrupt file, including one whose
-        table the constructor rejects, or when the cached parameters do
-        not exactly match the requested ones.
+        table the constructor rejects, or when its grid size is not
+        expected_grid_size.
         """
         try:
             with open(path, "r", encoding="ascii") as fh:
@@ -528,11 +511,6 @@ class TabulatedDistribution:
             table = cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
         except (KeyError, ValueError, IndexError, DomainError) as exc:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
-        if expected_geometry is not None and table.geometry != expected_geometry:
-            raise StaleCacheError(
-                f"stale CDF cache {path}: built for R={R}, H={H}, "
-                f"requested R={expected_geometry.R}, H={expected_geometry.H}"
-            )
         if expected_grid_size is not None and grid_size != expected_grid_size:
             raise StaleCacheError(
                 f"stale CDF cache {path}: grid_size={grid_size}, "
@@ -600,15 +578,16 @@ def _product_panels(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, ed
 class TableStack:
     """Tables of one geometry side by side, for one array pass over all of them.
 
-    In the view ``take(which)``, query i reads table which[i], and ``cdf``,
-    ``pdf``, ``cdf_and_pdf`` and ``integrate_pdf_product`` give that
+    In the view ``take(which)``, query i reads table which[i], and
+    ``cdf_and_pdf``, ``sf`` and ``integrate_pdf_product`` give that
     table's values, from the cubics on each table's stored slopes.  Knots
     and CDF values are held as complex keys table + 1j x, which numpy
     orders lexicographically, so one search finds the cells of every
     query.  The panel rule of ratio 2^(1/k) (``_layout``) is built on
     first use and kept in _layouts, which every view shares, with the lock
     that guards it.  ends holds each table's last knot whose survival is
-    above _SURVIVAL_FLOOR, and end_cdf the CDF there.
+    above _SURVIVAL_FLOOR, where the serving rule stops, and end_sf the
+    survival there.
     """
 
     def __init__(self, tables):
@@ -624,8 +603,10 @@ class TableStack:
         self._first_cell = offsets - np.arange(sizes.size)  # table k's first cell in _cubic
         self._last_cell = self._first_cell + sizes - 2
         self._last_knot = self._knots.imag[offsets + sizes - 1]
-        cut = offsets + [np.searchsorted(t.grid, t.survival_cutoff()) - 1 for t in self.tables]
-        self.ends, self.end_cdf = self._knots.imag[cut], self._values.imag[cut]
+        # the knot before the first whose survival is below the floor (or before the last knot)
+        floor = np.searchsorted(self._values, np.arange(sizes.size) + 1j * (1.0 - _SURVIVAL_FLOOR))
+        cut = np.minimum(floor, offsets + sizes - 1) - 1
+        self.ends, self.end_sf = self._knots.imag[cut], 1.0 - self._values.imag[cut]
         self._layouts, self._layouts_lock = {}, threading.Lock()
 
     def _layout(self, k: int):
@@ -695,16 +676,11 @@ class TableStack:
         s = x - knot
         return c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)
 
-    def cdf(self, l) -> np.ndarray:
-        """F of each query's table at l; 0 below the support, 1 above."""
-        return self.cdf_and_pdf(l)[0]
-
-    def pdf(self, l) -> np.ndarray:
-        """f = F' of each query's table at l; 0 outside the support."""
-        return self.cdf_and_pdf(l)[1]
-
     def cdf_and_pdf(self, l):
-        """``cdf(l)`` and ``pdf(l)``, from one search for the cells of l."""
+        """F and f = F' of each query's table at l, from one search for the cells of l.
+
+        F is 0 below the support and 1 above, f is 0 outside it.
+        """
         x = np.asarray(l, dtype=float)
         last = self._last_knot[self._which]
         inside = np.clip(x, 0.0, last)
@@ -714,6 +690,10 @@ class TableStack:
         pdf = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s), 0.0)
         return (np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, cdf)),
                 np.where((x < 0.0) | (x > last), 0.0, pdf))
+
+    def sf(self, l) -> np.ndarray:
+        """1 - F of each query's table at l."""
+        return 1.0 - self.cdf_and_pdf(l)[0]
 
     def quantiles(self, levels: np.ndarray) -> np.ndarray:
         """np.interp(levels, cdf_values, grid) for levels in (0, 1), one row per table."""

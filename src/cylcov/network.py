@@ -89,7 +89,7 @@ def _conditioning_survival(l, dist: TabulatedDistribution):
     outside = np.flatnonzero(~((l_arr >= 0.0) & (l_arr < dist.geometry.d_max)))
     if outside.size:
         raise DomainError(f"serving distance l={float(l_arr[outside[0]])!r} outside [0, d_max)")
-    survival = 1.0 - dist.cdf(l)
+    survival = dist.sf(l)
     degenerate = np.flatnonzero(np.ravel(survival) < _SURVIVAL_FLOOR)
     if degenerate.size:
         first = degenerate[0]

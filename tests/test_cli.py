@@ -293,7 +293,7 @@ class TestCoverageCommand:
             tmp_path / "s.json",
             scenario={"N": 5, "R": 20.0, "H": 120.0, "alpha": 4.0, "m": 1, "beta_dB": 0.0},
             sweep={"N": [5, 20], "beta_dB": [0, 10], "m": [1, 2]},
-            output={"grid_size": tall_dist.grid_size},
+            output={"grid_size": tall_dist.grid.size},
         )
         src = str(Path(cylcov.__file__).resolve().parents[1])
         blobs = []

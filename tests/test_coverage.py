@@ -47,7 +47,7 @@ def finer_paper_rule(sc, dist, order=24, halvings=3):
     survival is above the floor, cut at 2R, H and the survival splits.
     """
     geom, n = sc.geom, sc.N
-    end = dist.grid[np.searchsorted(dist.grid, dist.survival_cutoff()) - 1]
+    end = dist.stack.ends[0]
     splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), dist.cdf_values, dist.grid)
     edges = np.union1d([0.0, end], np.clip([2.0 * geom.R, geom.H, *splits], 0.0, end))
     for _ in range(halvings):
@@ -73,7 +73,7 @@ def per_receiver_oracle(sc, mixture, index, order=EXACT_ORDER):
     value = tail = 0.0
     for q in index:
         (r, z), weight, table = mixture.nodes[q], mixture.weights[q], mixture.tables[q]
-        last = int(np.searchsorted(table.grid, table.survival_cutoff())) - 1
+        last = int(np.searchsorted(table.grid, table.stack.ends[0]))
         end = table.grid[last]
         splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), table.cdf_values, table.grid)
         cuts = np.concatenate((receiver_breakpoints(geom, r, z), splits))
@@ -191,7 +191,7 @@ class TestConditionalCoverage:
         dist = get_dist(geom)
         sc = scenario(N=N, m=float(m), alpha=alpha, geom=geom, beta=beta)
         grid = dist.grid
-        last = int(np.searchsorted(grid, dist.survival_cutoff())) - 1
+        last = int(np.searchsorted(grid, dist.stack.ends[0]))
         on_knots = grid[np.floor(np.array(knots) * last).astype(int)]
         k = int(cell * (last - 1))
         in_cell = grid[k] + np.array(offsets) * (grid[k + 1] - grid[k])
@@ -378,10 +378,11 @@ class TestCoverageProbability:
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES)
     def test_matches_cell_aligned_reference(self, geom):
-        # Reference: 4 Gauss points in every knot cell up to the survival
-        # cutoff, with the conditional coverage evaluated at each of them.
+        # Reference: 4 Gauss points in every knot cell up to the last knot
+        # above the survival floor, where the rule stops, with the
+        # conditional coverage evaluated at each of them.
         dist = get_dist(geom)
-        cells = dist.grid[dist.grid <= dist.survival_cutoff()]
+        cells = dist.grid[dist.grid <= dist.stack.ends[0]]
         x, w = np.polynomial.legendre.leggauss(4)
         halves = 0.5 * np.diff(cells)
         l = (0.5 * (cells[1:] + cells[:-1]))[:, None] + halves[:, None] * x

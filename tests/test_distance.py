@@ -296,16 +296,21 @@ class TestKnotDensities:
         assert TabulatedDistribution(self.GEOM, self.GRID, self.VALUES).densities is None
 
     def test_stack_law_is_cdf_and_pdf(self, tall_mixture):
-        # the exact model's serving law: both values from one cell search,
-        # inside, at the ends of and outside each table's support
+        # the exact model's serving law: one cell search over all tables
+        # finds each query's own table, inside, at the ends of and outside
+        # each table's support
         stack = tall_mixture.stack
         rng = np.random.default_rng(3)
         which = rng.integers(0, len(tall_mixture.tables), 500)
         edges = [0.0, -0.0, -1e-300, TALL.d_max, 1e300, 5.0]
         l = np.concatenate((rng.uniform(-1.0, 1.05 * TALL.d_max, 494), edges))
         cdf, pdf = stack.take(which).cdf_and_pdf(l)
-        assert np.array_equal(cdf, stack.take(which).cdf(l))
-        assert np.array_equal(pdf, stack.take(which).pdf(l))
+        sf = stack.take(which).sf(l)
+        for k, table in enumerate(tall_mixture.tables):
+            own = which == k
+            assert np.array_equal(cdf[own], table.cdf(l[own]))
+            assert np.array_equal(pdf[own], table.pdf(l[own]))
+            assert np.array_equal(sf[own], table.sf(l[own]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -466,12 +471,6 @@ class TestSerialization:
         probe = np.linspace(0.0, SQUAT.d_max, 997)
         assert np.array_equal(loaded.cdf(probe), squat_dist.cdf(probe))
         assert np.array_equal(loaded.pdf(probe), squat_dist.pdf(probe))
-
-    def test_geometry_mismatch_is_stale(self, tmp_path, squat_dist):
-        path = tmp_path / "cache.tsv"
-        squat_dist.save(path)
-        with pytest.raises(StaleCacheError):
-            TabulatedDistribution.load(path, expected_geometry=TALL)
 
     def test_grid_size_mismatch_is_stale(self, tmp_path, squat_dist):
         path = tmp_path / "cache.tsv"
