@@ -31,9 +31,10 @@ fixed Gauss rule per knot and calls neither density route;
 ``pair_distance_law`` pairs that rule with the numeric density at any
 distances.  The tabulated density is the exact derivative of the
 interpolant, so downstream integrals of expressions like (1 - F)^(N-2) f
-are internally consistent.  Tables serialize to a versioned columnar
-text file for reuse across runs, with a third column for tables that
-carry knot densities.
+are internally consistent; survival is read from the table's tail
+(``TableStack.sf``), never formed as 1 - F.  Tables serialize to a
+versioned columnar text file for reuse across runs, with a third column
+for tables that carry knot densities.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -603,10 +604,13 @@ class TableStack:
         self._first_cell = offsets - np.arange(sizes.size)  # table k's first cell in _cubic
         self._last_cell = self._first_cell + sizes - 2
         self._last_knot = self._knots.imag[offsets + sizes - 1]
+        # each knot's tail 1 - F as the sum of the rises above it, where no digits cancel
+        rises = [np.diff(t.cdf_values)[::-1] for t in self.tables]
+        self._tails = np.concatenate([np.append(np.cumsum(r)[::-1], 0.0) for r in rises])
         # the knot before the first whose survival is below the floor (or before the last knot)
         floor = np.searchsorted(self._values, np.arange(sizes.size) + 1j * (1.0 - _SURVIVAL_FLOOR))
         cut = np.minimum(floor, offsets + sizes - 1) - 1
-        self.ends, self.end_sf = self._knots.imag[cut], 1.0 - self._values.imag[cut]
+        self.ends, self.end_sf = self._knots.imag[cut], self._tails[cut]
         self._layouts, self._layouts_lock = {}, threading.Lock()
 
     def _layout(self, k: int):
@@ -676,24 +680,31 @@ class TableStack:
         s = x - knot
         return c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)
 
+    def _locate(self, l):
+        """l as an array, its table's last knot, and l's cell, offset and c0..c3 in the support."""
+        x = np.asarray(l, dtype=float)
+        last = self._last_knot[self._which]
+        inside = np.clip(x, 0.0, last)
+        cells = self._cells(self._which, inside)
+        knot, *cubic = np.take(self._cubic, cells, axis=1)
+        return x, last, cells, inside - knot, cubic
+
     def cdf_and_pdf(self, l):
         """F and f = F' of each query's table at l, from one search for the cells of l.
 
         F is 0 below the support and 1 above, f is 0 outside it.
         """
-        x = np.asarray(l, dtype=float)
-        last = self._last_knot[self._which]
-        inside = np.clip(x, 0.0, last)
-        knot, c0, c1, c2, c3 = np.take(self._cubic, self._cells(self._which, inside), axis=1)
-        s = inside - knot
+        x, last, _, s, (c0, c1, c2, c3) = self._locate(l)
         cdf = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
         pdf = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s), 0.0)
         return (np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, cdf)),
                 np.where((x < 0.0) | (x > last), 0.0, pdf))
 
     def sf(self, l) -> np.ndarray:
-        """1 - F of each query's table at l."""
-        return 1.0 - self.cdf_and_pdf(l)[0]
+        """1 - F of each query's table at l: its cell's left-knot tail less the cubic's rise."""
+        x, last, cells, s, (c0, c1, c2, _) = self._locate(l)
+        sf = self._tails[cells + self._which] - (c2 * s + c1 * (s * s) + c0 * (s * s * s))
+        return np.where(x <= 0.0, 1.0, np.where(x >= last, 0.0, sf))
 
     def quantiles(self, levels: np.ndarray) -> np.ndarray:
         """np.interp(levels, cdf_values, grid) for levels in (0, 1), one row per table."""

@@ -4,7 +4,8 @@ The typical receiver associates with the nearest of the other N - 1 nodes.
 Its serving distance is the minimum of N - 1 i.i.d. pair distances, and
 each remaining interferer distance, conditioned on the serving distance,
 is the pair distance truncated below at it.  Both densities are expressed
-through the tabulated CDF; nothing here re-runs quadrature per query.
+through the tabulated CDF, and conditioning divides by the table's
+``sf``, read from its tail; nothing here re-runs quadrature per query.
 """
 
 from dataclasses import dataclass
@@ -79,7 +80,7 @@ def serving_distance_cdf(l, scenario: NetworkScenario, dist: TabulatedDistributi
 
 
 def _conditioning_survival(l, dist: TabulatedDistribution):
-    """1 - F(l) at serving distances l, checked for conditioning.
+    """dist.sf(l) at serving distances l, checked for conditioning; dist may be a stack view.
 
     Accepts scalar or array l.  Raises DomainError for l outside
     [0, d_max) and DegenerateConditionError where 1 - F(l) is below the

@@ -257,6 +257,11 @@ def simulate_ppp_coverage(
         raise DomainError(f"padding={padding!r} must be finite and positive")
     M = padding * scenario.geom.d_max
     lam_v = scenario.N / scenario.geom.volume * (math.pi * M * M * (2.0 * M))  # lam * volume
+    try:  # numpy's own check of the Poisson mean, on a draw of no points
+        np.random.default_rng(0).poisson(lam_v, 0)
+    except ValueError:
+        raise DomainError(
+            f"padding={padding!r} gives lam * volume={lam_v!r}, not a Poisson mean") from None
     M_unit = M * _sir_unit(scenario.geom)  # the field's size in SIR units
     m = scenario.channel.m
     block = max(1, int(min(BLOCK_TRIALS, PPP_BLOCK_POINTS // lam_v)))

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CUBIC, REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture, inverse_cdf
+from conftest import (
+    CUBIC,
+    NEEDLE,
+    REGIME_GEOMETRIES,
+    SQUAT,
+    TALL,
+    get_dist,
+    get_mixture,
+    inverse_cdf,
+)
 from cylcov import (
     ChannelModel,
     CoverageResult,
@@ -168,6 +177,24 @@ class TestConditionalCoverage:
         stub = lambda t, l, *_: LaplaceEvaluation(total + 0.0 * t, (total + 0.0 * t, 0.0 * t))
         monkeypatch.setattr("cylcov.coverage.laplace_with_derivatives", stub)
         assert conditional_coverage(0.1 * TALL.d_max, sc, tall_dist) == clipped
+
+    def test_near_the_support_end_lies_between_its_bounds(self):
+        # One interferer at u in [l, d_max]: coverage grows with u, so it
+        # lies between P(h0 > c h1) at c = beta (u = l) and at
+        # c = beta (l / d_max)^alpha (u = d_max).  For Gamma(m, 1/m) gains
+        # P(h0 > c h1) = P(Bin(2m - 1, c / (1 + c)) <= m - 1).  At this l,
+        # 1 - F(l) is about 2e-12: the conditional law divides by it, so
+        # the survival must keep its relative accuracy there.
+        l, m, beta, alpha = 111.64807844726562, 3, 0.01171875, 3.0
+        sc = scenario(N=3, m=float(m), alpha=alpha, geom=CUBIC, beta=beta)
+
+        def covered(c):
+            x = c / (1.0 + c)
+            n = 2 * m - 1
+            return sum(math.comb(n, k) * x**k * (1.0 - x) ** (n - k) for k in range(m))
+
+        low, high = covered(beta), covered(beta * (l / CUBIC.d_max) ** alpha)
+        assert low <= conditional_coverage(l, sc, get_dist(CUBIC)) <= high
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -360,16 +387,17 @@ class TestCoverageProbability:
         # The analytic rows of the paper-figures sweep (tall, alpha = 4) at
         # every digit the CSV prints: value and error estimate.  Re-taken
         # when the interferer integral took product panels above the first
-        # panel edge; no value moved by more than 1.6e-15.
+        # panel edge, and when survival came to be read from the table's
+        # tail; neither moved a value by more than 1.5e-14.
         pinned = [
-            (5, 0, 1, 0.7269415873144582, 6.664017204727202e-08),
-            (5, 0, 2, 0.782870428668573, 7.26469511214134e-08),
-            (5, 10, 1, 0.30355206999658835, 8.600957057680603e-09),
-            (5, 10, 2, 0.28991685862804273, 4.472914649777948e-09),
-            (20, 0, 1, 0.5125526435561008, 1.4600400888298282e-09),
-            (20, 0, 2, 0.5463598643167666, 5.2602255884437454e-11),
-            (20, 10, 1, 0.1296505945045509, 1.4316667296121466e-10),
-            (20, 10, 2, 0.12499913113463088, 8.203998591582717e-11),
+            (5, 0, 1, 0.7269415873144556, 6.664017204727202e-08),
+            (5, 0, 2, 0.78287042866857, 7.26469511214134e-08),
+            (5, 10, 1, 0.30355206999658707, 8.600957002169451e-09),
+            (5, 10, 2, 0.2899168586280415, 4.472914594266797e-09),
+            (20, 0, 1, 0.5125526435560875, 1.460040310874433e-09),
+            (20, 0, 2, 0.5463598643167524, 5.260203383983253e-11),
+            (20, 10, 1, 0.1296505945045476, 1.4316670071679027e-10),
+            (20, 10, 2, 0.12499913113462773, 8.203999979361498e-11),
         ]
         for N, beta_db, m, pc, err in pinned:
             sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
@@ -414,6 +442,21 @@ class TestCoverageProbability:
         coarse = coverage_probability(sc, get_dist(geom, 64)).pc
         fine = coverage_probability(sc, get_dist(geom, 2048)).pc
         assert abs(coarse - fine) <= 1e-3
+
+
+class TestSmallThresholds:
+    @pytest.mark.parametrize("geom", [SQUAT, NEEDLE, CUBIC], ids=str)
+    def test_both_models_return_within_the_contract(self, geom):
+        # At small beta the series sums to nearly 1 at every serving
+        # distance, and the conditional interferer law divides by 1 - F(l),
+        # down to 1e-12 at the end of the rule's range: a relative error
+        # past 1e-9 in that survival can leave the series outside [0, 1 + 1e-9].
+        dist, mix = get_dist(geom), get_mixture(geom)
+        for N, m, beta, alpha in product((3, 5), (3, 5), (1e-3, 1e-2), (3.0, 4.0)):
+            sc = scenario(N=N, m=float(m), alpha=alpha, geom=geom, beta=beta)
+            for res in (coverage_probability(sc, dist), exact_coverage_probability(sc, mix)):
+                assert 0.0 <= res.pc <= 1.0, (N, m, beta, alpha, res)
+                assert res.error_estimate <= 1e-4, (N, m, beta, alpha, res)
 
 
 class TestExactCoverage:

@@ -269,6 +269,20 @@ class TestMonteCarloConsistency:
         near, far = (simulate_ppp_coverage(s, trials=3000, seed=29, padding=1.0) for s in (sc, big))
         assert near.mean == far.mean
 
+    def test_undrawable_field_is_a_domain_error(self):
+        # At R = 1e-100, H = 1e100 the field of padding 0.5 has
+        # lam * volume = N / (pi R^2 H) * 2 pi M^3 with M = 5e99, which
+        # overflows to inf; it is rejected before a block is drawn.
+        sc = scenario(geom=CylinderGeometry(R=1e-100, H=1e100), N=5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"padding=0\.5 .*lam \* volume=inf"):
+                simulate_ppp_coverage(sc, trials=10**6, seed=1, padding=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+
     @pytest.mark.parametrize("padding", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_padding_must_be_finite_and_positive(self, padding):
         with pytest.raises(DomainError, match="padding"):
