@@ -18,6 +18,12 @@ Gamma rejection sampler, not an approximation.  Coverage gains are drawn
 from the state the positions left, so scenarios that share geometry, N,
 trials and seed share their positions and each m keeps its own gain
 stream: simulate_coverage counts such a group from one set of draws.
+A block is drawn and computed in row chunks of about CHUNK_LINKS links.
+A Philox double takes one 64-bit word and the Gamma sampler draws one
+element at a time, so chunked calls draw the stream of one call; each row
+keeps its length and summation order, so every count and SIR has the bits
+of a block drawn whole.  A block holds 8 bytes per link per alpha for its
+path gains; the rest is one chunk of temporaries, about 1.5 MB.
 
 What is reproducible is the draw streams and every count computed from
 them, not the bits of intermediate distances.  No estimator builds
@@ -56,6 +62,8 @@ from .geometry import CylinderGeometry
 from .network import NetworkScenario
 
 BLOCK_TRIALS = 4096
+CHUNK_LINKS = 1 << 15  # links per row chunk of a coverage block
+SPAN_BLOCKS = 16  # blocks of pair distances per np.histogram call
 # Expected field points per block of simulate_ppp_coverage: its arrays take
 # about 100 bytes per point, so a block stays near 0.4 GB however dense the
 # truncated field is.
@@ -106,19 +114,30 @@ def _blocks(trials: int, block: int = BLOCK_TRIALS):
 
 
 def _binomial_estimate(successes, trials: int):
-    """Success share and its 95% normal-approximation half-width; successes may be an array."""
+    """Success share and its 95% half-width: normal, but the Wilson reach z^2 / (n + z^2) at 0 or 1."""
     p = successes / trials
-    return p, 1.96 * np.sqrt(p * (1.0 - p) / trials)
+    half = 1.96 * np.sqrt(p * (1.0 - p) / trials)
+    return p, np.where((p == 0.0) | (p == 1.0), 1.96**2 / (trials + 1.96**2), half)
+
+
+def _pair_distance_spans(geom: CylinderGeometry, pairs: int, seed: int):
+    """(offset, distances) of the pairs, SPAN_BLOCKS blocks of them at a time, in order."""
+    span = SPAN_BLOCKS * BLOCK_TRIALS
+    for first in range(0, pairs, span):
+        d = np.empty(min(span, pairs - first))
+        for index, size in _blocks(d.size):
+            u = substream(seed, first // BLOCK_TRIALS + index).random((2 * size, 3))
+            d2 = _link_distances_squared(u[:size], u[size:, None], geom)[:, 0]
+            np.sqrt(d2, out=d[index * BLOCK_TRIALS : index * BLOCK_TRIALS + size])
+        yield first, d
 
 
 def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.ndarray:
     """Distances of i.i.d. uniform point pairs, for empirical CDF work."""
     _check_count("pairs", pairs)
     out = np.empty(pairs)
-    for index, size in _blocks(pairs):
-        u = substream(seed, index).random((2 * size, 3))
-        d2 = _link_distances_squared(u[:size], u[size:, None], geom)[:, 0]
-        out[index * BLOCK_TRIALS : index * BLOCK_TRIALS + size] = np.sqrt(d2)
+    for first, d in _pair_distance_spans(geom, pairs, seed):
+        out[first : first + d.size] = d
     return out
 
 
@@ -130,12 +149,14 @@ def empirical_distance_histogram(
     mean holds the per-bin densities (masses sum to 1 exactly up to float
     addition); ci_half_width holds per-bin binomial half-widths on the
     density scale.  Bin edges are equally spaced, reconstructible from
-    (geom, bins).
+    (geom, bins).  The pairs are counted a span at a time, never all held.
     """
     _check_count("pairs", pairs, 10_000)  # fewer is too few for a stable histogram
     _check_count("bins", bins)
-    d = sample_pair_distances(geom, pairs, seed)
-    counts, edges = np.histogram(d, bins=bins, range=(0.0, geom.d_max))
+    counts = 0
+    for _, d in _pair_distance_spans(geom, pairs, seed):
+        found, edges = np.histogram(d, bins=bins, range=(0.0, geom.d_max))
+        counts += found
     widths = np.diff(edges)
     p, ci = _binomial_estimate(counts, pairs)
     return SimulationEstimate(
@@ -185,23 +206,31 @@ def _coverage_block(rng: Generator, group: list, size: int, unit: float) -> list
     Node 0 of each trial is the receiver, and distances are measured in
     lengths times unit.  Draw order: positions, then fading gains for all
     N - 1 links of each trial, each m from the state the positions left.
+    Both passes run over the same row chunks (module docstring).
     """
     N = group[0].N
-    u = rng.random((size * N, 3)).reshape(size, N, 3)
-    d2 = _link_distances_squared(u[:, 0], u[:, 1:], group[0].geom, unit)
+    rows = min(size, max(1, CHUNK_LINKS // (N - 1)))
+    chunks = [slice(start, min(start + rows, size)) for start in range(0, size, rows)]
+    d2 = np.empty((size, N - 1))
+    for c in chunks:
+        u = rng.random(((c.stop - c.start) * N, 3)).reshape(-1, N, 3)
+        d2[c] = _link_distances_squared(u[:, 0], u[:, 1:], group[0].geom, unit)
     serving = np.argmin(d2, axis=1)
     after_positions = rng.bit_generator.state
-    alphas = {sc.channel.alpha for sc in group}
-    in_place = len(alphas) == 1  # then nothing else reads d2 or the gains
-    path = {a: np.power(d2, -0.5 * a, out=d2 if in_place else None) for a in alphas}
+    alphas = sorted({sc.channel.alpha for sc in group})
+    # the last alpha's path gain goes in place, once the others have read d2
+    path = {a: np.power(d2, -0.5 * a, out=d2 if a == alphas[-1] else None) for a in alphas}
+    powers = np.empty((rows, N - 1))
     sir = {}
     for m in {sc.channel.m for sc in group}:
         rng.bit_generator.state = after_positions
-        gains = rng.gamma(m, 1.0 / m, (size, N - 1))
-        for alpha in {sc.channel.alpha for sc in group if sc.channel.m == m}:
-            powers = np.multiply(gains, path[alpha], out=gains if in_place else None)
-            signal = powers[np.arange(size), serving]
-            sir[m, alpha] = signal, powers.sum(axis=1) - signal
+        for c in chunks:
+            gains = rng.gamma(m, 1.0 / m, (c.stop - c.start, N - 1))
+            for alpha in {sc.channel.alpha for sc in group if sc.channel.m == m}:
+                signal, interference = sir.setdefault((m, alpha), (np.empty(size), np.empty(size)))
+                p = np.multiply(gains, path[alpha][c], out=powers[: len(gains)])
+                signal[c] = p[np.arange(len(p)), serving[c]]
+                interference[c] = p.sum(axis=1) - signal[c]
     counts = []
     for sc in group:
         signal, interference = sir[sc.channel.m, sc.channel.alpha]

@@ -48,6 +48,36 @@ def sample_points(rng, geom, n):
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), geom.H * u[:, 2]))
 
 
+def one_shot_coverage_block(rng, group, size, unit):
+    """Covered counts of one coverage block, with every array the size of the block.
+
+    The oracle that the simulator's row-chunked block must match count for count.
+    """
+    from cylcov.simulation import _link_distances_squared
+
+    N = group[0].N
+    u = rng.random((size * N, 3)).reshape(size, N, 3)
+    d2 = _link_distances_squared(u[:, 0], u[:, 1:], group[0].geom, unit)
+    serving = np.argmin(d2, axis=1)
+    after_positions = rng.bit_generator.state
+    alphas = {sc.channel.alpha for sc in group}
+    in_place = len(alphas) == 1  # then nothing else reads d2 or the gains
+    path = {a: np.power(d2, -0.5 * a, out=d2 if in_place else None) for a in alphas}
+    sir = {}
+    for m in {sc.channel.m for sc in group}:
+        rng.bit_generator.state = after_positions
+        gains = rng.gamma(m, 1.0 / m, (size, N - 1))
+        for alpha in {sc.channel.alpha for sc in group if sc.channel.m == m}:
+            powers = np.multiply(gains, path[alpha], out=gains if in_place else None)
+            signal = powers[np.arange(size), serving]
+            sir[m, alpha] = signal, powers.sum(axis=1) - signal
+    counts = []
+    for sc in group:
+        signal, interference = sir[sc.channel.m, sc.channel.alpha]
+        counts.append(int(np.count_nonzero((interference == 0.0) | (signal > sc.beta * interference))))
+    return counts
+
+
 def inverse_cdf(dist, u, l=0.0):
     """Distances of law dist conditioned on being at least l, from uniforms u.
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from conftest import NEEDLE, REGIME_GEOMETRIES, SQUAT, TALL, sample_points
+from conftest import (
+    CUBIC,
+    NEEDLE,
+    REGIME_GEOMETRIES,
+    SQUAT,
+    TALL,
+    one_shot_coverage_block,
+    sample_points,
+)
 from cylcov import (
     ChannelModel,
     CylinderGeometry,
@@ -19,7 +28,15 @@ from cylcov import (
     simulate_coverage,
     simulate_ppp_coverage,
 )
-from cylcov.simulation import _link_distances_squared, sample_pair_distances, substream
+from cylcov.simulation import (
+    BLOCK_TRIALS,
+    CHUNK_LINKS,
+    _blocks,
+    _link_distances_squared,
+    _sir_unit,
+    sample_pair_distances,
+    substream,
+)
 
 GEOM = CylinderGeometry(R=12.0, H=30.0)
 
@@ -98,6 +115,18 @@ class TestHistogram:
         with pytest.raises(DomainError):
             empirical_distance_histogram(GEOM, 5_000, 64, seed=9)
 
+    def test_empty_bins_keep_a_half_width(self):
+        # the last two of 64 bins of the tall shape hold no pair of 10,000:
+        # their half-width is the Wilson interval's reach z^2 / (n + z^2),
+        # and every other bin keeps the normal-approximation width
+        n, bins = 10_000, 64
+        widths = np.diff(np.linspace(0.0, TALL.d_max, bins + 1))
+        est = empirical_distance_histogram(TALL, n, bins, seed=5)
+        p = np.rint(est.mean * widths * n) / n
+        assert (p == 0.0).tolist()[-3:] == [False, True, True]
+        half = np.where(p == 0.0, 1.96**2 / (n + 1.96**2), 1.96 * np.sqrt(p * (1.0 - p) / n))
+        assert np.array_equal(est.ci_half_width, half / widths)
+
     def test_deterministic(self):
         a = empirical_distance_histogram(GEOM, 20_000, 32, seed=10)
         b = empirical_distance_histogram(GEOM, 20_000, 32, seed=10)
@@ -138,6 +167,24 @@ class TestSimulateCoverage:
         a = simulate_coverage(scenario(), 20_000, seed=14)
         b = simulate_coverage(scenario(), 20_000, seed=15)
         assert a.mean != b.mean
+
+    def test_interval_keeps_its_width_when_every_trial_is_covered(self):
+        # the exact coverage here is 0.9999966: about 1.4 uncovered trials
+        # are expected in 400,000, and this seed draws none.  The normal
+        # interval collapsed to 1.0 +- 0.0, which excludes the exact value.
+        sc = scenario(N=3, m=3.0, beta=0.0117, geom=CUBIC, alpha=3.0)
+        est = simulate_coverage(sc, 400_000, seed=5)
+        assert est.mean == 1.0
+        assert est.ci_half_width == 1.96**2 / (400_000 + 1.96**2)
+        assert est.mean - est.ci_half_width <= 0.9999966
+
+    def test_interval_keeps_its_width_when_no_trial_is_covered(self):
+        for est in (
+            simulate_coverage(scenario(beta=1e9), 5_000, seed=12),
+            simulate_ppp_coverage(scenario(beta=1e9, alpha=4.0), 5_000, seed=12, padding=0.5),
+        ):
+            assert est.mean == 0.0
+            assert est.ci_half_width == 1.96**2 / (5_000 + 1.96**2)
 
     def test_ci_formula(self):
         est = simulate_coverage(scenario(), 30_000, seed=16)
@@ -298,6 +345,83 @@ class TestGroups:
     def test_rejects_groups_that_cannot_share_draws(self, group):
         with pytest.raises(DomainError, match="one geometry and N"):
             simulate_coverage(group, 1_000, 1)
+
+
+class TestChunks:
+    """A block drawn and computed in row chunks counts as the one-shot block."""
+
+    @staticmethod
+    def _one_shot(group, trials, seed):
+        unit = _sir_unit(group[0].geom)
+        counts = np.zeros(len(group), dtype=np.int64)
+        for index, size in _blocks(trials):
+            counts += one_shot_coverage_block(substream(seed, index), group, size, unit)
+        return counts.tolist()
+
+    @staticmethod
+    def _chunked(group, trials, seed):
+        return [round(est.mean * trials) for est in simulate_coverage(group, trials, seed)]
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=lambda g: f"R{g.R:g}-H{g.H:g}")
+    @pytest.mark.parametrize("N", [2, 3, 41])
+    def test_group_counts_equal_one_shot_counts(self, geom, N):
+        # N = 41 puts 819 rows in a chunk: a full block takes five chunks and
+        # a partial last one of a single row, and the partial last block of
+        # 1,000 trials a full chunk and a partial one
+        group = [
+            scenario(N=N, m=m, beta=beta, geom=geom, alpha=alpha)
+            for m in (0.5, 2.0) for alpha in (3.0, 4.0) for beta in (0.3, 3.0)
+        ]
+        trials = BLOCK_TRIALS + 1_000
+        assert self._chunked(group, trials, 17) == self._one_shot(group, trials, 17)
+
+    def test_trial_longer_than_a_chunk(self):
+        # a trial of CHUNK_LINKS + 1 links makes each row its own chunk
+        group = [
+            scenario(N=CHUNK_LINKS + 2, m=m, beta=1e-3, alpha=alpha)
+            for m in (0.5, 1.0) for alpha in (3.0, 4.0)
+        ]
+        assert self._chunked(group, 3, 18) == self._one_shot(group, 3, 18)
+
+    def test_histogram_counts_equal_counts_of_all_distances(self):
+        # 70,001 pairs: a full span of 16 blocks, then a partial one that
+        # ends in a partial block
+        pairs, bins = 70_001, 64
+        d = sample_pair_distances(TALL, pairs, seed=19)
+        parts = []
+        for index, size in _blocks(pairs):
+            u = substream(19, index).random((2 * size, 3))
+            parts.append(np.sqrt(_link_distances_squared(u[:size], u[size:, None], TALL)[:, 0]))
+        assert np.array_equal(d, np.concatenate(parts))
+        counts = np.histogram(d, bins=bins, range=(0.0, TALL.d_max))[0]
+        est = empirical_distance_histogram(TALL, pairs, bins, seed=19)
+        found = np.rint(est.mean * (TALL.d_max / bins) * pairs).astype(int)
+        assert found.tolist() == counts.tolist()
+
+
+class TestWorkingMemory:
+    """Traced peaks: no sampler holds more than a chunk of temporaries."""
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_coverage_block_per_link(self):
+        # one N = 50 block: 8 B per link for the block's path gain, plus one
+        # chunk of temporaries; a block drawn whole takes 57 B per link
+        links = BLOCK_TRIALS * 49
+        peak = self._peak(lambda: simulate_coverage(scenario(N=50, m=1.5), BLOCK_TRIALS, 1))
+        assert peak <= 24 * links
+
+    def test_histogram_of_a_million_pairs(self):
+        # holding every distance at once takes 9.8 MB traced
+        peak = self._peak(lambda: empirical_distance_histogram(GEOM, 10**6, 64, 1))
+        assert peak <= 4 * 10**6
 
 
 class _FixedDraws:
