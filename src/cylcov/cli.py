@@ -129,6 +129,8 @@ def load_scenario_file(path) -> dict:
             raise ScenarioFormatError(f"field 'sweep.{name}': non-empty number list required")
         if name == "N" and not all(float(v).is_integer() for v in values):
             raise ScenarioFormatError("field 'sweep.N': integer list required")
+    if "beta" in sweep and "beta_dB" in sweep:
+        raise ScenarioFormatError("field 'sweep': at most one of beta / beta_dB may be swept")
     method = raw.get("method", "analytic")
     if method not in ("analytic", "simulate", "ppp", "all"):
         raise ScenarioFormatError(
@@ -146,13 +148,16 @@ def load_scenario_file(path) -> dict:
     grid_size = output.get("grid_size", DEFAULT_GRID_SIZE)
     if not isinstance(grid_size, int) or grid_size < 64:
         raise ScenarioFormatError("field 'output.grid_size': integer >= 64 required")
+    output_path = output.get("path")
+    if output_path is not None and (not isinstance(output_path, str) or not output_path):
+        raise ScenarioFormatError(f"field 'output.path': non-empty string required, got {output_path!r}")
     return {
         "base": dict(base),
         "sweep": {k: list(v) for k, v in sweep.items()},
         "method": method,
         "trials": trials,
         "seed": seed,
-        "output_path": output.get("path"),
+        "output_path": output_path,
         "grid_size": grid_size,
     }
 
@@ -253,7 +258,10 @@ def cmd_coverage(args) -> int:
     # supplied cache built at the grid size for one of the sweep's geometries.
     dists: dict = {}
     if args.cdf_cache and "analytic" in methods:
-        cached = TabulatedDistribution.load(args.cdf_cache, expected_grid_size=spec["grid_size"])
+        cached = TabulatedDistribution.load(args.cdf_cache)
+        if cached.grid.size != spec["grid_size"]:
+            raise StaleCacheError(f"stale CDF cache {args.cdf_cache}: grid_size={cached.grid.size}, "
+                                  f"requested {spec['grid_size']}")
         if cached.geometry not in {sc.geom for sc in scenarios}:
             g = cached.geometry
             raise StaleCacheError(f"stale CDF cache {args.cdf_cache}: built for R={g.R}, H={g.H}, "

@@ -218,9 +218,9 @@ def exact_coverage_probability(
         return _within_contract(1.0, 0.0, "analytic-exact", scenario)
 
     def average(mix: ReceiverMixture, order: int):
-        law = lambda which, l: mix.stack.take(which).cdf_and_pdf(l)
+        law = lambda which, l: mix.take(which).cdf_and_pdf(l)
         breaks = receiver_breakpoints(scenario.geom, *mix.nodes.T)
-        return _serving_integral(scenario, mix.stack, mix.weights, law, breaks, order)
+        return _serving_integral(scenario, mix, mix.weights, law, breaks, order)
 
     value, tail = average(mixture, EXACT_ORDER)
     check, _ = average(mixture.check, EXACT_CHECK_ORDER)

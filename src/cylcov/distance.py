@@ -32,9 +32,8 @@ fixed Gauss rule per knot and calls neither density route;
 distances.  The tabulated density is the exact derivative of the
 interpolant, so downstream integrals of expressions like (1 - F)^(N-2) f
 are internally consistent; survival is read from the table's tail
-(``TableStack.sf``), never formed as 1 - F.  Tables serialize to a
-versioned columnar text file for reuse across runs, with a third column
-for tables that carry knot densities.
+(``TableStack.sf``), never formed as 1 - F.  Pair tables serialize to a
+versioned two-column text file (knot, CDF value) for reuse across runs.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -46,11 +45,12 @@ given x they are i.i.d. with the receiver-conditioned law
 Gauss rule over horizontal slices of the ball, each slice meeting the
 cylinder's cross-section in a circle-disk lens), and
 ``build_receiver_cdfs`` tabulates it at the nodes of a fixed rule over
-receiver positions, so the pair law is the rule's weighted mixture.  A
-receiver table is a cubic Hermite interpolant whose knot slopes are the
-exact density, so it equals the law, F_x and f_x, at its knots; the
-exact model reads it as the law and calls ``receiver_distance_law`` only
-while building tables.
+receiver positions, so the pair law is the rule's weighted mixture, a
+``ReceiverMixture``: the ``TableStack`` of the rule's tables.  A receiver
+table is a cubic Hermite interpolant whose knot slopes are the exact
+density, so it equals the law, F_x and f_x, at its knots; the exact
+model reads it as the law and calls ``receiver_distance_law`` only while
+building tables.
 
 The module needs numpy only; ``special`` is pure Python.
 """
@@ -58,7 +58,6 @@ The module needs numpy only; ``special`` is pure Python.
 import copy
 import math
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -396,16 +395,16 @@ class TabulatedDistribution:
     ``slopes``; on each cell the interpolant is the cubic Hermite
     interpolant through its two knots, and ``pdf`` is the exact derivative
     of ``cdf``.  A table built with knot densities (a receiver table) takes
-    them as its slopes, so its density equals the law's at every knot.  One without them (the pair
-    table, from ``build_cdf`` or a two-column cache) takes the PCHIP slopes
-    (``_pchip_slopes``), and its values match scipy's ``PchipInterpolator``
-    bit for bit: each cell holds its cubic in powers of the offset s from
-    its left knot, evaluated as c3 + c2 s + c1 s^2 + c0 s^3 in that order
-    of additions.  Knot densities must be finite and nonnegative.  On a
-    cell of width h the density must stay at or above -(1e-9 times the
-    largest knot slope + 1e-11 / h), the cubic's rounding plus the error of
-    the CDF values read as density (``_DENSITY_SLACK``, ``_CDF_ERROR``); a
-    cubic that dips below that raises DomainError.  Instances are
+    them as its slopes, so its density equals the law's at every knot.  One
+    without them (the pair table, from ``build_cdf`` or a cache) takes the
+    PCHIP slopes (``_pchip_slopes``), and its values match scipy's
+    ``PchipInterpolator`` bit for bit: each cell holds its cubic in powers
+    of the offset s from its left knot, evaluated as c3 + c2 s + c1 s^2 +
+    c0 s^3 in that order of additions.  Knot densities must be finite and
+    nonnegative.  On a cell of width h the density must stay at or above
+    -(1e-9 times the largest knot slope + 1e-11 / h), the cubic's rounding
+    plus the error of the CDF values read as density (``_DENSITY_SLACK``,
+    ``_CDF_ERROR``); a cubic that dips below that raises DomainError.  Instances are
     immutable after construction and safe for concurrent queries.
     """
 
@@ -440,7 +439,6 @@ class TabulatedDistribution:
         self.geometry = geometry
         self.grid = grid
         self.cdf_values = values
-        self.densities = densities
         self.slopes = _pchip_slopes(grid, values) if densities is None else densities
         dips = _dipping_cells(grid, values, self.slopes)
         if dips.size:
@@ -474,23 +472,24 @@ class TabulatedDistribution:
     def save(self, path) -> None:
         """Write the versioned columnar text cache (header: R, H, grid_size).
 
-        Each row holds a knot and its CDF value, and its density as a third
-        column when the table has knot densities.
+        Each row holds a knot and its CDF value.  ``load`` rebuilds the
+        PCHIP slopes of the knots, so a table with other slopes (a receiver
+        table) raises DomainError.
         """
+        if not np.array_equal(self.slopes, _pchip_slopes(self.grid, self.cdf_values)):
+            raise DomainError("only a table with the PCHIP slopes of its knots can be cached")
         header = (_CACHE_MAGIC, f"# R={self.geometry.R!r}", f"# H={self.geometry.H!r}",
                   f"# grid_size={self.grid.size}")
-        columns = [c for c in (self.grid, self.cdf_values, self.densities) if c is not None]
-        rows = ("\t".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
+        rows = (f"{l!r}\t{F!r}" for l, F in zip(self.grid.tolist(), self.cdf_values.tolist()))
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join((*header, *rows, "")))
 
     @classmethod
-    def load(cls, path, expected_grid_size: Optional[int] = None) -> "TabulatedDistribution":
+    def load(cls, path) -> "TabulatedDistribution":
         """Reload a cache written by ``save``.
 
-        Raises StaleCacheError on a corrupt file, including one whose
-        table the constructor rejects, or when its grid size is not
-        expected_grid_size.
+        Raises StaleCacheError on an unreadable or corrupt file, including
+        one whose table the constructor rejects.
         """
         try:
             with open(path, "r", encoding="ascii") as fh:
@@ -504,20 +503,13 @@ class TabulatedDistribution:
                 raise ValueError(f"missing magic line {_CACHE_MAGIC!r}")
             header = dict(line.lstrip("# ").partition("=")[::2] for line in lines[1:4])
             R, H, grid_size = float(header["R"]), float(header["H"]), int(header["grid_size"])
-            # l, F and, where the table has them, the knot densities; rows of
-            # unequal length make the array ragged and raise ValueError
+            # rows of unequal length make the array ragged and raise ValueError
             rows = np.array([line.split("\t") for line in lines[4:] if line], dtype=float)
-            if rows.ndim != 2 or rows.shape[0] != grid_size or rows.shape[1] not in (2, 3):
-                raise ValueError(f"expected {grid_size} rows of 2 or 3 columns, found {rows.shape}")
-            table = cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
+            if rows.shape != (grid_size, 2):
+                raise ValueError(f"expected {grid_size} rows of 2 columns, found {rows.shape}")
+            return cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
         except (KeyError, ValueError, IndexError, DomainError) as exc:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
-        if expected_grid_size is not None and grid_size != expected_grid_size:
-            raise StaleCacheError(
-                f"stale CDF cache {path}: grid_size={grid_size}, "
-                f"requested {expected_grid_size}"
-            )
-        return table
 
 
 def _panel_edges(table: "TabulatedDistribution", k: int) -> np.ndarray:
@@ -614,18 +606,10 @@ class TableStack:
         self._layouts, self._layouts_lock = {}, threading.Lock()
 
     def _layout(self, k: int):
-        """The panel rule of ratio 2^(1/k) (``_build_layout``), built once, on first use.
-
-        A layout in which no table has a panel is the cell rule to d_max,
-        the same for every such k, so it is built once and shared by them.
-        """
+        """The panel rule of ratio 2^(1/k) (``_build_layout``), built once, on first use."""
         with self._layouts_lock:
             if k not in self._layouts:
-                edges = [_panel_edges(t, k) for t in self.tables]
-                key = k if max(e.size for e in edges) > 1 else 0
-                if key not in self._layouts:
-                    self._layouts[key] = self._build_layout(edges)
-                self._layouts[k] = self._layouts[key]
+                self._layouts[k] = self._build_layout([_panel_edges(t, k) for t in self.tables])
             return self._layouts[k]
 
     def _build_layout(self, edges):
@@ -910,8 +894,10 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
 
     the latter because the sphere's zone between two slices has area
     2 pi d dw (Archimedes) and a share angle / 2 pi of it lies inside.
-    Both integrals run over w in [-min(z, d), min(H - z, d)].  r and z are
-    scalars, or 1-D arrays with one receiver per distance.
+    Both integrals run over w in [-min(z, d), min(H - z, d)].  From the
+    receiver's d_max(x) on, the sphere meets the cylinder in at most a
+    point, so f_x is 0 there.  r and z are scalars, or 1-D arrays with one
+    receiver per distance.
     """
     R, H = geom.R, geom.H
     r, z, d = np.asarray(r, dtype=float), np.asarray(z, dtype=float), np.asarray(d, dtype=float)
@@ -924,7 +910,9 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
         raise DomainError("distances must be nonnegative")
     below = _slab(d, np.minimum(z, d), r, R)
     above = _slab(d, np.minimum(H - z, d), r, R)
-    return (below[0] + above[0]) / geom.volume, d * (below[1] + above[1]) / geom.volume
+    beyond = d >= np.hypot(R + r, np.maximum(z, H - z))  # d_max(x), as in receiver_breakpoints
+    density = np.where(beyond, 0.0, d * (below[1] + above[1]) / geom.volume)
+    return (below[0] + above[0]) / geom.volume, density
 
 
 def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
@@ -973,29 +961,22 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> Tabulated
     return TabulatedDistribution(geom, grid, F, f)
 
 
-@dataclass(frozen=True)
-class ReceiverMixture:
-    """Receiver-conditioned distance tables at the nodes of a receiver rule.
+class ReceiverMixture(TableStack):
+    """The ``TableStack`` of receiver-conditioned distance tables at the nodes of a receiver rule.
 
     nodes[q] = (r, z) is a receiver position, tables[q] its F_q and
     weights[q] its weight in the average over receiver positions (density
     2 r / R^2 in r and uniform in z, folded onto z <= H / 2 by symmetry;
     the weights sum to 1).  sum_q weights[q] F_q approximates the pair
-    law.  check holds a coarser rule over the same geometry, against
-    which results of this one are compared for an error estimate.  stack,
-    built on first use, holds the tables as one ``TableStack``, so the
-    exact model evaluates all receivers of the rule in one array pass.
+    law, and the exact model evaluates all receivers of the rule in one
+    array pass over the stack.  check holds a coarser rule over the same
+    geometry, against which results of this one are compared for an error
+    estimate.
     """
 
-    geometry: CylinderGeometry
-    nodes: np.ndarray
-    weights: np.ndarray
-    tables: Tuple[TabulatedDistribution, ...]
-    check: Optional["ReceiverMixture"] = None
-
-    @cached_property
-    def stack(self) -> TableStack:
-        return TableStack(self.tables)
+    def __init__(self, nodes, weights, tables, check: Optional["ReceiverMixture"] = None):
+        super().__init__(tables)
+        self.nodes, self.weights, self.check = nodes, weights, check
 
 
 def _receiver_mixture(
@@ -1009,7 +990,7 @@ def _receiver_mixture(
     nodes = np.array([(ri, zj) for ri in r for zj in z])
     weights = np.outer(0.5 * wu, 0.5 * wz).ravel()
     tables = tuple(_build_receiver_cdf(geom, ri, zj) for ri, zj in nodes)
-    return ReceiverMixture(geom, nodes, weights, tables, check)
+    return ReceiverMixture(nodes, weights, tables, check)
 
 
 def build_receiver_cdfs(geom: CylinderGeometry) -> ReceiverMixture:

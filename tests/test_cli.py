@@ -114,6 +114,13 @@ class TestScenarioFile:
             ({"seed": 2**64}, "seed"),
             ({"seed": -1}, "seed"),
             ({"output": {"grid_size": 10}}, "grid_size"),
+            # the rows would be computed at the swept beta and labelled with beta_dB
+            ({"sweep": {"beta": [1.0], "beta_dB": [0, 10]}}, "sweep"),
+            # open() takes an integer or a bool as a file descriptor: True is stdout
+            ({"output": {"path": True}}, "output.path"),
+            ({"output": {"path": 2}}, "output.path"),
+            ({"output": {"path": ""}}, "output.path"),
+            ({"output": {"path": ["x"]}}, "output.path"),
         ],
     )
     def test_invalid_fields_are_named(self, tmp_path, overrides, field):
@@ -122,6 +129,13 @@ class TestScenarioFile:
         path = write_scenario(tmp_path / "s.json", **overrides)
         with pytest.raises(ScenarioFormatError, match=field.split(".")[-1]):
             load_scenario_file(path)
+
+    def test_sweep_over_both_beta_axes_is_an_error_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "s.json", method="ppp", sweep={"beta": [1.0], "beta_dB": [0, 10]})
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: field 'sweep'")
+        assert not out.exists()
 
     def test_invalid_json_reported(self, tmp_path):
         from cylcov import ScenarioFormatError
@@ -595,6 +609,15 @@ class TestCacheCommand:
         assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--cdf-cache", str(cache)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stale CDF cache") and "R=9.0, H=30.0, which no sweep point has" in err
+        assert not out.exists()
+
+    def test_cache_of_another_grid_size_is_stale(self, tmp_path, capsys):
+        cache = tmp_path / "cdf.tsv"
+        assert main(["cache", "--R", "12", "--H", "30", "--grid-size", "128", "--output", str(cache)]) == 0
+        scen, out = write_scenario(tmp_path / "s.json"), tmp_path / "x.csv"  # grid_size 256
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out), "--cdf-cache", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stale CDF cache") and "grid_size=128, requested 256" in err
         assert not out.exists()
 
     def test_grid_refinement_changes_little(self, tmp_path):

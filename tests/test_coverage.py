@@ -239,7 +239,7 @@ class TestConditionalCoverage:
         # and among 400 limits the values differed by up to 1.3e-14.
         rng = np.random.default_rng(11)
         cases = []
-        for stack in (get_dist(geom).stack, get_mixture(geom).stack):
+        for stack in (get_dist(geom).stack, get_mixture(geom)):
             which = rng.integers(0, len(stack.tables), 400)
             cases.append((stack, which, rng.random(400) * stack.ends[which]))
         for m, beta, N in product((1, 3, 5), (0.1, 10.0), (3, 40)):
@@ -569,10 +569,10 @@ class TestExactCoverage:
         breaks = receiver_breakpoints(geom, r, z)
         laws = {
             "exact": lambda which, l: receiver_distance_law(geom, r[which], z[which], l),
-            "table": lambda which, l: mix.stack.take(which).cdf_and_pdf(l),
+            "table": lambda which, l: mix.take(which).cdf_and_pdf(l),
         }
         value = {
-            name: _serving_integral(sc, mix.stack, mix.weights, law, breaks, EXACT_ORDER)[0]
+            name: _serving_integral(sc, mix, mix.weights, law, breaks, EXACT_ORDER)[0]
             for name, law in laws.items()
         }
         assert value["table"] == res.pc
@@ -587,7 +587,7 @@ class TestExactCoverage:
         # exactly 0.  At k = 40 no receiver table has a panel.
         mix = get_mixture(geom)
         for k in (1, 2, 4, 40):
-            nodes, weights, level, column, ends = mix.stack._layout(k)
+            nodes, weights, level, column, ends = mix._layout(k)
             starts = np.concatenate(([0], ends[:-1]))
             pad = np.zeros(nodes.shape, dtype=bool)
             for t, table in enumerate(mix.tables):

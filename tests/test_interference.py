@@ -313,7 +313,7 @@ def test_panel_rule_matches_the_cell_rule(geom, receivers, picks, alpha, log_bet
     # pair table.  The panels, of ratio 2^(1/k) with k = ceil(alpha / 6),
     # interpolate the kernel only: a term (t / m)^j row_j / (1 - F(l)) of
     # the series moves by at most 1e-13 for alpha <= 4 and 1e-10 above.
-    stack = get_mixture(geom).stack if receivers else get_dist(geom).stack
+    stack = get_mixture(geom) if receivers else get_dist(geom).stack
     tables = stack.tables
     which, lo = [], []
     for k, kind, edge, frac in picks:
@@ -404,27 +404,25 @@ class TestPanelLayouts:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(calls) == [1, 2, 4, 7]
-        assert stack._layouts[7] is stack._layouts[0]
         fresh = TableStack(tables).take(0)
         for alpha, value in zip(alphas, got):
             assert np.array_equal(value, integral(fresh, alpha))
 
-    def test_layouts_stay_bounded_over_an_alpha_sweep(self):
+    def test_layouts_past_the_last_panel_are_the_cell_rule(self):
         # On a 64-knot table the panels shrink with the ratio until none is
-        # left: from that k on the layout is the cell rule, one array that
-        # every larger k shares, whatever order the sweep runs in.
+        # left: from that k on the layout is the cell rule, whatever order
+        # the sweep runs in.
         stack = get_dist(TALL, 64).stack
         for alpha in [*range(3, 301, 3), *range(300, 2, -7)]:
             stack._layout(math.ceil(alpha / 6.0))
+        assert sorted(stack._layouts) == list(range(1, 51))
         panelled = sorted(k for k, held in stack._layouts.items() if held[-1].size > 1)
         assert panelled == list(range(1, len(panelled) + 1))
         assert 1 < len(panelled) < 10
-        cell_rule = stack._layouts[0]
-        assert all(held is cell_rule for k, held in stack._layouts.items() if k not in panelled)
-        assert len({id(held) for held in stack._layouts.values()}) == len(panelled) + 1
-        nodes, weights, level, column, ends = cell_rule
         top = stack.tables[0].grid.size - 1
-        assert np.array_equal(ends, [4 * top]) and not level.any()
-        assert np.array_equal(column[0], 4 * np.arange(top + 1))
         grid = stack.tables[0].grid
-        assert np.array_equal(nodes[0], _gauss_on_panels(grid, *np.polynomial.legendre.leggauss(4))[0])
+        for k in range(len(panelled) + 1, 51):
+            nodes, weights, level, column, ends = stack._layouts[k]
+            assert np.array_equal(ends, [4 * top]) and not level.any()
+            assert np.array_equal(column[0], 4 * np.arange(top + 1))
+            assert np.array_equal(nodes[0], _gauss_on_panels(grid, *np.polynomial.legendre.leggauss(4))[0])
