@@ -33,13 +33,7 @@ from .errors import (
 )
 from .geometry import CylinderGeometry
 from .interference import LaplaceEvaluation, laplace_with_derivatives
-from .network import (
-    ChannelModel,
-    NetworkScenario,
-    conditional_interferer_pdf,
-    serving_distance_cdf,
-    serving_distance_pdf,
-)
+from .network import ChannelModel, NetworkScenario
 from .ppp import ppp_coverage
 from .simulation import (
     SimulationEstimate,
@@ -70,7 +64,6 @@ __all__ = [
     "complete_E",
     "complete_K",
     "conditional_coverage",
-    "conditional_interferer_pdf",
     "coverage_probability",
     "cylinder_pair_pdf_closed",
     "cylinder_pair_pdf_numeric",
@@ -83,8 +76,6 @@ __all__ = [
     "ppp_coverage",
     "sample_pair_distances",
     "segment_pair_pdf",
-    "serving_distance_cdf",
-    "serving_distance_pdf",
     "simulate_coverage",
     "simulate_ppp_coverage",
 ]

@@ -9,11 +9,15 @@ coverage  Evaluate coverage probability over a scenario file's sweep grid
           the PPP baseline; one CSV row per sweep point per method.
 cache     Build and store a CDF table for reuse via --cdf-cache.
 
-Scenario files are JSON: a ``version`` (currently 1), a ``scenario``
+Scenario files are JSON: a ``version`` (the integer 1), a ``scenario``
 object with N, R, H, alpha, m and exactly one of beta / beta_dB, an
 optional ``sweep`` object mapping parameter names to value lists
 (cartesian product, file order), plus optional method / trials / seed /
-output settings.  Each run parameter has one home: --seed and --output
+output settings.  KEYS lists the keys each object may hold, and any other
+key is an error.  Every scenario value and sweep element is a JSON number
+that is not a bool; N, trials and output.grid_size are integral, trials at
+least 1 and grid_size at least 64.  METHODS maps each method to the CSV
+row tags it writes.  Each run parameter has one home: --seed and --output
 are the only flags that override a file entry (seed, output.path).
 
 Every CSV starts with '#' comment lines recording the schema version,
@@ -30,6 +34,7 @@ count, so the column still sums to the sweep's Monte Carlo time.
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +68,12 @@ SCHEMA_VERSION = 1
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 1
 SWEEPABLE = ("N", "R", "H", "alpha", "m", "beta", "beta_dB")
+# the keys each object of a scenario file may hold; "" is the file object
+KEYS = {"": ("version", "scenario", "sweep", "method", "trials", "seed", "output"),
+        "scenario": SWEEPABLE, "sweep": SWEEPABLE, "output": ("path", "format", "grid_size")}
+# each file method and the CSV row tags it writes, in row order
+METHODS = {"analytic": ("analytic",), "simulate": ("monte-carlo",), "ppp": ("ppp",),
+           "all": ("analytic", "monte-carlo", "ppp")}
 
 
 def db_to_linear(beta_db: float) -> float:
@@ -84,88 +95,75 @@ def _check_seed(seed, name: str) -> None:
         raise ScenarioFormatError(f"{name}: integer in [0, 2**64) required, got seed={seed!r}")
 
 
+def _require(ok, field: str, what: str) -> None:
+    if not ok:
+        raise ScenarioFormatError(f"field '{field}': {what}")
+
+
+def _object(value, field: str) -> dict:
+    """value if it is a JSON object holding only keys that KEYS[field] lists."""
+    _require(isinstance(value, dict), field or "file", "JSON object required")
+    for key in value:
+        _require(key in KEYS[field], f"{field}.{key}" if field else key,
+                 f"unknown key (allowed: {', '.join(KEYS[field])})")
+    return value
+
+
+def _number(value, field: str, integral: bool = False, least: float = -math.inf):
+    """value if it is a JSON number and not a bool; an integral one comes back as int."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(is_number, field, f"number required, got {value!r}")
+    if not integral:
+        return value
+    _require(isinstance(value, int) or value.is_integer(), field, f"integer required, got {value!r}")
+    _require(value >= least, field, f"at least {least} required, got {value!r}")
+    return int(value)
+
+
 def load_scenario_file(path) -> dict:
-    """Parse and validate a scenario JSON file."""
+    """Parse a scenario JSON file and check it against KEYS, the number rule and METHODS."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = _object(json.load(fh), "")
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioFormatError("scenario file must hold a JSON object")
-    if raw.get("version") != SCHEMA_VERSION:
-        raise ScenarioFormatError(
-            f"field 'version': expected {SCHEMA_VERSION}, got {raw.get('version')!r}"
-        )
-    base = raw.get("scenario")
-    if not isinstance(base, dict):
-        raise ScenarioFormatError("field 'scenario': required object missing")
-    for key in ("N", "R", "H", "alpha", "m"):
-        if not isinstance(base.get(key), (int, float)) or isinstance(base.get(key), bool):
-            raise ScenarioFormatError(f"field 'scenario.{key}': number required")
-    if not float(base["N"]).is_integer():
-        raise ScenarioFormatError("field 'scenario.N': integer required")
+    version = raw.get("version")
+    _require(type(version) is int and version == SCHEMA_VERSION, "version",
+             f"expected {SCHEMA_VERSION}, got {version!r}")
+    base = _object(raw.get("scenario"), "scenario")
     has_beta = "beta" in base
-    has_db = "beta_dB" in base
-    if has_beta == has_db:
-        raise ScenarioFormatError(
-            "field 'scenario.beta': exactly one of beta / beta_dB must be present"
-        )
-    sweep = raw.get("sweep", {})
-    if not isinstance(sweep, dict):
-        raise ScenarioFormatError("field 'sweep': object of name -> value list required")
-    for name, values in sweep.items():
-        if name not in SWEEPABLE:
-            raise ScenarioFormatError(
-                f"field 'sweep.{name}': unknown parameter (choose from {', '.join(SWEEPABLE)})"
-            )
-        if (
-            not isinstance(values, list)
-            or not values
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-        ):
-            raise ScenarioFormatError(f"field 'sweep.{name}': non-empty number list required")
-        if name == "N" and not all(float(v).is_integer() for v in values):
-            raise ScenarioFormatError("field 'sweep.N': integer list required")
-    if "beta" in sweep and "beta_dB" in sweep:
-        raise ScenarioFormatError("field 'sweep': at most one of beta / beta_dB may be swept")
+    _require(has_beta != ("beta_dB" in base), "scenario.beta", "exactly one of beta / beta_dB required")
+    for key in ("N", "R", "H", "alpha", "m", "beta" if has_beta else "beta_dB"):
+        _number(base.get(key), f"scenario.{key}", integral=key == "N")
+    sweep = _object(raw.get("sweep", {}), "sweep")
+    for key, values in sweep.items():
+        _require(isinstance(values, list) and values, f"sweep.{key}", "non-empty number list required")
+        for value in values:
+            _number(value, f"sweep.{key}", integral=key == "N")
+    _require(not {"beta", "beta_dB"} <= sweep.keys(), "sweep", "at most one of beta / beta_dB may be swept")
     method = raw.get("method", "analytic")
-    if method not in ("analytic", "simulate", "ppp", "all"):
-        raise ScenarioFormatError(
-            f"field 'method': {method!r} not one of analytic | simulate | ppp | all"
-        )
-    trials, seed = raw.get("trials", DEFAULT_TRIALS), raw.get("seed", DEFAULT_SEED)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ScenarioFormatError(f"field 'trials': positive integer required, got trials={trials!r}")
+    _require(isinstance(method, str) and method in METHODS, "method",
+             f"one of {' | '.join(METHODS)} required, got {method!r}")
+    seed = raw.get("seed", DEFAULT_SEED)
     _check_seed(seed, "field 'seed'")
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ScenarioFormatError("field 'output': object required")
-    if output.get("format", "csv") != "csv":
-        raise ScenarioFormatError("field 'output.format': only 'csv' is supported")
-    grid_size = output.get("grid_size", DEFAULT_GRID_SIZE)
-    if not isinstance(grid_size, int) or grid_size < 64:
-        raise ScenarioFormatError("field 'output.grid_size': integer >= 64 required")
+    output = _object(raw.get("output", {}), "output")
+    _require(output.get("format", "csv") == "csv", "output.format", "only 'csv' is supported")
     output_path = output.get("path")
-    if output_path is not None and (not isinstance(output_path, str) or not output_path):
-        raise ScenarioFormatError(f"field 'output.path': non-empty string required, got {output_path!r}")
-    return {
-        "base": dict(base),
-        "sweep": {k: list(v) for k, v in sweep.items()},
-        "method": method,
-        "trials": trials,
-        "seed": seed,
-        "output_path": output_path,
-        "grid_size": grid_size,
-    }
+    _require(output_path is None or (isinstance(output_path, str) and output_path), "output.path",
+             f"non-empty string required, got {output_path!r}")
+    trials = _number(raw.get("trials", DEFAULT_TRIALS), "trials", integral=True, least=1)
+    grid_size = output.get("grid_size", DEFAULT_GRID_SIZE)
+    grid_size = _number(grid_size, "output.grid_size", integral=True, least=64)
+    return {"base": base, "sweep": sweep, "method": method, "trials": trials, "seed": seed,
+            "output_path": output_path, "grid_size": grid_size}
 
 
 def _point_scenario(params: dict) -> NetworkScenario:
     beta = params["beta"] if "beta" in params else db_to_linear(params["beta_dB"])
     return NetworkScenario(
-        N=int(params["N"]),
+        N=params["N"],
         geom=CylinderGeometry(R=float(params["R"]), H=float(params["H"])),
         channel=ChannelModel(alpha=float(params["alpha"]), m=float(params["m"])),
         beta=float(beta),
@@ -249,8 +247,7 @@ def cmd_coverage(args) -> int:
     if output_path is None:
         raise ScenarioFormatError("no output path: pass --output or set output.path")
     method = spec["method"]
-    methods = {"analytic": ["analytic"], "simulate": ["monte-carlo"], "ppp": ["ppp"],
-               "all": ["analytic", "monte-carlo", "ppp"]}[method]
+    methods = METHODS[method]
     axis_names, points = _sweep_points(spec["base"], spec["sweep"])
     scenarios = [_point_scenario(p) for p in points]
 

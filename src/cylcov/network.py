@@ -1,11 +1,10 @@
-"""Network scenario types and link-distance distributions.
+"""Network scenario types, and the checks that a scenario's tables pass.
 
-The typical receiver associates with the nearest of the other N - 1 nodes.
-Its serving distance is the minimum of N - 1 i.i.d. pair distances, and
-each remaining interferer distance, conditioned on the serving distance,
-is the pair distance truncated below at it.  Both densities are expressed
-through the tabulated CDF, and conditioning divides by the table's
-``sf``, read from its tail; nothing here re-runs quadrature per query.
+The typical receiver associates with the nearest of the other N - 1 nodes,
+and each remaining interferer distance, conditioned on the serving
+distance l, is the pair distance truncated below at l.  Conditioning
+divides by the table's ``sf`` at l, read from its tail; the interferer
+integral checks it here before it divides.
 """
 
 from dataclasses import dataclass
@@ -49,6 +48,7 @@ class NetworkScenario:
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
             raise DomainError(f"node count N={self.N!r} must be an integer >= 2")
+        object.__setattr__(self, "N", int(self.N))  # N = 5.0 is the scenario N = 5
         if not (0.0 < self.beta < np.inf):
             raise DomainError(f"SIR threshold beta={self.beta!r} must be finite and positive")
 
@@ -60,23 +60,6 @@ def _check_geometry(scenario_geom: CylinderGeometry, dist: TabulatedDistribution
             f"(R={dist.geometry.R}, H={dist.geometry.H}), scenario has "
             f"(R={scenario_geom.R}, H={scenario_geom.H})"
         )
-
-
-def serving_distance_pdf(l, scenario: NetworkScenario, dist: TabulatedDistribution):
-    """Density of the serving distance, (N-1) (1 - F(l))^(N-2) f(l).
-
-    Accepts scalar or array l.  For N = 2 this reduces to the pair
-    density itself.
-    """
-    _check_geometry(scenario.geom, dist)
-    n = scenario.N
-    return (n - 1) * np.power(dist.sf(l), n - 2) * dist.pdf(l)
-
-
-def serving_distance_cdf(l, scenario: NetworkScenario, dist: TabulatedDistribution):
-    """CDF of the serving distance, 1 - (1 - F(l))^(N-1)."""
-    _check_geometry(scenario.geom, dist)
-    return 1.0 - np.power(dist.sf(l), scenario.N - 1)
 
 
 def _conditioning_survival(l, dist: TabulatedDistribution):
@@ -99,17 +82,3 @@ def _conditioning_survival(l, dist: TabulatedDistribution):
             "conditioning is degenerate"
         )
     return survival
-
-
-def conditional_interferer_pdf(u, l: float, dist: TabulatedDistribution):
-    """Density of one interferer distance given serving distance l.
-
-    f(u) / (1 - F(l)) for u >= l, zero below.  Conditioning too close to
-    the support end, where 1 - F(l) < 1e-12, is rejected rather than
-    amplifying tabulation noise.
-    """
-    l = float(l)
-    survival = _conditioning_survival(l, dist)
-    u_arr = np.asarray(u, dtype=float)
-    out = np.where(u_arr < l, 0.0, dist.pdf(u_arr) / survival)
-    return float(out) if np.ndim(u) == 0 else out

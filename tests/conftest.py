@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cylcov import CylinderGeometry, build_cdf, build_receiver_cdfs
+from cylcov.network import _check_geometry, _conditioning_survival
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
 TALL = CylinderGeometry(R=20.0, H=120.0)
@@ -85,6 +86,35 @@ def inverse_cdf(dist, u, l=0.0):
     """
     fl = dist.cdf(l)
     return np.interp(fl + u * (1.0 - fl), dist.cdf_values, dist.grid)
+
+
+def serving_distance_pdf(l, scenario, dist):
+    """Density of the serving distance, (N-1) (1 - F(l))^(N-2) f(l), at scalar or array l.
+
+    The nearest of N - 1 i.i.d. pair distances; for N = 2 the pair density itself.
+    """
+    _check_geometry(scenario.geom, dist)
+    n = scenario.N
+    return (n - 1) * np.power(dist.sf(l), n - 2) * dist.pdf(l)
+
+
+def serving_distance_cdf(l, scenario, dist):
+    """CDF of the serving distance, 1 - (1 - F(l))^(N-1)."""
+    _check_geometry(scenario.geom, dist)
+    return 1.0 - np.power(dist.sf(l), scenario.N - 1)
+
+
+def conditional_interferer_pdf(u, l, dist):
+    """Density of one interferer distance given serving distance l: f(u) / (1 - F(l)) for u >= l.
+
+    Zero below l.  Conditioning where 1 - F(l) is below the survival floor
+    raises DegenerateConditionError, and l outside [0, d_max) DomainError.
+    """
+    l = float(l)
+    survival = _conditioning_survival(l, dist)
+    u_arr = np.asarray(u, dtype=float)
+    out = np.where(u_arr < l, 0.0, dist.pdf(u_arr) / survival)
+    return float(out) if np.ndim(u) == 0 else out
 
 
 @pytest.fixture(scope="session")

@@ -21,12 +21,19 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.stats import kstest
 
-from conftest import REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture
+from conftest import (
+    REGIME_GEOMETRIES,
+    SQUAT,
+    TALL,
+    conditional_interferer_pdf,
+    get_dist,
+    get_mixture,
+    serving_distance_pdf,
+)
 from cylcov import (
     ChannelModel,
     CylinderGeometry,
     NetworkScenario,
-    conditional_interferer_pdf,
     coverage_probability,
     cylinder_pair_pdf_closed,
     cylinder_pair_pdf_numeric,
@@ -34,7 +41,6 @@ from cylcov import (
     laplace_with_derivatives,
     ppp_coverage,
     sample_pair_distances,
-    serving_distance_pdf,
     simulate_coverage,
 )
 from cylcov.cli import main

@@ -19,10 +19,14 @@ from cylcov.cli import db_to_linear, load_scenario_file, main
 GEOM = CylinderGeometry(R=12.0, H=30.0)
 
 
+BASE = {"N": 6, "R": 12.0, "H": 30.0, "alpha": 3.0, "m": 1}  # the scenario less its threshold
+SCENARIO = dict(BASE, beta=1.0)
+
+
 def write_scenario(path, **overrides):
     spec = {
         "version": 1,
-        "scenario": {"N": 6, "R": 12.0, "H": 30.0, "alpha": 3.0, "m": 1, "beta": 1.0},
+        "scenario": SCENARIO,
         "method": "analytic",
         "trials": 2000,
         "seed": 3,
@@ -91,7 +95,7 @@ class TestScenarioFile:
         [
             ({"version": 2}, "version"),
             ({"scenario": {"R": 12.0, "H": 30.0, "alpha": 3, "m": 1, "beta": 1}}, "scenario.N"),
-            ({"scenario": {"N": 6, "R": 12.0, "H": 30.0, "alpha": 3, "m": 1}}, "beta"),
+            ({"scenario": {"N": 6, "R": 12.0, "H": 30.0, "alpha": 3, "m": 1}}, "scenario.beta"),
             (
                 {
                     "scenario": {
@@ -99,7 +103,7 @@ class TestScenarioFile:
                         "beta": 1.0, "beta_dB": 0.0,
                     }
                 },
-                "beta",
+                "scenario.beta",
             ),
             ({"sweep": {"gamma": [1, 2]}}, "sweep.gamma"),
             ({"sweep": {"N": []}}, "sweep.N"),
@@ -113,7 +117,7 @@ class TestScenarioFile:
             # simulation.substream takes a seed below 2**64, one Philox key word
             ({"seed": 2**64}, "seed"),
             ({"seed": -1}, "seed"),
-            ({"output": {"grid_size": 10}}, "grid_size"),
+            ({"output": {"grid_size": 10}}, "output.grid_size"),
             # the rows would be computed at the swept beta and labelled with beta_dB
             ({"sweep": {"beta": [1.0], "beta_dB": [0, 10]}}, "sweep"),
             # open() takes an integer or a bool as a file descriptor: True is stdout
@@ -121,14 +125,46 @@ class TestScenarioFile:
             ({"output": {"path": 2}}, "output.path"),
             ({"output": {"path": ""}}, "output.path"),
             ({"output": {"path": ["x"]}}, "output.path"),
+            # a misspelled key would drop its setting and run the default
+            ({"sweeps": {"N": [4, 8]}}, "sweeps"),
+            ({"trails": 5}, "trails"),
+            ({"scenario": dict(SCENARIO, Beta=2.0)}, "scenario.Beta"),
+            ({"output": {"paht": "x.csv"}}, "output.paht"),
+            ({"version": True}, "version"),
+            ({"method": ["all"]}, "method"),
+            ({"method": {}}, "method"),
+        ]
+        # the threshold takes the number rule of the other parameters: true ran at beta = 1
+        + [
+            case
+            for bad in ("abc", [1], None, True)
+            for case in (
+                ({"scenario": dict(SCENARIO, beta=bad)}, "scenario.beta"),
+                ({"scenario": {**BASE, "beta_dB": bad}}, "scenario.beta_dB"),
+                ({"sweep": {"beta": [1.0, bad]}}, "sweep.beta"),
+                ({"sweep": {"beta_dB": [bad]}}, "sweep.beta_dB"),
+            )
         ],
     )
     def test_invalid_fields_are_named(self, tmp_path, overrides, field):
         from cylcov import ScenarioFormatError
 
         path = write_scenario(tmp_path / "s.json", **overrides)
-        with pytest.raises(ScenarioFormatError, match=field.split(".")[-1]):
+        with pytest.raises(ScenarioFormatError, match=f"field '{re.escape(field)}'"):
             load_scenario_file(path)
+
+    def test_integral_counts_load_as_ints(self, tmp_path):
+        path = write_scenario(tmp_path / "s.json", trials=1e5, output={"grid_size": 2048.0})
+        spec = load_scenario_file(path)
+        assert (spec["trials"], spec["grid_size"]) == (100000, 2048)
+        assert type(spec["trials"]) is int and type(spec["grid_size"]) is int
+
+    def test_boolean_threshold_is_an_error_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "s.json", scenario=dict(SCENARIO, beta=True))
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: field 'scenario.beta'")
+        assert not out.exists()
 
     def test_sweep_over_both_beta_axes_is_an_error_line(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "s.json", method="ppp", sweep={"beta": [1.0], "beta_dB": [0, 10]})

@@ -67,11 +67,10 @@ PUBLIC = """
     CoverageResult CylinderGeometry ChannelModel DEFAULT_GRID_SIZE DegenerateConditionError
     DomainError LaplaceEvaluation NetworkScenario ReceiverMixture ScenarioFormatError
     SimulationEstimate StaleCacheError TabulatedDistribution UnsupportedParameterError build_cdf
-    build_receiver_cdfs complete_E complete_K conditional_coverage conditional_interferer_pdf
-    coverage_probability cylinder_pair_pdf_closed cylinder_pair_pdf_numeric disk_pair_pdf
-    empirical_distance_histogram exact_coverage_probability incomplete_E incomplete_F
-    laplace_with_derivatives ppp_coverage sample_pair_distances segment_pair_pdf
-    serving_distance_cdf serving_distance_pdf simulate_coverage simulate_ppp_coverage
+    build_receiver_cdfs complete_E complete_K conditional_coverage coverage_probability
+    cylinder_pair_pdf_closed cylinder_pair_pdf_numeric disk_pair_pdf empirical_distance_histogram
+    exact_coverage_probability incomplete_E incomplete_F laplace_with_derivatives ppp_coverage
+    sample_pair_distances segment_pair_pdf simulate_coverage simulate_ppp_coverage
 """.split()
 
 # helpers only tests used, as module.name under cylcov; their oracles are in tests/
@@ -81,6 +80,7 @@ REMOVED = """
     simulation.sample_conditional_interferer_distances distance.build_receiver_cdf
     distance.TabulatedDistribution.kind distance.TabulatedDistribution.ppf
     simulation._sample_coordinates simulation._distance ppp.PppModel ppp.ppp_model_from_scenario
+    network.serving_distance_pdf network.serving_distance_cdf network.conditional_interferer_pdf
 """.split()
 
 

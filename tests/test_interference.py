@@ -13,13 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture, inverse_cdf
+from conftest import (
+    REGIME_GEOMETRIES,
+    SQUAT,
+    TALL,
+    conditional_interferer_pdf,
+    get_dist,
+    get_mixture,
+    inverse_cdf,
+)
 from cylcov import (
     ChannelModel,
     DomainError,
     NetworkScenario,
     UnsupportedParameterError,
-    conditional_interferer_pdf,
     laplace_with_derivatives,
 )
 import cylcov.distance

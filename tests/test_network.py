@@ -20,16 +20,22 @@ import pytest
 from scipy.integrate import simpson
 from scipy.stats import kstest
 
-from conftest import SQUAT, TALL, inverse_cdf, sample_points
+from conftest import (
+    SQUAT,
+    TALL,
+    conditional_interferer_pdf,
+    inverse_cdf,
+    sample_points,
+    serving_distance_cdf,
+    serving_distance_pdf,
+)
 from cylcov import (
     ChannelModel,
     CylinderGeometry,
     DegenerateConditionError,
     DomainError,
     NetworkScenario,
-    conditional_interferer_pdf,
-    serving_distance_cdf,
-    serving_distance_pdf,
+    simulate_coverage,
 )
 from cylcov.simulation import substream
 
@@ -52,6 +58,14 @@ class TestScenarioValidation:
     def test_rejects_single_node(self):
         with pytest.raises(DomainError):
             scenario(1)
+
+    def test_integral_float_node_count_is_that_integer(self):
+        # N is stored as an int, so the simulator can size its arrays with it
+        whole, point = scenario(5), scenario(5.0)
+        assert point == whole and type(point.N) is int
+        assert simulate_coverage(point, 3000, 4) == simulate_coverage(whole, 3000, 4)
+        with pytest.raises(DomainError, match="N=5.5"):
+            scenario(5.5)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(DomainError):

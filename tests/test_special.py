@@ -10,7 +10,7 @@ from scipy import special as sp
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaincc
 
-from conftest import SQUAT, TALL, inverse_cdf
+from conftest import SQUAT, TALL, conditional_interferer_pdf, inverse_cdf
 from cylcov import (
     ChannelModel,
     DomainError,
@@ -19,7 +19,6 @@ from cylcov import (
     complete_E,
     complete_K,
     conditional_coverage,
-    conditional_interferer_pdf,
     incomplete_E,
     incomplete_F,
     laplace_with_derivatives,
