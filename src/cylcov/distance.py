@@ -75,16 +75,18 @@ DEFAULT_GRID_SIZE = 2048
 # integrate degree 7, leaving the kernel's remainder past degree 5 per cell.
 _CELL_QUAD_ORDER = 4
 _CELL_X, _CELL_W = np.polynomial.legendre.leggauss(_CELL_QUAD_ORDER)
-# Product-rule panels of the interferer integral (``_product_panels``): knot
+# Product-rule panels of the interferer integral (``_partial_panels``): knot
 # edges stepping down by the factor 2^(-1/k) from the support's last knot,
 # kept while a panel holds more than _PANEL_MIN_CELLS cells, and _PANEL_NODES
 # Chebyshev points of the first kind per panel, _PANEL_X on [-1, 1], with
 # _PANEL_T[j, q] = T_j(x_q).  A kernel in u^-alpha takes
 # k = ceil(alpha / _PANEL_ALPHA), which keeps the bound in interference.py at
-# its alpha = 6 value or better.
+# its alpha = 6 value or better.  Every _RUN_CELLS-th knot of a panel holds
+# the weights of the part of the panel above it.
 _PANEL_NODES = 24
 _PANEL_MIN_CELLS = 6
 _PANEL_ALPHA = 6.0
+_RUN_CELLS = 4
 _PANEL_X = np.cos(np.arange(0.5, _PANEL_NODES) * math.pi / _PANEL_NODES)
 _PANEL_T = chebvander(_PANEL_X, _PANEL_NODES - 1).T
 # Most integrand elements (rows x lower limits x nodes) that
@@ -96,9 +98,9 @@ _BLOCK_ELEMENTS = 1 << 15
 _SURVIVAL_FLOOR = 1e-12
 # How far below 0 a table's cell density may dip by rounding: this share of
 # its largest knot slope, plus _CDF_ERROR over the cell's width, the error of
-# the CDF values read as density.  The receiver law's CDF is off by up to
-# 1.4e-12 at breakpoints 1e-8 R from the axis, in cells far narrower than a
-# knot spacing.
+# the CDF values read as density.  A receiver 1e-8 R from the axis has
+# breakpoints R - r and R + r 1e-10 R apart, a cell far narrower than a knot
+# spacing.
 _DENSITY_SLACK = 1e-9
 _CDF_ERROR = 1e-11
 
@@ -530,42 +532,54 @@ def _panel_edges(table: "TabulatedDistribution", k: int) -> np.ndarray:
         edges.append(low)
 
 
-def _product_panels(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, edges: np.ndarray):
-    """The rule of each level of a table's panels, as (nodes, weights) pairs.
+def _partial_panels(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, lo, hi):
+    """Chebyshev nodes of the panels [grid[lo], grid[hi]], their stored knots and their weights.
 
-    nodes and weights are the table's cell rule, the weights times the
-    density, and edges its ``_panel_edges``.  Level L holds the cell rule
-    on the cells below edge P - L (down to the edge below it, or to 0) and
-    then the nodes and product weights of the L panels above that edge,
-    the top panel last: a lower limit in those cells needs exactly that
-    rule past its cell.  A panel's weights are its cell-rule weights times
-    the Lagrange basis of its Chebyshev nodes, summed over its cell-rule
-    nodes, so sum_q W_q k(x_q) is the cell rule applied to the kernel's
-    interpolant and the density stays exact.  On [-1, 1] the basis is
-    L_q(s) = (1 + 2 sum_{j>=1} T_j(x_q) T_j(s)) / n, with no division, so
-    W_q follows from the panel's Chebyshev moments of the weights.
+    nodes and weights are the cell rule on grid, times the density.  Of
+    (x, stored, partial), x[p] holds panel p's nodes, stored every
+    _RUN_CELLS-th knot of each panel from its lower edge up, and partial[r]
+    the weights of the part of its panel above stored[r]: its cell-rule
+    weights times the Lagrange basis L_q(s) = (1 + 2 sum_{j>=1} T_j(x_q)
+    T_j(s)) / n, summed over its nodes, so sum_q W_q k(x_q) is the cell rule
+    on the kernel's interpolant.  They follow from Chebyshev moments of the
+    runs of cells between stored knots, summed from the panel's top down.
     """
-    x = w = np.empty(0)
-    if edges.size > 1:
-        a, b = grid[edges[:-1]], grid[edges[1:]]
-        inside = slice(_CELL_QUAD_ORDER * edges[0], _CELL_QUAD_ORDER * edges[-1])
-        panel = np.repeat(np.arange(a.size), _CELL_QUAD_ORDER * np.diff(edges))
-        s = (2.0 * nodes[inside] - (a + b)[panel]) / (b - a)[panel]
-        # Chebyshev moments of the weights per panel, as sums rather than BLAS
-        # products, so that the digits do not depend on the BLAS build
-        starts = _CELL_QUAD_ORDER * (edges[:-1] - edges[0])
-        moments = np.add.reduceat(weights[inside, None] * chebvander(s, _PANEL_NODES - 1), starts)
-        moments[:, 1:] *= 2.0
-        w = (np.sum(moments[:, :, None] * _PANEL_T, axis=1) / _PANEL_NODES).ravel()
-        x = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _PANEL_X).ravel()
-    cuts = _CELL_QUAD_ORDER * np.concatenate(([0], edges))
-    levels = []
-    for level in range(edges.size):
-        cells = slice(cuts[-2 - level], cuts[-1 - level])
-        coarse = slice(x.size - _PANEL_NODES * level, x.size)
-        levels.append((np.concatenate((nodes[cells], x[coarse])),
-                       np.concatenate((weights[cells], w[coarse]))))
-    return levels
+    a, b, cells = grid[lo], grid[hi], hi - lo
+    runs = -(-cells // _RUN_CELLS)
+    panel = np.repeat(np.arange(lo.size), runs)
+    rank = np.arange(panel.size) - np.repeat(np.cumsum(runs) - runs, runs)  # from the panel's edge
+    # the cell-rule nodes of the panels, one after another
+    count = _CELL_QUAD_ORDER * cells
+    start = np.cumsum(count) - count
+    at = np.arange(count.sum()) + np.repeat(_CELL_QUAD_ORDER * lo - start, count)
+    s = (2.0 * nodes[at] - np.repeat(a + b, count)) / np.repeat(b - a, count)
+    w, s2 = weights[at], 2.0 * s
+    # T_j(s) by numpy's chebvander recurrence a degree at a time, and sums
+    # rather than BLAS products, so that the digits do not depend on the BLAS
+    # build; each panel's runs lie top down in a row of tails
+    tails = np.zeros((lo.size, runs.max(initial=0)))
+    flipped = panel * tails.shape[1] + runs[panel] - 1 - rank
+    partial, term = np.zeros((2, _PANEL_NODES, panel.size))  # node q down the rows
+    runs_at = start[panel] + _CELL_QUAD_ORDER * _RUN_CELLS * rank
+    older, t_j, spare = s, np.ones_like(s), np.empty_like(s)  # T_-1 = T_1 starts the recurrence
+    for j in range(_PANEL_NODES):  # buffers in turn: no allocation per degree
+        np.put(tails, flipped, np.add.reduceat(np.multiply(w, t_j, out=spare), runs_at))
+        moments = np.cumsum(tails, axis=1).take(flipped)
+        partial += np.multiply(_PANEL_T[j][:, None], moments if j == 0 else 2.0 * moments, out=term)
+        np.multiply(t_j, s2, out=spare)
+        older, t_j, spare = t_j, np.subtract(spare, older, out=spare), older
+    x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _PANEL_X
+    return x, lo[panel] + _RUN_CELLS * rank, partial.T / _PANEL_NODES
+
+
+def _blocks(key: np.ndarray, elements):
+    """(value, indices): blocks of one value of key, of at most _BLOCK_ELEMENTS elements(value)."""
+    order = np.argsort(key, kind="stable")
+    begin = np.flatnonzero(np.diff(key[order], prepend=key[order[:1]] - 1))
+    for value, start, end in zip(key[order[begin]].tolist(), begin, [*begin[1:], key.size]):
+        step = max(1, _BLOCK_ELEMENTS // elements(value))
+        for pos in range(start, end, step):
+            yield value, order[pos : min(pos + step, end)]
 
 
 class TableStack:
@@ -576,11 +590,11 @@ class TableStack:
     table's values, from the cubics on each table's stored slopes.  Knots
     and CDF values are held as complex keys table + 1j x, which numpy
     orders lexicographically, so one search finds the cells of every
-    query.  The panel rule of ratio 2^(1/k) (``_layout``) is built on
-    first use and kept in _layouts, which every view shares, with the lock
-    that guards it.  ends holds each table's last knot whose survival is
-    above _SURVIVAL_FLOOR, where the serving rule stops, and end_sf the
-    survival there.
+    query.  The panel rule of ratio 2^(1/k) (``_layout``), with product
+    weights at every _RUN_CELLS-th knot of a panel, is built on first use
+    and kept in _layouts, shared by every view with its lock.  ends holds
+    each table's last knot whose survival is above _SURVIVAL_FLOOR, where
+    the serving rule stops, and end_sf the survival there.
     """
 
     def __init__(self, tables):
@@ -606,46 +620,60 @@ class TableStack:
         self._layouts, self._layouts_lock = {}, threading.Lock()
 
     def _layout(self, k: int):
-        """The panel rule of ratio 2^(1/k) (``_build_layout``), built once, on first use."""
+        """The panel rule of ratio 2^(1/k) (``_build_layout``), built once under the lock, on first use."""
         with self._layouts_lock:
             if k not in self._layouts:
                 self._layouts[k] = self._build_layout([_panel_edges(t, k) for t in self.tables])
             return self._layouts[k]
 
     def _build_layout(self, edges):
-        """(nodes, weights, level, column, level_end): the panel rule on each table's edges.
+        """(nodes, weights, partial, count, column, anchor): the panel rule on each table's edges.
 
         edges holds each table's ``_panel_edges``.  Row t of nodes and
-        weights holds the levels of table t's product panels
-        (``_product_panels``) side by side: level L of every table
-        right-aligned in one column range ending at level_end[L], padded on
-        the left with weight-0 nodes at d_max.  A lower limit whose first
-        full cell starts at knot i of table t needs columns column[t, i] to
-        level_end[level[t, i]].
+        weights holds table t's panels, the top one last, right-aligned and
+        padded on the left with weight-0 nodes at d_max; partial holds the
+        weights of every stored knot, table by table (``_partial_panels``).
+        A lower limit in cell i of table t takes the cell rule on the rest
+        of its cell and the count[t, i] cells above, up to a stored knot,
+        then the columns of row t from column[t, i] on, whose first
+        _PANEL_NODES, that knot's panel, weigh partial[anchor[t, i]].
         """
-        width = np.zeros(max(e.size for e in edges), dtype=int)
-        for e in edges:  # level L: the cells between two edges, then L panels
-            cells = np.diff(np.concatenate(([0], e)))[::-1]
-            need = _CELL_QUAD_ORDER * cells + _PANEL_NODES * np.arange(e.size)
-            width[: e.size] = np.maximum(width[: e.size], need)
-        level_end = np.cumsum(width)
-        nodes = np.full((len(self.tables), level_end[-1]), self.geometry.d_max)
+        tables = np.arange(len(self.tables))
+        lowest, panels = np.array([(e[0], e.size - 1) for e in edges]).T
+        width = _PANEL_NODES * np.max(panels)
+        nodes = np.full((tables.size, width), self.geometry.d_max)
         weights = np.zeros(nodes.shape)
-        level = np.zeros((len(self.tables), max(t.grid.size for t in self.tables)), dtype=np.int32)
-        column = np.full(level.shape, level_end[0], dtype=np.int32)  # past the support: no columns
-        for t, (table, e) in enumerate(zip(self.tables, edges)):  # by table: small temporaries
-            x, w = _gauss_on_panels(table.grid, _CELL_X, _CELL_W)  # the cell rule
-            cell = self._first_cell[t] + np.arange(x.size) // _CELL_QUAD_ORDER
-            levels = _product_panels(table.grid, x, w * np.maximum(self._pdf_at(x, cell), 0.0), e)
-            for L, (x, w) in enumerate(levels):
-                nodes[t, level_end[L] - x.size : level_end[L]] = x
-                weights[t, level_end[L] - w.size : level_end[L]] = w
-            knot = np.arange(e[-1] + 1)
-            after = np.searchsorted(e, knot)
-            level[t, knot] = e.size - 1 - after
-            column[t, knot] = (level_end[level[t, knot]] - _PANEL_NODES * level[t, knot]
-                               - _CELL_QUAD_ORDER * (e[after] - knot))
-        return nodes, weights, level, column, level_end
+        # the cell rule on the knots of all tables; no cell between two tables is read
+        offsets = self._first_cell + tables  # each table's first knot
+        table = np.repeat(tables, self._last_cell - self._first_cell + 2)[:-1]  # a cell's
+        x, w = _gauss_on_panels(self._knots.imag, _CELL_X, _CELL_W)
+        pdf = self._pdf_at(x.reshape(-1, _CELL_QUAD_ORDER).T, np.arange(table.size) - table)
+        w *= np.maximum(pdf, 0.0).T.ravel()
+        panel_table = np.repeat(tables, panels)
+        lo = np.concatenate([e[:-1] for e in edges]) + offsets[panel_table]
+        hi = np.concatenate([e[1:] for e in edges]) + offsets[panel_table]
+        # chunks of panels of about _BLOCK_ELEMENTS cell-rule nodes bound the temporaries
+        chunks = -(-_CELL_QUAD_ORDER * np.sum(hi - lo) // _BLOCK_ELEMENTS) or 1
+        parts = [_partial_panels(self._knots.imag, x, w, lo[c], hi[c])
+                 for c in np.array_split(np.arange(lo.size), chunks)]
+        x, stored, partial = (np.concatenate(p) for p in zip(*parts))
+        left = np.arange(lo.size) - np.cumsum(panels)[panel_table]  # panels from the top, negated
+        cols = (width + _PANEL_NODES * left)[:, None] + np.arange(_PANEL_NODES)
+        nodes[panel_table[:, None], cols] = x
+        weights[panel_table[:, None], cols] = partial[np.searchsorted(stored, lo)]
+        # the stored knots with each table's top edge after them, and the
+        # first column of each one's panel: a limit in cell i stops the cell
+        # rule at the first above it, from the lowest edge on a full cell above
+        tops = np.array([e[-1] for e in edges]) + offsets
+        at, panel = np.searchsorted(stored, tops), np.searchsorted(lo, stored, side="right") - 1
+        keys, top = np.insert(stored, at, tops), (at + tables)[:, None]
+        starts = np.insert(width + _PANEL_NODES * left[panel], at, width)
+        i = np.arange(max(t.grid.size for t in self.tables) - 1)
+        up = np.searchsorted(keys, offsets[:, None] + i + 1 + (i >= lowest[:, None]))
+        up = np.minimum(up, top)
+        count = np.maximum(keys[up] - offsets[:, None] - i - 1, 0)
+        anchor = np.where(up == top, -1, up - tables[:, None])  # each top comes after its table's
+        return nodes, weights, partial, *(v.astype(np.int32) for v in (count, starts[up], anchor))
 
     def take(self, which) -> "TableStack":
         """The same tables, with query i reading table which[i] (each query, for a scalar which)."""
@@ -703,61 +731,47 @@ class TableStack:
         The i-th of the n lower limits lo is against the density f of table
         which[i]; the result has shape (rows, n).  rows_fn(x, sel) returns
         the rows of the limits lo[sel] at x = u^-alpha, shape (rows,
-        len(sel), x.shape[-1]), with a row of x per limit.  Per lower limit,
-        the rest of its cell takes the cell rule, and so do the full cells
-        up to the next panel edge; every panel above that edge takes its
-        Chebyshev nodes and product weights (``_product_panels``), on
-        panels of ratio 2^(1/k) with k = ceil(alpha / 6).  The rows must
-        be analytic in u off the rays arg u = +-pi / alpha, as the Gamma
-        kernel's rows are, for the panels' bound in interference.py to
-        hold.  Limits go in blocks of at most _BLOCK_ELEMENTS integrand
-        elements.  A limit's row starts at its block's first column, with
-        zero weights before its own, and is summed pairwise, which groups
-        terms by position.  So the order is fixed for a given call, not
-        across batchings: a value's last bits depend on which limits share
-        its block (a coverage value alone and among 400 limits differs by
-        up to about 1e-14).
+        len(sel), x.shape[-1]), with a row of x per limit.  A limit takes
+        the cell rule on the rest of its cell and its full cells up to a
+        stored knot of the panels of ratio 2^(1/k), k = ceil(alpha / 6):
+        the lowest edge from below it, and else the first stored knot at
+        least one full cell above its cell.  The rest of that knot's panel
+        and every panel above take their Chebyshev nodes and product
+        weights (``_build_layout``); with no panel left the cell rule runs
+        to the end.  The rows must be analytic in u off the rays arg u =
+        +-pi / alpha, as the Gamma kernel's rows are, for the panels' bound
+        in interference.py to hold.  Limits go in blocks of at most
+        _BLOCK_ELEMENTS integrand elements, and a limit's row holds its own
+        terms only, summed pairwise: its value does not depend on the others.
         """
         lo_arr = np.maximum(np.asarray(lo, dtype=float), 0.0)
         out = np.zeros((rows, lo_arr.size))
         live = np.flatnonzero(lo_arr < self._last_knot[self._which])
         a, table = lo_arr[live], np.broadcast_to(self._which, lo_arr.shape)[live]
         cell = self._cells(table, a)
-        b = self._knots.imag[cell + table + 1]  # knots run one ahead of cells per table
-        half = 0.5 * (b - a)
-        part_nodes = (0.5 * (a + b))[:, None] + half[:, None] * _CELL_X
-        # the nodes lie inside the cell of their lower limit, so no search
-        part_w = half[:, None] * _CELL_W * np.maximum(self._pdf_at(part_nodes, cell[:, None]), 0.0)
-        part_x = part_nodes**-alpha
-        step = max(1, _BLOCK_ELEMENTS // (rows * _CELL_QUAD_ORDER))
-        for pos in range(0, live.size, step):
-            block = slice(pos, pos + step)
-            out[:, live[block]] = (rows_fn(part_x[block], live[block]) * part_w[block]).sum(axis=-1)
-        knot = cell - self._first_cell[table] + 1  # the first full cell's left knot in its table
-        nodes, wf, level, column, ends = self._layout(math.ceil(alpha / _PANEL_ALPHA))
-        level, column, x = level[table, knot], column[table, knot], nodes**-alpha
-        order = np.lexsort((column, level))
-        level_stop = np.searchsorted(level[order], np.arange(len(ends)), side="right")
-        pos = 0
-        while pos < order.size:
-            first, L = column[order[pos]], level[order[pos]]
-            last = ends[L]
-            if first == last:  # no rule past their cells: the rest of the level
-                pos = level_stop[L]
-                continue
-            count = max(1, _BLOCK_ELEMENTS // (rows * (last - first)))
-            block = order[pos : min(pos + count, level_stop[L])]
-            pos += block.size
+        nodes, wf, partial, count, column, anchor = self._layout(math.ceil(alpha / _PANEL_ALPHA))
+        i = cell - self._first_cell[table]  # the limit's cell in its table
+        count, column, anchor = count[table, i], column[table, i], anchor[table, i]
+        # the rest of the limit's cell and its full cells before its stored
+        # knot, by their count; Gauss node, cell and limit down the axes
+        for c, block in _blocks(count, lambda c: rows * _CELL_QUAD_ORDER * (c + 1)):
+            cells = cell[block] + np.arange(c + 1)[:, None]
+            edges = np.vstack((a[block], self._knots.imag[cells + table[block] + 1]))
+            mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges, axis=0)
+            near = mids + halves * _CELL_X[:, None, None]
+            w = halves * _CELL_W[:, None, None] * np.maximum(self._pdf_at(near, cells), 0.0)
+            x, w = (np.ascontiguousarray(v.reshape(-1, block.size).T) for v in (near**-alpha, w))
+            out[:, live[block]] += (rows_fn(x, live[block]) * w).sum(axis=-1)
+        # then the columns from its stored knot's panel on, by first column
+        width, x = nodes.shape[1], nodes**-alpha
+        far = np.flatnonzero(column < width)
+        for first, block in _blocks(column[far], lambda first: rows * (width - first)):
+            block = far[block]
             sel, k = live[block], table[block]
             # one table: a view of its row, no gather
             k = slice(k[0], k[0] + 1) if np.all(k == k[0]) else k
-            w = wf[k, first:last]
-            if column[block[-1]] > first:  # limits whose rule starts at later columns
-                w = w * (np.arange(first, last) >= column[block][:, None])
-            full = rows_fn(x[k, first:last], sel)
-            full *= w
-            # pairwise summation over the block's columns: an order fixed by
-            # the block, with rounding error growing like log(nodes)
+            full = rows_fn(x[k, first:], sel)
+            full *= np.hstack((partial[anchor[block]], wf[table[block], first + _PANEL_NODES :]))
             out[:, sel] += full.sum(axis=-1)
         return out
 
@@ -839,9 +853,9 @@ def _lens(rho: np.ndarray, c: np.ndarray, R: float):
     angle = np.where(inside, 2.0 * math.pi, 0.0)
     mid = (rho > R - c) & (rho < R + c)  # empty where c = 0
     p, c = rho[mid], (np.broadcast_to(c, rho.shape)[mid] if np.size(c) > 1 else c)
-    half_angle = np.arccos(np.clip((c * c + p * p - R * R) / (2.0 * c * p), -1.0, 1.0))
+    half_angle = np.arccos(np.clip(((p - R) * (p + R) + c * c) / (2.0 * c * p), -1.0, 1.0))
     area[mid] = (
-        R * R * np.arccos(np.clip((c * c + R * R - p * p) / (2.0 * c * R), -1.0, 1.0))
+        R * R * np.arccos(np.clip(((R - p) * (R + p) + c * c) / (2.0 * c * R), -1.0, 1.0))
         + p * p * half_angle
         - 0.5 * np.sqrt(np.maximum((R + p - c) * (R - p + c) * (p - R + c) * (c + R + p), 0.0))
     )

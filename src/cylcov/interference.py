@@ -22,25 +22,31 @@ The u-integrals for all needed orders share one pass of a fixed rule
 per knot cell: the tabulated density is quadratic on a cell, so only the
 kernel's Gauss error is left, and at m = 5, beta = 10 a series term moves
 up to 4e-8 for l in the first cells and under 1e-10 from three cells on.
-Past the first panel edge above l it is a product rule: on each geometric
-panel [e, 2^(1/k) e] of the table, k = ceil(alpha / 6) (edges on knots,
-so the ratio is at most 2^(1/k)), the kernel is interpolated at 24
-Chebyshev points and the cell rule times the density is folded into the
-weights, so the rule is the cell rule applied to the kernel's
-interpolant.  With y = t u^-alpha / m the series terms are
-(m)_j/j! y^j (1 + y)^(-m-j) averaged over u.  Their poles lie at
-u^alpha = -t / m, on the rays arg u = +-pi / alpha whatever t, l or the
-scale, and the Bernstein ellipse of a panel that touches those rays has
-rho = 5.1, 4.2, 3.1 at alpha = 3, 4, 6 (k = 1) and 5.2, 4.6, 3.3, 3.9,
-3.3 at alpha = 7, 8, 12, 20, 30: it is least at multiples of 6, and
-never below its alpha = 6 value, 3.15.  Inside a smaller ellipse
-|arg y| < pi, so a term is bounded there by a constant of rho, alpha, m
-and j alone, and Chebyshev interpolation errs by at most
-4 M rho^-24 / (rho - 1) (Trefethen, Approximation Theory and
-Approximation Practice, 2013, thm. 8.2): about rho^-24, or 1e-17, 9e-16
-and 1e-12 at alpha = 3, 4, 6.  Against the cell rule the largest term
-error measured over panels of receiver and pair tables of the four
-regimes is 7e-16 at alpha <= 4, and under 1e-12 at alpha from 6 to 20.
+It runs up to a stored knot, every 4th knot of a geometric panel
+[e, 2^(1/k) e] of the table, k = ceil(alpha / 6) (edges on knots, so the
+ratio is at most 2^(1/k)): the first one at least a full cell above l's
+cell, or the lowest edge from below it.  On the rest of that panel and on
+each panel above, the kernel is interpolated at 24 Chebyshev points and
+the cell rule times the density is folded into the weights: the cell rule
+applied to the kernel's interpolant.  With y = t u^-alpha / m the series
+terms are (m)_j/j! y^j (1 + y)^(-m-j) averaged over u.  Their poles lie
+at u^alpha = -t / m, on the rays arg u = +-pi / alpha whatever t, l or
+the scale, and the Bernstein ellipse of a panel that touches those rays
+has rho = 5.1, 4.2, 3.1 at alpha = 3, 4, 6 (k = 1) and 5.2, 4.6, 3.3,
+3.9, 3.3 at alpha = 7, 8, 12, 20, 30, never below its alpha = 6 value,
+3.15.  Inside a smaller ellipse |arg y| < pi, so a term is bounded there
+by a constant of rho, alpha, m and j alone, and Chebyshev interpolation
+errs by at most 4 M rho^-24 / (rho - 1) on the whole panel (Trefethen,
+Approximation Theory and Approximation Practice, 2013, thm. 8.2): about
+rho^-24, or 1e-17, 9e-16 and 1e-12 at alpha = 3, 4, 6.  So it does on
+the part of a panel above a stored knot too, whose error is at most the
+bound times its mass, the weights of the cell rule being nonnegative.
+Against the cell rule the largest term error measured over receiver and
+pair tables of the four regimes is 7e-14 at alpha <= 4 and 7e-11 at
+alpha from 6 to 20, at beta = 0.1 with l inside a panel, where a pole,
+at |u| = (t / m)^(1/alpha) < l, can lie next to l's panel; for l within
+a cell of a stored knot, a product rule from l's own first knot rather
+than a full cell above it gave 8e-14 where this rule gives 9e-15.
 
 The transform takes arrays of (t, l) and evaluates them in that one pass;
 a scalar pair is its one-element case.  Everything is deterministic and

@@ -233,10 +233,11 @@ class TestConditionalCoverage:
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_batching_moves_only_the_last_digits(self, geom):
-        # In integrate_pdf_product a lower limit's row starts at its block's
-        # first column, and pairwise summation groups terms by position, so
-        # a value's last bits depend on which limits share its block: alone
-        # and among 400 limits the values differed by up to 1.3e-14.
+        # integrate_pdf_product gives a lower limit the same bits alone and
+        # among others (test_integral_bits_do_not_depend_on_the_batch); the
+        # series around it can still move the last bit: alone and among 400
+        # limits the values differed by up to 3.3e-16 (1.1e-14 when the
+        # integral's blocks shared columns).
         rng = np.random.default_rng(11)
         cases = []
         for stack in (get_dist(geom).stack, get_mixture(geom)):
@@ -387,17 +388,18 @@ class TestCoverageProbability:
         # The analytic rows of the paper-figures sweep (tall, alpha = 4) at
         # every digit the CSV prints: value and error estimate.  Re-taken
         # when the interferer integral took product panels above the first
-        # panel edge, and when survival came to be read from the table's
-        # tail; neither moved a value by more than 1.5e-14.
+        # panel edge, when survival came to be read from the table's tail,
+        # and when a serving distance's own panel took partial-panel weights
+        # (moves of at most 3.4e-16); none moved a value by more than 1.5e-14.
         pinned = [
-            (5, 0, 1, 0.7269415873144556, 6.664017204727202e-08),
-            (5, 0, 2, 0.78287042866857, 7.26469511214134e-08),
-            (5, 10, 1, 0.30355206999658707, 8.600957002169451e-09),
-            (5, 10, 2, 0.2899168586280415, 4.472914594266797e-09),
-            (20, 0, 1, 0.5125526435560875, 1.460040310874433e-09),
-            (20, 0, 2, 0.5463598643167524, 5.260203383983253e-11),
-            (20, 10, 1, 0.1296505945045476, 1.4316670071679027e-10),
-            (20, 10, 2, 0.12499913113462773, 8.203999979361498e-11),
+            (5, 0, 1, 0.7269415873144552, 6.664017171420511e-08),
+            (5, 0, 2, 0.7828704286685699, 7.26469512324357e-08),
+            (5, 10, 1, 0.303552069996587, 8.600957002169451e-09),
+            (5, 10, 2, 0.28991685862804145, 4.472914649777948e-09),
+            (20, 0, 1, 0.5125526435560872, 1.460040532919038e-09),
+            (20, 0, 2, 0.5463598643167522, 5.260214486213499e-11),
+            (20, 10, 1, 0.1296505945045475, 1.4316667296121466e-10),
+            (20, 10, 2, 0.12499913113462764, 8.203987489352471e-11),
         ]
         for N, beta_db, m, pc, err in pinned:
             sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
@@ -580,32 +582,67 @@ class TestExactCoverage:
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_padding_nodes_weigh_exactly_zero(self, geom):
-        # Level L of the stacked panel rule of ratio 2^(1/k) ends at column
-        # ends[L] for every table.  A table's columns of that level, those of
-        # a one-table stack of it, end there; the columns to their left pad
-        # it at d_max, where the kernel is finite, so with weight 0 they add
-        # exactly 0.  At k = 40 no receiver table has a panel.
+        # Row t of the stacked panel rule of ratio 2^(1/k) ends with the
+        # panels of table t, those of a one-table stack of it, and its
+        # stored knots' weights, cell counts and columns are that stack's
+        # too.  The columns to the left of its panels pad the row at d_max,
+        # where the kernel is finite, so with weight 0 they add exactly 0.
+        # At k = 40 no receiver table has a panel: the rule is the cell rule
+        # to each table's top edge.
         mix = get_mixture(geom)
         for k in (1, 2, 4, 40):
-            nodes, weights, level, column, ends = mix._layout(k)
-            starts = np.concatenate(([0], ends[:-1]))
-            pad = np.zeros(nodes.shape, dtype=bool)
+            nodes, weights, partial, count, column, anchor = mix._layout(k)
+            pad, first_row = np.zeros(nodes.shape, dtype=bool), 0
             for t, table in enumerate(mix.tables):
-                own_nodes, own_weights, own_level, own_column, own_ends = table.stack._layout(k)
-                own_starts = np.concatenate(([0], own_ends[:-1]))
-                for L in range(ends.size):
-                    own = slice(own_starts[L], own_ends[L]) if L < own_ends.size else slice(0, 0)
-                    cols = slice(ends[L] - (own.stop - own.start), ends[L])
-                    assert np.array_equal(nodes[t, cols], own_nodes[0, own])
-                    assert np.array_equal(weights[t, cols], own_weights[0, own])
-                    pad[t, starts[L] : cols.start] = True
-                n = table.grid.size
-                assert np.array_equal(level[t, :n], own_level[0])
-                assert np.array_equal(column[t, :n] - ends[level[t, :n]],
-                                      own_column[0] - own_ends[own_level[0]])
-            assert pad.any() and not pad.all(axis=1).any()
+                own_nodes, own_weights, own_partial, own_count, own_column, own_anchor = (
+                    table.stack._layout(k)
+                )
+                panels = slice(nodes.shape[1] - own_nodes.shape[1], nodes.shape[1])
+                assert np.array_equal(nodes[t, panels], own_nodes[0])
+                assert np.array_equal(weights[t, panels], own_weights[0])
+                pad[t, : panels.start] = True
+                rows = slice(first_row, first_row + own_partial.shape[0])
+                assert np.array_equal(partial[rows], own_partial)
+                first_row = rows.stop
+                n = table.grid.size - 1
+                assert np.array_equal(count[t, :n], own_count[0])
+                assert np.array_equal(column[t, :n] - panels.start, own_column[0])
+                assert np.array_equal(anchor[t, :n] - np.where(anchor[t, :n] < 0, 0, rows.start),
+                                      own_anchor[0])
+            assert first_row == partial.shape[0]
+            if k < 40:  # at k = 4 the tables of every regime differ in panels
+                assert not pad.all(axis=1).any() and (pad.any() or k != 4)
+            else:
+                top = [int(np.searchsorted(t.cdf_values, t.cdf_values[-1])) for t in mix.tables]
+                cells = np.arange(count.shape[1])
+                assert nodes.shape[1] == 0 and not partial.size and np.all(anchor == -1)
+                for t, n in enumerate(top):
+                    assert np.array_equal(count[t, :n], n - 1 - cells[:n])
             assert np.all(nodes[pad] == geom.d_max)
             assert np.all(weights[pad] == 0.0)
+
+    def test_work_and_memory_of_the_interferer_integral(self, tall_mixture, monkeypatch):
+        # At tall, N = 40, m = 2, beta = 1, alpha = 3 the interferer integral
+        # evaluated 3,156,336 integrand elements (rows x limits x nodes) when
+        # a limit's own panel took the cell rule up to its edge; partial-panel
+        # weights must keep it to 60 % of that.  The layouts of ratio 2 of
+        # the tall mixture and its check rule held 2.96 MB (1.82 + 1.14).
+        elements = []
+        integrate = TableStack.integrate_pdf_product
+
+        def counting(stack, lo, rows_fn, rows, alpha):
+            def counted(x, sel):
+                out = rows_fn(x, sel)
+                elements.append(out.size)
+                return out
+
+            return integrate(stack, lo, counted, rows, alpha)
+
+        monkeypatch.setattr(TableStack, "integrate_pdf_product", counting)
+        exact_coverage_probability(scenario(N=40, m=2.0, alpha=3.0, beta=1.0), tall_mixture)
+        assert 0 < sum(elements) <= 0.6 * 3_156_336, sum(elements)
+        held = sum(a.nbytes for rule in (tall_mixture, tall_mixture.check) for a in rule._layouts[1])
+        assert held <= 2_962_464, held
 
     def test_scale_invariance(self):
         # SIR coverage depends on the cylinder's shape only

@@ -659,6 +659,18 @@ class TestReceiverLaw:
         with pytest.raises(DomainError, match="outside the cylinder"):
             receiver_distance_law(TALL, rs, zs, np.full(4, 5.0))
 
+    def test_law_is_smooth_across_the_far_wall_next_to_the_axis(self):
+        # At r = 3.8e-7 in the squat cylinder the lens arccos arguments
+        # cancel unless formed as ((p - R)(p + R) + c^2) / 2cp and
+        # ((R - p)(R + p) + c^2) / 2cR: stepping d across R + r by 1e-10
+        # gave a step of 4.4e-12 and then one of -1.2e-12 among steps of
+        # 1.7e-12; factored, every step lies in 1.6656e-12 to 1.6662e-12.
+        r = 3.8e-7
+        d = SQUAT.R + r + 1e-10 * np.arange(-6, 7)
+        steps = np.diff(receiver_distance_law(SQUAT, r, 2e-4, d)[0])
+        assert np.all(steps > 0.0)
+        assert np.max(steps) - np.min(steps) <= 1e-15, steps
+
     def test_needle_mixture_builds(self):
         # At H/R = 1e6 the law's density at d_max(x) was rounding noise
         # large enough to make the last cell of 9 of the 117 receivers dip

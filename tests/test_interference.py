@@ -350,6 +350,58 @@ def test_panel_rule_matches_the_cell_rule(geom, receivers, picks, alpha, log_bet
     assert gap <= bound, (gap, alpha, m, log_beta)
 
 
+@pytest.mark.parametrize("alpha", [3.0, 4.0, 12.0])
+@pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+def test_partial_panel_starts_a_full_cell_above_the_limit(geom, alpha):
+    # Lower limits inside a panel, less than a cell below or above a stored
+    # knot (every 4th knot of a panel from its lower edge), on receiver
+    # tables of a stack and on the pair table, at m = 5 and beta in
+    # [0.1, 0.2].  A limit takes the cell rule up to the first stored knot
+    # at least one full cell above its own cell; starting the partial panel
+    # at the limit's first knot moved a term (t / m)^j row_j / (1 - F(l))
+    # by up to 8e-14 at alpha = 4, against 9e-15 with the full cell.
+    m, k = 5, math.ceil(alpha / 6.0)
+    for stack in (get_mixture(geom), get_dist(geom).stack):
+        which, lo = [], []
+        for table in range(0, len(stack.tables), 9):
+            grid, edges = stack.tables[table].grid, _panel_edges(stack.tables[table], k)
+            for a, b in zip(edges[:-1], edges[1:]):
+                last = a + 4 * ((b - a - 1) // 4)
+                for q in {a + 4, a + 4 * ((b - a) // 8), last} - {a}:
+                    for frac in (0.0, 0.5, 0.999):
+                        lo += [grid[q - 1] + frac * (grid[q] - grid[q - 1]),
+                               grid[q] + frac * (grid[q + 1] - grid[q])]
+                        which += [table, table]
+        which, lo = np.array(which), np.array(lo)
+        live = lo < stack.ends[which]
+        which, lo = which[live], lo[live]
+        beta = 0.1 + 0.1 * np.linspace(0.0, 1.0, lo.size)
+        t = m * beta * lo**alpha
+        rows_fn = gamma_rows(t, m)
+        got = stack.take(which).integrate_pdf_product(lo, rows_fn, m, alpha)
+        ref = cell_rule_oracle(stack.tables, which, lo, rows_fn, m, alpha)
+        survival = np.array([stack.tables[q].sf(l) for q, l in zip(which, lo)])
+        gap = float(np.max(np.abs(got - ref) * (t / m) ** np.arange(m)[:, None] / survival))
+        assert gap <= (1e-14 if alpha <= 4.0 else 1e-10), (gap, len(stack.tables))
+
+
+def test_integral_bits_do_not_depend_on_the_batch():
+    # Each lower limit's row holds its own terms only, summed pairwise, so
+    # its integral takes the same bits alone as among 400 others, on the
+    # pair table and on a receiver stack.
+    rng = np.random.default_rng(11)
+    for stack in (get_dist(TALL).stack, get_mixture(TALL)):
+        which = rng.integers(0, len(stack.tables), 400)
+        lo = rng.random(400) * stack.ends[which]
+        for m, alpha in ((1, 3.0), (5, 4.0), (3, 8.0)):
+            t = m * 10.0 * lo**alpha
+            batched = stack.take(which).integrate_pdf_product(lo, gamma_rows(t, m), m, alpha)
+            for i in range(0, lo.size, 7):
+                rows_fn = gamma_rows(t[i : i + 1], m)
+                alone = stack.take(which[i : i + 1]).integrate_pdf_product(lo[i : i + 1], rows_fn, m, alpha)
+                assert np.array_equal(alone[:, 0], batched[:, i]), (m, alpha, lo[i])
+
+
 class TestPanelLayouts:
     def test_built_once_per_ratio_and_shared_by_views(self, monkeypatch):
         # A fresh stack builds the layout of k = ceil(alpha / 6) on the first
@@ -417,19 +469,24 @@ class TestPanelLayouts:
 
     def test_layouts_past_the_last_panel_are_the_cell_rule(self):
         # On a 64-knot table the panels shrink with the ratio until none is
-        # left: from that k on the layout is the cell rule, whatever order
-        # the sweep runs in.
+        # left: from that k on the layout holds no column and no stored
+        # knot, and a limit in cell i takes the cell rule up to the top
+        # edge, whatever order the sweep runs in.
         stack = get_dist(TALL, 64).stack
         for alpha in [*range(3, 301, 3), *range(300, 2, -7)]:
             stack._layout(math.ceil(alpha / 6.0))
         assert sorted(stack._layouts) == list(range(1, 51))
-        panelled = sorted(k for k, held in stack._layouts.items() if held[-1].size > 1)
+        panelled = sorted(k for k, held in stack._layouts.items() if held[0].size)
         assert panelled == list(range(1, len(panelled) + 1))
         assert 1 < len(panelled) < 10
         top = stack.tables[0].grid.size - 1
-        grid = stack.tables[0].grid
         for k in range(len(panelled) + 1, 51):
-            nodes, weights, level, column, ends = stack._layouts[k]
-            assert np.array_equal(ends, [4 * top]) and not level.any()
-            assert np.array_equal(column[0], 4 * np.arange(top + 1))
-            assert np.array_equal(nodes[0], _gauss_on_panels(grid, *np.polynomial.legendre.leggauss(4))[0])
+            nodes, weights, partial, count, column, anchor = stack._layouts[k]
+            assert nodes.shape == weights.shape == (1, 0) and partial.shape == (0, 24)
+            assert np.array_equal(count[0], top - 1 - np.arange(top))
+            assert not column.any() and np.all(anchor == -1)
+        lo = np.linspace(0.0, TALL.d_max, 50, endpoint=False)
+        rows_fn, alpha = gamma_rows(30.0 * lo**20.0, 2), 6.0 * (len(panelled) + 1)
+        got = stack.take(0).integrate_pdf_product(lo, rows_fn, 2, alpha)
+        ref = cell_rule_oracle(stack.tables, np.zeros(lo.size, dtype=int), lo, rows_fn, 2, alpha)
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
