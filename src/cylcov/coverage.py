@@ -13,13 +13,13 @@ probability as one outer integral per distance law, which
 against the law's serving density.  It stops at the last knot of the
 CDF table where 1 - F is above the survival floor; the discarded
 serving-distance mass, (1 - F)^(N-1), is far below the 1e-4 error
-contract and is counted in the error estimate.  The laws come as a
-``TableStack`` of their tables, and all serving distances of all laws go
+contract and is counted in the error estimate.  The laws' tables come as
+one ``TabulatedDistribution``, and all serving distances of all laws go
 through the law, the conditional series and the interferer integral in
-one array pass: the paper model is a stack of one table read with the
-exact pair law, the exact model a stack of one table per receiver of its
-rule, each table holding its receiver's exact density at its knots and
-serving as the law.
+one array pass: the paper model is the pair table, a stack of one, read
+with the exact pair law, and the exact model a ``ReceiverMixture``, one
+table per receiver of its rule, each holding its receiver's exact
+density at its knots and serving as the law.
 
 A network of N = 2 nodes has no interferer, the SIR is infinite under
 the noise-free model, and the coverage probability is defined as 1.
@@ -41,7 +41,6 @@ import numpy as np
 
 from .distance import (
     ReceiverMixture,
-    TableStack,
     TabulatedDistribution,
     _gauss_on_panels,
     pair_distance_law,
@@ -144,21 +143,21 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
     return float(out) if np.ndim(l) == 0 else out
 
 
-def _serving_integral(scenario: NetworkScenario, stack: TableStack, weights, law, breaks, order):
+def _serving_integral(scenario: NetworkScenario, dist, weights, law, breaks, order):
     """P(SIR > beta) averaged with weights over distance laws, and the mass it drops.
 
     law(which, l) returns the CDF and density at l of the laws which, each
-    tabulated by its table in stack (for the exact model, the tables
-    themselves: ``TableStack.cdf_and_pdf``), and breaks holds each law's
-    kinks in a row.  Per law the range runs from 0 to its table's last
+    tabulated by its table in dist, a ``TabulatedDistribution`` (for the
+    exact model, the tables themselves: ``cdf_and_pdf``), and breaks holds
+    each law's kinks in a row.  Per law the range runs from 0 to its table's last
     knot above the survival floor, in panels cut at the breaks and where
     (1 - F)^(N-1) passes _SPLITS, each with a Gauss rule of the given
     order weighted by the serving density (N-1) (1 - F)^(N-2) f.  The series runs at the
     nodes of all laws where that density is positive, in one array call.
     """
     n = scenario.N
-    end = stack.ends[:, None]
-    splits = stack.quantiles(1.0 - _SPLITS ** (1.0 / (n - 1)))
+    end = dist.ends[:, None]
+    splits = dist.quantiles(1.0 - _SPLITS ** (1.0 / (n - 1)))
     edges = np.sort(np.clip(np.concatenate((end, breaks, splits), axis=1), 0.0, end), axis=1)
     nodes, rule = _gauss_on_panels(edges, *_GAUSS_RULES[order])
     panels = np.repeat(np.diff(edges) > 0.0, order, axis=1)
@@ -167,12 +166,12 @@ def _serving_integral(scenario: NetworkScenario, stack: TableStack, weights, law
     density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
     live = np.flatnonzero(density > 0.0)
     which = which[live]
-    covered = conditional_coverage(nodes[live], scenario, stack.take(which))
+    covered = conditional_coverage(nodes[live], scenario, dist.take(which))
     # a left-aligned row of terms per law: its sum is the pairwise sum of its own terms
     terms = np.zeros((len(weights), np.bincount(which).max(initial=1)))
     column = np.arange(which.size) - np.searchsorted(which, which)
     terms[which, column] = rule[live] * density[live] * covered
-    tail = weights * stack.end_sf ** (n - 1)
+    tail = weights * dist.end_sf ** (n - 1)
     return float(np.sum(weights * terms.sum(axis=1))), float(np.sum(tail))
 
 
@@ -192,8 +191,8 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     geom, one = scenario.geom, np.ones(1)
     law = lambda which, l: pair_distance_law(geom, l)
     breaks = np.array([[0.0, 2.0 * geom.R, geom.H]])
-    value, tail = _serving_integral(scenario, dist.stack, one, law, breaks, PAPER_ORDER)
-    check, _ = _serving_integral(scenario, dist.stack, one, law, breaks, PAPER_CHECK_ORDER)
+    value, tail = _serving_integral(scenario, dist, one, law, breaks, PAPER_ORDER)
+    check, _ = _serving_integral(scenario, dist, one, law, breaks, PAPER_CHECK_ORDER)
     return _within_contract(value, abs(value - check) + tail, "analytic", scenario)
 
 

@@ -32,8 +32,8 @@ fixed Gauss rule per knot and calls neither density route;
 distances.  The tabulated density is the exact derivative of the
 interpolant, so downstream integrals of expressions like (1 - F)^(N-2) f
 are internally consistent; survival is read from the table's tail
-(``TableStack.sf``), never formed as 1 - F.  Pair tables serialize to a
-versioned two-column text file (knot, CDF value) for reuse across runs.
+(``sf``), never formed as 1 - F.  Pair tables serialize to a versioned
+two-column text file (knot, CDF value) for reuse across runs.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -46,7 +46,8 @@ Gauss rule over horizontal slices of the ball, each slice meeting the
 cylinder's cross-section in a circle-disk lens), and
 ``build_receiver_cdfs`` tabulates it at the nodes of a fixed rule over
 receiver positions, so the pair law is the rule's weighted mixture, a
-``ReceiverMixture``: the ``TableStack`` of the rule's tables.  A receiver
+``ReceiverMixture``: the stack of the rule's tables, where the pair table
+is a stack of one (``TabulatedDistribution``).  A receiver
 table is a cubic Hermite interpolant whose knot slopes are the exact
 density, so it equals the law, F_x and f_x, at its knots; the exact
 model reads it as the law and calls ``receiver_distance_law`` only while
@@ -58,7 +59,6 @@ The module needs numpy only; ``special`` is pure Python.
 import copy
 import math
 import threading
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -390,128 +390,44 @@ def _dipping_cells(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> 
     return np.flatnonzero((least + _DENSITY_SLACK * np.max(slopes)) * h < -_CDF_ERROR)
 
 
-class TabulatedDistribution:
-    """Tabulated CDF of a distance law with a monotone cubic interpolant.
+def _checked_table(geometry: CylinderGeometry, grid, cdf_values, densities=None):
+    """One table's knots, CDF values and knot slopes as float arrays, checked.
 
-    The table holds (l, F(l)) knots spanning [0, d_max] and knot slopes
-    ``slopes``; on each cell the interpolant is the cubic Hermite
-    interpolant through its two knots, and ``pdf`` is the exact derivative
-    of ``cdf``.  A table built with knot densities (a receiver table) takes
-    them as its slopes, so its density equals the law's at every knot.  One
-    without them (the pair table, from ``build_cdf`` or a cache) takes the
-    PCHIP slopes (``_pchip_slopes``), and its values match scipy's
-    ``PchipInterpolator`` bit for bit: each cell holds its cubic in powers
-    of the offset s from its left knot, evaluated as c3 + c2 s + c1 s^2 +
-    c0 s^3 in that order of additions.  Knot densities must be finite and
-    nonnegative.  On a cell of width h the density must stay at or above
-    -(1e-9 times the largest knot slope + 1e-11 / h), the cubic's rounding
-    plus the error of the CDF values read as density (``_DENSITY_SLACK``,
-    ``_CDF_ERROR``); a cubic that dips below that raises DomainError.  Instances are
-    immutable after construction and safe for concurrent queries.
+    Knot densities, where given, are the slopes and must be finite and
+    nonnegative; without them the slopes are PCHIP's (``_pchip_slopes``).
+    On a cell of width h the density must stay at or above -(1e-9 times
+    the largest knot slope + 1e-11 / h), the cubic's rounding plus the
+    error of the CDF values read as density (``_DENSITY_SLACK``,
+    ``_CDF_ERROR``).  Raises DomainError on these and on malformed knots.
     """
-
-    def __init__(
-        self,
-        geometry: CylinderGeometry,
-        grid: np.ndarray,
-        cdf_values: np.ndarray,
-        densities: Optional[np.ndarray] = None,
-    ):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(cdf_values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise DomainError("grid and cdf_values must be equal-length 1-D arrays")
-        # the comparisons below let NaN values through
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise DomainError("grid and cdf values must be finite")
-        if not np.all(np.diff(grid) > 0.0):
-            raise DomainError("grid must be strictly increasing")
-        if grid[0] != 0.0 or abs(grid[-1] - geometry.d_max) > 1e-9 * geometry.d_max:
-            raise DomainError("grid must span [0, d_max]")
-        if np.any(np.diff(values) < 0.0):
-            raise DomainError("cdf values must be non-decreasing")
-        if abs(values[0]) > 1e-9 or abs(values[-1] - 1.0) > 1e-9:
-            raise DomainError("cdf must run from 0 to 1")
-        if densities is not None:
-            densities = np.asarray(densities, dtype=float)
-            if densities.shape != grid.shape:
-                raise DomainError("densities must have the grid's shape")
-            if not np.all(np.isfinite(densities) & (densities >= 0.0)):
-                raise DomainError("densities must be finite and nonnegative")
-        self.geometry = geometry
-        self.grid = grid
-        self.cdf_values = values
-        self.slopes = _pchip_slopes(grid, values) if densities is None else densities
-        dips = _dipping_cells(grid, values, self.slopes)
-        if dips.size:
-            a, b = grid[dips[0] : dips[0] + 2].tolist()
-            raise DomainError(f"the density dips below 0 in the cell [{a!r}, {b!r}]")
-
-    def cdf(self, l):
-        """F_L(l); 0 below the support, 1 above."""
-        out = self.stack.cdf_and_pdf(l)[0]
-        return float(out) if np.ndim(l) == 0 else out
-
-    def sf(self, l):
-        """Survival function 1 - F_L(l) (``TableStack.sf``)."""
-        out = self.stack.sf(l)
-        return float(out) if np.ndim(l) == 0 else out
-
-    def pdf(self, l):
-        """f_L(l) as the derivative of the interpolated CDF; 0 outside."""
-        out = self.stack.cdf_and_pdf(l)[1]
-        return float(out) if np.ndim(l) == 0 else out
-
-    @cached_property
-    def stack(self) -> "TableStack":
-        """This table as a ``TableStack`` of one whose every query reads it, built on first use."""
-        return TableStack((self,)).take(0)
-
-    def integrate_pdf_product(self, lo, rows_fn, rows: int, alpha: float) -> np.ndarray:
-        """``TableStack.integrate_pdf_product`` on this table, for a 1-D array lo."""
-        return self.stack.integrate_pdf_product(lo, rows_fn, rows, alpha)
-
-    def save(self, path) -> None:
-        """Write the versioned columnar text cache (header: R, H, grid_size).
-
-        Each row holds a knot and its CDF value.  ``load`` rebuilds the
-        PCHIP slopes of the knots, so a table with other slopes (a receiver
-        table) raises DomainError.
-        """
-        if not np.array_equal(self.slopes, _pchip_slopes(self.grid, self.cdf_values)):
-            raise DomainError("only a table with the PCHIP slopes of its knots can be cached")
-        header = (_CACHE_MAGIC, f"# R={self.geometry.R!r}", f"# H={self.geometry.H!r}",
-                  f"# grid_size={self.grid.size}")
-        rows = (f"{l!r}\t{F!r}" for l, F in zip(self.grid.tolist(), self.cdf_values.tolist()))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join((*header, *rows, "")))
-
-    @classmethod
-    def load(cls, path) -> "TabulatedDistribution":
-        """Reload a cache written by ``save``.
-
-        Raises StaleCacheError on an unreadable or corrupt file, including
-        one whose table the constructor rejects.
-        """
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise StaleCacheError(f"cannot read CDF cache {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
-        try:
-            if not lines or lines[0] != _CACHE_MAGIC:
-                raise ValueError(f"missing magic line {_CACHE_MAGIC!r}")
-            header = dict(line.lstrip("# ").partition("=")[::2] for line in lines[1:4])
-            R, H, grid_size = float(header["R"]), float(header["H"]), int(header["grid_size"])
-            # rows of unequal length make the array ragged and raise ValueError
-            rows = np.array([line.split("\t") for line in lines[4:] if line], dtype=float)
-            if rows.shape != (grid_size, 2):
-                raise ValueError(f"expected {grid_size} rows of 2 columns, found {rows.shape}")
-            return cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
-        except (KeyError, ValueError, IndexError, DomainError) as exc:
-            raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(cdf_values, dtype=float)
+    if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
+        raise DomainError("grid and cdf_values must be equal-length 1-D arrays")
+    # the comparisons below let NaN values through
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise DomainError("grid and cdf values must be finite")
+    if not np.all(np.diff(grid) > 0.0):
+        raise DomainError("grid must be strictly increasing")
+    if grid[0] != 0.0 or abs(grid[-1] - geometry.d_max) > 1e-9 * geometry.d_max:
+        raise DomainError("grid must span [0, d_max]")
+    if np.any(np.diff(values) < 0.0):
+        raise DomainError("cdf values must be non-decreasing")
+    if abs(values[0]) > 1e-9 or abs(values[-1] - 1.0) > 1e-9:
+        raise DomainError("cdf must run from 0 to 1")
+    if densities is None:
+        slopes = _pchip_slopes(grid, values)
+    else:
+        slopes = np.asarray(densities, dtype=float)
+        if slopes.shape != grid.shape:
+            raise DomainError("densities must have the grid's shape")
+        if not np.all(np.isfinite(slopes) & (slopes >= 0.0)):
+            raise DomainError("densities must be finite and nonnegative")
+    dips = _dipping_cells(grid, values, slopes)
+    if dips.size:
+        a, b = grid[dips[0] : dips[0] + 2].tolist()
+        raise DomainError(f"the density dips below 0 in the cell [{a!r}, {b!r}]")
+    return grid, values, slopes
 
 
 def _panel_edges(table: "TabulatedDistribution", k: int) -> np.ndarray:
@@ -582,48 +498,138 @@ def _blocks(key: np.ndarray, elements):
             yield value, order[pos : min(pos + step, end)]
 
 
-class TableStack:
-    """Tables of one geometry side by side, for one array pass over all of them.
+class TabulatedDistribution:
+    """Tabulated CDFs of distance laws on one geometry, each with a monotone cubic interpolant.
 
-    In the view ``take(which)``, query i reads table which[i], and
-    ``cdf_and_pdf``, ``sf`` and ``integrate_pdf_product`` give that
-    table's values, from the cubics on each table's stored slopes.  Knots
-    and CDF values are held as complex keys table + 1j x, which numpy
-    orders lexicographically, so one search finds the cells of every
-    query.  The panel rule of ratio 2^(1/k) (``_layout``), with product
-    weights at every _RUN_CELLS-th knot of a panel, is built on first use
-    and kept in _layouts, shared by every view with its lock.  ends holds
-    each table's last knot whose survival is above _SURVIVAL_FLOOR, where
-    the serving rule stops, and end_sf the survival there.
+    A table holds (l, F(l)) knots spanning [0, d_max] and knot slopes
+    (``_checked_table``); on each cell the interpolant is the cubic Hermite
+    interpolant through its two knots, and ``pdf`` is the exact derivative
+    of ``cdf``.  A receiver table takes its knot densities as its slopes,
+    so its density equals the law's at every knot.  The pair table (from
+    ``build_cdf`` or a cache) takes the PCHIP slopes, and its values match
+    scipy's ``PchipInterpolator`` bit for bit: each cell holds its cubic in
+    powers of the offset s from its left knot, evaluated as c3 + c2 s + c1
+    s^2 + c0 s^3 in that order of additions.
+
+    An instance holds its tables side by side for one array pass over all:
+    the constructor's one table, or a ``ReceiverMixture``'s.  Knots and CDF
+    values are complex keys table + 1j x, which numpy orders
+    lexicographically, so one search finds the cells of every query.  A
+    stack of one answers queries itself; in the view ``take(which)`` query
+    i reads table which[i], and a stack of several is read through views
+    only.  ``grid``, ``cdf_values`` and ``slopes`` are the one table's of a
+    stack of one or a view with a scalar which.  The panel rule of ratio
+    2^(1/k) (``_layout``) is built on first use and kept in _layouts, which
+    views share, with its lock.  ends holds each table's last knot whose
+    survival is above _SURVIVAL_FLOOR, where the serving rule stops, and
+    end_sf the survival there.  Instances are immutable and thread-safe.
     """
 
-    def __init__(self, tables):
-        self.tables = tuple(tables)
-        self.geometry = self.tables[0].geometry
-        sizes = np.array([t.grid.size for t in self.tables])
+    def __init__(self, geometry: CylinderGeometry, grid: np.ndarray, cdf_values: np.ndarray,
+                 densities: Optional[np.ndarray] = None):
+        self._hold(geometry, [_checked_table(geometry, grid, cdf_values, densities)])
+
+    def _hold(self, geometry: CylinderGeometry, tables) -> None:
+        """Hold tables, (grid, CDF values, slopes) from ``_checked_table``, side by side."""
+        self.geometry = geometry
+        grids, values, slopes = zip(*tables)
+        sizes = np.array([g.size for g in grids])
         index = np.repeat(np.arange(sizes.size), sizes)
-        self._knots = index + 1j * np.concatenate([t.grid for t in self.tables])
-        self._values = index + 1j * np.concatenate([t.cdf_values for t in self.tables])
-        cubics = [_hermite_cubic(t.grid, t.cdf_values, t.slopes) for t in self.tables]
-        self._cubic = np.concatenate(cubics, axis=1)
+        self._knots = index + 1j * np.concatenate(grids)
+        self._values = index + 1j * np.concatenate(values)
+        self._cubic = np.concatenate([_hermite_cubic(*table) for table in tables], axis=1)
+        self._last_slope = np.array([s[-1] for s in slopes])  # the cubics hold the others
         offsets = np.cumsum(sizes) - sizes
         self._first_cell = offsets - np.arange(sizes.size)  # table k's first cell in _cubic
         self._last_cell = self._first_cell + sizes - 2
         self._last_knot = self._knots.imag[offsets + sizes - 1]
         # each knot's tail 1 - F as the sum of the rises above it, where no digits cancel
-        rises = [np.diff(t.cdf_values)[::-1] for t in self.tables]
+        rises = [np.diff(v)[::-1] for v in values]
         self._tails = np.concatenate([np.append(np.cumsum(r)[::-1], 0.0) for r in rises])
         # the knot before the first whose survival is below the floor (or before the last knot)
         floor = np.searchsorted(self._values, np.arange(sizes.size) + 1j * (1.0 - _SURVIVAL_FLOOR))
         cut = np.minimum(floor, offsets + sizes - 1) - 1
         self.ends, self.end_sf = self._knots.imag[cut], self._tails[cut]
         self._layouts, self._layouts_lock = {}, threading.Lock()
+        if sizes.size == 1:  # a stack of several has no _which until take
+            self._which = np.asarray(0)
+
+    def _table(self):
+        """Copies of the grid, CDF values and slopes of the one table that this instance reads."""
+        t = int(self._which)
+        cells = slice(self._first_cell[t], self._last_cell[t] + 1)
+        knots = slice(cells.start + t, cells.stop + t + 1)
+        return (self._knots.imag[knots].copy(), self._values.imag[knots].copy(),
+                np.append(self._cubic[3, cells], self._last_slope[t]))
+
+    grid = property(lambda self: self._table()[0], doc="The knots of the one table read.")
+    cdf_values = property(lambda self: self._table()[1], doc="Its CDF values at the knots.")
+    slopes = property(lambda self: self._table()[2], doc="Its knot slopes.")
+
+    def take(self, which) -> "TabulatedDistribution":
+        """The same tables, with query i reading table which[i] (each query, for a scalar which)."""
+        view = copy.copy(self)
+        view._which = np.asarray(which)
+        return view
+
+    def _cells(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Index in _cubic of the cell of table which holding x, for x in [0, its d_max]."""
+        knot = np.searchsorted(self._knots, which + 1j * x, side="right") - 1
+        return np.minimum(knot - which, self._last_cell[which])
+
+    def _pdf_at(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The density at x, the derivative of the cubic of each x's cell."""
+        knot, c0, c1, c2 = np.take(self._cubic[:4], cells, axis=1)
+        s = x - knot
+        return c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)
+
+    def _locate(self, l):
+        """l as an array, its table, its table's last knot, and l's cell, offset and c0..c3."""
+        x, which = np.asarray(l, dtype=float), self._which
+        last = self._last_knot[which]
+        inside = np.clip(x, 0.0, last)
+        cells = self._cells(which, inside)
+        knot, *cubic = np.take(self._cubic, cells, axis=1)
+        return x, which, last, cells, inside - knot, cubic
+
+    def cdf_and_pdf(self, l):
+        """Arrays of F (0 below the support, 1 above) and f = F' (0 outside), by one cell search."""
+        x, _, last, _, s, (c0, c1, c2, c3) = self._locate(l)
+        cdf = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        pdf = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s), 0.0)
+        return (np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, cdf)),
+                np.where((x < 0.0) | (x > last), 0.0, pdf))
+
+    def cdf(self, l):
+        """F at l (``cdf_and_pdf``); a float for one query."""
+        out = self.cdf_and_pdf(l)[0]
+        return out if np.ndim(out) else float(out)
+
+    def pdf(self, l):
+        """f = F' at l (``cdf_and_pdf``); a float for one query."""
+        out = self.cdf_and_pdf(l)[1]
+        return out if np.ndim(out) else float(out)
+
+    def sf(self, l):
+        """1 - F at l, its cell's left-knot tail less the cubic's rise; a float for one query."""
+        x, which, last, cells, s, (c0, c1, c2, _) = self._locate(l)
+        sf = self._tails[cells + which] - (c2 * s + c1 * (s * s) + c0 * (s * s * s))
+        out = np.where(x <= 0.0, 1.0, np.where(x >= last, 0.0, sf))
+        return out if np.ndim(out) else float(out)
+
+    def quantiles(self, levels: np.ndarray) -> np.ndarray:
+        """np.interp(levels, cdf_values, grid) for levels in (0, 1), one row per table."""
+        which = np.arange(self.ends.size)[:, None]
+        j = np.searchsorted(self._values, which + 1j * levels, side="right") - 1
+        (x0, x1), (y0, y1) = self._values.imag[[j, j + 1]], self._knots.imag[[j, j + 1]]
+        return (y1 - y0) / (x1 - x0) * (levels - x0) + y0
 
     def _layout(self, k: int):
         """The panel rule of ratio 2^(1/k) (``_build_layout``), built once under the lock, on first use."""
         with self._layouts_lock:
             if k not in self._layouts:
-                self._layouts[k] = self._build_layout([_panel_edges(t, k) for t in self.tables])
+                edges = [_panel_edges(self.take(t), k) for t in range(self.ends.size)]
+                self._layouts[k] = self._build_layout(edges)
             return self._layouts[k]
 
     def _build_layout(self, edges):
@@ -638,7 +644,7 @@ class TableStack:
         then the columns of row t from column[t, i] on, whose first
         _PANEL_NODES, that knot's panel, weigh partial[anchor[t, i]].
         """
-        tables = np.arange(len(self.tables))
+        tables = np.arange(self.ends.size)
         lowest, panels = np.array([(e[0], e.size - 1) for e in edges]).T
         width = _PANEL_NODES * np.max(panels)
         nodes = np.full((tables.size, width), self.geometry.d_max)
@@ -668,62 +674,12 @@ class TableStack:
         at, panel = np.searchsorted(stored, tops), np.searchsorted(lo, stored, side="right") - 1
         keys, top = np.insert(stored, at, tops), (at + tables)[:, None]
         starts = np.insert(width + _PANEL_NODES * left[panel], at, width)
-        i = np.arange(max(t.grid.size for t in self.tables) - 1)
+        i = np.arange(np.max(self._last_cell - self._first_cell) + 1)  # the most cells of a table
         up = np.searchsorted(keys, offsets[:, None] + i + 1 + (i >= lowest[:, None]))
         up = np.minimum(up, top)
         count = np.maximum(keys[up] - offsets[:, None] - i - 1, 0)
         anchor = np.where(up == top, -1, up - tables[:, None])  # each top comes after its table's
         return nodes, weights, partial, *(v.astype(np.int32) for v in (count, starts[up], anchor))
-
-    def take(self, which) -> "TableStack":
-        """The same tables, with query i reading table which[i] (each query, for a scalar which)."""
-        view = copy.copy(self)
-        view._which = np.asarray(which)
-        return view
-
-    def _cells(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Index in _cubic of the cell of table which holding x, for x in [0, its d_max]."""
-        knot = np.searchsorted(self._knots, which + 1j * x, side="right") - 1
-        return np.minimum(knot - which, self._last_cell[which])
-
-    def _pdf_at(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """The density at x, the derivative of the cubic of each x's cell."""
-        knot, c0, c1, c2 = np.take(self._cubic[:4], cells, axis=1)
-        s = x - knot
-        return c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)
-
-    def _locate(self, l):
-        """l as an array, its table's last knot, and l's cell, offset and c0..c3 in the support."""
-        x = np.asarray(l, dtype=float)
-        last = self._last_knot[self._which]
-        inside = np.clip(x, 0.0, last)
-        cells = self._cells(self._which, inside)
-        knot, *cubic = np.take(self._cubic, cells, axis=1)
-        return x, last, cells, inside - knot, cubic
-
-    def cdf_and_pdf(self, l):
-        """F and f = F' of each query's table at l, from one search for the cells of l.
-
-        F is 0 below the support and 1 above, f is 0 outside it.
-        """
-        x, last, _, s, (c0, c1, c2, c3) = self._locate(l)
-        cdf = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-        pdf = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s), 0.0)
-        return (np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, cdf)),
-                np.where((x < 0.0) | (x > last), 0.0, pdf))
-
-    def sf(self, l) -> np.ndarray:
-        """1 - F of each query's table at l: its cell's left-knot tail less the cubic's rise."""
-        x, last, cells, s, (c0, c1, c2, _) = self._locate(l)
-        sf = self._tails[cells + self._which] - (c2 * s + c1 * (s * s) + c0 * (s * s * s))
-        return np.where(x <= 0.0, 1.0, np.where(x >= last, 0.0, sf))
-
-    def quantiles(self, levels: np.ndarray) -> np.ndarray:
-        """np.interp(levels, cdf_values, grid) for levels in (0, 1), one row per table."""
-        which = np.arange(len(self.tables))[:, None]
-        j = np.searchsorted(self._values, which + 1j * levels, side="right") - 1
-        (x0, x1), (y0, y1) = self._values.imag[[j, j + 1]], self._knots.imag[[j, j + 1]]
-        return (y1 - y0) / (x1 - x0) * (levels - x0) + y0
 
     def integrate_pdf_product(self, lo, rows_fn, rows: int, alpha: float) -> np.ndarray:
         """Integrals of rows_fn(u^-alpha) * f(u) du over [lo, d_max], one set of rows per lower limit.
@@ -774,6 +730,48 @@ class TableStack:
             full *= np.hstack((partial[anchor[block]], wf[table[block], first + _PANEL_NODES :]))
             out[:, sel] += full.sum(axis=-1)
         return out
+
+    def save(self, path) -> None:
+        """Write the versioned columnar text cache (header: R, H, grid_size).
+
+        Each row holds a knot and its CDF value.  ``load`` rebuilds the
+        PCHIP slopes of the knots, so a table with other slopes (a receiver
+        table) raises DomainError.
+        """
+        if not np.array_equal(self.slopes, _pchip_slopes(self.grid, self.cdf_values)):
+            raise DomainError("only a table with the PCHIP slopes of its knots can be cached")
+        header = (_CACHE_MAGIC, f"# R={self.geometry.R!r}", f"# H={self.geometry.H!r}",
+                  f"# grid_size={self.grid.size}")
+        rows = (f"{l!r}\t{F!r}" for l, F in zip(self.grid.tolist(), self.cdf_values.tolist()))
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join((*header, *rows, "")))
+
+    @classmethod
+    def load(cls, path) -> "TabulatedDistribution":
+        """Reload a cache written by ``save``.
+
+        Raises StaleCacheError on an unreadable or corrupt file, including
+        one whose table the constructor rejects.
+        """
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise StaleCacheError(f"cannot read CDF cache {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
+        try:
+            if not lines or lines[0] != _CACHE_MAGIC:
+                raise ValueError(f"missing magic line {_CACHE_MAGIC!r}")
+            header = dict(line.lstrip("# ").partition("=")[::2] for line in lines[1:4])
+            R, H, grid_size = float(header["R"]), float(header["H"]), int(header["grid_size"])
+            # rows of unequal length make the array ragged and raise ValueError
+            rows = np.array([line.split("\t") for line in lines[4:] if line], dtype=float)
+            if rows.shape != (grid_size, 2):
+                raise ValueError(f"expected {grid_size} rows of 2 columns, found {rows.shape}")
+            return cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
+        except (KeyError, ValueError, IndexError, DomainError) as exc:
+            raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
 
 
 def _disk_pair_cdf(v: np.ndarray, R: float) -> np.ndarray:
@@ -943,8 +941,8 @@ def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
     return np.sort(np.stack([np.zeros_like(kinks[0]), *kinks], axis=-1), axis=-1)
 
 
-def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> TabulatedDistribution:
-    """Tabulate F_x and its density f_x for the receiver at (r, z).
+def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float):
+    """Tabulate F_x and its density f_x for the receiver at (r, z): (knots, F_x, f_x).
 
     RECEIVER_GRID_SIZE knots span [0, d_max(x)], the breakpoints are
     added as knots (uniform knots closer than a quarter spacing to one
@@ -952,7 +950,7 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> Tabulated
     the geometry's d_max so the table plugs into every pair-law consumer.
     The knot densities are the cubic's knot slopes, so the table is the
     law at its knots.  A cell where that cubic's density would dip below 0
-    is split at its midpoint, up to _DIP_SPLITS times; the constructor
+    is split at its midpoint, up to _DIP_SPLITS times; ``_checked_table``
     raises if one still dips.
     """
     breaks = receiver_breakpoints(geom, r, z)
@@ -972,14 +970,16 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float) -> Tabulated
         grid = np.union1d(grid, 0.5 * (grid[dips] + grid[dips + 1]))
     if grid[-1] < geom.d_max:
         grid, F, f = np.append(grid, geom.d_max), np.append(F, 1.0), np.append(f, 0.0)
-    return TabulatedDistribution(geom, grid, F, f)
+    return grid, F, f
 
 
-class ReceiverMixture(TableStack):
-    """The ``TableStack`` of receiver-conditioned distance tables at the nodes of a receiver rule.
+class ReceiverMixture(TabulatedDistribution):
+    """The stack of receiver-conditioned distance tables at the nodes of a receiver rule.
 
-    nodes[q] = (r, z) is a receiver position, tables[q] its F_q and
-    weights[q] its weight in the average over receiver positions (density
+    nodes[q] = (r, z) is a receiver position, tables[q] = (grid,
+    cdf_values, densities) the knots, CDF values and knot densities of its
+    F_q, checked as the one table of ``TabulatedDistribution`` is
+    (``_checked_table``), and weights[q] its weight in the average over receiver positions (density
     2 r / R^2 in r and uniform in z, folded onto z <= H / 2 by symmetry;
     the weights sum to 1).  sum_q weights[q] F_q approximates the pair
     law, and the exact model evaluates all receivers of the rule in one
@@ -988,8 +988,8 @@ class ReceiverMixture(TableStack):
     estimate.
     """
 
-    def __init__(self, nodes, weights, tables, check: Optional["ReceiverMixture"] = None):
-        super().__init__(tables)
+    def __init__(self, geometry: CylinderGeometry, nodes, weights, tables, check=None):
+        self._hold(geometry, [_checked_table(geometry, *table) for table in tables])
         self.nodes, self.weights, self.check = nodes, weights, check
 
 
@@ -1003,8 +1003,8 @@ def _receiver_mixture(
     z = 0.25 * geom.H * (xz + 1.0)
     nodes = np.array([(ri, zj) for ri in r for zj in z])
     weights = np.outer(0.5 * wu, 0.5 * wz).ravel()
-    tables = tuple(_build_receiver_cdf(geom, ri, zj) for ri, zj in nodes)
-    return ReceiverMixture(nodes, weights, tables, check)
+    tables = (_build_receiver_cdf(geom, ri, zj) for ri, zj in nodes)
+    return ReceiverMixture(geom, nodes, weights, tables, check)
 
 
 def build_receiver_cdfs(geom: CylinderGeometry) -> ReceiverMixture:

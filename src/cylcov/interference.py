@@ -18,7 +18,7 @@ Taylor-coefficient recurrence for powers.  Numeric differentiation is
 used only as a test oracle.
 
 The u-integrals for all needed orders share one pass of a fixed rule
-(``TableStack.integrate_pdf_product``).  Near l it is a 4-point Gauss rule
+(``TabulatedDistribution.integrate_pdf_product``).  Near l it is a 4-point Gauss rule
 per knot cell: the tabulated density is quadratic on a cell, so only the
 kernel's Gauss error is left, and at m = 5, beta = 10 a series term moves
 up to 4e-8 for l in the first cells and under 1e-10 from three cells on.
@@ -102,8 +102,8 @@ def _g_derivatives(
     g^(j) = (-1)^j (m)_j m^{-j} int x^j (1 + t x / m)^{-m-j} f(u|l) du,
     and (m)_j the rising factorial from the Gamma-kernel derivative.  t and
     l broadcast together; the result has shape (orders,) plus their
-    broadcast shape.  dist is a table or a ``TableStack`` with a table per
-    serving distance.  The kernel rows come from inv = 1 / (1 + t x / m) by
+    broadcast shape.  dist is a table, or a view (``take``) with a table
+    per serving distance.  The kernel rows come from inv = 1 / (1 + t x / m) by
     repeated multiplication; x = u^{-a} is taken once per node of the
     rule.  t must be nonnegative; laplace_with_derivatives, the one
     caller, checks it.

@@ -63,7 +63,7 @@ def _check_geometry(scenario_geom: CylinderGeometry, dist: TabulatedDistribution
 
 
 def _conditioning_survival(l, dist: TabulatedDistribution):
-    """dist.sf(l) at serving distances l, checked for conditioning; dist may be a stack view.
+    """dist.sf(l) at serving distances l, checked for conditioning; dist may be a view (``take``).
 
     Accepts scalar or array l.  Raises DomainError for l outside
     [0, d_max) and DegenerateConditionError where 1 - F(l) is below the

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from cylcov import CylinderGeometry, build_cdf, build_receiver_cdfs
+from cylcov import CylinderGeometry, TabulatedDistribution, build_cdf, build_receiver_cdfs
+from cylcov.distance import _build_receiver_cdf
 from cylcov.network import _check_geometry, _conditioning_survival
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
@@ -34,6 +35,16 @@ def get_mixture(geom):
     if geom not in _mixtures:
         _mixtures[geom] = build_receiver_cdfs(geom)
     return _mixtures[geom]
+
+
+def receiver_table(geom, r, z):
+    """The receiver table of (r, z) as a stack of one; raises if a cell's density dips."""
+    return TabulatedDistribution(geom, *_build_receiver_cdf(geom, r, z))
+
+
+def tables_of(stack):
+    """A view (``take``) of each table of a stack, in order."""
+    return [stack.take(k) for k in range(stack.ends.size)]
 
 
 def sample_points(rng, geom, n):

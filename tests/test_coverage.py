@@ -17,6 +17,7 @@ from conftest import (
     get_dist,
     get_mixture,
     inverse_cdf,
+    tables_of,
 )
 from cylcov import (
     ChannelModel,
@@ -35,7 +36,8 @@ from cylcov import (
 )
 from cylcov.coverage import EXACT_ORDER, _SPLITS, _serving_integral, _within_contract
 from cylcov.distance import (
-    TableStack,
+    ReceiverMixture,
+    TabulatedDistribution,
     _gauss_on_panels,
     pair_distance_law,
     receiver_breakpoints,
@@ -56,7 +58,7 @@ def finer_paper_rule(sc, dist, order=24, halvings=3):
     survival is above the floor, cut at 2R, H and the survival splits.
     """
     geom, n = sc.geom, sc.N
-    end = dist.stack.ends[0]
+    end = dist.ends[0]
     splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), dist.cdf_values, dist.grid)
     edges = np.union1d([0.0, end], np.clip([2.0 * geom.R, geom.H, *splits], 0.0, end))
     for _ in range(halvings):
@@ -81,8 +83,8 @@ def per_receiver_oracle(sc, mixture, index, order=EXACT_ORDER):
     x, w = np.polynomial.legendre.leggauss(order)
     value = tail = 0.0
     for q in index:
-        (r, z), weight, table = mixture.nodes[q], mixture.weights[q], mixture.tables[q]
-        last = int(np.searchsorted(table.grid, table.stack.ends[0]))
+        (r, z), weight, table = mixture.nodes[q], mixture.weights[q], mixture.take(q)
+        last = int(np.searchsorted(table.grid, table.ends[q]))
         end = table.grid[last]
         splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), table.cdf_values, table.grid)
         cuts = np.concatenate((receiver_breakpoints(geom, r, z), splits))
@@ -218,7 +220,7 @@ class TestConditionalCoverage:
         dist = get_dist(geom)
         sc = scenario(N=N, m=float(m), alpha=alpha, geom=geom, beta=beta)
         grid = dist.grid
-        last = int(np.searchsorted(grid, dist.stack.ends[0]))
+        last = int(np.searchsorted(grid, dist.ends[0]))
         on_knots = grid[np.floor(np.array(knots) * last).astype(int)]
         k = int(cell * (last - 1))
         in_cell = grid[k] + np.array(offsets) * (grid[k + 1] - grid[k])
@@ -240,8 +242,8 @@ class TestConditionalCoverage:
         # integral's blocks shared columns).
         rng = np.random.default_rng(11)
         cases = []
-        for stack in (get_dist(geom).stack, get_mixture(geom)):
-            which = rng.integers(0, len(stack.tables), 400)
+        for stack in (get_dist(geom), get_mixture(geom)):
+            which = rng.integers(0, stack.ends.size, 400)
             cases.append((stack, which, rng.random(400) * stack.ends[which]))
         for m, beta, N in product((1, 3, 5), (0.1, 10.0), (3, 40)):
             sc = scenario(N=N, m=float(m), geom=geom, beta=beta)
@@ -412,7 +414,7 @@ class TestCoverageProbability:
         # above the survival floor, where the rule stops, with the
         # conditional coverage evaluated at each of them.
         dist = get_dist(geom)
-        cells = dist.grid[dist.grid <= dist.stack.ends[0]]
+        cells = dist.grid[dist.grid <= dist.ends[0]]
         x, w = np.polynomial.legendre.leggauss(4)
         halves = 0.5 * np.diff(cells)
         l = (0.5 * (cells[1:] + cells[:-1]))[:, None] + halves[:, None] * x
@@ -541,13 +543,14 @@ class TestExactCoverage:
         # The receivers with the fewest and the most knots make the stack
         # ragged (258 to 264 knots), so some rows carry padding nodes.
         mix = get_mixture(geom)
-        sizes = [t.grid.size for t in mix.tables]
+        sizes = [t.grid.size for t in tables_of(mix)]
         index = sorted({*picks, int(np.argmin(sizes)), int(np.argmax(sizes))})
         sc = scenario(N=N, m=float(m), geom=geom, beta=beta)
         r, z = mix.nodes[index].T
         value, tail = _serving_integral(
             sc,
-            TableStack([mix.tables[q] for q in index]),
+            ReceiverMixture(geom, mix.nodes[index], mix.weights[index],
+                            [(t.grid, t.cdf_values, t.slopes) for t in map(mix.take, index)]),
             mix.weights[index],
             lambda which, l: receiver_distance_law(geom, r[which], z[which], l),
             receiver_breakpoints(geom, r, z),
@@ -593,9 +596,10 @@ class TestExactCoverage:
         for k in (1, 2, 4, 40):
             nodes, weights, partial, count, column, anchor = mix._layout(k)
             pad, first_row = np.zeros(nodes.shape, dtype=bool), 0
-            for t, table in enumerate(mix.tables):
+            for t, table in enumerate(tables_of(mix)):
+                own = TabulatedDistribution(geom, table.grid, table.cdf_values, table.slopes)
                 own_nodes, own_weights, own_partial, own_count, own_column, own_anchor = (
-                    table.stack._layout(k)
+                    own._layout(k)
                 )
                 panels = slice(nodes.shape[1] - own_nodes.shape[1], nodes.shape[1])
                 assert np.array_equal(nodes[t, panels], own_nodes[0])
@@ -613,7 +617,7 @@ class TestExactCoverage:
             if k < 40:  # at k = 4 the tables of every regime differ in panels
                 assert not pad.all(axis=1).any() and (pad.any() or k != 4)
             else:
-                top = [int(np.searchsorted(t.cdf_values, t.cdf_values[-1])) for t in mix.tables]
+                top = [int(np.searchsorted(t.cdf_values, t.cdf_values[-1])) for t in tables_of(mix)]
                 cells = np.arange(count.shape[1])
                 assert nodes.shape[1] == 0 and not partial.size and np.all(anchor == -1)
                 for t, n in enumerate(top):
@@ -628,7 +632,7 @@ class TestExactCoverage:
         # weights must keep it to 60 % of that.  The layouts of ratio 2 of
         # the tall mixture and its check rule held 2.96 MB (1.82 + 1.14).
         elements = []
-        integrate = TableStack.integrate_pdf_product
+        integrate = TabulatedDistribution.integrate_pdf_product
 
         def counting(stack, lo, rows_fn, rows, alpha):
             def counted(x, sel):
@@ -638,7 +642,7 @@ class TestExactCoverage:
 
             return integrate(stack, lo, counted, rows, alpha)
 
-        monkeypatch.setattr(TableStack, "integrate_pdf_product", counting)
+        monkeypatch.setattr(TabulatedDistribution, "integrate_pdf_product", counting)
         exact_coverage_probability(scenario(N=40, m=2.0, alpha=3.0, beta=1.0), tall_mixture)
         assert 0 < sum(elements) <= 0.6 * 3_156_336, sum(elements)
         held = sum(a.nbytes for rule in (tall_mixture, tall_mixture.check) for a in rule._layouts[1])

@@ -10,7 +10,18 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import kstest
 
-from conftest import CUBIC, NEEDLE, REGIME_GEOMETRIES, SQUAT, TALL, get_dist, get_mixture, sample_points
+from conftest import (
+    CUBIC,
+    NEEDLE,
+    REGIME_GEOMETRIES,
+    SQUAT,
+    TALL,
+    get_dist,
+    get_mixture,
+    receiver_table,
+    sample_points,
+    tables_of,
+)
 from cylcov import (
     CylinderGeometry,
     DomainError,
@@ -25,8 +36,7 @@ from cylcov import (
 )
 from cylcov.distance import (
     RECEIVER_RULE,
-    TableStack,
-    _build_receiver_cdf,
+    ReceiverMixture,
     _receiver_mixture,
     pair_distance_law,
     receiver_breakpoints,
@@ -287,7 +297,17 @@ class TestKnotDensities:
         densities[2] = 3.0 * secant
         table = TabulatedDistribution(self.GEOM, self.GRID, self.VALUES, densities)
         probe = np.linspace(0.0, self.GEOM.d_max, 2001)
-        assert np.min(table.stack._pdf_at(probe, table.stack._cells(0, probe))) >= -1e-15
+        assert np.min(table._pdf_at(probe, table._cells(0, probe))) >= -1e-15
+
+    def test_arrays_read_are_copies(self):
+        # writing into what grid, cdf_values and slopes return leaves the table as it was
+        table = TabulatedDistribution(self.GEOM, self.GRID.copy(), self.VALUES.copy())
+        probe, slopes = np.linspace(0.0, self.GEOM.d_max, 9), table.slopes
+        before = table.cdf(probe)
+        table.grid[1] = table.cdf_values[1] = table.slopes[1] = 0.0
+        assert np.array_equal(table.grid, self.GRID)
+        assert np.array_equal(table.cdf_values, self.VALUES)
+        assert np.array_equal(table.slopes, slopes) and np.array_equal(table.cdf(probe), before)
 
     def test_slopes_are_the_densities(self):
         densities = np.array([0.0, 0.2, 0.1, 0.15, 0.0])
@@ -302,12 +322,12 @@ class TestKnotDensities:
         # each table's support
         stack = tall_mixture
         rng = np.random.default_rng(3)
-        which = rng.integers(0, len(tall_mixture.tables), 500)
+        which = rng.integers(0, tall_mixture.ends.size, 500)
         edges = [0.0, -0.0, -1e-300, TALL.d_max, 1e300, 5.0]
         l = np.concatenate((rng.uniform(-1.0, 1.05 * TALL.d_max, 494), edges))
         cdf, pdf = stack.take(which).cdf_and_pdf(l)
         sf = stack.take(which).sf(l)
-        for k, table in enumerate(tall_mixture.tables):
+        for k, table in enumerate(tables_of(tall_mixture)):
             own = which == k
             assert np.array_equal(cdf[own], table.cdf(l[own]))
             assert np.array_equal(pdf[own], table.pdf(l[own]))
@@ -327,7 +347,7 @@ class TestKnotDensities:
     @example(geom=SQUAT, r=3.1622776601683795e-09, z=9.999999999999999e-06)
     def test_receiver_tables_carry_the_law_at_their_knots(self, geom, r, z):
         r, z = r * geom.R, z * geom.H
-        table = _build_receiver_cdf(geom, r, z)  # raises if a cell's density dips
+        table = receiver_table(geom, r, z)  # raises if a cell's density dips
         grid = table.grid
         F, f = receiver_distance_law(geom, r, z, grid)
         assert np.array_equal(table.pdf(grid[:-1]), f[:-1])
@@ -496,7 +516,7 @@ class TestSerialization:
         # load rebuilds PCHIP slopes, not a receiver table's exact densities
         path = tmp_path / "cache.tsv"
         with pytest.raises(DomainError, match="PCHIP"):
-            tall_mixture.tables[0].save(path)
+            tall_mixture.take(0).save(path)
         assert not path.exists()
         # knot densities that are the PCHIP slopes save as the pair table does
         table = get_dist(SQUAT, 64)
@@ -579,7 +599,7 @@ class TestReceiverLaw:
         r, z = RECEIVER_SPOTS[spot][0] * geom.R, RECEIVER_SPOTS[spot][1] * geom.H
         n = 200_000
         d = receiver_distances(geom, r, z, n, seed=77)
-        ks = kstest(d, _build_receiver_cdf(geom, r, z).cdf).statistic
+        ks = kstest(d, receiver_table(geom, r, z).cdf).statistic
         # 99.9% Kolmogorov quantile plus the 256-knot table's interpolation
         # error (below 1.5e-4 against the exact law on all four regimes)
         assert ks <= 1.95 / math.sqrt(n) + 2e-4
@@ -620,7 +640,7 @@ class TestReceiverLaw:
         F, f = receiver_distance_law(TALL, r, z, [0.0, d_end, d_end + 1.0])
         assert F[0] == 0.0 and F[1] == pytest.approx(1.0, abs=1e-15)
         assert F[2] == pytest.approx(1.0, abs=1e-15) and f[2] == 0.0
-        table = _build_receiver_cdf(TALL, r, z)
+        table = receiver_table(TALL, r, z)
         assert table.cdf(d_end) == 1.0 and table.pdf(0.5 * (d_end + TALL.d_max)) == 0.0
 
     def test_rejects_receiver_outside(self):
@@ -684,15 +704,41 @@ class TestReceiverLaw:
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_mixture_is_the_stack_of_its_tables(self, geom):
+        # A mixture rebuilt from the grid, CDF values and slopes of its views
+        # holds the same arrays and layouts, and each table, rebuilt as a
+        # stack of one, holds the mixture's cubics, tails, end and survival.
         mix = get_mixture(geom)
         for rule in (mix, mix.check):
-            stack = TableStack(rule.tables)
-            assert rule.geometry == stack.geometry == geom
+            views = tables_of(rule)
+            arrays = [(v.grid, v.cdf_values, v.slopes) for v in views]
+            again = ReceiverMixture(geom, rule.nodes, rule.weights, arrays)
+            assert rule.geometry == again.geometry == geom
             for name in ("_knots", "_values", "_cubic", "_tails", "ends", "end_sf"):
-                assert np.array_equal(getattr(rule, name), getattr(stack, name)), name
+                assert np.array_equal(getattr(rule, name), getattr(again, name)), name
             for k in (1, 2):
-                for ours, theirs in zip(rule._layout(k), stack._layout(k)):
+                for ours, theirs in zip(rule._layout(k), again._layout(k)):
                     assert np.array_equal(ours, theirs)
+            for t, (grid, values, slopes) in enumerate(arrays):
+                one = TabulatedDistribution(geom, grid, values, slopes)
+                cells = slice(rule._first_cell[t], rule._last_cell[t] + 1)
+                assert np.array_equal(one._cubic, rule._cubic[:, cells])
+                assert np.array_equal(one._tails, rule._tails[cells.start + t : cells.stop + t + 1])
+                assert (one.ends[0], one.end_sf[0]) == (rule.ends[t], rule.end_sf[t])
+
+    def test_mixture_holds_no_per_table_arrays(self, tall_mixture):
+        # Layouts aside, the tall mixture and its check rule hold 2,447,104 B
+        # of arrays: keys, cubics, tails and per-table scalars.  Per-table
+        # copies of grid, CDF values and slopes took it to 3,179,176 B.
+        def held(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if isinstance(obj, (tuple, list)):
+                return sum(held(v) for v in obj)
+            if type(obj).__module__ == "cylcov.distance":  # a table, a mixture or a view
+                return sum(held(v) for name, v in vars(obj).items() if name != "_layouts")
+            return 0
+
+        assert held(tall_mixture) <= 2_450_000, held(tall_mixture)
 
     def test_rule_is_a_probability_rule(self, tall_mixture):
         for mix in (tall_mixture, tall_mixture.check):
@@ -700,7 +746,7 @@ class TestReceiverLaw:
             assert np.all(mix.weights > 0.0)
             r, z = mix.nodes.T
             assert np.all((r > 0.0) & (r < TALL.R) & (z > 0.0) & (z < 0.5 * TALL.H))
-            assert all(t.geometry == TALL for t in mix.tables)
+            assert mix.geometry == TALL
         assert tall_mixture.check.nodes.shape[0] < tall_mixture.nodes.shape[0]
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
@@ -714,7 +760,7 @@ class TestReceiverLaw:
         exact = get_dist(geom).cdf(probe)
 
         def gap(mix):
-            mixed = sum(w * t.cdf(probe) for w, t in zip(mix.weights, mix.tables))
+            mixed = sum(w * t.cdf(probe) for w, t in zip(mix.weights, tables_of(mix)))
             return np.max(np.abs(mixed - exact))
 
         full = gap(get_mixture(geom))

@@ -81,6 +81,7 @@ REMOVED = """
     distance.TabulatedDistribution.kind distance.TabulatedDistribution.ppf
     simulation._sample_coordinates simulation._distance ppp.PppModel ppp.ppp_model_from_scenario
     network.serving_distance_pdf network.serving_distance_cdf network.conditional_interferer_pdf
+    distance.TableStack distance.TabulatedDistribution.stack
 """.split()
 
 

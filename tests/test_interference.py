@@ -21,16 +21,19 @@ from conftest import (
     get_dist,
     get_mixture,
     inverse_cdf,
+    receiver_table,
+    tables_of,
 )
 from cylcov import (
     ChannelModel,
     DomainError,
     NetworkScenario,
     UnsupportedParameterError,
+    build_cdf,
     laplace_with_derivatives,
 )
 import cylcov.distance
-from cylcov.distance import TableStack, _build_receiver_cdf, _gauss_on_panels, _panel_edges
+from cylcov.distance import RECEIVER_RULE, _gauss_on_panels, _panel_edges, _receiver_mixture
 from cylcov.interference import _g_derivatives
 from cylcov.simulation import substream
 
@@ -249,8 +252,8 @@ def test_cell_rule_matches_a_finer_rule(geom):
     m, beta = 5, 10.0
     tables = {
         "pair": get_dist(geom),
-        "axis": _build_receiver_cdf(geom, 0.0, 0.25 * geom.H),
-        "wall": _build_receiver_cdf(geom, geom.R, 0.25 * geom.H),
+        "axis": receiver_table(geom, 0.0, 0.25 * geom.H),
+        "wall": receiver_table(geom, geom.R, 0.25 * geom.H),
     }
     for name, dist in tables.items():
         cell = dist.grid[1]
@@ -302,7 +305,7 @@ def cell_rule_oracle(tables, which, lo, rows_fn, rows, alpha):
     picks=st.lists(
         st.tuples(
             st.integers(0, 71),
-            st.sampled_from(["edge", "below", "bottom", "last"]),
+            st.sampled_from(["edge", "below", "inside", "bottom", "last"]),
             st.integers(0, 10),
             st.floats(0.0, 1.0, exclude_max=True),
         ),
@@ -314,23 +317,31 @@ def cell_rule_oracle(tables, which, lo, rows_fn, rows, alpha):
     m=st.integers(1, 5),
 )
 def test_panel_rule_matches_the_cell_rule(geom, receivers, picks, alpha, log_beta, m):
-    # Lower limits at a panel edge, just below one, below the lowest edge and
-    # in the last cell above the survival floor, on receiver tables of one
-    # stack (so a panel reading another table's weights shows) or on the
-    # pair table.  The panels, of ratio 2^(1/k) with k = ceil(alpha / 6),
-    # interpolate the kernel only: a term (t / m)^j row_j / (1 - F(l)) of
-    # the series moves by at most 1e-13 for alpha <= 4 and 1e-10 above.
-    stack = get_mixture(geom) if receivers else get_dist(geom).stack
-    tables = stack.tables
+    # Lower limits at a panel edge, just below one, anywhere inside a panel
+    # below the serving rule's end, below the lowest edge and in the last
+    # cell above the survival floor, on receiver tables of one stack (so a
+    # panel reading another table's weights shows) or on the pair table.
+    # The panels, of ratio 2^(1/k) with k = ceil(alpha / 6), interpolate
+    # the kernel only: a term (t / m)^j row_j / (1 - F(l)) of the series
+    # moves by at most 1e-13 for alpha <= 4 and 1e-10 above.  Limits inside
+    # a panel at m = 5, beta = 0.1 moved it by up to 7.4e-14 at alpha = 4
+    # and 6.9e-11 at alpha = 6, where a pole of the kernel can sit beside
+    # the panel; over this test's draws, 1.7e-14 and 3.0e-12.
+    stack = get_mixture(geom) if receivers else get_dist(geom)
+    tables = tables_of(stack)
     which, lo = [], []
     for k, kind, edge, frac in picks:
         k = k % len(tables)
         grid, edges = tables[k].grid, _panel_edges(tables[k], math.ceil(alpha / 6.0))
-        e = edges[edge % (edges.size - 1)] if edges.size > 1 else edges[0]
+        p = edge % (edges.size - 1) if edges.size > 1 else 0
+        e = edges[p]
         if kind == "edge":
             l = grid[e]
         elif kind == "below":
             l = grid[e] - frac * (grid[e] - grid[e - 1])
+        elif kind == "inside":
+            top = min(grid[edges[p + 1]], stack.ends[k])
+            l = min(grid[e], top) + frac * (top - min(grid[e], top))
         elif kind == "bottom":
             l = frac * grid[edges[0]]
         else:
@@ -361,10 +372,10 @@ def test_partial_panel_starts_a_full_cell_above_the_limit(geom, alpha):
     # at the limit's first knot moved a term (t / m)^j row_j / (1 - F(l))
     # by up to 8e-14 at alpha = 4, against 9e-15 with the full cell.
     m, k = 5, math.ceil(alpha / 6.0)
-    for stack in (get_mixture(geom), get_dist(geom).stack):
-        which, lo = [], []
-        for table in range(0, len(stack.tables), 9):
-            grid, edges = stack.tables[table].grid, _panel_edges(stack.tables[table], k)
+    for stack in (get_mixture(geom), get_dist(geom)):
+        tables, which, lo = tables_of(stack), [], []
+        for table in range(0, len(tables), 9):
+            grid, edges = tables[table].grid, _panel_edges(tables[table], k)
             for a, b in zip(edges[:-1], edges[1:]):
                 last = a + 4 * ((b - a - 1) // 4)
                 for q in {a + 4, a + 4 * ((b - a) // 8), last} - {a}:
@@ -379,10 +390,10 @@ def test_partial_panel_starts_a_full_cell_above_the_limit(geom, alpha):
         t = m * beta * lo**alpha
         rows_fn = gamma_rows(t, m)
         got = stack.take(which).integrate_pdf_product(lo, rows_fn, m, alpha)
-        ref = cell_rule_oracle(stack.tables, which, lo, rows_fn, m, alpha)
-        survival = np.array([stack.tables[q].sf(l) for q, l in zip(which, lo)])
+        ref = cell_rule_oracle(tables, which, lo, rows_fn, m, alpha)
+        survival = np.array([tables[q].sf(l) for q, l in zip(which, lo)])
         gap = float(np.max(np.abs(got - ref) * (t / m) ** np.arange(m)[:, None] / survival))
-        assert gap <= (1e-14 if alpha <= 4.0 else 1e-10), (gap, len(stack.tables))
+        assert gap <= (1e-14 if alpha <= 4.0 else 1e-10), (gap, len(tables))
 
 
 def test_integral_bits_do_not_depend_on_the_batch():
@@ -390,8 +401,8 @@ def test_integral_bits_do_not_depend_on_the_batch():
     # its integral takes the same bits alone as among 400 others, on the
     # pair table and on a receiver stack.
     rng = np.random.default_rng(11)
-    for stack in (get_dist(TALL).stack, get_mixture(TALL)):
-        which = rng.integers(0, len(stack.tables), 400)
+    for stack in (get_dist(TALL), get_mixture(TALL)):
+        which = rng.integers(0, stack.ends.size, 400)
         lo = rng.random(400) * stack.ends[which]
         for m, alpha in ((1, 3.0), (5, 4.0), (3, 8.0)):
             t = m * 10.0 * lo**alpha
@@ -408,13 +419,13 @@ class TestPanelLayouts:
         # integral that needs it, computing each table's edges once; every
         # view reads the same layouts, and an alpha = 8 call leaves the
         # alpha = 3 values as they were, bit for bit.
-        stack = TableStack(get_mixture(TALL).tables)
+        stack = _receiver_mixture(TALL, RECEIVER_RULE)
         calls = []
         edges = cylcov.distance._panel_edges
         monkeypatch.setattr(cylcov.distance, "_panel_edges",
                             lambda table, k: calls.append(k) or edges(table, k))
         rng = np.random.default_rng(4)
-        which = rng.integers(0, len(stack.tables), 40)
+        which = rng.integers(0, stack.ends.size, 40)
         lo = rng.uniform(0.0, TALL.d_max, 40)
 
         def integral(alpha, view):
@@ -424,7 +435,7 @@ class TestPanelLayouts:
         integral(8.0, stack.take(which))
         integral(4.0, stack.take(which[::-1]))
         assert np.array_equal(integral(3.0, stack.take(which)), before)
-        assert calls == [1] * len(stack.tables) + [2] * len(stack.tables)
+        assert calls == [1] * stack.ends.size + [2] * stack.ends.size
         assert sorted(stack._layouts) == [1, 2]
         assert stack.take(0)._layouts is stack._layouts
 
@@ -433,8 +444,7 @@ class TestPanelLayouts:
         # the last (k = 7 on a 64-knot table) with no panel left, while the
         # interpreter switches threads often: each layout is built once, and
         # every value equals that of a stack no other thread touched.
-        tables = (get_dist(TALL, 64),)
-        stack = TableStack(tables)
+        stack = build_cdf(TALL, 64)
         calls = []
         edges = cylcov.distance._panel_edges
 
@@ -463,7 +473,7 @@ class TestPanelLayouts:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(calls) == [1, 2, 4, 7]
-        fresh = TableStack(tables).take(0)
+        fresh = build_cdf(TALL, 64)
         for alpha, value in zip(alphas, got):
             assert np.array_equal(value, integral(fresh, alpha))
 
@@ -472,14 +482,14 @@ class TestPanelLayouts:
         # left: from that k on the layout holds no column and no stored
         # knot, and a limit in cell i takes the cell rule up to the top
         # edge, whatever order the sweep runs in.
-        stack = get_dist(TALL, 64).stack
+        stack = get_dist(TALL, 64)
         for alpha in [*range(3, 301, 3), *range(300, 2, -7)]:
             stack._layout(math.ceil(alpha / 6.0))
         assert sorted(stack._layouts) == list(range(1, 51))
         panelled = sorted(k for k, held in stack._layouts.items() if held[0].size)
         assert panelled == list(range(1, len(panelled) + 1))
         assert 1 < len(panelled) < 10
-        top = stack.tables[0].grid.size - 1
+        top = stack.grid.size - 1
         for k in range(len(panelled) + 1, 51):
             nodes, weights, partial, count, column, anchor = stack._layouts[k]
             assert nodes.shape == weights.shape == (1, 0) and partial.shape == (0, 24)
@@ -488,5 +498,5 @@ class TestPanelLayouts:
         lo = np.linspace(0.0, TALL.d_max, 50, endpoint=False)
         rows_fn, alpha = gamma_rows(30.0 * lo**20.0, 2), 6.0 * (len(panelled) + 1)
         got = stack.take(0).integrate_pdf_product(lo, rows_fn, 2, alpha)
-        ref = cell_rule_oracle(stack.tables, np.zeros(lo.size, dtype=int), lo, rows_fn, 2, alpha)
+        ref = cell_rule_oracle([stack], np.zeros(lo.size, dtype=int), lo, rows_fn, 2, alpha)
         assert np.allclose(got, ref, rtol=1e-13, atol=0.0)

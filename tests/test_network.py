@@ -28,6 +28,7 @@ from conftest import (
     sample_points,
     serving_distance_cdf,
     serving_distance_pdf,
+    tables_of,
 )
 from cylcov import (
     ChannelModel,
@@ -159,7 +160,7 @@ class TestServingDistance:
         def cdf(x):
             return 1.0 - sum(
                 w * table.sf(x) ** (sc.N - 1)
-                for w, table in zip(tall_mixture.weights, tall_mixture.tables)
+                for w, table in zip(tall_mixture.weights, tables_of(tall_mixture))
             )
 
         ks = kstest(mins, cdf).statistic
@@ -218,7 +219,7 @@ class TestConditionalInterferer:
         # w_q (N-1) (1 - F_q(l0))^(N-2) f_q(l0), normalized.
         N = 10
         samples, l0 = self._binned_deployment_sample(SQUAT, N=N)
-        tables = squat_mixture.tables
+        tables = tables_of(squat_mixture)
         posterior = np.array(
             [
                 w * (N - 1) * table.sf(l0) ** (N - 2) * table.pdf(l0)
