@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .geometry import CylinderGeometry
-from .interference import LaplaceEvaluation, laplace_with_derivatives
+from .interference import laplace_with_derivatives
 from .network import ChannelModel, NetworkScenario
 from .ppp import ppp_coverage
 from .simulation import (
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_GRID_SIZE",
     "DegenerateConditionError",
     "DomainError",
-    "LaplaceEvaluation",
     "NetworkScenario",
     "ReceiverMixture",
     "ScenarioFormatError",

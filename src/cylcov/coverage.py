@@ -130,8 +130,8 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
     if over.size:
         first = float(np.ravel(l_arr)[over[0]])
         raise DomainError(f"m beta l^alpha overflows at alpha={alpha!r}, l={first!r}")
-    lap = laplace_with_derivatives(t, l_arr, scenario, dist)
-    total = sum((-t) ** k / math.factorial(k) * d for k, d in enumerate(lap.derivatives))
+    ds = laplace_with_derivatives(t, l_arr, scenario, dist)
+    total = sum((-t) ** k / math.factorial(k) * d for k, d in enumerate(ds))
     # written so that NaN fails it too
     bad = np.flatnonzero(~((total >= -_SERIES_SLACK) & (total <= 1.0 + _SERIES_SLACK)))
     if bad.size:

@@ -517,8 +517,10 @@ class TabulatedDistribution:
     lexicographically, so one search finds the cells of every query.  A
     stack of one answers queries itself; in the view ``take(which)`` query
     i reads table which[i], and a stack of several is read through views
-    only.  ``grid``, ``cdf_values`` and ``slopes`` are the one table's of a
-    stack of one or a view with a scalar which.  The panel rule of ratio
+    only: a query of its own raises DomainError, while ``quantiles``, ends
+    and end_sf cover all its tables.  ``grid``, ``cdf_values`` and
+    ``slopes`` are the one table's of a stack of one or a view with a
+    scalar which.  The panel rule of ratio
     2^(1/k) (``_layout``) is built on first use and kept in _layouts, which
     views share, with its lock.  ends holds each table's last knot whose
     survival is above _SURVIVAL_FLOOR, where the serving rule stops, and
@@ -551,12 +553,17 @@ class TabulatedDistribution:
         cut = np.minimum(floor, offsets + sizes - 1) - 1
         self.ends, self.end_sf = self._knots.imag[cut], self._tails[cut]
         self._layouts, self._layouts_lock = {}, threading.Lock()
-        if sizes.size == 1:  # a stack of several has no _which until take
-            self._which = np.asarray(0)
+        self._which = np.asarray(0) if sizes.size == 1 else None  # set by take
+
+    def _routing(self) -> np.ndarray:
+        """The table of each query: which of ``take(which)``, or 0 in a stack of one."""
+        if self._which is None:
+            raise DomainError(f"a stack of {self.ends.size} tables is read through take(which)")
+        return self._which
 
     def _table(self):
         """Copies of the grid, CDF values and slopes of the one table that this instance reads."""
-        t = int(self._which)
+        t = int(self._routing())
         cells = slice(self._first_cell[t], self._last_cell[t] + 1)
         knots = slice(cells.start + t, cells.stop + t + 1)
         return (self._knots.imag[knots].copy(), self._values.imag[knots].copy(),
@@ -585,7 +592,7 @@ class TabulatedDistribution:
 
     def _locate(self, l):
         """l as an array, its table, its table's last knot, and l's cell, offset and c0..c3."""
-        x, which = np.asarray(l, dtype=float), self._which
+        x, which = np.asarray(l, dtype=float), self._routing()
         last = self._last_knot[which]
         inside = np.clip(x, 0.0, last)
         cells = self._cells(which, inside)
@@ -702,8 +709,9 @@ class TabulatedDistribution:
         """
         lo_arr = np.maximum(np.asarray(lo, dtype=float), 0.0)
         out = np.zeros((rows, lo_arr.size))
-        live = np.flatnonzero(lo_arr < self._last_knot[self._which])
-        a, table = lo_arr[live], np.broadcast_to(self._which, lo_arr.shape)[live]
+        which = self._routing()
+        live = np.flatnonzero(lo_arr < self._last_knot[which])
+        a, table = lo_arr[live], np.broadcast_to(which, lo_arr.shape)[live]
         cell = self._cells(table, a)
         nodes, wf, partial, count, column, anchor = self._layout(math.ceil(alpha / _PANEL_ALPHA))
         i = cell - self._first_cell[table]  # the limit's cell in its table

@@ -49,13 +49,13 @@ a cell of a stored knot, a product rule from l's own first knot rather
 than a full cell above it gave 8e-14 where this rule gives 9e-15.
 
 The transform takes arrays of (t, l) and evaluates them in that one pass;
-a scalar pair is its one-element case.  Everything is deterministic and
-pure; evaluations can run concurrently.
+a scalar pair is its one-element case.  It returns the derivatives as one
+array of shape (m,) plus the broadcast shape of (t, l), row k the k-th
+t-derivative, which the coverage series sums row by row.  Everything is
+deterministic and pure; evaluations can run concurrently.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Tuple, Union
 
 import numpy as np
 
@@ -64,17 +64,6 @@ from .errors import DomainError, UnsupportedParameterError
 from .network import NetworkScenario, _check_geometry, _conditioning_survival
 
 MAX_ANALYTIC_M = 5
-
-
-@dataclass(frozen=True)
-class LaplaceEvaluation:
-    """L_I(t | l) together with its t-derivatives of order 0 .. m-1.
-
-    Floats for a scalar (t, l), arrays of their broadcast shape otherwise.
-    """
-
-    value: Union[float, np.ndarray]
-    derivatives: Tuple[Union[float, np.ndarray], ...]
 
 
 def require_analytic_m(m) -> int:
@@ -93,15 +82,13 @@ def require_analytic_m(m) -> int:
     return m
 
 
-def _g_derivatives(
-    t, l, scenario: NetworkScenario, dist: TabulatedDistribution, orders: int
-) -> np.ndarray:
-    """Signed derivatives g^(j)(t | l) for j = 0 .. orders-1.
+def _g_derivatives(t, l, scenario: NetworkScenario, dist: TabulatedDistribution) -> np.ndarray:
+    """Signed derivatives g^(j)(t | l) for j = 0 .. m-1, m the scenario's Nakagami shape.
 
     With x = u^{-a},
     g^(j) = (-1)^j (m)_j m^{-j} int x^j (1 + t x / m)^{-m-j} f(u|l) du,
     and (m)_j the rising factorial from the Gamma-kernel derivative.  t and
-    l broadcast together; the result has shape (orders,) plus their
+    l broadcast together; the result has shape (m,) plus their
     broadcast shape.  dist is a table, or a view (``take``) with a table
     per serving distance.  The kernel rows come from inv = 1 / (1 + t x / m) by
     repeated multiplication; x = u^{-a} is taken once per node of the
@@ -117,28 +104,28 @@ def _g_derivatives(
     def rows_fn(x, sel):
         inv = t_scaled[sel, None] * x
         inv += 1.0
-        out = np.empty((orders,) + inv.shape)
+        out = np.empty((m,) + inv.shape)
         np.reciprocal(inv, out=inv)
         out[0] = inv
         for _ in range(m - 1):
             out[0] *= inv
         inv *= x
-        for j in range(1, orders):
+        for j in range(1, m):
             np.multiply(out[j - 1], inv, out=out[j])
         return out
 
-    raw = dist.integrate_pdf_product(l_arr.ravel(), rows_fn, orders, alpha) / survival
+    raw = dist.integrate_pdf_product(l_arr.ravel(), rows_fn, m, alpha) / survival
     # the conditional density integrates to 1 by construction; pin the
     # normalization identity g(0 | l) = 1 instead of its float residue
     raw[0, t_scaled == 0.0] = 1.0
-    j = np.arange(orders)
+    j = np.arange(m)
     rising = np.cumprod(np.concatenate(([1.0], m + j[:-1])))
     coef = (-1.0) ** j * rising / float(m) ** j
-    return (coef[:, None] * raw).reshape((orders,) + t_arr.shape)
+    return (coef[:, None] * raw).reshape((m,) + t_arr.shape)
 
 
-def _power_derivatives(g: np.ndarray, n: int, orders: int) -> np.ndarray:
-    """Derivatives of g(t)^n from the derivatives of g, along the first axis.
+def _power_derivatives(g: np.ndarray, n: int) -> np.ndarray:
+    """Derivatives of g(t)^n from the derivatives g[0], g[1], ... of g, along the first axis.
 
     In Taylor coefficients a_q = g^(q) / q! and b_q of g^n,
 
@@ -148,9 +135,10 @@ def _power_derivatives(g: np.ndarray, n: int, orders: int) -> np.ndarray:
     For n below the order the recurrence yields the vanishing terms by
     itself, so small N needs no special case.
     """
+    orders = len(g)
     fact = np.array([math.factorial(q) for q in range(orders)], dtype=float)
     fact = fact.reshape((orders,) + (1,) * (np.ndim(g) - 1))
-    a = np.asarray(g)[:orders] / fact
+    a = g / fact
     b = np.empty_like(a)
     b[0] = a[0] ** n
     for q in range(1, orders):
@@ -160,13 +148,14 @@ def _power_derivatives(g: np.ndarray, n: int, orders: int) -> np.ndarray:
 
 def laplace_with_derivatives(
     t, l, scenario: NetworkScenario, dist: TabulatedDistribution
-) -> LaplaceEvaluation:
-    """L_I(t | l) = g(t | l)^(N-2) with derivatives of order 0 .. m-1.
+) -> np.ndarray:
+    """L_I(t | l) = g(t | l)^(N-2) and its t-derivatives of order 0 .. m-1, as one array.
 
     t and l are scalars or arrays that broadcast together; every pair is
     evaluated in one pass, and every t must be finite and nonnegative.
-    N = 2 means no interferers: the transform is identically 1 and all
-    derivatives vanish.
+    The result has shape (m,) plus their broadcast shape, row k the k-th
+    derivative: m values for a scalar pair.  N = 2 means no interferers:
+    the transform is identically 1 and all derivatives vanish.
     """
     m = require_analytic_m(scenario.channel.m)
     t_arr = np.asarray(t, dtype=float)
@@ -178,9 +167,5 @@ def laplace_with_derivatives(
     if scenario.N == 2:
         ds = np.zeros((m,) + np.broadcast(t_arr, np.asarray(l)).shape)
         ds[0] = 1.0
-    else:
-        g = _g_derivatives(t_arr, l, scenario, dist, m)
-        ds = _power_derivatives(g, scenario.N - 2, m)
-    if ds.ndim == 1:
-        return LaplaceEvaluation(value=float(ds[0]), derivatives=tuple(float(d) for d in ds))
-    return LaplaceEvaluation(value=ds[0], derivatives=tuple(ds))
+        return ds
+    return _power_derivatives(_g_derivatives(t_arr, l, scenario, dist), scenario.N - 2)

@@ -18,12 +18,14 @@ Gamma rejection sampler, not an approximation.  Coverage gains are drawn
 from the state the positions left, so scenarios that share geometry, N,
 trials and seed share their positions and each m keeps its own gain
 stream: simulate_coverage counts such a group from one set of draws.
-A block is drawn and computed in row chunks of about CHUNK_LINKS links.
-A Philox double takes one 64-bit word and the Gamma sampler draws one
-element at a time, so chunked calls draw the stream of one call; each row
-keeps its length and summation order, so every count and SIR has the bits
-of a block drawn whole.  A block holds 8 bytes per link per alpha for its
-path gains; the rest is one chunk of temporaries, about 1.5 MB.
+A block is drawn and computed in as few row chunks as hold at most
+CHUNK_LINKS links each (and at least one row), all of about one size: no
+chunk is a short tail.  A Philox double takes one 64-bit word and the
+Gamma sampler draws one element at a time, so chunked calls draw the
+stream of one call; each row keeps its length and summation order, so
+every count and SIR has the bits of a block drawn whole.  A block holds 8
+bytes per link per alpha for its path gains; the rest is one chunk of
+temporaries, about 1.5 MB.
 
 What is reproducible is the draw streams and every count computed from
 them, not the bits of intermediate distances.  No estimator builds
@@ -36,7 +38,9 @@ squared distance between two nodes in polar form, with one sine per link,
           + H^2 (w_i - w_0)^2,
 
 which is within a few 1e-16 d_max^2 of the Cartesian value.  Coverage
-trials and the pair-distance histogram both measure through it.
+trials and the pair-distance histogram both measure through it; the
+histogram counts each block of pairs as it is drawn, so it never holds
+more than one block of distances.
 
 SIR does not depend on the unit of length, so both coverage simulators
 measure their SIR distances in 2^e, the smallest power of two above d_max
@@ -63,7 +67,6 @@ from .network import NetworkScenario
 
 BLOCK_TRIALS = 4096
 CHUNK_LINKS = 1 << 15  # links per row chunk of a coverage block
-SPAN_BLOCKS = 16  # blocks of pair distances per np.histogram call
 # Expected field points per block of simulate_ppp_coverage: its arrays take
 # about 100 bytes per point, so a block stays near 0.4 GB however dense the
 # truncated field is.
@@ -120,24 +123,19 @@ def _binomial_estimate(successes, trials: int):
     return p, np.where((p == 0.0) | (p == 1.0), 1.96**2 / (trials + 1.96**2), half)
 
 
-def _pair_distance_spans(geom: CylinderGeometry, pairs: int, seed: int):
-    """(offset, distances) of the pairs, SPAN_BLOCKS blocks of them at a time, in order."""
-    span = SPAN_BLOCKS * BLOCK_TRIALS
-    for first in range(0, pairs, span):
-        d = np.empty(min(span, pairs - first))
-        for index, size in _blocks(d.size):
-            u = substream(seed, first // BLOCK_TRIALS + index).random((2 * size, 3))
-            d2 = _link_distances_squared(u[:size], u[size:, None], geom)[:, 0]
-            np.sqrt(d2, out=d[index * BLOCK_TRIALS : index * BLOCK_TRIALS + size])
-        yield first, d
+def _pair_distance_blocks(geom: CylinderGeometry, pairs: int, seed: int):
+    """The distances of the pairs, a block of BLOCK_TRIALS of them at a time, in order."""
+    for index, size in _blocks(pairs):
+        u = substream(seed, index).random((2 * size, 3))
+        yield np.sqrt(_link_distances_squared(u[:size], u[size:, None], geom)[:, 0])
 
 
 def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.ndarray:
     """Distances of i.i.d. uniform point pairs, for empirical CDF work."""
     _check_count("pairs", pairs)
     out = np.empty(pairs)
-    for first, d in _pair_distance_spans(geom, pairs, seed):
-        out[first : first + d.size] = d
+    for index, d in enumerate(_pair_distance_blocks(geom, pairs, seed)):
+        out[index * BLOCK_TRIALS : index * BLOCK_TRIALS + d.size] = d
     return out
 
 
@@ -149,12 +147,12 @@ def empirical_distance_histogram(
     mean holds the per-bin densities (masses sum to 1 exactly up to float
     addition); ci_half_width holds per-bin binomial half-widths on the
     density scale.  Bin edges are equally spaced, reconstructible from
-    (geom, bins).  The pairs are counted a span at a time, never all held.
+    (geom, bins).  The pairs are counted a block at a time, never all held.
     """
     _check_count("pairs", pairs, 10_000)  # fewer is too few for a stable histogram
     _check_count("bins", bins)
     counts = 0
-    for _, d in _pair_distance_spans(geom, pairs, seed):
+    for d in _pair_distance_blocks(geom, pairs, seed):
         found, edges = np.histogram(d, bins=bins, range=(0.0, geom.d_max))
         counts += found
     widths = np.diff(edges)
@@ -209,7 +207,8 @@ def _coverage_block(rng: Generator, group: list, size: int, unit: float) -> list
     Both passes run over the same row chunks (module docstring).
     """
     N = group[0].N
-    rows = min(size, max(1, CHUNK_LINKS // (N - 1)))
+    count = -(-size // max(1, CHUNK_LINKS // (N - 1)))  # chunks of at most CHUNK_LINKS links
+    rows = -(-size // count)  # per chunk; the last is short by fewer rows than count
     chunks = [slice(start, min(start + rows, size)) for start in range(0, size, rows)]
     d2 = np.empty((size, N - 1))
     for c in chunks:

@@ -43,7 +43,6 @@ from cylcov.distance import (
     receiver_breakpoints,
     receiver_distance_law,
 )
-from cylcov.interference import LaplaceEvaluation
 from cylcov.simulation import substream
 
 
@@ -130,7 +129,7 @@ class TestConditionalCoverage:
         sc = scenario(m=1.0)
         l = 0.3 * TALL.d_max
         t = sc.beta * l**3
-        expected = laplace_with_derivatives(t, l, sc, tall_dist).value
+        expected = laplace_with_derivatives(t, l, sc, tall_dist)[0]
         assert conditional_coverage(l, sc, tall_dist) == pytest.approx(expected, rel=1e-12)
 
     def test_no_interference_means_certain_coverage(self, tall_dist):
@@ -153,7 +152,7 @@ class TestConditionalCoverage:
     def test_series_outside_unit_interval_raises(self, tall_dist, monkeypatch, total):
         # A transform whose series sums past [0, 1] by more than rounding.
         sc = scenario(N=10, m=2.0)
-        stub = lambda t, l, *_: LaplaceEvaluation(total + 0.0 * t, (total + 0.0 * t, 0.0 * t))
+        stub = lambda t, l, *_: np.stack((total + 0.0 * t, 0.0 * t))
         monkeypatch.setattr("cylcov.coverage.laplace_with_derivatives", stub)
         ls = np.array([0.1, 0.2]) * TALL.d_max
         with pytest.raises(RuntimeError, match=f"l={float(ls[0])!r}"):
@@ -176,7 +175,7 @@ class TestConditionalCoverage:
         self, tall_dist, monkeypatch, total, clipped
     ):
         sc = scenario(N=10, m=2.0)
-        stub = lambda t, l, *_: LaplaceEvaluation(total + 0.0 * t, (total + 0.0 * t, 0.0 * t))
+        stub = lambda t, l, *_: np.stack((total + 0.0 * t, 0.0 * t))
         monkeypatch.setattr("cylcov.coverage.laplace_with_derivatives", stub)
         assert conditional_coverage(0.1 * TALL.d_max, sc, tall_dist) == clipped
 

@@ -333,6 +333,23 @@ class TestKnotDensities:
             assert np.array_equal(pdf[own], table.pdf(l[own]))
             assert np.array_equal(sf[own], table.sf(l[own]))
 
+    def test_untaken_stack_asks_for_take(self, tall_mixture):
+        # per-query reads need a table per query; the stack-wide reads do not
+        reads = [
+            lambda: tall_mixture.cdf(1.0),
+            lambda: tall_mixture.sf(np.array([1.0, 2.0])),
+            lambda: tall_mixture.cdf_and_pdf(1.0),
+            lambda: tall_mixture.grid,
+            lambda: tall_mixture.integrate_pdf_product(np.array([1.0]), None, 1, 3.0),
+        ]
+        for read in reads:
+            with pytest.raises(DomainError, match=r"read through take\(which\)"):
+                read()
+        levels = np.array([0.25, 0.5])
+        assert tall_mixture.quantiles(levels).shape == (tall_mixture.ends.size, 2)
+        assert np.all(tall_mixture.end_sf > 0.0)
+        assert 0.0 < tall_mixture.take(3).cdf(1.0) < 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         geom=st.sampled_from(REGIME_GEOMETRIES),

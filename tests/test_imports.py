@@ -65,7 +65,7 @@ def test_commands_run_without_scipy(tmp_path):
 
 PUBLIC = """
     CoverageResult CylinderGeometry ChannelModel DEFAULT_GRID_SIZE DegenerateConditionError
-    DomainError LaplaceEvaluation NetworkScenario ReceiverMixture ScenarioFormatError
+    DomainError NetworkScenario ReceiverMixture ScenarioFormatError
     SimulationEstimate StaleCacheError TabulatedDistribution UnsupportedParameterError build_cdf
     build_receiver_cdfs complete_E complete_K conditional_coverage coverage_probability
     cylinder_pair_pdf_closed cylinder_pair_pdf_numeric disk_pair_pdf empirical_distance_histogram
@@ -81,7 +81,8 @@ REMOVED = """
     distance.TabulatedDistribution.kind distance.TabulatedDistribution.ppf
     simulation._sample_coordinates simulation._distance ppp.PppModel ppp.ppp_model_from_scenario
     network.serving_distance_pdf network.serving_distance_cdf network.conditional_interferer_pdf
-    distance.TableStack distance.TabulatedDistribution.stack
+    distance.TableStack distance.TabulatedDistribution.stack interference.LaplaceEvaluation
+    simulation.SPAN_BLOCKS
 """.split()
 
 

@@ -44,7 +44,7 @@ def scenario(N=10, m=2.0, alpha=3.0, geom=TALL, beta=1.0):
 
 def single_factor(t, l, j, dist, m=2.0):
     """j-th t-derivative of g(t | l): at N = 3 the transform is g itself."""
-    return laplace_with_derivatives(t, l, scenario(N=3, m=m), dist).derivatives[j]
+    return laplace_with_derivatives(t, l, scenario(N=3, m=m), dist)[j]
 
 
 class TestInnerIntegral:
@@ -107,7 +107,7 @@ class TestInnerIntegral:
     def test_order_and_argument_validation(self, tall_dist):
         # orders 0 .. m - 1 and no more
         lap = laplace_with_derivatives(1.0, 10.0, scenario(N=3, m=2.0), tall_dist)
-        assert len(lap.derivatives) == 2
+        assert lap.shape == (2,)
         with pytest.raises(IndexError):
             single_factor(1.0, 10.0, 2, tall_dist)
         with pytest.raises(DomainError):
@@ -117,15 +117,23 @@ class TestInnerIntegral:
 class TestLaplaceDerivatives:
     def test_unit_value_at_zero(self, tall_dist):
         lap = laplace_with_derivatives(0.0, 0.3 * TALL.d_max, scenario(), tall_dist)
-        assert lap.value == pytest.approx(1.0, abs=1e-12)
-        assert lap.derivatives[0] == lap.value
+        assert lap[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_interferers_gives_unit_transform(self, tall_dist):
         sc = scenario(N=2, m=3.0)
         for t in (0.0, 1.0, 50.0):
             lap = laplace_with_derivatives(t, 0.5 * TALL.d_max, sc, tall_dist)
-            assert lap.value == 1.0
-            assert lap.derivatives == (1.0, 0.0, 0.0)
+            assert lap.tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_arrays_give_a_row_per_order_of_their_broadcast_shape(self, tall_dist, N):
+        sc = scenario(N=N, m=3.0)
+        t, l = np.array([[0.0], [2.0], [40.0]]), np.array([0.2, 0.5]) * TALL.d_max
+        lap = laplace_with_derivatives(t, l, sc, tall_dist)
+        assert lap.shape == (3, 3, 2)
+        for i, j in np.ndindex(3, 2):
+            alone = laplace_with_derivatives(t[i, 0], l[j], sc, tall_dist)
+            assert np.array_equal(lap[:, i, j], alone)
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_geometry_mismatch_rejected_at_every_N(self, squat_dist, N):
@@ -136,7 +144,7 @@ class TestLaplaceDerivatives:
         sc = scenario(N=5, m=1.0)
         l = 0.2 * TALL.d_max
         ts = [0.0, 1.0, 10.0, 100.0, 1000.0]
-        vals = [laplace_with_derivatives(t, l, sc, tall_dist).value for t in ts]
+        vals = [laplace_with_derivatives(t, l, sc, tall_dist)[0] for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_first_derivative_matches_spec_point_fd(self, squat_dist):
@@ -145,10 +153,10 @@ class TestLaplaceDerivatives:
         l = 0.15 * SQUAT.d_max
         t = 2.0
         h = 1e-4 * t
-        analytic = laplace_with_derivatives(t, l, sc, squat_dist).derivatives[1]
+        analytic = laplace_with_derivatives(t, l, sc, squat_dist)[1]
         fd = (
-            laplace_with_derivatives(t + h, l, sc, squat_dist).value
-            - laplace_with_derivatives(t - h, l, sc, squat_dist).value
+            laplace_with_derivatives(t + h, l, sc, squat_dist)[0]
+            - laplace_with_derivatives(t - h, l, sc, squat_dist)[0]
         ) / (2.0 * h)
         assert analytic == pytest.approx(fd, rel=1e-6)
 
@@ -163,9 +171,9 @@ class TestLaplaceDerivatives:
         lap_p = laplace_with_derivatives(t + h, l, sc, tall_dist)
         lap_m = laplace_with_derivatives(t - h, l, sc, tall_dist)
         for k in range(1, orders):
-            fd = (lap_p.derivatives[k - 1] - lap_m.derivatives[k - 1]) / (2.0 * h)
-            tol = max(1e-6, 1e-4 * abs(lap.derivatives[k]))
-            assert abs(lap.derivatives[k] - fd) <= tol
+            fd = (lap_p[k - 1] - lap_m[k - 1]) / (2.0 * h)
+            tol = max(1e-6, 1e-4 * abs(lap[k]))
+            assert abs(lap[k] - fd) <= tol
 
     def test_complete_monotonicity_on_grid(self, tall_dist):
         sc = scenario(N=10, m=3.0)
@@ -174,7 +182,7 @@ class TestLaplaceDerivatives:
         for l in ls:
             for t in ts:
                 lap = laplace_with_derivatives(float(t), float(l), sc, tall_dist)
-                for k, d in enumerate(lap.derivatives):
+                for k, d in enumerate(lap):
                     assert (-1.0) ** k * d >= 0.0, (t, l, k, d)
 
     def test_small_n_power_rule(self, tall_dist):
@@ -182,9 +190,9 @@ class TestLaplaceDerivatives:
         sc = scenario(N=3, m=3.0)
         l, t = 0.3 * TALL.d_max, 5.0
         lap = laplace_with_derivatives(t, l, sc, tall_dist)
-        g = _g_derivatives(t, l, sc, tall_dist, 3)
+        g = _g_derivatives(t, l, sc, tall_dist)
         for k in range(3):
-            assert lap.derivatives[k] == pytest.approx(g[k], rel=1e-12)
+            assert lap[k] == pytest.approx(g[k], rel=1e-12)
 
     def test_monte_carlo_transform_equivalence(self, tall_dist):
         # empirical mean of e^{-tI} over conditioned draws, small network
@@ -199,7 +207,7 @@ class TestLaplaceDerivatives:
         g = rng.gamma(sc.channel.m, 1.0 / sc.channel.m, (n, interferers))
         samples = np.exp(-t * (g * u**-3.0).sum(axis=1))
         stderr = samples.std() / math.sqrt(n)
-        assert lap.value == pytest.approx(samples.mean(), abs=3.0 * stderr)
+        assert lap[0] == pytest.approx(samples.mean(), abs=3.0 * stderr)
 
     def test_unsupported_shapes_are_rejected(self, tall_dist):
         with pytest.raises(UnsupportedParameterError):
@@ -262,7 +270,7 @@ def test_cell_rule_matches_a_finer_rule(geom):
             sc = scenario(N=10, m=float(m), alpha=alpha, geom=geom, beta=beta)
             for l in (0.3 * cell, cell, 3.0 * cell, median):
                 t = m * beta * l**alpha
-                g = _g_derivatives(t, l, sc, dist, m)
+                g = _g_derivatives(t, l, sc, dist)
                 terms = g * t ** np.arange(m) / [math.factorial(j) for j in range(m)]
                 ref = _series_terms_by_cell_rule(dist, t, l, m, alpha)
                 gap = np.max(np.abs(terms - ref))

@@ -365,9 +365,9 @@ class TestChunks:
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=lambda g: f"R{g.R:g}-H{g.H:g}")
     @pytest.mark.parametrize("N", [2, 3, 41])
     def test_group_counts_equal_one_shot_counts(self, geom, N):
-        # N = 41 puts 819 rows in a chunk: a full block takes five chunks and
-        # a partial last one of a single row, and the partial last block of
-        # 1,000 trials a full chunk and a partial one
+        # N = 41 allows 819 rows in a chunk: a full block takes six chunks,
+        # five of 683 rows and a shorter last one of 681, and the partial last
+        # block of 1,000 trials two chunks of 500
         group = [
             scenario(N=N, m=m, beta=beta, geom=geom, alpha=alpha)
             for m in (0.5, 2.0) for alpha in (3.0, 4.0) for beta in (0.3, 3.0)
@@ -384,8 +384,7 @@ class TestChunks:
         assert self._chunked(group, 3, 18) == self._one_shot(group, 3, 18)
 
     def test_histogram_counts_equal_counts_of_all_distances(self):
-        # 70,001 pairs: a full span of 16 blocks, then a partial one that
-        # ends in a partial block
+        # 70,001 pairs: 17 full blocks, then a partial one
         pairs, bins = 70_001, 64
         d = sample_pair_distances(TALL, pairs, seed=19)
         parts = []

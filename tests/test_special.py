@@ -253,7 +253,7 @@ class TestGammaTailSeries:
         sc = tail_scenario(N=5, m=2.0, beta=2.0)
         t = 2.0 * 2.0 * self.L**3.0
         lap = laplace_with_derivatives(t, self.L, sc, tall_dist)
-        expected = lap.derivatives[0] - t * lap.derivatives[1]
+        expected = lap[0] - t * lap[1]
         assert conditional_coverage(self.L, sc, tall_dist) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
