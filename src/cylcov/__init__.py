@@ -38,9 +38,7 @@ from .ppp import ppp_coverage
 from .simulation import (
     SimulationEstimate,
     empirical_distance_histogram,
-    sample_pair_distances,
     simulate_coverage,
-    simulate_ppp_coverage,
 )
 from .special import complete_E, complete_K, incomplete_E, incomplete_F
 
@@ -73,8 +71,6 @@ __all__ = [
     "incomplete_F",
     "laplace_with_derivatives",
     "ppp_coverage",
-    "sample_pair_distances",
     "segment_pair_pdf",
     "simulate_coverage",
-    "simulate_ppp_coverage",
 ]

@@ -182,10 +182,13 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     pair law (``pair_distance_law``, kinks at 2R and H) and reading dist.
     error_estimate is the gap to order PAPER_CHECK_ORDER plus the dropped
     serving-distance mass; it must stay within COVERAGE_CONTRACT.
-    Deterministic given the scenario and CDF grid.
+    Deterministic given the scenario and CDF grid.  dist must be a stack
+    of one table (``build_cdf``); a mixture or its view raises DomainError.
     """
     require_analytic_m(scenario.channel.m)
     _check_geometry(scenario.geom, dist)
+    if dist.ends.size != 1:
+        raise DomainError(f"the paper model reads one pair table, not a stack of {dist.ends.size}")
     if scenario.N == 2:
         return _within_contract(1.0, 0.0, "analytic", scenario)
     geom, one = scenario.geom, np.ones(1)
@@ -211,7 +214,7 @@ def exact_coverage_probability(
     """
     require_analytic_m(scenario.channel.m)
     _check_geometry(scenario.geom, mixture)
-    if mixture.check is None:
+    if getattr(mixture, "check", None) is None:
         raise DomainError("mixture has no check rule; build it with build_receiver_cdfs")
     if scenario.N == 2:
         return _within_contract(1.0, 0.0, "analytic-exact", scenario)

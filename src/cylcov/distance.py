@@ -574,9 +574,16 @@ class TabulatedDistribution:
     slopes = property(lambda self: self._table()[2], doc="Its knot slopes.")
 
     def take(self, which) -> "TabulatedDistribution":
-        """The same tables, with query i reading table which[i] (each query, for a scalar which)."""
+        """The same tables, with query i reading table which[i] (each query, for a scalar which).
+
+        which must hold integers in [0, number of tables); else DomainError.
+        """
+        which = np.asarray(which)
+        if which.dtype.kind not in "iu" or which.size and not (
+                0 <= which.min() and which.max() < self.ends.size):
+            raise DomainError(f"take(which) needs integer table indices in [0, {self.ends.size})")
         view = copy.copy(self)
-        view._which = np.asarray(which)
+        view._which = which
         return view
 
     def _cells(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -30,10 +30,11 @@ d_j = -delta C(m + j - 1, j) beta^delta B_w(j - delta, m + delta), each a
 continued fraction, and those of 1 / D follow by the power-series
 reciprocal.  A value costs about a tenth of a millisecond.  The
 intensity cancels, so the result does not depend on N, R or H:
-``ppp_coverage`` reads only alpha, m and beta of its scenario, and only
-the truncated-field simulator (``simulate_ppp_coverage``) takes lam from
-N and the cylinder.  At m = 1 it is the textbook 1 / (1 + 3 A(beta)),
-the 3-D form of Andrews, Baccelli & Ganti (IEEE TCOM 2011).
+``ppp_coverage`` reads only alpha, m and beta of its scenario; only the
+truncated-field simulator that checks it, a test oracle in
+``tests/conftest.py``, takes lam from N and the cylinder.  At m = 1 it is
+the textbook 1 / (1 + 3 A(beta)), the 3-D form of Andrews, Baccelli &
+Ganti (IEEE TCOM 2011).
 
 Caveat, stated prominently: in an infinite 3-D field the aggregate
 interference is almost surely infinite unless alpha > 3.  For

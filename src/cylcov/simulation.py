@@ -4,13 +4,11 @@ Randomness contract
 -------------------
 All estimators draw from counter-based Philox streams keyed by
 (seed, block index), with trials processed in fixed-size blocks of
-``BLOCK_TRIALS``; the Poisson-field estimator shrinks its blocks so that
-one holds at most about ``PPP_BLOCK_POINTS`` expected field points.
-Blocks are statistically independent and the mapping from trial index to
-block is fixed, so results are bit-reproducible for a given (seed,
-trials, scenario) no matter how blocks are scheduled across threads or
-processes.  Accumulation is an integer success count and
-therefore order-independent.  No wall-clock seeding anywhere.
+``BLOCK_TRIALS``.  Blocks are statistically independent and the mapping
+from trial index to block is fixed, so results are bit-reproducible for
+a given (seed, trials, scenario) no matter how blocks are scheduled
+across threads or processes.  Accumulation is an integer success count
+and therefore order-independent.  No wall-clock seeding anywhere.
 
 Within a block the draw order is fixed and documented per estimator
 (positions first, then fading gains).  Fading gains use NumPy's exact
@@ -42,13 +40,12 @@ trials and the pair-distance histogram both measure through it; the
 histogram counts each block of pairs as it is drawn, so it never holds
 more than one block of distances.
 
-SIR does not depend on the unit of length, so both coverage simulators
-measure their SIR distances in 2^e, the smallest power of two above d_max
+SIR does not depend on the unit of length, so the coverage simulator
+measures its SIR distances in 2^e, the smallest power of two above d_max
 (e from frexp(d_max)): whether d^-alpha stays in the float range does not
 depend on the cylinder's scale.  Scaling by a power of two is exact, so a
 cylinder scaled by 2^j forms the same SIR bits and counts the same trials
-as at j = 0.  Returned distances (sample_pair_distances) keep the
-caller's unit.
+as at j = 0.  The histogram's distances keep the caller's unit.
 
 The typical receiver is node index 0 of each deployment; exchangeability
 of the i.i.d. deployment makes this without loss of generality.
@@ -67,10 +64,6 @@ from .network import NetworkScenario
 
 BLOCK_TRIALS = 4096
 CHUNK_LINKS = 1 << 15  # links per row chunk of a coverage block
-# Expected field points per block of simulate_ppp_coverage: its arrays take
-# about 100 bytes per point, so a block stays near 0.4 GB however dense the
-# truncated field is.
-PPP_BLOCK_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -106,14 +99,10 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise DomainError(f"{name}={value!r} must be an integer >= {least}")
 
 
-def _blocks(trials: int, block: int = BLOCK_TRIALS):
-    done = 0
-    index = 0
-    while done < trials:
-        size = min(block, trials - done)
-        yield index, size
-        done += size
-        index += 1
+def _blocks(trials: int):
+    """(index, size) of each block of BLOCK_TRIALS trials, the last one partial."""
+    for index, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        yield index, min(BLOCK_TRIALS, trials - start)
 
 
 def _binomial_estimate(successes, trials: int):
@@ -128,15 +117,6 @@ def _pair_distance_blocks(geom: CylinderGeometry, pairs: int, seed: int):
     for index, size in _blocks(pairs):
         u = substream(seed, index).random((2 * size, 3))
         yield np.sqrt(_link_distances_squared(u[:size], u[size:, None], geom)[:, 0])
-
-
-def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.ndarray:
-    """Distances of i.i.d. uniform point pairs, for empirical CDF work."""
-    _check_count("pairs", pairs)
-    out = np.empty(pairs)
-    for index, d in enumerate(_pair_distance_blocks(geom, pairs, seed)):
-        out[index * BLOCK_TRIALS : index * BLOCK_TRIALS + d.size] = d
-    return out
 
 
 def empirical_distance_histogram(
@@ -257,62 +237,3 @@ def simulate_coverage(scenario, trials: int, seed: int) -> Union[SimulationEstim
     p, ci = _binomial_estimate(successes, trials)
     estimates = [SimulationEstimate(float(pi), float(c), trials, seed, sc) for sc, pi, c in zip(group, p, ci)]
     return estimates[0] if isinstance(scenario, NetworkScenario) else estimates
-
-
-def simulate_ppp_coverage(
-    scenario: NetworkScenario, trials: int, seed: int, padding: float = 2.0
-) -> SimulationEstimate:
-    """Monte Carlo coverage in the scenario's truncated homogeneous Poisson field.
-
-    Points fall as a Poisson process of the matched intensity
-    lam = N / (pi R^2 H) inside a cylinder of radius M and half-height M
-    centered on the receiver, where M = padding * d_max of the scenario's
-    cylinder, so the region engulfs the ball of radius M around the
-    receiver; padding must be finite and positive.  Padding large enough
-    that further growth moves the estimate by < 0.002 stands in for the
-    infinite field; how large that is depends strongly on the path-loss
-    exponent (the far-field truncation error decays like M^(3 - alpha)),
-    and for alpha <= 3 no finite padding achieves it: the infinite-field
-    interference diverges and the estimate keeps falling forever.
-
-    Trials with an empty field count as not covered; a single point in
-    the field has no interferer and counts as covered.  Blocks hold
-    BLOCK_TRIALS trials, or fewer when their expected point count would
-    pass PPP_BLOCK_POINTS.
-    """
-    _check_count("trials", trials)
-    if not (0.0 < padding < math.inf):
-        raise DomainError(f"padding={padding!r} must be finite and positive")
-    M = padding * scenario.geom.d_max
-    lam_v = scenario.N / scenario.geom.volume * (math.pi * M * M * (2.0 * M))  # lam * volume
-    try:  # numpy's own check of the Poisson mean, on a draw of no points
-        np.random.default_rng(0).poisson(lam_v, 0)
-    except ValueError:
-        raise DomainError(
-            f"padding={padding!r} gives lam * volume={lam_v!r}, not a Poisson mean") from None
-    M_unit = M * _sir_unit(scenario.geom)  # the field's size in SIR units
-    m = scenario.channel.m
-    block = max(1, int(min(BLOCK_TRIALS, PPP_BLOCK_POINTS // lam_v)))
-    successes = 0
-    for index, size in _blocks(trials, block):
-        rng = substream(seed, index)
-        counts = rng.poisson(lam_v, size)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        u = rng.random((total, 3))
-        r = M_unit * np.sqrt(u[:, 0])
-        z = M_unit * (2.0 * u[:, 2] - 1.0)
-        d = np.sqrt(r * r + z * z)
-        gains = rng.gamma(m, 1.0 / m, total)
-        powers = gains * d ** (-scenario.channel.alpha)
-        # Segmented nearest point: sort by (owner, distance); the head of each
-        # nonempty trial's segment sits where its points start.
-        starts = (np.cumsum(counts) - counts)[counts > 0]
-        order = np.lexsort((d, np.repeat(np.arange(size), counts)))
-        signal = powers[order[starts]]
-        interference = np.add.reduceat(powers, starts) - signal
-        covered = (interference == 0.0) | (signal > scenario.beta * interference)
-        successes += int(np.count_nonzero(covered))
-    p, ci = _binomial_estimate(successes, trials)
-    return SimulationEstimate(p, float(ci), trials, seed, scenario)

@@ -1,7 +1,9 @@
 """Shared fixtures and oracles: each geometry's tables are built once per session.
 
 A pair-distance CDF table takes milliseconds and a receiver mixture a
-fraction of a second, but many tests share them.
+fraction of a second, but many tests share them.  The Monte Carlo
+oracles of the pair law and of the Poisson baseline live here, not in
+the library.
 """
 
 import math
@@ -9,9 +11,26 @@ import math
 import numpy as np
 import pytest
 
-from cylcov import CylinderGeometry, TabulatedDistribution, build_cdf, build_receiver_cdfs
+from cylcov import (
+    CylinderGeometry,
+    DomainError,
+    NetworkScenario,
+    SimulationEstimate,
+    TabulatedDistribution,
+    build_cdf,
+    build_receiver_cdfs,
+)
 from cylcov.distance import _build_receiver_cdf
 from cylcov.network import _check_geometry, _conditioning_survival
+from cylcov.simulation import (
+    BLOCK_TRIALS,
+    _binomial_estimate,
+    _check_count,
+    _link_distances_squared,
+    _pair_distance_blocks,
+    _sir_unit,
+    substream,
+)
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
 TALL = CylinderGeometry(R=20.0, H=120.0)
@@ -19,6 +38,13 @@ CUBIC = CylinderGeometry(R=50.0, H=50.0)
 NEEDLE = CylinderGeometry(R=10.0, H=200.0)
 
 REGIME_GEOMETRIES = (SQUAT, TALL, CUBIC, NEEDLE)
+
+# Expected field points per block of simulate_ppp_coverage: its arrays take
+# about 100 bytes per point, so a block stays near 0.4 GB as long as one
+# trial expects at most this many.  A block holds at least one trial, so a
+# denser field is not bounded: at R = 1e-3, H = 1e3, N = 7 and padding 0.5
+# one trial expects 1.75e12 points, and no test builds such a field.
+PPP_BLOCK_POINTS = 2**22
 
 _cache = {}
 _mixtures = {}
@@ -65,8 +91,6 @@ def one_shot_coverage_block(rng, group, size, unit):
 
     The oracle that the simulator's row-chunked block must match count for count.
     """
-    from cylcov.simulation import _link_distances_squared
-
     N = group[0].N
     u = rng.random((size * N, 3)).reshape(size, N, 3)
     d2 = _link_distances_squared(u[:, 0], u[:, 1:], group[0].geom, unit)
@@ -88,6 +112,75 @@ def one_shot_coverage_block(rng, group, size, unit):
         signal, interference = sir[sc.channel.m, sc.channel.alpha]
         counts.append(int(np.count_nonzero((interference == 0.0) | (signal > sc.beta * interference))))
     return counts
+
+
+def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.ndarray:
+    """Distances of i.i.d. uniform point pairs, for empirical CDF work."""
+    _check_count("pairs", pairs)
+    out = np.empty(pairs)
+    for index, d in enumerate(_pair_distance_blocks(geom, pairs, seed)):
+        out[index * BLOCK_TRIALS : index * BLOCK_TRIALS + d.size] = d
+    return out
+
+
+def simulate_ppp_coverage(
+    scenario: NetworkScenario, trials: int, seed: int, padding: float = 2.0
+) -> SimulationEstimate:
+    """Monte Carlo coverage in the scenario's truncated homogeneous Poisson field.
+
+    Points fall as a Poisson process of the matched intensity
+    lam = N / (pi R^2 H) inside a cylinder of radius M and half-height M
+    centered on the receiver, where M = padding * d_max of the scenario's
+    cylinder, so the region engulfs the ball of radius M around the
+    receiver; padding must be finite and positive.  Padding large enough
+    that further growth moves the estimate by < 0.002 stands in for the
+    infinite field; how large that is depends strongly on the path-loss
+    exponent (the far-field truncation error decays like M^(3 - alpha)),
+    and for alpha <= 3 no finite padding achieves it: the infinite-field
+    interference diverges and the estimate keeps falling forever.
+
+    Trials with an empty field count as not covered; a single point in
+    the field has no interferer and counts as covered.  Blocks hold
+    BLOCK_TRIALS trials, or fewer when their expected point count would
+    pass PPP_BLOCK_POINTS.
+    """
+    _check_count("trials", trials)
+    if not (0.0 < padding < math.inf):
+        raise DomainError(f"padding={padding!r} must be finite and positive")
+    M = padding * scenario.geom.d_max
+    lam_v = scenario.N / scenario.geom.volume * (math.pi * M * M * (2.0 * M))  # lam * volume
+    try:  # numpy's own check of the Poisson mean, on a draw of no points
+        np.random.default_rng(0).poisson(lam_v, 0)
+    except ValueError:
+        raise DomainError(
+            f"padding={padding!r} gives lam * volume={lam_v!r}, not a Poisson mean") from None
+    M_unit = M * _sir_unit(scenario.geom)  # the field's size in SIR units
+    m = scenario.channel.m
+    block = max(1, int(min(BLOCK_TRIALS, PPP_BLOCK_POINTS // lam_v)))
+    successes = 0
+    for index, start in enumerate(range(0, trials, block)):
+        size = min(block, trials - start)
+        rng = substream(seed, index)
+        counts = rng.poisson(lam_v, size)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        u = rng.random((total, 3))
+        r = M_unit * np.sqrt(u[:, 0])
+        z = M_unit * (2.0 * u[:, 2] - 1.0)
+        d = np.sqrt(r * r + z * z)
+        gains = rng.gamma(m, 1.0 / m, total)
+        powers = gains * d ** (-scenario.channel.alpha)
+        # Segmented nearest point: sort by (owner, distance); the head of each
+        # nonempty trial's segment sits where its points start.
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        order = np.lexsort((d, np.repeat(np.arange(size), counts)))
+        signal = powers[order[starts]]
+        interference = np.add.reduceat(powers, starts) - signal
+        covered = (interference == 0.0) | (signal > scenario.beta * interference)
+        successes += int(np.count_nonzero(covered))
+    p, ci = _binomial_estimate(successes, trials)
+    return SimulationEstimate(p, float(ci), trials, seed, scenario)
 
 
 def inverse_cdf(dist, u, l=0.0):

@@ -28,6 +28,7 @@ from conftest import (
     conditional_interferer_pdf,
     get_dist,
     get_mixture,
+    sample_pair_distances,
     serving_distance_pdf,
 )
 from cylcov import (
@@ -40,7 +41,6 @@ from cylcov import (
     exact_coverage_probability,
     laplace_with_derivatives,
     ppp_coverage,
-    sample_pair_distances,
     simulate_coverage,
 )
 from cylcov.cli import main

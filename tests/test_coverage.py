@@ -265,6 +265,13 @@ class TestCoverageProbability:
         with pytest.raises(DomainError, match="tabulated distribution built for"):
             coverage_probability(scenario(N=N), squat_dist)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_stack_of_several_tables_rejected(self, tall_mixture, N):
+        # the mixture and its take views ended in numpy's concatenate ValueError
+        for dist in (tall_mixture, tall_mixture.take(0)):
+            with pytest.raises(DomainError, match="one pair table, not a stack of"):
+                coverage_probability(scenario(N=N), dist)
+
     def test_vanishing_threshold(self, tall_dist):
         res = coverage_probability(scenario(beta=1e-9), tall_dist)
         assert res.pc >= 0.999
@@ -474,6 +481,12 @@ class TestExactCoverage:
     def test_check_rule_required(self, tall_mixture):
         with pytest.raises(DomainError):
             exact_coverage_probability(scenario(), tall_mixture.check)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_pair_table_has_no_check_rule(self, tall_dist, N):
+        # it raised AttributeError: no attribute 'check'
+        with pytest.raises(DomainError, match="check rule"):
+            exact_coverage_probability(scenario(N=N), tall_dist)
 
     def test_two_nodes_still_checks_inputs(self, squat_mixture, tall_mixture):
         with pytest.raises(DomainError):

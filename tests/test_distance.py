@@ -19,6 +19,7 @@ from conftest import (
     get_dist,
     get_mixture,
     receiver_table,
+    sample_pair_distances,
     sample_points,
     tables_of,
 )
@@ -42,7 +43,7 @@ from cylcov.distance import (
     receiver_breakpoints,
     receiver_distance_law,
 )
-from cylcov.simulation import sample_pair_distances, substream
+from cylcov.simulation import substream
 
 
 def quiet_quad(fn, a, b, **kw):
@@ -349,6 +350,18 @@ class TestKnotDensities:
         assert tall_mixture.quantiles(levels).shape == (tall_mixture.ends.size, 2)
         assert np.all(tall_mixture.end_sf > 0.0)
         assert 0.0 < tall_mixture.take(3).cdf(1.0) < 1.0
+
+    def test_take_rejects_what_names_no_table(self, tall_dist, tall_mixture):
+        # take(-1) read the last cell of the table before: a CDF of -8.1e-4 on
+        # the pair table, a survival of -3.5e-3 on the mixture
+        tables = tall_mixture.ends.size
+        bad = [(tall_dist, -1), (tall_dist, 1), (tall_mixture, -1), (tall_mixture, tables),
+               (tall_mixture, 1.5), (tall_mixture, True), (tall_mixture, np.array([0, tables]))]
+        for stack, which in bad:
+            with pytest.raises(DomainError, match=r"integer table indices in \[0, "):
+                stack.take(which)
+        assert tall_dist.take(0).cdf(5.0) == tall_dist.cdf(5.0)
+        assert tall_mixture.take(np.array([], dtype=int)).sf(np.array([])).size == 0
 
     @settings(max_examples=60, deadline=None)
     @given(

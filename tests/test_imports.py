@@ -70,7 +70,7 @@ PUBLIC = """
     build_receiver_cdfs complete_E complete_K conditional_coverage coverage_probability
     cylinder_pair_pdf_closed cylinder_pair_pdf_numeric disk_pair_pdf empirical_distance_histogram
     exact_coverage_probability incomplete_E incomplete_F laplace_with_derivatives ppp_coverage
-    sample_pair_distances segment_pair_pdf simulate_coverage simulate_ppp_coverage
+    segment_pair_pdf simulate_coverage
 """.split()
 
 # helpers only tests used, as module.name under cylcov; their oracles are in tests/
@@ -82,7 +82,8 @@ REMOVED = """
     simulation._sample_coordinates simulation._distance ppp.PppModel ppp.ppp_model_from_scenario
     network.serving_distance_pdf network.serving_distance_cdf network.conditional_interferer_pdf
     distance.TableStack distance.TabulatedDistribution.stack interference.LaplaceEvaluation
-    simulation.SPAN_BLOCKS
+    simulation.SPAN_BLOCKS simulation.simulate_ppp_coverage simulation.sample_pair_distances
+    simulation.PPP_BLOCK_POINTS
 """.split()
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import binom, hyp2f1
 
+from conftest import PPP_BLOCK_POINTS, simulate_ppp_coverage
 from cylcov import (
     ChannelModel,
     CylinderGeometry,
@@ -25,10 +26,8 @@ from cylcov import (
     UnsupportedParameterError,
     ppp_coverage,
     simulate_coverage,
-    simulate_ppp_coverage,
 )
 from cylcov.ppp import _lentz_tail, _series_tail
-from cylcov.simulation import PPP_BLOCK_POINTS
 
 SQUAT = CylinderGeometry(R=120.0, H=20.0)
 SMALL = CylinderGeometry(R=12.0, H=30.0)

@@ -17,7 +17,9 @@ from conftest import (
     SQUAT,
     TALL,
     one_shot_coverage_block,
+    sample_pair_distances,
     sample_points,
+    simulate_ppp_coverage,
 )
 from cylcov import (
     ChannelModel,
@@ -26,7 +28,6 @@ from cylcov import (
     NetworkScenario,
     empirical_distance_histogram,
     simulate_coverage,
-    simulate_ppp_coverage,
 )
 from cylcov.simulation import (
     BLOCK_TRIALS,
@@ -34,7 +35,6 @@ from cylcov.simulation import (
     _blocks,
     _link_distances_squared,
     _sir_unit,
-    sample_pair_distances,
     substream,
 )
 
@@ -479,9 +479,6 @@ class TestLinkDistances:
 
 
 def test_pair_distances_keep_their_bits():
-    from cylcov import sample_pair_distances
-    from cylcov.simulation import BLOCK_TRIALS
-
     d = sample_pair_distances(GEOM, 10_000, seed=31)
     # the same draws through the coverage trials' link kernel: 2 size rows of
     # (rho, v, w) per block, the first half paired with the second
@@ -497,8 +494,6 @@ def test_pair_distances_keep_their_bits():
 
 @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=lambda g: f"R{g.R:g}-H{g.H:g}")
 def test_pair_distances_match_the_cartesian_reference(geom):
-    from cylcov.simulation import BLOCK_TRIALS
-
     pairs = 3 * BLOCK_TRIALS + 100
     d = sample_pair_distances(geom, pairs, seed=32)
     parts = []
@@ -511,8 +506,6 @@ def test_pair_distances_match_the_cartesian_reference(geom):
 
 def test_pair_sampling_matches_tabulated_cdf(tall_dist):
     from scipy.stats import kstest
-
-    from cylcov import sample_pair_distances
 
     d = sample_pair_distances(TALL, 200_000, seed=22)
     assert kstest(d, tall_dist.cdf).statistic <= 0.004
