@@ -13,13 +13,15 @@ probability as one outer integral per distance law, which
 against the law's serving density.  It stops at the last knot of the
 CDF table where 1 - F is above the survival floor; the discarded
 serving-distance mass, (1 - F)^(N-1), is far below the 1e-4 error
-contract and is counted in the error estimate.  The laws' tables come as
-one ``TabulatedDistribution``, and all serving distances of all laws go
-through the law, the conditional series and the interferer integral in
-one array pass: the paper model is the pair table, a stack of one, read
-with the exact pair law, and the exact model a ``ReceiverMixture``, one
-table per receiver of its rule, each holding its receiver's exact
-density at its knots and serving as the law.
+contract and is counted in the error estimate.  The laws come as one
+``TabulatedDistribution``, which carries their weights, kinks and
+``serving_law``, so this module reads no geometry past d_max and
+equality.  All serving distances of all laws go through the law, the
+conditional series and the interferer integral in one array pass, and
+both models run one body (``_analytic``): the paper model on the pair
+table, a stack of one serving the exact pair law, and the exact model on
+a ``ReceiverMixture``, one table per receiver of its rule, each holding
+its receiver's exact density at its knots and serving as the law.
 
 A network of N = 2 nodes has no interferer, the SIR is infinite under
 the noise-free model, and the coverage probability is defined as 1.
@@ -39,13 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from .distance import (
-    ReceiverMixture,
-    TabulatedDistribution,
-    _gauss_on_panels,
-    pair_distance_law,
-    receiver_breakpoints,
-)
+from .distance import ReceiverMixture, TabulatedDistribution, _gauss_on_panels
 from .errors import DomainError
 from .interference import laplace_with_derivatives, require_analytic_m
 from .network import NetworkScenario, _check_geometry
@@ -143,26 +139,25 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
     return float(out) if np.ndim(l) == 0 else out
 
 
-def _serving_integral(scenario: NetworkScenario, dist, weights, law, breaks, order):
-    """P(SIR > beta) averaged with weights over distance laws, and the mass it drops.
+def _serving_integral(scenario: NetworkScenario, dist: TabulatedDistribution, order: int):
+    """P(SIR > beta) averaged over the laws of dist's tables, and the mass it drops.
 
-    law(which, l) returns the CDF and density at l of the laws which, each
-    tabulated by its table in dist, a ``TabulatedDistribution`` (for the
-    exact model, the tables themselves: ``cdf_and_pdf``), and breaks holds
-    each law's kinks in a row.  Per law the range runs from 0 to its table's last
-    knot above the survival floor, in panels cut at the breaks and where
-    (1 - F)^(N-1) passes _SPLITS, each with a Gauss rule of the given
-    order weighted by the serving density (N-1) (1 - F)^(N-2) f.  The series runs at the
+    dist carries the laws' weights, a row of each law's kinks, and
+    ``serving_law(which, l)``, the CDF and density at l of the laws which.
+    Per law the range runs from 0 to its table's last knot above the
+    survival floor, in panels cut at the kinks and where (1 - F)^(N-1)
+    passes _SPLITS, each with a Gauss rule of the given order weighted by
+    the serving density (N-1) (1 - F)^(N-2) f.  The series runs at the
     nodes of all laws where that density is positive, in one array call.
     """
-    n = scenario.N
+    n, weights = scenario.N, dist.weights
     end = dist.ends[:, None]
     splits = dist.quantiles(1.0 - _SPLITS ** (1.0 / (n - 1)))
-    edges = np.sort(np.clip(np.concatenate((end, breaks, splits), axis=1), 0.0, end), axis=1)
+    edges = np.sort(np.clip(np.concatenate((end, dist.kinks, splits), axis=1), 0.0, end), axis=1)
     nodes, rule = _gauss_on_panels(edges, *_GAUSS_RULES[order])
     panels = np.repeat(np.diff(edges) > 0.0, order, axis=1)
     which, nodes, rule = np.nonzero(panels)[0], nodes[panels], rule[panels]
-    cdf, pdf = law(which, nodes)
+    cdf, pdf = dist.serving_law(which, nodes)
     density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
     live = np.flatnonzero(density > 0.0)
     which = which[live]
@@ -175,55 +170,47 @@ def _serving_integral(scenario: NetworkScenario, dist, weights, law, breaks, ord
     return float(np.sum(weights * terms.sum(axis=1))), float(np.sum(tail))
 
 
-def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution) -> CoverageResult:
-    """Coverage probability of the paper's model, with i.i.d. distances of the pair law.
+def _analytic(scenario: NetworkScenario, dist, check, orders, method: str) -> CoverageResult:
+    """A model's result: ``_serving_integral`` of dist, a whole stack, at orders[0].
 
-    ``_serving_integral`` at Gauss order PAPER_ORDER, under the exact
-    pair law (``pair_distance_law``, kinks at 2R and H) and reading dist.
-    error_estimate is the gap to order PAPER_CHECK_ORDER plus the dropped
-    serving-distance mass; it must stay within COVERAGE_CONTRACT.
-    Deterministic given the scenario and CDF grid.  dist must be a stack
-    of one table (``build_cdf``); a mixture or its view raises DomainError.
+    error_estimate is its gap to that of check at orders[1] plus the
+    dropped serving-distance mass, and must stay within COVERAGE_CONTRACT.
     """
     require_analytic_m(scenario.channel.m)
     _check_geometry(scenario.geom, dist)
+    if dist.ends.size > 1 and dist._which is not None:
+        raise DomainError(f"a model reads all {dist.ends.size} tables, not a take(which) view")
+    if scenario.N == 2:
+        return _within_contract(1.0, 0.0, method, scenario)
+    value, tail = _serving_integral(scenario, dist, orders[0])
+    coarse, _ = _serving_integral(scenario, check, orders[1])
+    return _within_contract(value, abs(value - coarse) + tail, method, scenario)
+
+
+def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution) -> CoverageResult:
+    """Coverage probability of the paper's model, with i.i.d. distances of the pair law.
+
+    ``_analytic`` at Gauss orders PAPER_ORDER and PAPER_CHECK_ORDER on
+    dist, the pair table (``build_cdf``), which serves the exact pair law;
+    a stack of several tables or its view raises DomainError.
+    Deterministic given the scenario and CDF grid.
+    """
     if dist.ends.size != 1:
         raise DomainError(f"the paper model reads one pair table, not a stack of {dist.ends.size}")
-    if scenario.N == 2:
-        return _within_contract(1.0, 0.0, "analytic", scenario)
-    geom, one = scenario.geom, np.ones(1)
-    law = lambda which, l: pair_distance_law(geom, l)
-    breaks = np.array([[0.0, 2.0 * geom.R, geom.H]])
-    value, tail = _serving_integral(scenario, dist, one, law, breaks, PAPER_ORDER)
-    check, _ = _serving_integral(scenario, dist, one, law, breaks, PAPER_CHECK_ORDER)
-    return _within_contract(value, abs(value - check) + tail, "analytic", scenario)
+    return _analytic(scenario, dist, dist, (PAPER_ORDER, PAPER_CHECK_ORDER), "analytic")
 
 
-def exact_coverage_probability(
-    scenario: NetworkScenario, mixture: ReceiverMixture
-) -> CoverageResult:
+def exact_coverage_probability(scenario: NetworkScenario, mixture: ReceiverMixture) -> CoverageResult:
     """Coverage probability of a deployment, conditioned on the receiver's position.
 
-    ``_serving_integral`` at Gauss order EXACT_ORDER over all receivers
-    of mixture's rule at once, under each receiver's table: its cubic
-    carries the exact law (``receiver_distance_law``) at its knots, and
-    between them serves as the law.  error_estimate is the gap to the
-    same average over mixture.check at order EXACT_CHECK_ORDER, plus the
-    average dropped serving-distance mass; it must stay within
-    COVERAGE_CONTRACT.
+    ``_analytic`` at Gauss order EXACT_ORDER over all receivers of
+    mixture's rule at once, under each receiver's table: its cubic carries
+    the exact law (``receiver_distance_law``) at its knots, and between
+    them serves as the law.  The check is the same average over
+    mixture.check at order EXACT_CHECK_ORDER.  A ``take`` view of a
+    mixture raises DomainError.
     """
-    require_analytic_m(scenario.channel.m)
-    _check_geometry(scenario.geom, mixture)
     if getattr(mixture, "check", None) is None:
         raise DomainError("mixture has no check rule; build it with build_receiver_cdfs")
-    if scenario.N == 2:
-        return _within_contract(1.0, 0.0, "analytic-exact", scenario)
-
-    def average(mix: ReceiverMixture, order: int):
-        law = lambda which, l: mix.take(which).cdf_and_pdf(l)
-        breaks = receiver_breakpoints(scenario.geom, *mix.nodes.T)
-        return _serving_integral(scenario, mix, mix.weights, law, breaks, order)
-
-    value, tail = average(mixture, EXACT_ORDER)
-    check, _ = average(mixture.check, EXACT_CHECK_ORDER)
-    return _within_contract(value, abs(value - check) + tail, "analytic-exact", scenario)
+    return _analytic(scenario, mixture, mixture.check, (EXACT_ORDER, EXACT_CHECK_ORDER),
+                     "analytic-exact")

@@ -525,7 +525,13 @@ class TabulatedDistribution:
     views share, with its lock.  ends holds each table's last knot whose
     survival is above _SURVIVAL_FLOOR, where the serving rule stops, and
     end_sf the survival there.  Instances are immutable and thread-safe.
+    The coverage models read a stack's laws from its weights, kinks and
+    ``serving_law``: here the pair law's, of weight 1 and kinks 0, 2R and H,
+    which other stacks override.
     """
+
+    weights = np.broadcast_to(1.0, 1)  # read-only
+    kinks = property(lambda self: np.array([[0.0, 2.0 * self.geometry.R, self.geometry.H]]))
 
     def __init__(self, geometry: CylinderGeometry, grid: np.ndarray, cdf_values: np.ndarray,
                  densities: Optional[np.ndarray] = None):
@@ -572,6 +578,10 @@ class TabulatedDistribution:
     grid = property(lambda self: self._table()[0], doc="The knots of the one table read.")
     cdf_values = property(lambda self: self._table()[1], doc="Its CDF values at the knots.")
     slopes = property(lambda self: self._table()[2], doc="Its knot slopes.")
+
+    def serving_law(self, which, l):
+        """CDF and density of the laws which at l: here the exact pair law (``pair_distance_law``)."""
+        return pair_distance_law(self.geometry, l)
 
     def take(self, which) -> "TabulatedDistribution":
         """The same tables, with query i reading table which[i] (each query, for a scalar which).
@@ -994,18 +1004,36 @@ class ReceiverMixture(TabulatedDistribution):
     nodes[q] = (r, z) is a receiver position, tables[q] = (grid,
     cdf_values, densities) the knots, CDF values and knot densities of its
     F_q, checked as the one table of ``TabulatedDistribution`` is
-    (``_checked_table``), and weights[q] its weight in the average over receiver positions (density
-    2 r / R^2 in r and uniform in z, folded onto z <= H / 2 by symmetry;
-    the weights sum to 1).  sum_q weights[q] F_q approximates the pair
-    law, and the exact model evaluates all receivers of the rule in one
-    array pass over the stack.  check holds a coarser rule over the same
-    geometry, against which results of this one are compared for an error
-    estimate.
+    (``_checked_table``), and weights[q] its weight in the average over
+    receiver positions (density 2 r / R^2 in r and uniform in z, folded
+    onto z <= H / 2 by symmetry; the weights sum to 1).  sum_q weights[q]
+    F_q approximates the pair law, and the exact model evaluates all
+    receivers of the rule in one array pass over the stack, with kinks[q]
+    receiver q's ``receiver_breakpoints``.  check holds a coarser rule over
+    the same geometry, against which results of this one are compared for
+    an error estimate.  Nodes of shape (q, 2) for q tables, q finite
+    positive weights summing to 1 within 1e-12, and a check that is None
+    or a mixture on the same geometry are required; else DomainError.
     """
 
     def __init__(self, geometry: CylinderGeometry, nodes, weights, tables, check=None):
         self._hold(geometry, [_checked_table(geometry, *table) for table in tables])
+        nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
+        if nodes.shape != (weights.size, 2) or weights.shape != self.ends.shape:
+            raise DomainError(f"{self.ends.size} tables need as many nodes (r, z) and weights")
+        # written so that NaN fails it too
+        if not (np.all((weights > 0.0) & (weights < np.inf)) and abs(weights.sum() - 1.0) <= 1e-12):
+            raise DomainError("weights must be finite, positive and sum to 1; they sum to "
+                              f"{float(weights.sum())!r}")
+        if not (check is None or isinstance(check, ReceiverMixture) and check.geometry == geometry):
+            raise DomainError("check must be None or a ReceiverMixture on the same geometry")
         self.nodes, self.weights, self.check = nodes, weights, check
+
+    kinks = property(lambda self: receiver_breakpoints(self.geometry, *self.nodes.T))
+
+    def serving_law(self, which, l):
+        """CDF and density of the tables which at l: each table serves as its receiver's law."""
+        return self.take(which).cdf_and_pdf(l)
 
 
 def _receiver_mixture(

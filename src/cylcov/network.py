@@ -56,9 +56,7 @@ class NetworkScenario:
 def _check_geometry(scenario_geom: CylinderGeometry, dist: TabulatedDistribution) -> None:
     if dist.geometry != scenario_geom:
         raise DomainError(
-            "tabulated distribution built for "
-            f"(R={dist.geometry.R}, H={dist.geometry.H}), scenario has "
-            f"(R={scenario_geom.R}, H={scenario_geom.H})"
+            f"tabulated distribution built for {dist.geometry!r}, scenario has {scenario_geom!r}"
         )
 
 

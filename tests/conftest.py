@@ -7,6 +7,7 @@ the library.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -219,6 +220,59 @@ def conditional_interferer_pdf(u, l, dist):
     u_arr = np.asarray(u, dtype=float)
     out = np.where(u_arr < l, 0.0, dist.pdf(u_arr) / survival)
     return float(out) if np.ndim(u) == 0 else out
+
+
+@dataclass(frozen=True)
+class Ball:
+    """A ball as the analytic path may see a geometry: d_max, twice its radius, and equality."""
+
+    d_max: float
+
+
+def ball_pair_law(ball: Ball, l):
+    """CDF and density of the distance of two uniform points in a ball (Hammersley, 1950).
+
+    F = 8 x^3 - 9 x^4 + 2 x^6 with x = l / 2R clipped to [0, 1]; the
+    density, dF/dl, is clipped at 0 for rounding at 2R.
+    """
+    x = np.clip(np.asarray(l, dtype=float) / ball.d_max, 0.0, 1.0)
+    cdf = x**3 * (8.0 - 9.0 * x + 2.0 * x**3)
+    return cdf, np.maximum(x * x * (24.0 - 36.0 * x + 12.0 * x**3) / ball.d_max, 0.0)
+
+
+class BallPairTable(TabulatedDistribution):
+    """The ball's pair law as a stack of one: its closed form at 2,048 knots, and as serving law."""
+
+    kinks = np.array([[0.0]])
+
+    def __init__(self, ball: Ball, knots: int = 2048):
+        grid = np.linspace(0.0, ball.d_max, knots)
+        super().__init__(ball, grid, *ball_pair_law(ball, grid))
+
+    def serving_law(self, which, l):
+        return ball_pair_law(self.geometry, l)
+
+
+def simulate_ball_iid_coverage(scenario: NetworkScenario, trials: int, seed: int):
+    """Covered share and its standard error under the paper's i.i.d. model in a ball.
+
+    Each trial draws its N - 1 receiver distances from independent pairs of
+    uniform points in the ball, and Nakagami power gains Gamma(m, 1 / m).
+    """
+    R, n, rng = 0.5 * scenario.geom.d_max, scenario.N - 1, np.random.default_rng(seed)
+    alpha, m = scenario.channel.alpha, scenario.channel.m
+    covered = 0
+    for start in range(0, trials, 4096):
+        size = min(4096, trials - start)
+        normal = rng.standard_normal((2, size, n, 3))
+        radius = R * rng.random((2, size, n, 1)) ** (1.0 / 3.0)
+        points = radius * normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+        d = np.linalg.norm(points[0] - points[1], axis=-1)
+        powers = rng.gamma(m, 1.0 / m, (size, n)) * d**-alpha
+        signal = powers[np.arange(size), np.argmin(d, axis=1)]
+        covered += int(np.count_nonzero(signal > scenario.beta * (powers.sum(axis=1) - signal)))
+    p = covered / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)
 
 
 @pytest.fixture(scope="session")

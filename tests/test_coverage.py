@@ -1,5 +1,6 @@
 """Coverage probability: edge cases, trends, and oracle agreement."""
 
+import copy
 import math
 from itertools import product
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     CUBIC,
+    Ball,
+    BallPairTable,
     NEEDLE,
     REGIME_GEOMETRIES,
     SQUAT,
@@ -17,6 +20,7 @@ from conftest import (
     get_dist,
     get_mixture,
     inverse_cdf,
+    simulate_ball_iid_coverage,
     tables_of,
 )
 from cylcov import (
@@ -469,6 +473,21 @@ class TestSmallThresholds:
                 assert res.error_estimate <= 1e-4, (N, m, beta, alpha, res)
 
 
+class TestGeometrySeam:
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("N", [3, 10, 40])
+    def test_paper_model_in_a_ball(self, N, m):
+        # The stack carries the ball's law, kinks and weight, and the
+        # geometry nothing but d_max and equality: the analytic path reads
+        # no cylinder.  Against the i.i.d. Monte Carlo, |z| stayed within
+        # 1.35 at 2e5 trials on all six points.
+        ball = Ball(d_max=20.0)
+        sc = NetworkScenario(N=N, geom=ball, channel=ChannelModel(alpha=4.0, m=float(m)), beta=1.0)
+        res = coverage_probability(sc, BallPairTable(ball))
+        p, stderr = simulate_ball_iid_coverage(sc, 100_000, seed=31 + N + m)
+        assert abs(res.pc - p) <= 4.0 * stderr + res.error_estimate, (res.pc, p, stderr)
+
+
 class TestExactCoverage:
     def test_two_nodes_always_covered(self, tall_mixture):
         res = exact_coverage_probability(scenario(N=2, beta=1e6), tall_mixture)
@@ -487,6 +506,13 @@ class TestExactCoverage:
         # it raised AttributeError: no attribute 'check'
         with pytest.raises(DomainError, match="check rule"):
             exact_coverage_probability(scenario(N=N), tall_dist)
+
+    @pytest.mark.parametrize("which", [3, np.array([3])], ids=["scalar", "array"])
+    def test_take_view_rejected(self, tall_mixture, which):
+        # it returned the whole mixture's 0.7184106916473489, not receiver 3's
+        sc = scenario(N=5, alpha=4.0, beta=1.0)
+        with pytest.raises(DomainError, match=r"take\(which\)"):
+            exact_coverage_probability(sc, tall_mixture.take(which))
 
     def test_two_nodes_still_checks_inputs(self, squat_mixture, tall_mixture):
         with pytest.raises(DomainError):
@@ -559,15 +585,13 @@ class TestExactCoverage:
         index = sorted({*picks, int(np.argmin(sizes)), int(np.argmax(sizes))})
         sc = scenario(N=N, m=float(m), geom=geom, beta=beta)
         r, z = mix.nodes[index].T
-        value, tail = _serving_integral(
-            sc,
-            ReceiverMixture(geom, mix.nodes[index], mix.weights[index],
-                            [(t.grid, t.cdf_values, t.slopes) for t in map(mix.take, index)]),
-            mix.weights[index],
-            lambda which, l: receiver_distance_law(geom, r[which], z[which], l),
-            receiver_breakpoints(geom, r, z),
-            EXACT_ORDER,
-        )
+        weights = mix.weights[index]
+        stack = ReceiverMixture(geom, mix.nodes[index], weights / weights.sum(),
+                                [(t.grid, t.cdf_values, t.slopes) for t in map(mix.take, index)])
+        # the rule's own weights, as the oracle's, and the exact law
+        stack.weights = weights
+        stack.serving_law = lambda which, l: receiver_distance_law(geom, r[which], z[which], l)
+        value, tail = _serving_integral(sc, stack, EXACT_ORDER)
         ref_value, ref_tail = per_receiver_oracle(sc, mix, index)
         assert abs(value - ref_value) <= 1e-15, (value, ref_value)
         assert abs(tail - ref_tail) <= 1e-15, (tail, ref_tail)
@@ -583,14 +607,11 @@ class TestExactCoverage:
         sc = scenario(N=N, m=3.0, geom=geom, beta=beta)
         res = exact_coverage_probability(sc, mix)
         r, z = mix.nodes.T
-        breaks = receiver_breakpoints(geom, r, z)
-        laws = {
-            "exact": lambda which, l: receiver_distance_law(geom, r[which], z[which], l),
-            "table": lambda which, l: mix.take(which).cdf_and_pdf(l),
-        }
+        exact = copy.copy(mix)
+        exact.serving_law = lambda which, l: receiver_distance_law(geom, r[which], z[which], l)
         value = {
-            name: _serving_integral(sc, mix, mix.weights, law, breaks, EXACT_ORDER)[0]
-            for name, law in laws.items()
+            name: _serving_integral(sc, stack, EXACT_ORDER)[0]
+            for name, stack in (("exact", exact), ("table", mix))
         }
         assert value["table"] == res.pc
         assert abs(value["exact"] - value["table"]) <= res.error_estimate

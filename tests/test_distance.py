@@ -755,6 +755,35 @@ class TestReceiverLaw:
                 assert np.array_equal(one._tails, rule._tails[cells.start + t : cells.stop + t + 1])
                 assert (one.ends[0], one.end_sf[0]) == (rule.ends[t], rule.end_sf[t])
 
+    @pytest.mark.parametrize("case", [
+        "five nodes and weights", "five tables", "nodes of shape (q, 3)", "weights summing to 2",
+        "a negative weight", "a NaN weight", "a pair table as check", "a check on another geometry",
+    ])
+    def test_mixture_checks_its_rule(self, tall_mixture, squat_mixture, tall_dist, case):
+        # Nodes and weights of another count than the tables built and
+        # failed at the first evaluation in numpy's concatenate ValueError;
+        # weights summing to 2 surfaced only as an error estimate of 0.718
+        # past the contract.
+        rule = tall_mixture.check
+        arrays = [(v.grid, v.cdf_values, v.slopes) for v in tables_of(rule)]
+        nodes, weights = rule.nodes, rule.weights
+        negative, nan = weights.copy(), weights.copy()
+        negative[:2] = -weights[0], weights[1] + 2.0 * weights[0]  # still summing to 1
+        nan[0] = np.nan
+        bad = {
+            "five nodes and weights": (nodes[:5], np.full(5, 0.2), arrays, None),
+            "five tables": (nodes, weights, arrays[:5], None),
+            "nodes of shape (q, 3)": (np.hstack((nodes, nodes[:, :1])), weights, arrays, None),
+            "weights summing to 2": (nodes, 2.0 * weights, arrays, None),
+            "a negative weight": (nodes, negative, arrays, None),
+            "a NaN weight": (nodes, nan, arrays, None),
+            "a pair table as check": (nodes, weights, arrays, tall_dist),
+            "a check on another geometry": (nodes, weights, arrays, squat_mixture),
+        }
+        with pytest.raises(DomainError):
+            ReceiverMixture(TALL, *bad[case])
+        assert ReceiverMixture(TALL, nodes, weights, arrays, tall_mixture).check is tall_mixture
+
     def test_mixture_holds_no_per_table_arrays(self, tall_mixture):
         # Layouts aside, the tall mixture and its check rule hold 2,447,104 B
         # of arrays: keys, cubics, tails and per-table scalars.  Per-table

@@ -127,3 +127,21 @@ def test_no_unused_imports():
             if name not in exempt
         ]
     assert not unused, unused
+
+
+def test_analytic_path_reads_no_cylinder():
+    # Past the laws, which the stacks carry, a geometry needs only d_max and
+    # equality: coverage.py and interference.py take from distance.py the
+    # table classes and a panel rule, and with network.py read no R or H.
+    allowed = {"TabulatedDistribution", "ReceiverMixture", "_gauss_on_panels"}
+    found = []
+    for name in ("coverage.py", "interference.py", "network.py"):
+        tree = ast.parse((SRC / "cylcov" / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("R", "H"):
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+            if (name != "network.py" and isinstance(node, ast.ImportFrom)
+                    and node.module == "distance"):
+                found += [f"{name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name not in allowed]
+    assert not found, found
