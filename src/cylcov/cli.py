@@ -25,11 +25,12 @@ tool version, full parameter echo, and seed, enough to regenerate the
 file exactly.  All randomness is seeded (default seed 1, never the
 clock), so repeated runs are byte-identical; the wall_time_s column is
 the lone intentional exception and therefore defaults to off
-(--timing on opts in).  Sweep points evaluate concurrently, but rows are
-written in sweep order regardless of completion order.  Monte Carlo rows
-that share geometry and N are one task, counted from one set of draws, and
-each such row's wall_time_s is the group's wall time divided by its row
-count, so the column still sums to the sweep's Monte Carlo time.
+(--timing on opts in).  Sweep points evaluate in order on the calling
+thread, and rows are written in sweep order; --workers is accepted and has
+no effect.  Monte Carlo rows that share geometry and N are one task,
+counted from one set of draws, and each such row's wall_time_s is the
+group's wall time divided by its row count, so the column still sums to
+the sweep's Monte Carlo time.
 """
 
 import argparse
@@ -37,7 +38,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 from typing import Optional
 
@@ -236,9 +236,8 @@ def _sweep_points(base: dict, sweep: dict):
 
 
 def cmd_coverage(args) -> int:
-    workers = args.workers
-    if workers < 1:
-        raise ScenarioFormatError(f"--workers: positive integer required, got workers={workers!r}")
+    if args.workers < 1:
+        raise ScenarioFormatError(f"--workers: positive integer required, got workers={args.workers!r}")
     spec = load_scenario_file(args.scenario)
     if args.seed is not None:
         _check_seed(args.seed, "--seed")
@@ -295,8 +294,7 @@ def cmd_coverage(args) -> int:
         groups.setdefault((sc.geom, sc.N), []).append(i)
     tasks = [("monte-carlo", indices) for indices in groups.values() if "monte-carlo" in methods]
     tasks += [(meth, [i]) for i in range(len(points)) for meth in methods if meth != "monte-carlo"]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = {key: row for done in pool.map(run, tasks) for key, row in done.items()}
+    rows = {key: row for done in map(run, tasks) for key, row in done.items()}
 
     base_echo = " ".join(f"{k}={_fmt(v)}" for k, v in spec["base"].items())
     sweep_echo = (
@@ -343,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--output", help="CSV output path (overrides output.path)")
     p_cov.add_argument("--cdf-cache", help="CDF cache file from 'cylcov cache'")
     p_cov.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_cov.add_argument("--workers", type=int, default=4,
-                       help="concurrent sweep-point evaluations (default 4)")
+    p_cov.add_argument("--workers", type=int, default=1,
+                       help="accepted for old command lines; no effect, the sweep runs in order")
     p_cov.add_argument("--timing", choices=["on", "off"], default="off",
                        help="measure wall_time_s per row (off keeps output byte-stable)")
     p_cov.set_defaults(func=cmd_coverage)

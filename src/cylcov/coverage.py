@@ -192,7 +192,8 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
 
     ``_analytic`` at Gauss orders PAPER_ORDER and PAPER_CHECK_ORDER on
     dist, the pair table (``build_cdf``), which serves the exact pair law;
-    a stack of several tables or its view raises DomainError.
+    any other table of one serves its own law.  A stack of several tables
+    or its view raises DomainError.
     Deterministic given the scenario and CDF grid.
     """
     if dist.ends.size != 1:

@@ -47,7 +47,7 @@ cylinder's cross-section in a circle-disk lens), and
 ``build_receiver_cdfs`` tabulates it at the nodes of a fixed rule over
 receiver positions, so the pair law is the rule's weighted mixture, a
 ``ReceiverMixture``: the stack of the rule's tables, where the pair table
-is a stack of one (``TabulatedDistribution``).  A receiver
+is a stack of one (``PairTable``).  A receiver
 table is a cubic Hermite interpolant whose knot slopes are the exact
 density, so it equals the law, F_x and f_x, at its knots; the exact
 model reads it as the law and calls ``receiver_distance_law`` only while
@@ -526,12 +526,13 @@ class TabulatedDistribution:
     survival is above _SURVIVAL_FLOOR, where the serving rule stops, and
     end_sf the survival there.  Instances are immutable and thread-safe.
     The coverage models read a stack's laws from its weights, kinks and
-    ``serving_law``: here the pair law's, of weight 1 and kinks 0, 2R and H,
-    which other stacks override.
+    ``serving_law``: here one law of weight 1 with no kink past 0, which
+    the table serves itself.  ``PairTable`` and ``ReceiverMixture`` give
+    their own kinks, and the pair table serves the exact pair law.
     """
 
     weights = np.broadcast_to(1.0, 1)  # read-only
-    kinks = property(lambda self: np.array([[0.0, 2.0 * self.geometry.R, self.geometry.H]]))
+    kinks = np.broadcast_to(0.0, (1, 1))
 
     def __init__(self, geometry: CylinderGeometry, grid: np.ndarray, cdf_values: np.ndarray,
                  densities: Optional[np.ndarray] = None):
@@ -580,8 +581,8 @@ class TabulatedDistribution:
     slopes = property(lambda self: self._table()[2], doc="Its knot slopes.")
 
     def serving_law(self, which, l):
-        """CDF and density of the laws which at l: here the exact pair law (``pair_distance_law``)."""
-        return pair_distance_law(self.geometry, l)
+        """CDF and density of the laws which at l: each table serves as its own law."""
+        return self.take(which).cdf_and_pdf(l)
 
     def take(self, which) -> "TabulatedDistribution":
         """The same tables, with query i reading table which[i] (each query, for a scalar which).
@@ -761,7 +762,8 @@ class TabulatedDistribution:
 
         Each row holds a knot and its CDF value.  ``load`` rebuilds the
         PCHIP slopes of the knots, so a table with other slopes (a receiver
-        table) raises DomainError.
+        table) raises DomainError.  A cache holds a pair table: ``load``
+        returns a ``PairTable``, which serves the exact pair law.
         """
         if not np.array_equal(self.slopes, _pchip_slopes(self.grid, self.cdf_values)):
             raise DomainError("only a table with the PCHIP slopes of its knots can be cached")
@@ -772,8 +774,8 @@ class TabulatedDistribution:
             fh.write("\n".join((*header, *rows, "")))
 
     @classmethod
-    def load(cls, path) -> "TabulatedDistribution":
-        """Reload a cache written by ``save``.
+    def load(cls, path) -> "PairTable":
+        """Reload a cache written by ``save`` as a ``PairTable``.
 
         Raises StaleCacheError on an unreadable or corrupt file, including
         one whose table the constructor rejects.
@@ -794,7 +796,7 @@ class TabulatedDistribution:
             rows = np.array([line.split("\t") for line in lines[4:] if line], dtype=float)
             if rows.shape != (grid_size, 2):
                 raise ValueError(f"expected {grid_size} rows of 2 columns, found {rows.shape}")
-            return cls(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
+            return PairTable(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
         except (KeyError, ValueError, IndexError, DomainError) as exc:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
 
@@ -844,7 +846,21 @@ def pair_distance_law(geom: CylinderGeometry, l):
     return _pair_cdf(geom, l), cylinder_pair_pdf_numeric(l, geom)
 
 
-def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedDistribution:
+class PairTable(TabulatedDistribution):
+    """The pair table of ``build_cdf`` or a cache: it serves the exact pair law, of kinks 0, 2R and H.
+
+    The coverage models read ``pair_distance_law`` at their serving
+    distances and the table's PCHIP interpolant everywhere else.
+    """
+
+    kinks = property(lambda self: np.array([[0.0, 2.0 * self.geometry.R, self.geometry.H]]))
+
+    def serving_law(self, which, l):
+        """CDF and density of the exact pair law at l (``pair_distance_law``)."""
+        return pair_distance_law(self.geometry, l)
+
+
+def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> PairTable:
     """Tabulate F_L on an equally spaced grid by ``pair_distance_law``'s CDF rule.
 
     The total mass must come out within 1e-6 of 1 and is normalized away
@@ -862,7 +878,7 @@ def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> Tab
     F /= total
     F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
     F[0], F[-1] = 0.0, 1.0
-    return TabulatedDistribution(geom, grid, F)
+    return PairTable(geom, grid, F)
 
 
 def _lens(rho: np.ndarray, c: np.ndarray, R: float):
@@ -1009,7 +1025,8 @@ class ReceiverMixture(TabulatedDistribution):
     onto z <= H / 2 by symmetry; the weights sum to 1).  sum_q weights[q]
     F_q approximates the pair law, and the exact model evaluates all
     receivers of the rule in one array pass over the stack, with kinks[q]
-    receiver q's ``receiver_breakpoints``.  check holds a coarser rule over
+    receiver q's ``receiver_breakpoints`` and each table serving as its
+    receiver's law, as every table does.  check holds a coarser rule over
     the same geometry, against which results of this one are compared for
     an error estimate.  Nodes of shape (q, 2) for q tables, q finite
     positive weights summing to 1 within 1e-12, and a check that is None
@@ -1030,10 +1047,6 @@ class ReceiverMixture(TabulatedDistribution):
         self.nodes, self.weights, self.check = nodes, weights, check
 
     kinks = property(lambda self: receiver_breakpoints(self.geometry, *self.nodes.T))
-
-    def serving_law(self, which, l):
-        """CDF and density of the tables which at l: each table serves as its receiver's law."""
-        return self.take(which).cdf_and_pdf(l)
 
 
 def _receiver_mixture(

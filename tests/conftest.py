@@ -243,8 +243,6 @@ def ball_pair_law(ball: Ball, l):
 class BallPairTable(TabulatedDistribution):
     """The ball's pair law as a stack of one: its closed form at 2,048 knots, and as serving law."""
 
-    kinks = np.array([[0.0]])
-
     def __init__(self, ball: Ball, knots: int = 2048):
         grid = np.linspace(0.0, ball.d_max, knots)
         super().__init__(ball, grid, *ball_pair_law(ball, grid))

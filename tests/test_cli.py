@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,18 @@ class TestCoverageCommand:
         assert main(["coverage", "--scenario", str(scen), "--output", str(outs[2]), "--workers", "2"]) == 0
         blobs = [p.read_bytes() for p in outs]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        # The sweep runs in order on the calling thread, at the default
+        # --workers too: a thread started anywhere under it fails the run.
+        def refuse(thread):
+            raise RuntimeError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        scen = write_scenario(tmp_path / "s.json", method="all", sweep={"N": [3, 8], "m": [1, 2]})
+        out = tmp_path / "cov.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 0
+        assert len(read_rows(out)[1]) == 12
 
     def test_analytic_digits_independent_of_blas_threads(self, tmp_path, tall_dist):
         # The analytic rows are reduced in a fixed order, so a BLAS library

@@ -21,6 +21,7 @@ from conftest import (
     get_mixture,
     inverse_cdf,
     simulate_ball_iid_coverage,
+    receiver_table,
     tables_of,
 )
 from cylcov import (
@@ -417,6 +418,18 @@ class TestCoverageProbability:
             sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
             res = coverage_probability(sc, tall_dist)
             assert (res.pc, res.error_estimate) == (pc, err), (N, beta_db, m, res)
+
+    @pytest.mark.parametrize("r, z", [(7.0, 60.0), (0.0, 60.0)])
+    def test_plain_table_serves_its_own_law(self, r, z):
+        # A table of the constructor serves itself, with no kink past 0, so
+        # on a receiver table the paper model is that receiver's exact model.
+        table = receiver_table(TALL, r, z)
+        sc = scenario(N=20, m=3.0, alpha=4.0, beta=10.0)
+        res = coverage_probability(sc, table)
+        one = ReceiverMixture(TALL, [[r, z]], [1.0], [(table.grid, table.cdf_values, table.slopes)])
+        one.check = one
+        ref = exact_coverage_probability(sc, one)
+        assert abs(res.pc - ref.pc) <= res.error_estimate + ref.error_estimate, (res, ref)
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES)
     def test_matches_cell_aligned_reference(self, geom):

@@ -129,6 +129,22 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_no_module_imports_concurrent_futures():
+    # The CLI sweep runs in order on the calling thread; no module keeps a pool.
+    found = []
+    for path in sorted((SRC / "cylcov").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if (name + ".").startswith("concurrent.futures.")]
+    assert not found, found
+
+
 def test_analytic_path_reads_no_cylinder():
     # Past the laws, which the stacks carry, a geometry needs only d_max and
     # equality: coverage.py and interference.py take from distance.py the
