@@ -2,38 +2,35 @@
 
 The distance L decomposes into independent planar and vertical separations,
 L^2 = Dxy^2 + Dz^2, whose individual densities are classical (disk line
-picking and segment line picking).  Two evaluation routes are provided:
+picking and segment line picking).
 
-* ``cylinder_pair_pdf_numeric``: the convolution of the squared-component
-  densities, evaluated by a fixed 32-node Gauss rule.  Writing the
-  separations as (l cos t, l sin t) turns the convolution into an integral
-  over the angle t with a bounded integrand, so the 1/sqrt endpoint
-  singularity of the raw squared-vertical density never reaches the
-  rule; a smoothstep map of the rule absorbs the (t - t_lo)^(3/2) end of
-  the disk density.  It takes a distance or an array of distances, and
-  its integrand calls ``disk_pair_pdf`` and ``segment_pair_pdf`` on all
-  nodes at once: the three densities take arrays, and a scalar is the
-  one-element case of the same code.
-* ``cylinder_pair_pdf_closed``: a four-branch closed form in complete and
-  incomplete elliptic integrals, dispatched on the signs of (l - 2R) and
-  (l - H).  Exact regime boundaries are assigned to the "<=" branch.
-  The branches were cross-checked against the numeric convolution at
-  machine precision; the first branch's elliptic prefactor multiplies
-  both the K and E terms (the only algebraically and dimensionally
-  consistent grouping).
+``pair_distance_law`` evaluates the pair law, F and f, by one rule.
+Writing the separations as (l cos t, l sin t) turns the convolution into
+an integral over the split angle t with a bounded integrand, so the
+1/sqrt endpoint singularity of the raw squared-vertical density never
+reaches the rule; a fixed 32-node Gauss rule through a smoothstep map
+absorbs the (t - t_lo)^(3/2) end of the disk density, and F and f are
+sums over the same nodes.  Distances go in blocks of bounded size, and
+the component laws take arrays, so a scalar is the one-element case of
+the same code.  ``cylinder_pair_pdf_numeric`` is its density.
 
-``build_cdf`` tabulates the CDF once per geometry on an equally spaced
-grid and wraps it in a monotone piecewise-cubic (PCHIP) interpolant: the
-Fritsch-Carlson slopes with Moler's shape-preserving end slopes, in
-numpy, bit for bit equal to scipy's ``PchipInterpolator``.  It
-integrates the closed-form disk CDF against the segment density by one
-fixed Gauss rule per knot and calls neither density route;
-``pair_distance_law`` pairs that rule with the numeric density at any
-distances.  The tabulated density is the exact derivative of the
-interpolant, so downstream integrals of expressions like (1 - F)^(N-2) f
-are internally consistent; survival is read from the table's tail
-(``sf``), never formed as 1 - F.  Pair tables serialize to a versioned
-two-column text file (knot, CDF value) for reuse across runs.
+``cylinder_pair_pdf_closed`` is a four-branch closed form of the density
+in complete and incomplete elliptic integrals, dispatched on the signs
+of (l - 2R) and (l - H).  Exact regime boundaries are assigned to the
+"<=" branch.  The branches were cross-checked against the numeric
+convolution at machine precision; the first branch's elliptic prefactor
+multiplies both the K and E terms (the only algebraically and
+dimensionally consistent grouping).
+
+``build_cdf`` tabulates the law's F once per geometry on an equally
+spaced grid and wraps it in a monotone piecewise-cubic (PCHIP)
+interpolant: the Fritsch-Carlson slopes with Moler's shape-preserving
+end slopes, in numpy, bit for bit equal to scipy's ``PchipInterpolator``.
+The tabulated density is the exact derivative of the interpolant, so
+downstream integrals of expressions like (1 - F)^(N-2) f are internally
+consistent; survival is read from the table's tail (``sf``), never
+formed as 1 - F.  Pair tables serialize to a versioned two-column text
+file (knot, CDF value) for reuse across runs.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -131,12 +128,9 @@ def _smoothstep_rule(order: int):
 # Smoothstep rule over one slab of ball slices, in the slice angle: the lens
 # area and arc angle have (3/2)- and (1/2)-power endpoint behaviour.
 _SLICE_PHI, _SLICE_DPHI_W = _smoothstep_rule(24)
-# Smoothstep rule over the vertical separation in build_cdf, where the disk
-# CDF approaches 1 like (2R - v)^(3/2) and 0 like a term in v^3.
-_PAIR_CDF_PHI, _PAIR_CDF_DPHI_W = _smoothstep_rule(48)
-# Smoothstep rule over the angle in cylinder_pair_pdf_numeric: at l > 2R the
+# Smoothstep rule over the split angle in pair_distance_law: at l > 2R the
 # disk density leaves the lower limit like (t - t_lo)^(3/2).
-_PAIR_PDF_PHI, _PAIR_PDF_DPHI_W = _smoothstep_rule(32)
+_PAIR_PHI, _PAIR_DPHI_W = _smoothstep_rule(32)
 
 
 def _gauss_on_panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
@@ -179,33 +173,72 @@ def segment_pair_pdf(z, H: float):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def cylinder_pair_pdf_numeric(l, geom: CylinderGeometry):
-    """Pair-distance density by numeric convolution of the component densities.
+def _disk_pair_cdf(v: np.ndarray, R: float) -> np.ndarray:
+    """CDF of the distance between two uniform points in a disk of radius R.
+
+    With x = v / 2R clipped to [0, 1],
+    F(v) = 1 + (2 / pi) ((4 x^2 - 1) acos(x) - x (1 + 2 x^2) sqrt(1 - x^2)).
+    """
+    x = np.clip(v / (2.0 * R), 0.0, 1.0)
+    x2 = x * x
+    return 1.0 + (2.0 / math.pi) * (
+        (4.0 * x2 - 1.0) * np.arccos(x) - x * (1.0 + 2.0 * x2) * np.sqrt(1.0 - x2)
+    )
+
+
+def pair_distance_law(geom: CylinderGeometry, l):
+    """CDF and density of the pair distance at the distances l, like ``receiver_distance_law``.
 
     Parameterizing the planar/vertical split as (l cos t, l sin t) gives
 
-        f_L(l) = l * int_{t_lo}^{t_hi} f_disk(l cos t) f_seg(l sin t) dt,
+        f(l) = l int_{t_lo}^{t_hi} f_disk(l cos t) f_seg(l sin t) dt,
+        F(l) = S(z0) + int_{t_lo}^{t_hi} F_disk(l cos t) f_seg(l sin t) l cos t dt,
 
-    where the limits trim the arc to l cos t <= 2R and l sin t <= H.  The
-    integral is a fixed 32-node Gauss rule through the smoothstep map,
-    which absorbs the (t - t_lo)^(3/2) end of the disk density at l > 2R.
-    l is a distance (a float out) or an array of them (an array out), all
-    evaluated at once.  Returns 0 outside [0, d_max].  It agrees with the
-    closed form within about 1e-12 absolute on the four geometry regimes.
+    where the limits trim the arc to l cos t <= 2R and l sin t <= H, and S
+    is the segment CDF (2 z H - z^2) / H^2 below z0 = sqrt(l^2 - 4 R^2),
+    where the disk CDF is 1.  Both integrals are sums over the nodes of
+    one fixed 32-node Gauss rule through the smoothstep map, which absorbs
+    the (t - t_lo)^(3/2) end of the disk density at l > 2R.  Distances go
+    in blocks of at most _BLOCK_ELEMENTS integrand elements, and a
+    distance's values do not depend on the others.  l is a distance or an
+    array of any shape; both arrays have its shape, at least 1-D.  Outside
+    (0, d_max) F is 0 or 1 and f is 0; a NaN distance raises DomainError.
     """
     R, H = geom.R, geom.H
-    l_arr = np.asarray(l, dtype=float)
-    inside = (l_arr > 0.0) & (l_arr < geom.d_max)
-    l_arr = np.where(inside, l_arr, 1.0)[..., None]  # any positive distance; zeroed below
-    theta_lo = np.arccos(np.minimum(1.0, 2.0 * R / l_arr))  # 0 for l <= 2R
-    theta_hi = np.arcsin(np.minimum(1.0, H / l_arr))  # pi / 2 for l <= H
-    span = np.maximum(theta_hi - theta_lo, 0.0)
-    theta = theta_lo + span * _PAIR_PDF_PHI
-    disk = disk_pair_pdf(l_arr * np.cos(theta), R)
-    segment = segment_pair_pdf(l_arr * np.sin(theta), H)
-    val = span[..., 0] * np.sum(disk * segment * _PAIR_PDF_DPHI_W, axis=-1)
-    out = np.where(inside, l_arr[..., 0] * np.maximum(val, 0.0), 0.0)
-    return float(out) if np.ndim(l) == 0 else out
+    l = np.atleast_1d(np.asarray(l, dtype=float))
+    if np.any(np.isnan(l)):
+        raise DomainError("a distance is NaN")
+    x = l.ravel()
+    F, f = (x >= geom.d_max).astype(float), np.zeros(x.size)
+    inside = np.flatnonzero((x > 0.0) & (x < geom.d_max))
+    rows = _BLOCK_ELEMENTS // _PAIR_PHI.size
+    for start in range(0, inside.size, rows):
+        at = inside[start : start + rows]
+        d = x[at, None]
+        theta_lo = np.arccos(np.minimum(1.0, 2.0 * R / d))  # 0 for l <= 2R
+        theta_hi = np.arcsin(np.minimum(1.0, H / d))  # pi / 2 for l <= H
+        span = np.maximum(theta_hi - theta_lo, 0.0)
+        theta = theta_lo + span * _PAIR_PHI
+        v = d * np.cos(theta)
+        segment = segment_pair_pdf(d * np.sin(theta), H)
+        val = span[:, 0] * np.sum(disk_pair_pdf(v, R) * segment * _PAIR_DPHI_W, axis=-1)
+        f[at] = d[:, 0] * np.maximum(val, 0.0)
+        z0 = np.sqrt(np.maximum(d[:, 0] ** 2 - 4.0 * R * R, 0.0))
+        F[at] = (2.0 * z0 * H - z0 * z0) / (H * H) + span[:, 0] * np.sum(
+            _disk_pair_cdf(v, R) * segment * v * _PAIR_DPHI_W, axis=-1)
+    return F.reshape(l.shape), f.reshape(l.shape)
+
+
+def cylinder_pair_pdf_numeric(l, geom: CylinderGeometry):
+    """Pair-distance density by numeric convolution of the component densities.
+
+    The density of ``pair_distance_law``: l is a distance (a float out) or
+    an array of them (an array of its shape out).  Returns 0 outside (0,
+    d_max) and raises DomainError on NaN.  It agrees with the closed form
+    within about 1e-12 absolute on the four geometry regimes.
+    """
+    f = pair_distance_law(geom, l)[1]
+    return float(f[0]) if np.ndim(l) == 0 else f
 
 
 def _kp2_times_K_minus_F(kp2: float, k: float, phi: float) -> float:
@@ -801,51 +834,6 @@ class TabulatedDistribution:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
 
 
-def _disk_pair_cdf(v: np.ndarray, R: float) -> np.ndarray:
-    """CDF of the distance between two uniform points in a disk of radius R.
-
-    With x = v / 2R clipped to [0, 1],
-    F(v) = 1 + (2 / pi) ((4 x^2 - 1) acos(x) - x (1 + 2 x^2) sqrt(1 - x^2)).
-    """
-    x = np.clip(v / (2.0 * R), 0.0, 1.0)
-    x2 = x * x
-    return 1.0 + (2.0 / math.pi) * (
-        (4.0 * x2 - 1.0) * np.arccos(x) - x * (1.0 + 2.0 * x2) * np.sqrt(1.0 - x2)
-    )
-
-
-def _pair_cdf(geom: CylinderGeometry, l: np.ndarray) -> np.ndarray:
-    """F_L at every distance of the 1-D array l by one fixed rule per distance.
-
-    Conditioning on the vertical separation z gives
-
-        F(l) = int_0^{min(l, H)} F_disk(sqrt(l^2 - z^2)) 2 (H - z) / H^2 dz.
-
-    Below z0 = sqrt(l^2 - 4 R^2) the disk CDF is 1, so that piece is the
-    segment CDF (2 z H - z^2) / H^2 in closed form; the rest is a 48-node
-    Gauss rule through the smoothstep map, applied to every distance at once.
-    """
-    R, H = geom.R, geom.H
-    top = np.minimum(l, H)
-    low = np.minimum(np.sqrt(np.maximum(l * l - 4.0 * R * R, 0.0)), top)
-    z = low[:, None] + (top - low)[:, None] * _PAIR_CDF_PHI
-    disk = _disk_pair_cdf(np.sqrt(np.maximum(l[:, None] ** 2 - z * z, 0.0)), R)
-    weights = (top - low)[:, None] * _PAIR_CDF_DPHI_W
-    return (2.0 * low * H - low * low) / (H * H) + np.sum(
-        disk * (2.0 * (H - z) / (H * H)) * weights, axis=1
-    )
-
-
-def pair_distance_law(geom: CylinderGeometry, l):
-    """CDF and density of the pair distance at the distances l, like ``receiver_distance_law``.
-
-    The CDF is ``build_cdf``'s rule before normalization and the density
-    ``cylinder_pair_pdf_numeric``'s, both on all of l at once.
-    """
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    return _pair_cdf(geom, l), cylinder_pair_pdf_numeric(l, geom)
-
-
 class PairTable(TabulatedDistribution):
     """The pair table of ``build_cdf`` or a cache: it serves the exact pair law, of kinks 0, 2R and H.
 
@@ -861,24 +849,17 @@ class PairTable(TabulatedDistribution):
 
 
 def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> PairTable:
-    """Tabulate F_L on an equally spaced grid by ``pair_distance_law``'s CDF rule.
+    """Tabulate ``pair_distance_law``'s F on grid_size equally spaced knots over [0, d_max].
 
-    The total mass must come out within 1e-6 of 1 and is normalized away
-    so F(d_max) is exactly 1.
+    The law is 0 at the first knot and 1 at the last; rounding above 1 or
+    downward is clipped away.  grid_size must be an integer of at least 64
+    (an integral float too); else DomainError.
     """
-    if grid_size < 64:
-        raise DomainError(f"grid_size={grid_size} must be at least 64")
+    if not (64 <= grid_size < math.inf and grid_size % 1 == 0):
+        raise DomainError(f"grid_size={grid_size!r} must be an integer of at least 64")
     grid = np.linspace(0.0, geom.d_max, int(grid_size))
-    F = _pair_cdf(geom, grid)
-    total = F[-1]
-    if abs(total - 1.0) > 1e-6:
-        raise RuntimeError(
-            f"pair-distance density mass {total!r} deviates from 1 beyond tolerance"
-        )
-    F /= total
-    F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
-    F[0], F[-1] = 0.0, 1.0
-    return PairTable(geom, grid, F)
+    F = pair_distance_law(geom, grid)[0]
+    return PairTable(geom, grid, np.maximum.accumulate(np.clip(F, 0.0, 1.0)))
 
 
 def _lens(rho: np.ndarray, c: np.ndarray, R: float):

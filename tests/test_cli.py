@@ -51,18 +51,20 @@ def write_scenario(path, **overrides):
 # Carlo and ppp-baseline byte is still held.  The "all" and ALL_WITHOUT_PPP
 # digests were re-taken when a serving distance's own panel took partial-panel
 # weights from a stored knot above it, which moved the analytic pc cells by at
-# most 8.9e-16 and the err cells by at most 3.4e-16.
+# most 8.9e-16 and the err cells by at most 3.4e-16, and again when the pair
+# law's CDF came to share the density's split-angle rule, which moved them by
+# at most 2.8e-15 and 4.4e-16.
 PINNED_SWEEPS = {
     "all": (
         {"N": [3, 8], "beta_dB": [-5, 0, 10], "m": [1, 2], "alpha": [3, 4, 8]},
-        "b185f1d20843c6b603a4a2b18228637e6b4cf7e8040a733698c6da0bc33075da",
+        "6bae2d542f95f325dea37a1facc1dc1255f8829cf98a112ae01215f41bbf2e90",
     ),
     "simulate": (
         {"N": [3, 8], "beta_dB": [-5, 0, 10], "m": [0.5, 1.5], "alpha": [3, 4, 8]},
         "3e0502636f064cd9f5e6d829173da51737af11dc2425ec308d595b134a423b0d",
     ),
 }
-ALL_WITHOUT_PPP = "f85a56d53686b45d2966a48de95f30a4beee8090425a6c4703f0aa1eda6fd867"
+ALL_WITHOUT_PPP = "27d3cbb973f9973956cd4ced4e7388c706f80d767f6dbcb7d5084f0c16a2c9da"
 ALL_WITHOUT_ANALYTIC = "6c3db85b2807e03276abddfecd6bada27fa7efbe27cd690161f2fbabcef065ac"
 
 
@@ -334,7 +336,7 @@ class TestCoverageCommand:
             sweep={"m": [1, 2], "alpha": [3, 8, 20]},
         )
         # the alpha axis needs panel layouts of three ratios, which the
-        # workers build on first use and share through one table
+        # sweep's one table builds on first use and keeps for later points
         outs = [tmp_path / f"d{i}.csv" for i in range(3)]
         assert main(["coverage", "--scenario", str(scen), "--output", str(outs[0]), "--workers", "1"]) == 0
         assert main(["coverage", "--scenario", str(scen), "--output", str(outs[1]), "--workers", "4"]) == 0

@@ -404,15 +404,18 @@ class TestCoverageProbability:
         # panel edge, when survival came to be read from the table's tail,
         # and when a serving distance's own panel took partial-panel weights
         # (moves of at most 3.4e-16); none moved a value by more than 1.5e-14.
+        # Re-taken when the pair law's CDF came to share the density's
+        # split-angle rule: values moved by at most 6.8e-15 and error
+        # estimates by at most 1.0e-15.
         pinned = [
-            (5, 0, 1, 0.7269415873144552, 6.664017171420511e-08),
-            (5, 0, 2, 0.7828704286685699, 7.26469512324357e-08),
-            (5, 10, 1, 0.303552069996587, 8.600957002169451e-09),
-            (5, 10, 2, 0.28991685862804145, 4.472914649777948e-09),
-            (20, 0, 1, 0.5125526435560872, 1.460040532919038e-09),
-            (20, 0, 2, 0.5463598643167522, 5.260214486213499e-11),
-            (20, 10, 1, 0.1296505945045475, 1.4316667296121466e-10),
-            (20, 10, 2, 0.12499913113462764, 8.203987489352471e-11),
+            (5, 0, 1, 0.7269415873144551, 6.664017182522741e-08),
+            (5, 0, 2, 0.7828704286685698, 7.264695101039109e-08),
+            (5, 10, 1, 0.3035520699965869, 8.600957002169451e-09),
+            (5, 10, 2, 0.2899168586280413, 4.472914594266797e-09),
+            (20, 0, 1, 0.5125526435560931, 1.4600395337183159e-09),
+            (20, 0, 2, 0.546359864316759, 5.260247792904238e-11),
+            (20, 10, 1, 0.12965059450454927, 1.4316664520563904e-10),
+            (20, 10, 2, 0.12499913113462938, 8.203990264910033e-11),
         ]
         for N, beta_db, m, pc, err in pinned:
             sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))

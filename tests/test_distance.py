@@ -1,6 +1,7 @@
 """Pair-distance densities: building blocks, convolution, closed form, tables."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from cylcov import (
 from cylcov.distance import (
     RECEIVER_RULE,
     ReceiverMixture,
+    _disk_pair_cdf,
     _receiver_mixture,
     pair_distance_law,
     receiver_breakpoints,
@@ -51,6 +53,16 @@ def quiet_quad(fn, a, b, **kw):
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(fn, a, b, **kw)
     return val
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDiskPairPdf:
@@ -100,6 +112,23 @@ class TestNumericPdf:
         assert cylinder_pair_pdf_numeric(SQUAT.d_max, SQUAT) == 0.0
         assert cylinder_pair_pdf_numeric(-1.0, SQUAT) == 0.0
         assert cylinder_pair_pdf_numeric(SQUAT.d_max + 1.0, SQUAT) == 0.0
+
+    def test_nan_distance_raises(self):
+        for l in (math.nan, np.array([1.0, math.nan, 2.0])):
+            with pytest.raises(DomainError, match="NaN"):
+                cylinder_pair_pdf_numeric(l, SQUAT)
+            with pytest.raises(DomainError, match="NaN"):
+                pair_distance_law(SQUAT, l)
+
+    def test_infinite_distances_lie_outside_the_support(self):
+        F, f = pair_distance_law(SQUAT, np.array([-math.inf, math.inf]))
+        assert F.tolist() == [0.0, 1.0] and f.tolist() == [0.0, 0.0]
+        assert cylinder_pair_pdf_numeric(math.inf, SQUAT) == 0.0
+
+    def test_memory_is_bounded(self):
+        # 10^5 distances: a rule applied to all at once peaks near 180 MB.
+        l = np.linspace(0.0, TALL.d_max, 100_000)
+        assert traced_peak(lambda: cylinder_pair_pdf_numeric(l, TALL)) <= 8e6
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_normalization(self, geom):
@@ -390,6 +419,38 @@ class TestBuildCdf:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             build_cdf(SQUAT, 32)
+
+    @pytest.mark.parametrize("grid_size", [100.5, math.nan, math.inf, -math.inf])
+    def test_rejects_grid_size_that_is_no_integer(self, grid_size):
+        with pytest.raises(DomainError, match="grid_size"):
+            build_cdf(SQUAT, grid_size)
+
+    @pytest.mark.parametrize("grid_size", [64, 64.0, np.int64(100), np.float64(128.0)])
+    def test_integral_grid_sizes_build(self, grid_size):
+        assert build_cdf(SQUAT, grid_size).grid.size == grid_size
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_memory_is_bounded(self, geom):
+        # The law runs in blocks of _BLOCK_ELEMENTS integrand elements: a
+        # rule applied to all 2,048 knots at once peaks above 6 MB.
+        assert traced_peak(lambda: build_cdf(geom, 2048)) <= 3e6
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_knots_match_a_finer_rule(self, geom):
+        # F = S(z0) + int F_disk(l cos t) f_seg(l sin t) l cos t dt over the
+        # split angle t, here on a 256-node smoothstep Gauss rule.
+        x, w = np.polynomial.legendre.leggauss(256)
+        s = 0.5 * (x + 1.0)
+        phi, dphi_w = s * s * (3.0 - 2.0 * s), 3.0 * s * (1.0 - s) * w
+        l = get_dist(geom).grid[1:-1, None]
+        lo = np.arccos(np.minimum(1.0, 2.0 * geom.R / l))
+        span = np.maximum(np.arcsin(np.minimum(1.0, geom.H / l)) - lo, 0.0)
+        t = lo + span * phi
+        integrand = (_disk_pair_cdf(l * np.cos(t), geom.R) * segment_pair_pdf(l * np.sin(t), geom.H)
+                     * l * np.cos(t))
+        z0 = np.sqrt(np.maximum(l[:, 0] ** 2 - 4.0 * geom.R**2, 0.0))
+        F = (2.0 * z0 * geom.H - z0 * z0) / geom.H**2 + span[:, 0] * np.sum(integrand * dphi_w, axis=1)
+        assert np.max(np.abs(get_dist(geom).cdf_values[1:-1] - F)) <= 1e-12
 
     def test_endpoint_values(self, squat_dist):
         assert squat_dist.cdf(0.0) == 0.0
