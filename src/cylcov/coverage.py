@@ -18,10 +18,11 @@ contract and is counted in the error estimate.  The laws come as one
 ``serving_law``, so this module reads no geometry past d_max and
 equality.  All serving distances of all laws go through the law, the
 conditional series and the interferer integral in one array pass, and
-both models run one body (``_analytic``): the paper model on the pair
-table, a stack of one serving the exact pair law, and the exact model on
-a ``ReceiverMixture``, one table per receiver of its rule, each holding
-its receiver's exact density at its knots and serving as the law.
+both models run one body (``_analytic``) and differ only in their law
+and their receiver rule: the paper model reads the pair table, a stack
+of one, and the exact model a ``ReceiverMixture``, one table per
+receiver of its rule.  Every table holds its law's density at its knots,
+in the monotone box, and serves as the law.
 
 A network of N = 2 nodes has no interferer, the SIR is infinite under
 the noise-free model, and the coverage probability is defined as 1.
@@ -191,9 +192,9 @@ def coverage_probability(scenario: NetworkScenario, dist: TabulatedDistribution)
     """Coverage probability of the paper's model, with i.i.d. distances of the pair law.
 
     ``_analytic`` at Gauss orders PAPER_ORDER and PAPER_CHECK_ORDER on
-    dist, the pair table (``build_cdf``), which serves the exact pair law;
-    any other table of one serves its own law.  A stack of several tables
-    or its view raises DomainError.
+    dist, the pair table (``build_cdf``) or any other table of one, which
+    serves as its own law.  A stack of several tables or its view raises
+    DomainError.
     Deterministic given the scenario and CDF grid.
     """
     if dist.ends.size != 1:
@@ -206,10 +207,10 @@ def exact_coverage_probability(scenario: NetworkScenario, mixture: ReceiverMixtu
 
     ``_analytic`` at Gauss order EXACT_ORDER over all receivers of
     mixture's rule at once, under each receiver's table: its cubic carries
-    the exact law (``receiver_distance_law``) at its knots, and between
-    them serves as the law.  The check is the same average over
-    mixture.check at order EXACT_CHECK_ORDER.  A ``take`` view of a
-    mixture raises DomainError.
+    the exact law (``receiver_distance_law``) at its knots, its density
+    held in the monotone box, and between them serves as the law.  The
+    check is the same average over mixture.check at order
+    EXACT_CHECK_ORDER.  A ``take`` view of a mixture raises DomainError.
     """
     if getattr(mixture, "check", None) is None:
         raise DomainError("mixture has no check rule; build it with build_receiver_cdfs")

@@ -22,15 +22,17 @@ convolution at machine precision; the first branch's elliptic prefactor
 multiplies both the K and E terms (the only algebraically and
 dimensionally consistent grouping).
 
-``build_cdf`` tabulates the law's F once per geometry on an equally
-spaced grid and wraps it in a monotone piecewise-cubic (PCHIP)
-interpolant: the Fritsch-Carlson slopes with Moler's shape-preserving
-end slopes, in numpy, bit for bit equal to scipy's ``PchipInterpolator``.
-The tabulated density is the exact derivative of the interpolant, so
-downstream integrals of expressions like (1 - F)^(N-2) f are internally
-consistent; survival is read from the table's tail (``sf``), never
-formed as 1 - F.  Pair tables serialize to a versioned two-column text
-file (knot, CDF value) for reuse across runs.
+``build_cdf`` tabulates the law, F and f, once per geometry on an
+equally spaced grid.  Every table, this one and the receiver tables
+below, is a cubic Hermite interpolant by one slope rule
+(``_checked_table``): a knot's slope is the law's density there, held
+to at most 3 times the secant of each cell it bounds, so every cubic is
+monotone (Fritsch & Carlson, 1980).  The tabulated density is the exact
+derivative of the interpolant, so downstream integrals of expressions
+like (1 - F)^(N-2) f are internally consistent; survival is read from
+the table's tail (``sf``), never formed as 1 - F.  Pair tables serialize
+to a versioned three-column text file (knot, CDF value, knot slope) for
+reuse across runs.
 
 The pair law above is the law of the distance from a *random* receiver.
 In a deployment all N - 1 distances share one receiver position x, and
@@ -44,11 +46,10 @@ cylinder's cross-section in a circle-disk lens), and
 ``build_receiver_cdfs`` tabulates it at the nodes of a fixed rule over
 receiver positions, so the pair law is the rule's weighted mixture, a
 ``ReceiverMixture``: the stack of the rule's tables, where the pair table
-is a stack of one (``PairTable``).  A receiver
-table is a cubic Hermite interpolant whose knot slopes are the exact
-density, so it equals the law, F_x and f_x, at its knots; the exact
-model reads it as the law and calls ``receiver_distance_law`` only while
-building tables.
+is a stack of one (``PairTable``).  Wherever the limit does not bind, a
+table equals its law, F and f, at its knots; both coverage models read
+their tables as the law and call ``pair_distance_law`` and
+``receiver_distance_law`` only while building them.
 
 The module needs numpy only; ``special`` is pure Python.
 """
@@ -65,7 +66,7 @@ from .errors import DomainError, StaleCacheError
 from .geometry import CylinderGeometry
 from .special import complete_E, complete_K, incomplete_E, incomplete_F
 
-_CACHE_MAGIC = "# cylcov-cdf v1"
+_CACHE_MAGIC = "# cylcov-cdf v2"
 
 DEFAULT_GRID_SIZE = 2048
 # Gauss points per knot cell: the density is quadratic on a cell and 4 points
@@ -93,17 +94,8 @@ _BLOCK_ELEMENTS = 1 << 15
 # the quotient amplifies tabulation noise, and the serving-distance mass
 # beyond it, (1 - F)^(N-1), is far below the 1e-4 coverage contract.
 _SURVIVAL_FLOOR = 1e-12
-# How far below 0 a table's cell density may dip by rounding: this share of
-# its largest knot slope, plus _CDF_ERROR over the cell's width, the error of
-# the CDF values read as density.  A receiver 1e-8 R from the axis has
-# breakpoints R - r and R + r 1e-10 R apart, a cell far narrower than a knot
-# spacing.
-_DENSITY_SLACK = 1e-9
-_CDF_ERROR = 1e-11
 
 RECEIVER_GRID_SIZE = 256
-# Times a receiver table's build halves the cells where its density dips.
-_DIP_SPLITS = 4
 # Gauss nodes of the receiver rule and of the coarser rule that checks it,
 # as (longer axis, shorter axis): the axes are r in [0, R] and z in
 # [0, H/2].  Coverage varies fastest in a layer about one node spacing
@@ -145,12 +137,12 @@ def disk_pair_pdf(v, R: float):
 
     f(v) = (8 x / (pi R)) (arccos(x) - x sqrt(1 - x^2)) with x = v / 2R
     on [0, 2R], zero above.  v is a distance (a float out) or an array of
-    them (an array out); a negative one raises DomainError.
+    them (an array out); a negative or NaN one raises DomainError.
     """
     if R <= 0.0:
         raise DomainError(f"disk radius R={R!r} must be positive")
     v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0.0):
+    if not np.all(v_arr >= 0.0):  # written so that NaN fails it too
         raise DomainError(f"distance v={float(np.min(v_arr))!r} must be nonnegative")
     x = np.minimum(v_arr / (2.0 * R), 1.0)
     out = (8.0 * x / (math.pi * R)) * (np.arccos(x) - x * np.sqrt(1.0 - x * x))
@@ -162,12 +154,12 @@ def segment_pair_pdf(z, H: float):
 
     The triangular density 2 (H - z) / H^2 on [0, H], zero above.  z is a
     distance (a float out) or an array of them (an array out); a negative
-    one raises DomainError.
+    or NaN one raises DomainError.
     """
     if H <= 0.0:
         raise DomainError(f"segment length H={H!r} must be positive")
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
+    if not np.all(z_arr >= 0.0):  # written so that NaN fails it too
         raise DomainError(f"distance z={float(np.min(z_arr))!r} must be nonnegative")
     out = 2.0 * np.maximum(H - z_arr, 0.0) / (H * H)
     return float(out) if np.ndim(z) == 0 else out
@@ -356,41 +348,6 @@ def cylinder_pair_pdf_closed(l: float, geom: CylinderGeometry) -> float:
     return max(value, 0.0)
 
 
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """Moler's one-sided three-point end slope, 0 where its sign breaks the shape.
-
-    Moler also clamps it to 3 m0 when m0 and m1 differ in sign; for
-    non-decreasing data that clamp can never apply (the slope is at most
-    2 m0 when m1 = 0, and negative, so set to 0, when m0 = 0).
-    """
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    return d if np.sign(d) == np.sign(m0) else 0.0
-
-
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot slopes of the monotone cubic through non-decreasing data (Fritsch & Carlson, 1980).
-
-    An interior slope is 0 where a neighbouring secant is flat (for such
-    data the only way the two can differ in sign), and their weighted
-    harmonic mean otherwise; the end slopes are Moler's.  Every operation
-    follows scipy's ``PchipInterpolator``, so the slopes agree with it bit
-    for bit.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if x.size == 2:
-        return np.array([m[0], m[0]])
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    flat = (m[1:] == 0.0) | (m[:-1] == 0.0)
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
-
-
 def _hermite_cubic(grid: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Rows of left knots and c0..c3 of the cells' cubics c3 + c2 s + c1 s^2 + c0 s^3.
 
@@ -404,34 +361,17 @@ def _hermite_cubic(grid: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.nd
     return np.stack((grid[:-1], c0, c1, d[:-1], values[:-1]))
 
 
-def _dipping_cells(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Indices of the cells whose Hermite cubic's density dips below 0 beyond rounding.
-
-    With knot slopes a, b and secant m, the density at u = s / h of a cell
-    of width h is the quadratic a + B u + C u^2, B = 6 m - 4 a - 2 b and
-    C = 3 (a + b) - 6 m: least at a knot, or at its vertex u = -B / 2C
-    where that lies inside the cell and C > 0.  It may dip by rounding:
-    _DENSITY_SLACK times the largest slope plus _CDF_ERROR / h.
-    """
-    h = grid[1:] - grid[:-1]
-    a, b, secant = slopes[:-1], slopes[1:], (values[1:] - values[:-1]) / h
-    B = 6.0 * secant - 4.0 * a - 2.0 * b
-    C = 3.0 * (a + b) - 6.0 * secant
-    inside = (C > 0.0) & (B < 0.0) & (-B < 2.0 * C)
-    least = np.where(inside, a - B * B / (4.0 * np.where(inside, C, 1.0)), np.minimum(a, b))
-    # the slack times h, so that a cell of subnormal width cannot overflow it
-    return np.flatnonzero((least + _DENSITY_SLACK * np.max(slopes)) * h < -_CDF_ERROR)
-
-
-def _checked_table(geometry: CylinderGeometry, grid, cdf_values, densities=None):
+def _checked_table(geometry: CylinderGeometry, grid, cdf_values, densities):
     """One table's knots, CDF values and knot slopes as float arrays, checked.
 
-    Knot densities, where given, are the slopes and must be finite and
-    nonnegative; without them the slopes are PCHIP's (``_pchip_slopes``).
-    On a cell of width h the density must stay at or above -(1e-9 times
-    the largest knot slope + 1e-11 / h), the cubic's rounding plus the
-    error of the CDF values read as density (``_DENSITY_SLACK``,
-    ``_CDF_ERROR``).  Raises DomainError on these and on malformed knots.
+    The knot densities must be finite and nonnegative.  A knot's slope is
+    its density, held to at most 3 times the secant of each cell it bounds
+    (an end knot bounds one): a Hermite cubic whose knot slopes lie in
+    [0, 3 m] for its secant m is monotone (Fritsch & Carlson, 1980), so
+    every cell's density is nonnegative up to rounding.  Where the law's
+    density is read exactly and the limit does not bind, the table's
+    density is the law's at its knots.  Raises DomainError on malformed
+    knots or densities.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(cdf_values, dtype=float)
@@ -448,19 +388,14 @@ def _checked_table(geometry: CylinderGeometry, grid, cdf_values, densities=None)
         raise DomainError("cdf values must be non-decreasing")
     if abs(values[0]) > 1e-9 or abs(values[-1] - 1.0) > 1e-9:
         raise DomainError("cdf must run from 0 to 1")
-    if densities is None:
-        slopes = _pchip_slopes(grid, values)
-    else:
-        slopes = np.asarray(densities, dtype=float)
-        if slopes.shape != grid.shape:
-            raise DomainError("densities must have the grid's shape")
-        if not np.all(np.isfinite(slopes) & (slopes >= 0.0)):
-            raise DomainError("densities must be finite and nonnegative")
-    dips = _dipping_cells(grid, values, slopes)
-    if dips.size:
-        a, b = grid[dips[0] : dips[0] + 2].tolist()
-        raise DomainError(f"the density dips below 0 in the cell [{a!r}, {b!r}]")
-    return grid, values, slopes
+    densities = np.asarray(densities, dtype=float)
+    if densities.shape != grid.shape:
+        raise DomainError("densities must have the grid's shape")
+    if not np.all(np.isfinite(densities) & (densities >= 0.0)):
+        raise DomainError("densities must be finite and nonnegative")
+    secant = np.diff(values) / np.diff(grid)
+    limit = 3.0 * np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf))
+    return grid, values, np.minimum(densities, limit)
 
 
 def _panel_edges(table: "TabulatedDistribution", k: int) -> np.ndarray:
@@ -534,15 +469,12 @@ def _blocks(key: np.ndarray, elements):
 class TabulatedDistribution:
     """Tabulated CDFs of distance laws on one geometry, each with a monotone cubic interpolant.
 
-    A table holds (l, F(l)) knots spanning [0, d_max] and knot slopes
-    (``_checked_table``); on each cell the interpolant is the cubic Hermite
-    interpolant through its two knots, and ``pdf`` is the exact derivative
-    of ``cdf``.  A receiver table takes its knot densities as its slopes,
-    so its density equals the law's at every knot.  The pair table (from
-    ``build_cdf`` or a cache) takes the PCHIP slopes, and its values match
-    scipy's ``PchipInterpolator`` bit for bit: each cell holds its cubic in
-    powers of the offset s from its left knot, evaluated as c3 + c2 s + c1
-    s^2 + c0 s^3 in that order of additions.
+    A table holds (l, F(l)) knots spanning [0, d_max] and knot slopes,
+    its law's densities held in the monotone box (``_checked_table``); on
+    each cell the interpolant is the cubic Hermite interpolant through its
+    two knots, and ``pdf`` is the exact derivative of ``cdf``.  Each cell
+    holds its cubic in powers of the offset s from its left knot,
+    evaluated as c3 + c2 s + c1 s^2 + c0 s^3 in that order of additions.
 
     An instance holds its tables side by side for one array pass over all:
     the constructor's one table, or a ``ReceiverMixture``'s.  Knots and CDF
@@ -560,15 +492,15 @@ class TabulatedDistribution:
     end_sf the survival there.  Instances are immutable and thread-safe.
     The coverage models read a stack's laws from its weights, kinks and
     ``serving_law``: here one law of weight 1 with no kink past 0, which
-    the table serves itself.  ``PairTable`` and ``ReceiverMixture`` give
-    their own kinks, and the pair table serves the exact pair law.
+    the table serves itself, as every table does.  ``PairTable`` and
+    ``ReceiverMixture`` give their own kinks.
     """
 
     weights = np.broadcast_to(1.0, 1)  # read-only
     kinks = np.broadcast_to(0.0, (1, 1))
 
     def __init__(self, geometry: CylinderGeometry, grid: np.ndarray, cdf_values: np.ndarray,
-                 densities: Optional[np.ndarray] = None):
+                 densities: np.ndarray):
         self._hold(geometry, [_checked_table(geometry, grid, cdf_values, densities)])
 
     def _hold(self, geometry: CylinderGeometry, tables) -> None:
@@ -793,16 +725,18 @@ class TabulatedDistribution:
     def save(self, path) -> None:
         """Write the versioned columnar text cache (header: R, H, grid_size).
 
-        Each row holds a knot and its CDF value.  ``load`` rebuilds the
-        PCHIP slopes of the knots, so a table with other slopes (a receiver
-        table) raises DomainError.  A cache holds a pair table: ``load``
-        returns a ``PairTable``, which serves the exact pair law.
+        Each row holds a knot, its CDF value and its slope; the slopes are
+        already in the monotone box, so ``load`` rebuilds the table bit for
+        bit.  A cache holds a pair table: ``load`` returns a ``PairTable``,
+        with the pair law's kinks, so any other table raises DomainError.
         """
-        if not np.array_equal(self.slopes, _pchip_slopes(self.grid, self.cdf_values)):
-            raise DomainError("only a table with the PCHIP slopes of its knots can be cached")
+        if not isinstance(self, PairTable):
+            raise DomainError("only a pair table (build_cdf) can be cached")
+        grid, values, slopes = self._table()
         header = (_CACHE_MAGIC, f"# R={self.geometry.R!r}", f"# H={self.geometry.H!r}",
-                  f"# grid_size={self.grid.size}")
-        rows = (f"{l!r}\t{F!r}" for l, F in zip(self.grid.tolist(), self.cdf_values.tolist()))
+                  f"# grid_size={grid.size}")
+        columns = (v.tolist() for v in (grid, values, slopes))
+        rows = (f"{l!r}\t{F!r}\t{f!r}" for l, F, f in zip(*columns))
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join((*header, *rows, "")))
 
@@ -811,7 +745,8 @@ class TabulatedDistribution:
         """Reload a cache written by ``save`` as a ``PairTable``.
 
         Raises StaleCacheError on an unreadable or corrupt file, including
-        one whose table the constructor rejects.
+        one of another format version (the two-column v1 held no slopes)
+        and one whose table the constructor rejects.
         """
         try:
             with open(path, "r", encoding="ascii") as fh:
@@ -827,39 +762,34 @@ class TabulatedDistribution:
             R, H, grid_size = float(header["R"]), float(header["H"]), int(header["grid_size"])
             # rows of unequal length make the array ragged and raise ValueError
             rows = np.array([line.split("\t") for line in lines[4:] if line], dtype=float)
-            if rows.shape != (grid_size, 2):
-                raise ValueError(f"expected {grid_size} rows of 2 columns, found {rows.shape}")
+            if rows.shape != (grid_size, 3):
+                raise ValueError(f"expected {grid_size} rows of 3 columns, found {rows.shape}")
             return PairTable(CylinderGeometry(R=R, H=H), *rows.T.copy())  # contiguous columns
         except (KeyError, ValueError, IndexError, DomainError) as exc:
             raise StaleCacheError(f"corrupt CDF cache {path}: {exc}") from exc
 
 
 class PairTable(TabulatedDistribution):
-    """The pair table of ``build_cdf`` or a cache: it serves the exact pair law, of kinks 0, 2R and H.
+    """The pair table of ``build_cdf`` or a cache: the pair law's table, with its kinks 0, 2R and H.
 
-    The coverage models read ``pair_distance_law`` at their serving
-    distances and the table's PCHIP interpolant everywhere else.
+    It serves as its own law, as every table does.
     """
 
     kinks = property(lambda self: np.array([[0.0, 2.0 * self.geometry.R, self.geometry.H]]))
 
-    def serving_law(self, which, l):
-        """CDF and density of the exact pair law at l (``pair_distance_law``)."""
-        return pair_distance_law(self.geometry, l)
-
 
 def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> PairTable:
-    """Tabulate ``pair_distance_law``'s F on grid_size equally spaced knots over [0, d_max].
+    """Tabulate ``pair_distance_law``, F and f, on grid_size equally spaced knots over [0, d_max].
 
-    The law is 0 at the first knot and 1 at the last; rounding above 1 or
-    downward is clipped away.  grid_size must be an integer of at least 64
-    (an integral float too); else DomainError.
+    The law is 0 at the first knot and 1 at the last; rounding of F above 1
+    or downward is clipped away.  grid_size must be an integer of at least
+    64 (an integral float too); else DomainError.
     """
     if not (64 <= grid_size < math.inf and grid_size % 1 == 0):
         raise DomainError(f"grid_size={grid_size!r} must be an integer of at least 64")
     grid = np.linspace(0.0, geom.d_max, int(grid_size))
-    F = pair_distance_law(geom, grid)[0]
-    return PairTable(geom, grid, np.maximum.accumulate(np.clip(F, 0.0, 1.0)))
+    F, f = pair_distance_law(geom, grid)
+    return PairTable(geom, grid, np.maximum.accumulate(np.clip(F, 0.0, 1.0)), f)
 
 
 def _lens(rho: np.ndarray, c: np.ndarray, R: float):
@@ -931,7 +861,8 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
     Both integrals run over w in [-min(z, d), min(H - z, d)].  From the
     receiver's d_max(x) on, the sphere meets the cylinder in at most a
     point, so f_x is 0 there.  r and z are scalars, or 1-D arrays with one
-    receiver per distance.
+    receiver per distance.  A receiver outside the cylinder, or a negative
+    or NaN distance, raises DomainError.
     """
     R, H = geom.R, geom.H
     r, z, d = np.asarray(r, dtype=float), np.asarray(z, dtype=float), np.asarray(d, dtype=float)
@@ -940,8 +871,8 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
         r, z = (float(np.broadcast_to(v, outside.shape).flat[np.argmax(outside)]) for v in (r, z))
         raise DomainError(f"receiver (r={r!r}, z={z!r}) outside the cylinder")
     d = np.atleast_1d(d)
-    if np.any(d < 0.0):
-        raise DomainError("distances must be nonnegative")
+    if not np.all(d >= 0.0):  # written so that NaN fails it too
+        raise DomainError("distances must be nonnegative, not NaN")
     below = _slab(d, np.minimum(z, d), r, R)
     above = _slab(d, np.minimum(H - z, d), r, R)
     beyond = d >= np.hypot(R + r, np.maximum(z, H - z))  # d_max(x), as in receiver_breakpoints
@@ -970,10 +901,9 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float):
     added as knots (uniform knots closer than a quarter spacing to one
     are dropped), and one last cell, where F_x = 1 and f_x = 0, reaches
     the geometry's d_max so the table plugs into every pair-law consumer.
-    The knot densities are the cubic's knot slopes, so the table is the
-    law at its knots.  A cell where that cubic's density would dip below 0
-    is split at its midpoint, up to _DIP_SPLITS times; ``_checked_table``
-    raises if one still dips.
+    The law is read once, at the knots; ``_checked_table`` holds its
+    densities in the monotone box as the table's slopes, which keeps the
+    cubic monotone in cells between nearly coincident breakpoints too.
     """
     breaks = receiver_breakpoints(geom, r, z)
     uniform = np.linspace(0.0, breaks[-1], RECEIVER_GRID_SIZE)
@@ -981,15 +911,10 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float):
     keep = np.all(np.abs(uniform[:, None] - breaks[1:-1]) > 0.25 * spacing, axis=1)
     keep[0] = keep[-1] = True
     grid = np.union1d(uniform[keep], breaks)
-    for splits_left in range(_DIP_SPLITS, -1, -1):
-        F, f = receiver_distance_law(geom, r, z, grid)
-        F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
-        # the ball contains the cylinder at d_max(x), so F is 1 there up to rounding
-        F[0], F[-1] = 0.0, 1.0
-        dips = _dipping_cells(grid, F, f)
-        if dips.size == 0 or splits_left == 0:
-            break
-        grid = np.union1d(grid, 0.5 * (grid[dips] + grid[dips + 1]))
+    F, f = receiver_distance_law(geom, r, z, grid)
+    F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
+    # the ball contains the cylinder at d_max(x), so F is 1 there up to rounding
+    F[0], F[-1] = 0.0, 1.0
     if grid[-1] < geom.d_max:
         grid, F, f = np.append(grid, geom.d_max), np.append(F, 1.0), np.append(f, 0.0)
     return grid, F, f
@@ -1000,8 +925,9 @@ class ReceiverMixture(TabulatedDistribution):
 
     nodes[q] = (r, z) is a receiver position, tables[q] = (grid,
     cdf_values, densities) the knots, CDF values and knot densities of its
-    F_q, checked as the one table of ``TabulatedDistribution`` is
-    (``_checked_table``), and weights[q] its weight in the average over
+    F_q, checked and held in the monotone box as the one table of
+    ``TabulatedDistribution`` is (``_checked_table``), so a table's slopes
+    give it back bit for bit, and weights[q] its weight in the average over
     receiver positions (density 2 r / R^2 in r and uniform in z, folded
     onto z <= H / 2 by symmetry; the weights sum to 1).  sum_q weights[q]
     F_q approximates the pair law, and the exact model evaluates all

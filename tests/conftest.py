@@ -65,7 +65,7 @@ def get_mixture(geom):
 
 
 def receiver_table(geom, r, z):
-    """The receiver table of (r, z) as a stack of one; raises if a cell's density dips."""
+    """The receiver table of (r, z) as a stack of one."""
     return TabulatedDistribution(geom, *_build_receiver_cdf(geom, r, z))
 
 

@@ -406,16 +406,19 @@ class TestCoverageProbability:
         # (moves of at most 3.4e-16); none moved a value by more than 1.5e-14.
         # Re-taken when the pair law's CDF came to share the density's
         # split-angle rule: values moved by at most 6.8e-15 and error
-        # estimates by at most 1.0e-15.
+        # estimates by at most 1.0e-15.  Re-taken when the pair table's
+        # slopes became the law's density held to 3 secants and the model
+        # came to read the table as its serving law: values moved by at most
+        # 6.1e-10 and error estimates by at most 9.9e-10.
         pinned = [
-            (5, 0, 1, 0.7269415873144551, 6.664017182522741e-08),
-            (5, 0, 2, 0.7828704286685698, 7.264695101039109e-08),
-            (5, 10, 1, 0.3035520699965869, 8.600957002169451e-09),
-            (5, 10, 2, 0.2899168586280413, 4.472914594266797e-09),
-            (20, 0, 1, 0.5125526435560931, 1.4600395337183159e-09),
-            (20, 0, 2, 0.546359864316759, 5.260247792904238e-11),
-            (20, 10, 1, 0.12965059450454927, 1.4316664520563904e-10),
-            (20, 10, 2, 0.12499913113462938, 8.203990264910033e-11),
+            (5, 0, 1, 0.7269415868265969, 6.637854532698384e-08),
+            (5, 0, 2, 0.7828704281353334, 7.233246890336886e-08),
+            (5, 10, 1, 0.30355206968289844, 8.45209419120252e-09),
+            (5, 10, 2, 0.2899168583075332, 4.331006664415327e-09),
+            (20, 0, 1, 0.5125526437902821, 2.325251102774928e-09),
+            (20, 0, 2, 0.546359864732506, 1.0337627420753392e-09),
+            (20, 10, 1, 0.12965059404184237, 7.034833826580211e-11),
+            (20, 10, 2, 0.12499913052834583, 2.567507040307504e-10),
         ]
         for N, beta_db, m, pc, err in pinned:
             sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
