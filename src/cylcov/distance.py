@@ -364,14 +364,14 @@ def _hermite_cubic(grid: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.nd
 def _checked_table(geometry: CylinderGeometry, grid, cdf_values, densities):
     """One table's knots, CDF values and knot slopes as float arrays, checked.
 
-    The knot densities must be finite and nonnegative.  A knot's slope is
-    its density, held to at most 3 times the secant of each cell it bounds
-    (an end knot bounds one): a Hermite cubic whose knot slopes lie in
-    [0, 3 m] for its secant m is monotone (Fritsch & Carlson, 1980), so
-    every cell's density is nonnegative up to rounding.  Where the law's
-    density is read exactly and the limit does not bind, the table's
-    density is the law's at its knots.  Raises DomainError on malformed
-    knots or densities.
+    The knots run from 0 to where the law reaches 1, at most d_max (1 +
+    1e-9), F from 0 to 1, and the densities are finite and nonnegative.  A
+    knot's slope is its density, held to at most 3 times the secant of
+    each cell it bounds (an end knot bounds one): a Hermite cubic whose
+    knot slopes lie in [0, 3 m] for its secant m is monotone (Fritsch &
+    Carlson, 1980), so every cell's density is nonnegative up to rounding.
+    Where the law's density is read exactly and the limit does not bind,
+    the table's density is the law's at its knots.  Else DomainError.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(cdf_values, dtype=float)
@@ -382,8 +382,8 @@ def _checked_table(geometry: CylinderGeometry, grid, cdf_values, densities):
         raise DomainError("grid and cdf values must be finite")
     if not np.all(np.diff(grid) > 0.0):
         raise DomainError("grid must be strictly increasing")
-    if grid[0] != 0.0 or abs(grid[-1] - geometry.d_max) > 1e-9 * geometry.d_max:
-        raise DomainError("grid must span [0, d_max]")
+    if grid[0] != 0.0 or grid[-1] > geometry.d_max * (1.0 + 1e-9):
+        raise DomainError("grid must run from 0 to at most d_max")
     if np.any(np.diff(values) < 0.0):
         raise DomainError("cdf values must be non-decreasing")
     if abs(values[0]) > 1e-9 or abs(values[-1] - 1.0) > 1e-9:
@@ -469,12 +469,12 @@ def _blocks(key: np.ndarray, elements):
 class TabulatedDistribution:
     """Tabulated CDFs of distance laws on one geometry, each with a monotone cubic interpolant.
 
-    A table holds (l, F(l)) knots spanning [0, d_max] and knot slopes,
-    its law's densities held in the monotone box (``_checked_table``); on
-    each cell the interpolant is the cubic Hermite interpolant through its
-    two knots, and ``pdf`` is the exact derivative of ``cdf``.  Each cell
-    holds its cubic in powers of the offset s from its left knot,
-    evaluated as c3 + c2 s + c1 s^2 + c0 s^3 in that order of additions.
+    A table holds (l, F(l)) knots from 0 to where F reaches 1 and knot
+    slopes, its law's densities held in the monotone box
+    (``_checked_table``); on each cell the interpolant is the cubic
+    Hermite interpolant through its two knots, and ``pdf`` is the exact
+    derivative of ``cdf``.  Each cell holds its cubic in powers of the
+    offset s from its left knot, summed as c3 + c2 s + c1 s^2 + c0 s^3.
 
     An instance holds its tables side by side for one array pass over all:
     the constructor's one table, or a ``ReceiverMixture``'s.  Knots and CDF
@@ -563,7 +563,7 @@ class TabulatedDistribution:
         return view
 
     def _cells(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Index in _cubic of the cell of table which holding x, for x in [0, its d_max]."""
+        """Index in _cubic of the cell of table which holding x, for x in [0, its last knot]."""
         knot = np.searchsorted(self._knots, which + 1j * x, side="right") - 1
         return np.minimum(knot - which, self._last_cell[which])
 
@@ -823,7 +823,8 @@ def _slab(d: np.ndarray, a: np.ndarray, r: np.ndarray, R: float):
     needs quadrature.  It runs over the slice angle t, w = d sin t and
     rho = d cos t, so dw = rho dt has no endpoint singularity even where
     R - r is small next to d.  The slice nodes run down the first axis, so
-    the arrays broadcast against d, a and r along the last.
+    the arrays broadcast against d, a and r along the last.  Above w_in the
+    slices' area comes from the range's middle and width: no cubes cancel.
     """
     w_full = np.sqrt(np.maximum(d * d - np.square(R + r), 0.0))
     w_in = np.sqrt(np.maximum(d * d - np.square(R - r), 0.0))
@@ -838,7 +839,8 @@ def _slab(d: np.ndarray, a: np.ndarray, r: np.ndarray, R: float):
     area, angle = _lens(rho, r, R)
     lens = np.sum(area * weights, axis=0)
     angle = np.sum(angle * weights, axis=0)
-    inside = d * d * (a - hi) - (a**3 - hi**3) / 3.0  # int (d^2 - w^2) dw over [hi, a]
+    mid, width = 0.5 * (a + hi), a - hi  # inside = int (d^2 - w^2) dw over [hi, a]
+    inside = width * ((d - mid) * (d + mid) - width * width / 12.0)
     return (
         math.pi * R * R * lo + lens + math.pi * inside,
         angle + 2.0 * math.pi * (a - hi),
@@ -859,10 +861,10 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
     the latter because the sphere's zone between two slices has area
     2 pi d dw (Archimedes) and a share angle / 2 pi of it lies inside.
     Both integrals run over w in [-min(z, d), min(H - z, d)].  From the
-    receiver's d_max(x) on, the sphere meets the cylinder in at most a
-    point, so f_x is 0 there.  r and z are scalars, or 1-D arrays with one
-    receiver per distance.  A receiver outside the cylinder, or a negative
-    or NaN distance, raises DomainError.
+    receiver's d_max(x) (``receiver_breakpoints``) on, the sphere meets the
+    cylinder in at most a point, so f_x is 0 there.  r and z are scalars,
+    or 1-D arrays with one receiver per distance.  A receiver outside the
+    cylinder, or a negative or NaN distance, raises DomainError.
     """
     R, H = geom.R, geom.H
     r, z, d = np.asarray(r, dtype=float), np.asarray(z, dtype=float), np.asarray(d, dtype=float)
@@ -875,7 +877,7 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
         raise DomainError("distances must be nonnegative, not NaN")
     below = _slab(d, np.minimum(z, d), r, R)
     above = _slab(d, np.minimum(H - z, d), r, R)
-    beyond = d >= np.hypot(R + r, np.maximum(z, H - z))  # d_max(x), as in receiver_breakpoints
+    beyond = d >= receiver_breakpoints(geom, r, z)[..., -1]  # d_max(x)
     density = np.where(beyond, 0.0, d * (below[1] + above[1]) / geom.volume)
     return (below[0] + above[0]) / geom.volume, density
 
@@ -888,8 +890,8 @@ def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
     section at R + r; d_max(x) = hypot(R + r, max(z, H - z)).  r and z
     broadcast, the distances run along a last axis and can repeat.
     """
-    R, H = geom.R, geom.H
-    across, up = (R - np.asarray(r), R + np.asarray(r)), (np.asarray(z), H - np.asarray(z))
+    r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+    across, up = (geom.R - r, geom.R + r), (z, geom.H - z)
     kinks = [*across, *up, *(np.hypot(a, b) for a in across for b in up)]
     return np.sort(np.stack([np.zeros_like(kinks[0]), *kinks], axis=-1), axis=-1)
 
@@ -897,13 +899,12 @@ def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
 def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float):
     """Tabulate F_x and its density f_x for the receiver at (r, z): (knots, F_x, f_x).
 
-    RECEIVER_GRID_SIZE knots span [0, d_max(x)], the breakpoints are
-    added as knots (uniform knots closer than a quarter spacing to one
-    are dropped), and one last cell, where F_x = 1 and f_x = 0, reaches
-    the geometry's d_max so the table plugs into every pair-law consumer.
-    The law is read once, at the knots; ``_checked_table`` holds its
-    densities in the monotone box as the table's slopes, which keeps the
-    cubic monotone in cells between nearly coincident breakpoints too.
+    RECEIVER_GRID_SIZE knots span [0, d_max(x)], where F_x reaches 1, and
+    the breakpoints are added as knots (uniform knots closer than a
+    quarter spacing to one are dropped).  The law is read once, at the
+    knots; ``_checked_table`` holds its densities in the monotone box as
+    the table's slopes, which keeps the cubic monotone in cells between
+    nearly coincident breakpoints too.
     """
     breaks = receiver_breakpoints(geom, r, z)
     uniform = np.linspace(0.0, breaks[-1], RECEIVER_GRID_SIZE)
@@ -915,8 +916,6 @@ def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float):
     F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
     # the ball contains the cylinder at d_max(x), so F is 1 there up to rounding
     F[0], F[-1] = 0.0, 1.0
-    if grid[-1] < geom.d_max:
-        grid, F, f = np.append(grid, geom.d_max), np.append(F, 1.0), np.append(f, 0.0)
     return grid, F, f
 
 
@@ -925,19 +924,20 @@ class ReceiverMixture(TabulatedDistribution):
 
     nodes[q] = (r, z) is a receiver position, tables[q] = (grid,
     cdf_values, densities) the knots, CDF values and knot densities of its
-    F_q, checked and held in the monotone box as the one table of
-    ``TabulatedDistribution`` is (``_checked_table``), so a table's slopes
-    give it back bit for bit, and weights[q] its weight in the average over
-    receiver positions (density 2 r / R^2 in r and uniform in z, folded
-    onto z <= H / 2 by symmetry; the weights sum to 1).  sum_q weights[q]
-    F_q approximates the pair law, and the exact model evaluates all
-    receivers of the rule in one array pass over the stack, with kinks[q]
-    receiver q's ``receiver_breakpoints`` and each table serving as its
-    receiver's law, as every table does.  check holds a coarser rule over
-    the same geometry, against which results of this one are compared for
-    an error estimate.  Nodes of shape (q, 2) for q tables, q finite
-    positive weights summing to 1 within 1e-12, and a check that is None
-    or a mixture on the same geometry are required; else DomainError.
+    F_q up to the receiver's d_max(x), where F_q reaches 1, checked and
+    held in the monotone box as the one table of ``TabulatedDistribution``
+    is (``_checked_table``), so a table's slopes give it back bit for bit,
+    and weights[q] its weight in the average over receiver positions
+    (density 2 r / R^2 in r and uniform in z, folded onto z <= H / 2 by
+    symmetry; the weights sum to 1).  sum_q weights[q] F_q approximates the
+    pair law, and the exact model evaluates all receivers of the rule in
+    one array pass over the stack, with kinks[q] receiver q's
+    ``receiver_breakpoints`` and each table serving as its receiver's law,
+    as every table does.  check holds a coarser rule over the same
+    geometry, against which results of this one are compared for an error
+    estimate.  Nodes of shape (q, 2) for q tables, q finite positive
+    weights summing to 1 within 1e-12, and a check that is None or a
+    mixture on the same geometry are required; else DomainError.
     """
 
     def __init__(self, geometry: CylinderGeometry, nodes, weights, tables, check=None):

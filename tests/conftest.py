@@ -21,7 +21,7 @@ from cylcov import (
     build_cdf,
     build_receiver_cdfs,
 )
-from cylcov.distance import _build_receiver_cdf
+from cylcov.distance import ReceiverMixture, _build_receiver_cdf
 from cylcov.network import _check_geometry, _conditioning_survival
 from cylcov.simulation import (
     BLOCK_TRIALS,
@@ -251,21 +251,89 @@ class BallPairTable(TabulatedDistribution):
         return ball_pair_law(self.geometry, l)
 
 
-def simulate_ball_iid_coverage(scenario: NetworkScenario, trials: int, seed: int):
-    """Covered share and its standard error under the paper's i.i.d. model in a ball.
+def ball_receiver_law(ball: Ball, s, d):
+    """CDF and density of the distance from a receiver at radius s in a ball to a uniform point.
 
-    Each trial draws its N - 1 receiver distances from independent pairs of
-    uniform points in the ball, and Nakagami power gains Gamma(m, 1 / m).
+    With R the ball's radius, F = d^3 / R^3 up to R - s; from there to
+    R + s, where the sphere of radius d cuts the ball's surface,
+    F = (R + d - s)^2 (s^2 + 2 s d - 3 d^2 + 2 s R + 6 d R - 3 R^2) / (16 s R^3)
+    and f = 3 d (R^2 - (d - s)^2) / (4 s R^3) (the volume of two
+    intersecting balls over the ball's); past R + s, F = 1 and f = 0.
+    s and d broadcast.
+    """
+    R = 0.5 * ball.d_max
+    s, d = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(d, dtype=float))
+    inner, beyond = d <= R - s, d >= R + s
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 has no cut range
+        cut = (R + d - s) ** 2 * (s * s + 2 * s * d - 3 * d * d + 2 * s * R + 6 * d * R - 3 * R * R)
+        cdf = np.where(inner, (d / R) ** 3, np.where(beyond, 1.0, cut / (16.0 * s * R**3)))
+        pdf = np.where(inner, 3.0 * d * d / R**3,
+                       np.where(beyond, 0.0, 3.0 * d * (R * R - (d - s) ** 2) / (4.0 * s * R**3)))
+    return np.clip(cdf, 0.0, 1.0), np.maximum(pdf, 0.0)
+
+
+class BallMixture(ReceiverMixture):
+    """Ball receiver tables at the nodes of a Gauss rule in the receiver's radius s.
+
+    Built through the public constructor.  The receivers' radii s are the
+    Gauss-Legendre nodes on [0, R], stored as nodes (s, 0) and weighted by
+    the radius density 3 s^2 / R^3; each table is the closed-form law at
+    knots uniform on [0, R + s] plus R - s, ending where it reaches 1.
+    Each receiver's kinks are 0, R - s and R + s.  A rule in u = (s / R)^3,
+    uniform for a volume-uniform receiver, converges slowly: coverage is
+    even in s, so not smooth in u at 0.
+    """
+
+    def __init__(self, ball: Ball, receivers: int, knots: int = 256, check=None):
+        R = 0.5 * ball.d_max
+        x, w = np.polynomial.legendre.leggauss(receivers)
+        s = 0.5 * R * (x + 1.0)
+        tables = []
+        for si in s:
+            grid = np.union1d(np.linspace(0.0, R + si, knots), R - si)
+            tables.append((grid, *ball_receiver_law(ball, si, grid)))
+        nodes = np.column_stack((s, np.zeros_like(s)))
+        super().__init__(ball, nodes, 1.5 * w * s * s / R**2, tables, check)
+
+    @property
+    def kinks(self):
+        s, R = self.nodes[:, 0], 0.5 * self.geometry.d_max
+        return np.column_stack((np.zeros_like(s), R - s, R + s))
+
+
+class BallLawMixture(BallMixture):
+    """A ``BallMixture`` that serves the closed-form law, not its tables, at serving distances."""
+
+    def serving_law(self, which, l):
+        return ball_receiver_law(self.geometry, self.nodes[which, 0], l)
+
+
+def _ball_points(rng, R: float, shape):
+    """Uniform points in the ball of radius R about the origin, of shape (*shape, 3)."""
+    normal = rng.standard_normal((*shape, 3))
+    radius = R * rng.random((*shape, 1)) ** (1.0 / 3.0)
+    return radius * normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+
+
+def simulate_ball_coverage(scenario: NetworkScenario, trials: int, seed: int, iid: bool = False):
+    """Covered share and its standard error over deployments of N uniform points in a ball.
+
+    The first point is the receiver, the other N - 1 transmit with
+    Nakagami power gains Gamma(m, 1 / m).  With iid, the paper's model:
+    each trial draws its N - 1 receiver distances from independent pairs of
+    uniform points in the ball instead.
     """
     R, n, rng = 0.5 * scenario.geom.d_max, scenario.N - 1, np.random.default_rng(seed)
     alpha, m = scenario.channel.alpha, scenario.channel.m
     covered = 0
     for start in range(0, trials, 4096):
         size = min(4096, trials - start)
-        normal = rng.standard_normal((2, size, n, 3))
-        radius = R * rng.random((2, size, n, 1)) ** (1.0 / 3.0)
-        points = radius * normal / np.linalg.norm(normal, axis=-1, keepdims=True)
-        d = np.linalg.norm(points[0] - points[1], axis=-1)
+        if iid:
+            points = _ball_points(rng, R, (2, size, n))
+            d = np.linalg.norm(points[0] - points[1], axis=-1)
+        else:
+            points = _ball_points(rng, R, (size, n + 1))
+            d = np.linalg.norm(points[:, 1:] - points[:, :1], axis=-1)
         powers = rng.gamma(m, 1.0 / m, (size, n)) * d**-alpha
         signal = powers[np.arange(size), np.argmin(d, axis=1)]
         covered += int(np.count_nonzero(signal > scenario.beta * (powers.sum(axis=1) - signal)))

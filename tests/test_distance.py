@@ -347,6 +347,26 @@ class TestKnotDensities:
         assert np.array_equal(table.cdf_values, self.VALUES)
         assert np.array_equal(table.slopes, slopes) and np.array_equal(table.cdf(probe), before)
 
+    def test_last_knot_past_d_max_raises(self):
+        grid = self.GRID.copy()
+        grid[-1] = self.GEOM.d_max * (1.0 + 2e-9)
+        with pytest.raises(DomainError, match="at most d_max"):
+            TabulatedDistribution(self.GEOM, grid, self.VALUES, np.full(5, 0.1))
+        grid[-1] = self.GEOM.d_max * (1.0 + 5e-10)  # rounding of d_max is accepted
+        assert TabulatedDistribution(self.GEOM, grid, self.VALUES, np.full(5, 0.1)).cdf(grid[-1]) == 1.0
+
+    def test_table_ending_early_reads_its_end_past_it(self):
+        # a law that reaches 1 at 5, short of d_max = 7.2111: past its last
+        # knot the table reads F = 1, f = 0, survival 0 and no interferer mass
+        grid = np.linspace(0.0, 5.0, 5)
+        table = TabulatedDistribution(self.GEOM, grid, self.VALUES, np.full(5, 0.2))
+        past = np.array([5.0, np.nextafter(5.0, 6.0), 6.0, self.GEOM.d_max])
+        cdf, pdf = table.cdf_and_pdf(past)
+        assert np.all(cdf == 1.0) and np.all(pdf[1:] == 0.0) and np.all(table.sf(past) == 0.0)
+        ones = lambda x, sel: np.ones((1, len(sel), x.shape[-1]))
+        total = table.integrate_pdf_product(np.array([0.0, 5.0, 6.0]), ones, 1, 4.0)[0]
+        assert total[0] == pytest.approx(1.0, abs=1e-12) and np.all(total[1:] == 0.0)
+
     def test_slopes_are_the_densities(self):
         densities = np.array([0.0, 0.2, 0.1, 0.15, 0.0])
         table = TabulatedDistribution(self.GEOM, self.GRID, self.VALUES, densities)
@@ -767,6 +787,23 @@ class TestReceiverLaw:
         table = receiver_table(TALL, r, z)
         assert table.cdf(d_end) == 1.0 and table.pdf(0.5 * (d_end + TALL.d_max)) == 0.0
 
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_tables_end_at_their_reach(self, geom):
+        # each receiver table ends where its law reaches 1, at d_max(x); it
+        # used to carry a last cell of F = 1 on to the cylinder's d_max
+        mix = get_mixture(geom)
+        for rule in (mix, mix.check):
+            reach = receiver_breakpoints(geom, *rule.nodes.T)[:, -1]
+            assert [v.grid[-1] for v in tables_of(rule)] == reach.tolist()
+
+    def test_breakpoints_broadcast(self):
+        # mixed shapes raised "all input arrays must have the same shape"
+        rows = receiver_breakpoints(TALL, np.array([5.0, 7.0]), 60.0)
+        assert rows.tolist() == [receiver_breakpoints(TALL, r, 60.0).tolist() for r in (5.0, 7.0)]
+        grid = receiver_breakpoints(TALL, np.array([[5.0], [7.0]]), np.array([10.0, 60.0, 100.0]))
+        assert grid.shape == (2, 3, 9)
+        assert grid[1, 2].tolist() == receiver_breakpoints(TALL, 7.0, 100.0).tolist()
+
     def test_rejects_receiver_outside(self):
         with pytest.raises(DomainError):
             receiver_distance_law(TALL, TALL.R + 1.0, 1.0, 5.0)
@@ -814,6 +851,31 @@ class TestReceiverLaw:
         steps = np.diff(receiver_distance_law(SQUAT, r, 2e-4, d)[0])
         assert np.all(steps > 0.0)
         assert np.max(steps) - np.min(steps) <= 1e-15, steps
+
+    def test_slab_term_does_not_cancel_near_a_face(self):
+        # At R = 0.01, H = 1000 the slab's closed-form part, formed as
+        # d^2 (a - hi) - (a^3 - hi^3) / 3, cancelled next to d = z: F_x
+        # stepped by -4.4e-10 to 6.4e-9 between distances 1e-10 to 1e-7
+        # apart, up to 2,200 times f_x dd.  Formed from the slab's middle
+        # and width, each step is the trapezoid f_x dd within 0.1 %.
+        geom, r, z = CylinderGeometry(R=0.01, H=1000.0), 0.00976, 168.937
+        off = np.logspace(-10, -7, 13)
+        d = z + np.concatenate((-off[::-1], off))
+        F, f = receiver_distance_law(geom, r, z, d)
+        steps, trapezoid = np.diff(F), 0.5 * (f[1:] + f[:-1]) * np.diff(d)
+        assert np.all(steps > 0.0)
+        assert np.max(np.abs(steps / trapezoid - 1.0)) <= 1e-3
+
+    @pytest.mark.parametrize("R", [0.1, 0.01, 1e-3])
+    def test_law_is_non_decreasing_around_the_faces(self, R):
+        # steps of 1e-10 to 1e-7 about a receiver's distance to the floor
+        # and to the ceiling, for receivers at the wall, inside and on the axis
+        geom = CylinderGeometry(R=R, H=1000.0)
+        off = np.logspace(-10, -7, 31)
+        for r, z in [(0.976 * R, 168.937), (0.3 * R, 12.5), (0.0, 300.0), (R, 1.0), (0.5 * R, 499.0)]:
+            for face in (z, geom.H - z):
+                d = face + np.concatenate((-off[::-1], off))
+                assert np.all(np.diff(receiver_distance_law(geom, r, z, d)[0]) >= 0.0), (r, z, face)
 
     def test_needle_mixture_builds(self):
         # At H/R = 1e6 the law's density at d_max(x) was rounding noise
@@ -888,7 +950,7 @@ class TestReceiverLaw:
         assert ReceiverMixture(TALL, nodes, weights, arrays, tall_mixture).check is tall_mixture
 
     def test_mixture_holds_no_per_table_arrays(self, tall_mixture):
-        # Layouts aside, the tall mixture and its check rule hold 2,447,104 B
+        # Layouts aside, the tall mixture and its check rule hold 2,437,744 B
         # of arrays: keys, cubics, tails and per-table scalars.  Per-table
         # copies of grid, CDF values and slopes took it to 3,179,176 B.
         def held(obj):
