@@ -25,7 +25,7 @@ dimensionally consistent grouping).
 ``build_cdf`` tabulates the law, F and f, once per geometry on an
 equally spaced grid.  Every table, this one and the receiver tables
 below, is a cubic Hermite interpolant by one slope rule
-(``_checked_table``): a knot's slope is the law's density there, held
+(``_checked_tables``): a knot's slope is the law's density there, held
 to at most 3 times the secant of each cell it bounds, so every cubic is
 monotone (Fritsch & Carlson, 1980).  The tabulated density is the exact
 derivative of the interpolant, so downstream integrals of expressions
@@ -42,9 +42,11 @@ given x they are i.i.d. with the receiver-conditioned law
 
 ``receiver_distance_law`` evaluates F_x and its density exactly (a
 Gauss rule over horizontal slices of the ball, each slice meeting the
-cylinder's cross-section in a circle-disk lens), and
-``build_receiver_cdfs`` tabulates it at the nodes of a fixed rule over
-receiver positions, so the pair law is the rule's weighted mixture, a
+cylinder's cross-section in a circle-disk lens, run on live lens ranges
+only, the slab above the receiver sharing the sums of the one below),
+and ``build_receiver_cdfs`` tabulates it at the nodes of a fixed rule
+over receiver positions, all of a rule's knots in one pass of bounded
+blocks, so the pair law is the rule's weighted mixture, a
 ``ReceiverMixture``: the stack of the rule's tables, where the pair table
 is a stack of one (``PairTable``).  Wherever the limit does not bind, a
 table equals its law, F and f, at its knots; both coverage models read
@@ -361,41 +363,46 @@ def _hermite_cubic(grid: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.nd
     return np.stack((grid[:-1], c0, c1, d[:-1], values[:-1]))
 
 
-def _checked_table(geometry: CylinderGeometry, grid, cdf_values, densities):
-    """One table's knots, CDF values and knot slopes as float arrays, checked.
+def _checked_tables(geometry: CylinderGeometry, tables):
+    """Knots, CDF values and knot slopes of tables (grid, cdf_values, densities), end to end, and sizes.
 
-    The knots run from 0 to where the law reaches 1, at most d_max (1 +
-    1e-9), F from 0 to 1, and the densities are finite and nonnegative.  A
-    knot's slope is its density, held to at most 3 times the secant of
-    each cell it bounds (an end knot bounds one): a Hermite cubic whose
-    knot slopes lie in [0, 3 m] for its secant m is monotone (Fritsch &
-    Carlson, 1980), so every cell's density is nonnegative up to rounding.
-    Where the law's density is read exactly and the limit does not bind,
-    the table's density is the law's at its knots.  Else DomainError.
+    A table's knots run from 0 to where its law reaches 1, at most d_max
+    (1 + 1e-9), F from 0 to 1, and its densities are finite and
+    nonnegative.  A knot's slope is its density, held to at most 3 times
+    the secant of each cell it bounds (an end knot bounds one): a Hermite
+    cubic whose knot slopes lie in [0, 3 m] for its secant m is monotone
+    (Fritsch & Carlson, 1980), so every cell's density is nonnegative up to
+    rounding.  Where the law's density is read exactly and the limit does
+    not bind, the table's density is the law's at its knots.  Else DomainError.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(cdf_values, dtype=float)
-    if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-        raise DomainError("grid and cdf_values must be equal-length 1-D arrays")
+    tables = [[np.asarray(v, dtype=float) for v in table] for table in tables]
+    for grid, values, densities in tables:
+        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
+            raise DomainError("grid and cdf_values must be equal-length 1-D arrays")
+        if densities.shape != grid.shape:
+            raise DomainError("densities must have the grid's shape")
+    grid, values, densities = (np.concatenate(v) for v in zip(*tables))
+    sizes = np.array([t[0].size for t in tables])
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    inner = np.ones(grid.size - 1, dtype=bool)
+    inner[last[:-1]] = False  # the cells within a table
     # the comparisons below let NaN values through
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
         raise DomainError("grid and cdf values must be finite")
-    if not np.all(np.diff(grid) > 0.0):
+    if not np.all(np.diff(grid)[inner] > 0.0):
         raise DomainError("grid must be strictly increasing")
-    if grid[0] != 0.0 or grid[-1] > geometry.d_max * (1.0 + 1e-9):
+    if np.any(grid[first] != 0.0) or np.any(grid[last] > geometry.d_max * (1.0 + 1e-9)):
         raise DomainError("grid must run from 0 to at most d_max")
-    if np.any(np.diff(values) < 0.0):
+    if np.any(np.diff(values)[inner] < 0.0):
         raise DomainError("cdf values must be non-decreasing")
-    if abs(values[0]) > 1e-9 or abs(values[-1] - 1.0) > 1e-9:
+    if np.any(np.abs(values[first]) > 1e-9) or np.any(np.abs(values[last] - 1.0) > 1e-9):
         raise DomainError("cdf must run from 0 to 1")
-    densities = np.asarray(densities, dtype=float)
-    if densities.shape != grid.shape:
-        raise DomainError("densities must have the grid's shape")
     if not np.all(np.isfinite(densities) & (densities >= 0.0)):
         raise DomainError("densities must be finite and nonnegative")
-    secant = np.diff(values) / np.diff(grid)
+    secant = np.where(inner, np.diff(values) / np.diff(grid), np.inf)
     limit = 3.0 * np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf))
-    return grid, values, np.minimum(densities, limit)
+    return grid, values, np.minimum(densities, limit), sizes
 
 
 def _panel_edges(table: "TabulatedDistribution", k: int) -> np.ndarray:
@@ -471,7 +478,7 @@ class TabulatedDistribution:
 
     A table holds (l, F(l)) knots from 0 to where F reaches 1 and knot
     slopes, its law's densities held in the monotone box
-    (``_checked_table``); on each cell the interpolant is the cubic
+    (``_checked_tables``); on each cell the interpolant is the cubic
     Hermite interpolant through its two knots, and ``pdf`` is the exact
     derivative of ``cdf``.  Each cell holds its cubic in powers of the
     offset s from its left knot, summed as c3 + c2 s + c1 s^2 + c0 s^3.
@@ -501,28 +508,30 @@ class TabulatedDistribution:
 
     def __init__(self, geometry: CylinderGeometry, grid: np.ndarray, cdf_values: np.ndarray,
                  densities: np.ndarray):
-        self._hold(geometry, [_checked_table(geometry, grid, cdf_values, densities)])
+        self._hold(geometry, *_checked_tables(geometry, [(grid, cdf_values, densities)]))
 
-    def _hold(self, geometry: CylinderGeometry, tables) -> None:
-        """Hold tables, (grid, CDF values, slopes) from ``_checked_table``, side by side."""
+    def _hold(self, geometry: CylinderGeometry, grid, values, slopes, sizes) -> None:
+        """Hold tables side by side: knots, CDF values, slopes and sizes from ``_checked_tables``."""
         self.geometry = geometry
-        grids, values, slopes = zip(*tables)
-        sizes = np.array([g.size for g in grids])
-        index = np.repeat(np.arange(sizes.size), sizes)
-        self._knots = index + 1j * np.concatenate(grids)
-        self._values = index + 1j * np.concatenate(values)
-        self._cubic = np.concatenate([_hermite_cubic(*table) for table in tables], axis=1)
-        self._last_slope = np.array([s[-1] for s in slopes])  # the cubics hold the others
-        offsets = np.cumsum(sizes) - sizes
-        self._first_cell = offsets - np.arange(sizes.size)  # table k's first cell in _cubic
+        tables, last = np.arange(sizes.size), np.cumsum(sizes) - 1
+        # the cubics of the cells within a table, in C order: a fancy index gives F order
+        self._cubic = _hermite_cubic(grid, values, slopes).take(
+            np.delete(np.arange(grid.size - 1), last[:-1]), axis=1)
+        # each knot's tail 1 - F as the sum of the rises above it, where no
+        # digits cancel, summed from the top in a row per table
+        index = np.repeat(tables, sizes)
+        above = np.repeat(last, sizes) - np.arange(grid.size)  # knots above it in its table
+        rises = np.zeros((sizes.size, sizes.max()))
+        rises[index[:-1], above[:-1]] = np.diff(values)
+        rises[:, 0] = 0.0  # a last knot's step to the next table is no rise of its own
+        self._tails = np.cumsum(rises, axis=1)[index, above]
+        self._knots, self._values = index + 1j * grid, index + 1j * values
+        self._last_knot, self._last_slope = grid[last], slopes[last]  # the cubics hold the other slopes
+        self._first_cell = last - sizes + 1 - tables  # table k's first cell in _cubic
         self._last_cell = self._first_cell + sizes - 2
-        self._last_knot = self._knots.imag[offsets + sizes - 1]
-        # each knot's tail 1 - F as the sum of the rises above it, where no digits cancel
-        rises = [np.diff(v)[::-1] for v in values]
-        self._tails = np.concatenate([np.append(np.cumsum(r)[::-1], 0.0) for r in rises])
         # the knot before the first whose survival is below the floor (or before the last knot)
-        floor = np.searchsorted(self._values, np.arange(sizes.size) + 1j * (1.0 - _SURVIVAL_FLOOR))
-        cut = np.minimum(floor, offsets + sizes - 1) - 1
+        floor = np.searchsorted(self._values, tables + 1j * (1.0 - _SURVIVAL_FLOOR))
+        cut = np.minimum(floor, last) - 1
         self.ends, self.end_sf = self._knots.imag[cut], self._tails[cut]
         self._layouts, self._layouts_lock = {}, threading.Lock()
         self._which = np.asarray(0) if sizes.size == 1 else None  # set by take
@@ -792,59 +801,60 @@ def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> Pai
     return PairTable(geom, grid, np.maximum.accumulate(np.clip(F, 0.0, 1.0)), f)
 
 
-def _lens(rho: np.ndarray, c: np.ndarray, R: float):
+def _lens(rho: np.ndarray, c: np.ndarray, R: float) -> np.ndarray:
     """The disk of radius R at the origin against the circle of radius rho at distance c <= R.
 
-    Returns the area of the disk met by the circle's disk (the lens), and
-    the angle of the circle that lies inside the disk; c broadcasts with rho.
+    Returns the area of the disk met by the circle's disk (the lens) and the
+    angle of the circle inside the disk, stacked; positive c broadcasts with rho.
     """
-    inside = rho <= R - c
-    area = np.where(inside, math.pi * rho * rho, math.pi * R * R)
-    angle = np.where(inside, 2.0 * math.pi, 0.0)
-    mid = (rho > R - c) & (rho < R + c)  # empty where c = 0
-    p, c = rho[mid], (np.broadcast_to(c, rho.shape)[mid] if np.size(c) > 1 else c)
-    half_angle = np.arccos(np.clip(((p - R) * (p + R) + c * c) / (2.0 * c * p), -1.0, 1.0))
-    area[mid] = (
-        R * R * np.arccos(np.clip(((R - p) * (R + p) + c * c) / (2.0 * c * R), -1.0, 1.0))
-        + p * p * half_angle
-        - 0.5 * np.sqrt(np.maximum((R + p - c) * (R - p + c) * (p - R + c) * (c + R + p), 0.0))
-    )
-    angle[mid] = 2.0 * half_angle
-    return area, angle
+    minus, plus = rho - R, rho + R
+    x, cc, c2 = minus * plus, c * c, 2.0 * c
+    out = np.empty((2,) + rho.shape)
+    area, angle = out  # angle holds the half angle until the end
+    np.arccos(np.clip((x + cc) / (c2 * rho), -1.0, 1.0), out=angle)
+    np.multiply(R * R, np.arccos(np.clip((cc - x) / (c2 * R), -1.0, 1.0)), out=area)
+    area += rho * rho * angle
+    area -= 0.5 * np.sqrt(np.maximum((plus - c) * (c - minus) * (minus + c) * (c + R + rho), 0.0))
+    angle *= 2.0
+    inside, outside = rho <= R - c, rho >= R + c  # the circle misses the rim
+    area[inside], angle[inside] = math.pi * rho[inside] * rho[inside], 2.0 * math.pi
+    area[outside], angle[outside] = math.pi * R * R, 0.0
+    return out
 
 
 def _slab(d: np.ndarray, a: np.ndarray, r: np.ndarray, R: float):
     """Integrals over slice offsets w in [0, a] of the ball of radius d about a receiver at r.
 
     Returns (int lens area dw, int arc angle dw) for the slices of radius
-    rho = sqrt(d^2 - w^2); d and a are 1-D, and r broadcasts with them.  Below
-    w_full the slice covers the whole cross section (rho >= R + r); above
-    w_in it lies inside it (rho <= R - r); only the lens range in between
-    needs quadrature.  It runs over the slice angle t, w = d sin t and
-    rho = d cos t, so dw = rho dt has no endpoint singularity even where
-    R - r is small next to d.  The slice nodes run down the first axis, so
-    the arrays broadcast against d, a and r along the last.  Above w_in the
-    slices' area comes from the range's middle and width: no cubes cancel.
+    rho = sqrt(d^2 - w^2), a row per row of a, the reaches of the slabs below
+    and above the receiver; d and r are 1-D.  Below w_full the slice covers
+    the cross section (rho >= R + r), above w_in it lies inside (rho <= R -
+    r), and a live lens range [lo, hi] in between (hi > lo) takes a rule
+    over the slice angle t, w = d sin t and rho = d cos t, so dw = rho dt
+    has no endpoint singularity even where R - r is small next to d.  The
+    upper slab reuses the lower's sums where their ranges are equal, and
+    the nodes are summed in order: a distance's sums do not depend on the
+    others.  Above w_in the area comes from the range's middle and width.
     """
     w_full = np.sqrt(np.maximum(d * d - np.square(R + r), 0.0))
     w_in = np.sqrt(np.maximum(d * d - np.square(R - r), 0.0))
-    lo = np.minimum(a, w_full)
-    hi = np.minimum(a, w_in)
-    radius = np.where(d > 0.0, d, 1.0)  # lo = hi = 0 at d = 0
-    t_lo = np.arcsin(np.minimum(lo / radius, 1.0))
-    t_hi = np.arcsin(np.minimum(hi / radius, 1.0))
-    t = t_lo + (t_hi - t_lo) * _SLICE_PHI[:, None]
-    rho = d * np.cos(t)
-    weights = (t_hi - t_lo) * rho * _SLICE_DPHI_W[:, None]
-    area, angle = _lens(rho, r, R)
-    lens = np.sum(area * weights, axis=0)
-    angle = np.sum(angle * weights, axis=0)
+    lo, hi = np.minimum(a, w_full), np.minimum(a, w_in)
+    same = (lo[1] == lo[0]) & (hi[1] == hi[0])
+    live = hi > lo  # so d > 0 and r > 0
+    live[1] &= ~same
+    at = np.nonzero(live)[1]
+    t_lo = np.arcsin(np.minimum(lo[live] / d[at], 1.0))
+    t_hi = np.arcsin(np.minimum(hi[live] / d[at], 1.0))
+    rho = d[at] * np.cos(t_lo + (t_hi - t_lo) * _SLICE_PHI[:, None])
+    terms = _lens(rho, r[at], R)
+    terms *= (t_hi - t_lo) * rho * _SLICE_DPHI_W[:, None]
+    sums = sum(terms.swapaxes(0, 1)[1:], terms[:, 0])  # in node order; np.sum pairs a lone distance's
+    lens, angle = np.zeros((2,) + a.shape)
+    lens[live], angle[live] = sums
+    lens[1, same], angle[1, same] = lens[0, same], angle[0, same]
     mid, width = 0.5 * (a + hi), a - hi  # inside = int (d^2 - w^2) dw over [hi, a]
     inside = width * ((d - mid) * (d + mid) - width * width / 12.0)
-    return (
-        math.pi * R * R * lo + lens + math.pi * inside,
-        angle + 2.0 * math.pi * (a - hi),
-    )
+    return math.pi * R * R * lo + lens + math.pi * inside, angle + 2.0 * math.pi * (a - hi)
 
 
 def receiver_distance_law(geom: CylinderGeometry, r, z, d):
@@ -860,11 +870,13 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
 
     the latter because the sphere's zone between two slices has area
     2 pi d dw (Archimedes) and a share angle / 2 pi of it lies inside.
-    Both integrals run over w in [-min(z, d), min(H - z, d)].  From the
-    receiver's d_max(x) (``receiver_breakpoints``) on, the sphere meets the
-    cylinder in at most a point, so f_x is 0 there.  r and z are scalars,
-    or 1-D arrays with one receiver per distance.  A receiver outside the
-    cylinder, or a negative or NaN distance, raises DomainError.
+    Both integrals run over w in [-min(z, d), min(H - z, d)], a slab below
+    and one above the receiver (``_slab``).  From the receiver's d_max(x)
+    (``receiver_breakpoints``) on, the sphere meets the cylinder in at
+    most a point, so f_x is 0 there.  d is a distance or a 1-D array, and
+    r and z are scalars or one receiver per distance; a distance's values
+    do not depend on the others.  A receiver outside the cylinder, or a
+    negative or NaN distance, raises DomainError.
     """
     R, H = geom.R, geom.H
     r, z, d = np.asarray(r, dtype=float), np.asarray(z, dtype=float), np.asarray(d, dtype=float)
@@ -872,14 +884,13 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
     if np.any(outside):
         r, z = (float(np.broadcast_to(v, outside.shape).flat[np.argmax(outside)]) for v in (r, z))
         raise DomainError(f"receiver (r={r!r}, z={z!r}) outside the cylinder")
-    d = np.atleast_1d(d)
+    r, z, d = np.broadcast_arrays(r, z, np.atleast_1d(d))
     if not np.all(d >= 0.0):  # written so that NaN fails it too
         raise DomainError("distances must be nonnegative, not NaN")
-    below = _slab(d, np.minimum(z, d), r, R)
-    above = _slab(d, np.minimum(H - z, d), r, R)
+    lens, angle = _slab(d, np.stack((np.minimum(z, d), np.minimum(H - z, d))), r, R)
     beyond = d >= receiver_breakpoints(geom, r, z)[..., -1]  # d_max(x)
-    density = np.where(beyond, 0.0, d * (below[1] + above[1]) / geom.volume)
-    return (below[0] + above[0]) / geom.volume, density
+    density = np.where(beyond, 0.0, d * (angle[0] + angle[1]) / geom.volume)
+    return (lens[0] + lens[1]) / geom.volume, density
 
 
 def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
@@ -896,27 +907,42 @@ def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:
     return np.sort(np.stack([np.zeros_like(kinks[0]), *kinks], axis=-1), axis=-1)
 
 
-def _build_receiver_cdf(geom: CylinderGeometry, r: float, z: float):
-    """Tabulate F_x and its density f_x for the receiver at (r, z): (knots, F_x, f_x).
+def _build_receiver_tables(geom: CylinderGeometry, r, z):
+    """Tabulate F_x and its density f_x for the receivers at (r[q], z[q]): [(knots, F_x, f_x)].
 
-    RECEIVER_GRID_SIZE knots span [0, d_max(x)], where F_x reaches 1, and
-    the breakpoints are added as knots (uniform knots closer than a
-    quarter spacing to one are dropped).  The law is read once, at the
-    knots; ``_checked_table`` holds its densities in the monotone box as
-    the table's slopes, which keeps the cubic monotone in cells between
-    nearly coincident breakpoints too.
+    A receiver's RECEIVER_GRID_SIZE knots span [0, d_max(x)], where F_x
+    reaches 1, and its breakpoints are added as knots (uniform knots closer
+    than a quarter spacing to one are dropped, a repeat is held once).  The
+    law is read once, at the knots of all receivers, in blocks of 341
+    distances, _BLOCK_ELEMENTS / 2 slice nodes over their two slabs.
+    ``_checked_tables`` holds its densities in the monotone box as the
+    slopes, which keeps the cubic monotone in cells between nearly
+    coincident breakpoints too.
     """
+    r, z = np.atleast_1d(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
     breaks = receiver_breakpoints(geom, r, z)
-    uniform = np.linspace(0.0, breaks[-1], RECEIVER_GRID_SIZE)
-    spacing = breaks[-1] / (RECEIVER_GRID_SIZE - 1)
-    keep = np.all(np.abs(uniform[:, None] - breaks[1:-1]) > 0.25 * spacing, axis=1)
-    keep[0] = keep[-1] = True
-    grid = np.union1d(uniform[keep], breaks)
-    F, f = receiver_distance_law(geom, r, z, grid)
-    F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
+    uniform = np.linspace(0.0, breaks[:, -1], RECEIVER_GRID_SIZE, axis=-1)
+    spacing = breaks[:, -1:] / (RECEIVER_GRID_SIZE - 1)
+    keep = np.ones(uniform.shape, dtype=bool)
+    for b in breaks[:, 1:-1].T:  # the interior breakpoints, a column of receivers at a time
+        keep &= np.abs(uniform - b[:, None]) > 0.25 * spacing
+    keep[:, [0, -1]] = True
+    # a sorted row of knots per receiver; the dropped (inf) and repeated ones are not held
+    knots = np.sort(np.hstack((np.where(keep, uniform, np.inf), breaks)), axis=1)
+    held = np.isfinite(knots)
+    held[:, 1:] &= knots[:, 1:] != knots[:, :-1]
+    d, which = knots[held], np.nonzero(held)[0]
+    F, f = np.empty(d.size), np.empty(d.size)
+    step = _BLOCK_ELEMENTS // (4 * _SLICE_PHI.size)  # a dozen temporaries of 130 kB each
+    for at in (slice(start, start + step) for start in range(0, d.size, step)):
+        F[at], f[at] = receiver_distance_law(geom, r[which[at]], z[which[at]], d[at])
+    rows = np.full(knots.shape, -np.inf)  # each row's running maximum of F
+    rows[held] = np.clip(F, 0.0, 1.0)
+    F = np.maximum.accumulate(rows, axis=1)[held]
     # the ball contains the cylinder at d_max(x), so F is 1 there up to rounding
-    F[0], F[-1] = 0.0, 1.0
-    return grid, F, f
+    splits = np.cumsum(np.sum(held, axis=1))[:-1]
+    F[np.append(0, splits)], F[np.append(splits, d.size) - 1] = 0.0, 1.0
+    return list(zip(*(np.split(v, splits) for v in (d, F, f))))
 
 
 class ReceiverMixture(TabulatedDistribution):
@@ -926,7 +952,7 @@ class ReceiverMixture(TabulatedDistribution):
     cdf_values, densities) the knots, CDF values and knot densities of its
     F_q up to the receiver's d_max(x), where F_q reaches 1, checked and
     held in the monotone box as the one table of ``TabulatedDistribution``
-    is (``_checked_table``), so a table's slopes give it back bit for bit,
+    is (``_checked_tables``), so a table's slopes give it back bit for bit,
     and weights[q] its weight in the average over receiver positions
     (density 2 r / R^2 in r and uniform in z, folded onto z <= H / 2 by
     symmetry; the weights sum to 1).  sum_q weights[q] F_q approximates the
@@ -941,7 +967,7 @@ class ReceiverMixture(TabulatedDistribution):
     """
 
     def __init__(self, geometry: CylinderGeometry, nodes, weights, tables, check=None):
-        self._hold(geometry, [_checked_table(geometry, *table) for table in tables])
+        self._hold(geometry, *_checked_tables(geometry, tables))
         nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
         if nodes.shape != (weights.size, 2) or weights.shape != self.ends.shape:
             raise DomainError(f"{self.ends.size} tables need as many nodes (r, z) and weights")
@@ -966,8 +992,7 @@ def _receiver_mixture(
     z = 0.25 * geom.H * (xz + 1.0)
     nodes = np.array([(ri, zj) for ri in r for zj in z])
     weights = np.outer(0.5 * wu, 0.5 * wz).ravel()
-    tables = (_build_receiver_cdf(geom, ri, zj) for ri, zj in nodes)
-    return ReceiverMixture(geom, nodes, weights, tables, check)
+    return ReceiverMixture(geom, nodes, weights, _build_receiver_tables(geom, *nodes.T), check)
 
 
 def build_receiver_cdfs(geom: CylinderGeometry) -> ReceiverMixture:
@@ -975,9 +1000,9 @@ def build_receiver_cdfs(geom: CylinderGeometry) -> ReceiverMixture:
 
     The rule is Gauss-Legendre in u = r^2 / R^2 on [0, 1] (uniform for a
     volume-uniform receiver) times Gauss-Legendre in z on [0, H / 2],
-    with the larger node count on the longer of R and H / 2.  The
-    returned mixture's check is the same construction on
-    RECEIVER_CHECK_RULE.
+    with the larger node count on the longer of R and H / 2; each rule's
+    tables come from one blocked pass (``_build_receiver_tables``).  The
+    returned mixture's check is the same construction on RECEIVER_CHECK_RULE.
     """
     check = _receiver_mixture(geom, RECEIVER_CHECK_RULE)
     return _receiver_mixture(geom, RECEIVER_RULE, check)

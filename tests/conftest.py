@@ -1,9 +1,10 @@
 """Shared fixtures and oracles: each geometry's tables are built once per session.
 
-A pair-distance CDF table takes milliseconds and a receiver mixture a
-fraction of a second, but many tests share them.  The Monte Carlo
-oracles of the pair law and of the Poisson baseline live here, not in
-the library.
+A pair-distance CDF table takes milliseconds and a receiver mixture,
+one blocked pass over the knots of each rule, about 0.1 s, but many
+tests share them; ``receiver_table`` runs the same pass for one
+receiver.  The Monte Carlo oracles of the pair law and of the Poisson
+baseline live here, not in the library.
 """
 
 import math
@@ -21,7 +22,7 @@ from cylcov import (
     build_cdf,
     build_receiver_cdfs,
 )
-from cylcov.distance import ReceiverMixture, _build_receiver_cdf
+from cylcov.distance import ReceiverMixture, _build_receiver_tables
 from cylcov.network import _check_geometry, _conditioning_survival
 from cylcov.simulation import (
     BLOCK_TRIALS,
@@ -66,7 +67,7 @@ def get_mixture(geom):
 
 def receiver_table(geom, r, z):
     """The receiver table of (r, z) as a stack of one."""
-    return TabulatedDistribution(geom, *_build_receiver_cdf(geom, r, z))
+    return TabulatedDistribution(geom, *_build_receiver_tables(geom, r, z)[0])
 
 
 def tables_of(stack):

@@ -32,6 +32,27 @@ def test_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_library_loads_no_numpy_ma():
+    # np.union1d -> np.unique -> np.ma.is_masked imported numpy.ma, about
+    # 20 ms of a cold process's first receiver table build
+    code = (
+        "import sys\n"
+        "from cylcov import (ChannelModel, CylinderGeometry, NetworkScenario, build_cdf,\n"
+        "    build_receiver_cdfs, coverage_probability, empirical_distance_histogram,\n"
+        "    exact_coverage_probability, ppp_coverage, simulate_coverage)\n"
+        "geom = CylinderGeometry(R=20.0, H=120.0)\n"
+        "sc = NetworkScenario(N=5, geom=geom, channel=ChannelModel(alpha=4.0, m=2.0), beta=1.0)\n"
+        "exact_coverage_probability(sc, build_receiver_cdfs(geom))\n"
+        "coverage_probability(sc, build_cdf(geom, 256))\n"
+        "simulate_coverage(sc, 2000, seed=1)\n"
+        "empirical_distance_histogram(geom, 10_000, 16, seed=1)\n"
+        "ppp_coverage(sc)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = _run(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_commands_run_without_scipy(tmp_path):
     # with sys.modules["scipy"] = None every import of scipy raises ImportError
     scenario = tmp_path / "s.json"
