@@ -139,10 +139,11 @@ def disk_pair_pdf(v, R: float):
 
     f(v) = (8 x / (pi R)) (arccos(x) - x sqrt(1 - x^2)) with x = v / 2R
     on [0, 2R], zero above.  v is a distance (a float out) or an array of
-    them (an array out); a negative or NaN one raises DomainError.
+    them (an array out); a negative or NaN one raises DomainError, as does
+    an R that is not finite and positive.
     """
-    if R <= 0.0:
-        raise DomainError(f"disk radius R={R!r} must be positive")
+    if not 0.0 < R < math.inf:  # written so that NaN fails it too
+        raise DomainError(f"disk radius R={R!r} must be finite and positive")
     v_arr = np.asarray(v, dtype=float)
     if not np.all(v_arr >= 0.0):  # written so that NaN fails it too
         raise DomainError(f"distance v={float(np.min(v_arr))!r} must be nonnegative")
@@ -156,10 +157,11 @@ def segment_pair_pdf(z, H: float):
 
     The triangular density 2 (H - z) / H^2 on [0, H], zero above.  z is a
     distance (a float out) or an array of them (an array out); a negative
-    or NaN one raises DomainError.
+    or NaN one raises DomainError, as does an H that is not finite and
+    positive.
     """
-    if H <= 0.0:
-        raise DomainError(f"segment length H={H!r} must be positive")
+    if not 0.0 < H < math.inf:  # written so that NaN fails it too
+        raise DomainError(f"segment length H={H!r} must be finite and positive")
     z_arr = np.asarray(z, dtype=float)
     if not np.all(z_arr >= 0.0):  # written so that NaN fails it too
         raise DomainError(f"distance z={float(np.min(z_arr))!r} must be nonnegative")
@@ -337,9 +339,12 @@ def cylinder_pair_pdf_closed(l: float, geom: CylinderGeometry) -> float:
     Agrees with ``cylinder_pair_pdf_numeric`` to well below 1e-6 absolute
     (machine precision in practice).  Returns 0 outside the support.
     Cancellation at the extreme support end can leave residuals of order
-    1e-13 with either sign; results are clamped at zero.
+    1e-13 with either sign; results are clamped at zero.  A NaN distance
+    raises DomainError.
     """
     l = float(l)
+    if math.isnan(l):
+        raise DomainError("a distance is NaN")
     R, H = geom.R, geom.H
     if l <= 0.0 or l >= geom.d_max:
         return 0.0
@@ -792,11 +797,15 @@ def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> Pai
 
     The law is 0 at the first knot and 1 at the last; rounding of F above 1
     or downward is clipped away.  grid_size must be an integer of at least
-    64 (an integral float too); else DomainError.
+    64 (an integral float too) that numpy can size an array by; else
+    DomainError.
     """
     if not (64 <= grid_size < math.inf and grid_size % 1 == 0):
         raise DomainError(f"grid_size={grid_size!r} must be an integer of at least 64")
-    grid = np.linspace(0.0, geom.d_max, int(grid_size))
+    try:
+        grid = np.linspace(0.0, geom.d_max, int(grid_size))
+    except (ValueError, IndexError):  # numpy's refusals of a size past its index range
+        raise DomainError(f"grid_size={grid_size!r} is past numpy's largest array") from None
     F, f = pair_distance_law(geom, grid)
     return PairTable(geom, grid, np.maximum.accumulate(np.clip(F, 0.0, 1.0)), f)
 

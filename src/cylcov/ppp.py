@@ -41,8 +41,9 @@ interference is almost surely infinite unless alpha > 3.  For
 2 < alpha <= 3 the exponent above diverges for every t > 0, the transform
 is identically zero, and the baseline's coverage probability collapses to
 exactly 0.  ``ppp_coverage`` returns that honest 0 rather than truncating
-the field ad hoc.  Truncated Monte Carlo runs at alpha <= 3 keep drifting
-down as the truncation grows, consistent with the collapse.
+the field ad hoc.  Truncated to a ball of radius M about the receiver,
+the field's coverage at alpha <= 3 keeps falling as M grows, consistent
+with the collapse.
 """
 
 import math

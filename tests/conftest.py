@@ -15,7 +15,6 @@ import pytest
 
 from cylcov import (
     CylinderGeometry,
-    DomainError,
     NetworkScenario,
     SimulationEstimate,
     TabulatedDistribution,
@@ -27,10 +26,10 @@ from cylcov.network import _check_geometry, _conditioning_survival
 from cylcov.simulation import (
     BLOCK_TRIALS,
     _binomial_estimate,
+    _blocks,
     _check_count,
     _link_distances_squared,
     _pair_distance_blocks,
-    _sir_unit,
     substream,
 )
 
@@ -40,13 +39,6 @@ CUBIC = CylinderGeometry(R=50.0, H=50.0)
 NEEDLE = CylinderGeometry(R=10.0, H=200.0)
 
 REGIME_GEOMETRIES = (SQUAT, TALL, CUBIC, NEEDLE)
-
-# Expected field points per block of simulate_ppp_coverage: its arrays take
-# about 100 bytes per point, so a block stays near 0.4 GB as long as one
-# trial expects at most this many.  A block holds at least one trial, so a
-# denser field is not bounded: at R = 1e-3, H = 1e3, N = 7 and padding 0.5
-# one trial expects 1.75e12 points, and no test builds such a field.
-PPP_BLOCK_POINTS = 2**22
 
 _cache = {}
 _mixtures = {}
@@ -125,51 +117,38 @@ def sample_pair_distances(geom: CylinderGeometry, pairs: int, seed: int) -> np.n
     return out
 
 
-def simulate_ppp_coverage(
-    scenario: NetworkScenario, trials: int, seed: int, padding: float = 2.0
-) -> SimulationEstimate:
-    """Monte Carlo coverage in the scenario's truncated homogeneous Poisson field.
+def simulate_ppp_coverage(scenario: NetworkScenario, trials: int, seed: int) -> SimulationEstimate:
+    """Monte Carlo coverage in the scenario's homogeneous Poisson field, truncated at d_max.
 
     Points fall as a Poisson process of the matched intensity
     lam = N / (pi R^2 H) inside a cylinder of radius M and half-height M
-    centered on the receiver, where M = padding * d_max of the scenario's
-    cylinder, so the region engulfs the ball of radius M around the
-    receiver; padding must be finite and positive.  Padding large enough
-    that further growth moves the estimate by < 0.002 stands in for the
-    infinite field; how large that is depends strongly on the path-loss
-    exponent (the far-field truncation error decays like M^(3 - alpha)),
-    and for alpha <= 3 no finite padding achieves it: the infinite-field
-    interference diverges and the estimate keeps falling forever.
+    centered on the receiver, where M = d_max of the scenario's cylinder,
+    so the region holds the ball of radius M about the receiver.  How far
+    that truncation moves coverage depends on the path-loss exponent (the
+    far-field error decays like M^(3 - alpha)); ``tests/test_ppp.py``
+    bounds it by quadrature over that ball: 1.3e-5 at alpha = 8, while at
+    alpha <= 3 coverage keeps falling as M grows.  Distances are in the
+    caller's unit, so d^-alpha leaves the float range in a cylinder far
+    from unit size; no test builds one.
 
     Trials with an empty field count as not covered; a single point in
-    the field has no interferer and counts as covered.  Blocks hold
-    BLOCK_TRIALS trials, or fewer when their expected point count would
-    pass PPP_BLOCK_POINTS.
+    the field has no interferer and counts as covered.  Blocks are those
+    of ``simulate_coverage``, each on its own substream.
     """
     _check_count("trials", trials)
-    if not (0.0 < padding < math.inf):
-        raise DomainError(f"padding={padding!r} must be finite and positive")
-    M = padding * scenario.geom.d_max
+    M = scenario.geom.d_max
     lam_v = scenario.N / scenario.geom.volume * (math.pi * M * M * (2.0 * M))  # lam * volume
-    try:  # numpy's own check of the Poisson mean, on a draw of no points
-        np.random.default_rng(0).poisson(lam_v, 0)
-    except ValueError:
-        raise DomainError(
-            f"padding={padding!r} gives lam * volume={lam_v!r}, not a Poisson mean") from None
-    M_unit = M * _sir_unit(scenario.geom)  # the field's size in SIR units
     m = scenario.channel.m
-    block = max(1, int(min(BLOCK_TRIALS, PPP_BLOCK_POINTS // lam_v)))
     successes = 0
-    for index, start in enumerate(range(0, trials, block)):
-        size = min(block, trials - start)
+    for index, size in _blocks(trials):
         rng = substream(seed, index)
         counts = rng.poisson(lam_v, size)
         total = int(counts.sum())
         if total == 0:
             continue
         u = rng.random((total, 3))
-        r = M_unit * np.sqrt(u[:, 0])
-        z = M_unit * (2.0 * u[:, 2] - 1.0)
+        r = M * np.sqrt(u[:, 0])
+        z = M * (2.0 * u[:, 2] - 1.0)
         d = np.sqrt(r * r + z * z)
         gains = rng.gamma(m, 1.0 / m, total)
         powers = gains * d ** (-scenario.channel.alpha)

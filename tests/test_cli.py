@@ -518,6 +518,16 @@ class TestCoverageCommand:
         assert err.startswith("error: ") and message in err, err
         assert not out.exists()
 
+    def test_grid_size_past_numpy_is_an_error_line(self, tmp_path, capsys):
+        # numpy refuses 1e30 knots outright; its ValueError was a traceback
+        scen = write_scenario(tmp_path / "s.json", output={"grid_size": 1e30})
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_size=") and err.endswith(" is past numpy's largest array\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["1", "2", "4"])
     @pytest.mark.parametrize("method", sorted(PINNED_SWEEPS))
     def test_grouped_sweeps_keep_their_bytes(self, tmp_path, method, workers):
@@ -610,6 +620,13 @@ class TestCacheCommand:
         ]) == 0
         assert main(["coverage", "--scenario", str(scen), "--output", str(out_fresh)]) == 0
         assert out_cached.read_bytes() == out_fresh.read_bytes()
+
+    def test_grid_size_past_numpy_is_an_error_line(self, tmp_path, capsys):
+        cache = tmp_path / "cdf.tsv"
+        size = "100000000000000000000"
+        assert main(["cache", "--R", "12", "--H", "30", "--grid-size", size, "--output", str(cache)]) == 1
+        assert capsys.readouterr().err == f"error: grid_size={size} is past numpy's largest array\n"
+        assert not cache.exists()
 
     def test_mismatched_cache_is_reported(self, tmp_path, capsys):
         cache = tmp_path / "cdf.tsv"

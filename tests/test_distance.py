@@ -109,6 +109,11 @@ class TestDiskPairPdf:
         with pytest.raises(DomainError):
             disk_pair_pdf(0.5, -1.0)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive(self, R):
+        with pytest.raises(DomainError, match=f"R={R!r}"):
+            disk_pair_pdf(1.0, R)
+
 
 class TestSegmentPairPdf:
     def test_at_zero(self):
@@ -126,6 +131,11 @@ class TestSegmentPairPdf:
             segment_pair_pdf(-1.0, 2.0)
         with pytest.raises(DomainError):
             segment_pair_pdf(1.0, 0.0)
+
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_length_must_be_finite_and_positive(self, H):
+        with pytest.raises(DomainError, match=f"H={H!r}"):
+            segment_pair_pdf(1.0, H)
 
 
 class TestNumericPdf:
@@ -247,6 +257,11 @@ class TestClosedForm:
         tiny = CylinderGeometry(R=20.0, H=20.0)
         assert cylinder_pair_pdf_closed(45.0, tiny) == 0.0
         assert cylinder_pair_pdf_numeric(45.0, tiny) == 0.0
+
+    def test_nan_distance_raises(self):
+        # NaN passes both support comparisons and reached the elliptic integrals
+        with pytest.raises(DomainError, match="a distance is NaN"):
+            cylinder_pair_pdf_closed(math.nan, SQUAT)
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_matches_numeric_in_every_regime(self, geom):
@@ -453,6 +468,12 @@ class TestBuildCdf:
     @pytest.mark.parametrize("grid_size", [100.5, math.nan, math.inf, -math.inf])
     def test_rejects_grid_size_that_is_no_integer(self, grid_size):
         with pytest.raises(DomainError, match="grid_size"):
+            build_cdf(SQUAT, grid_size)
+
+    # numpy refuses each of these outright, before allocating anything
+    @pytest.mark.parametrize("grid_size", [1e30, 10**20, 2**63])
+    def test_rejects_grid_size_past_numpy(self, grid_size):
+        with pytest.raises(DomainError, match=r"^grid_size=\S+ is past numpy"):
             build_cdf(SQUAT, grid_size)
 
     @pytest.mark.parametrize("grid_size", [64, 64.0, np.int64(100), np.float64(128.0)])

@@ -1,27 +1,27 @@
-"""Infinite-field Poisson baseline: analytics, Monte Carlo, and its collapse.
+"""Infinite-field Poisson baseline: analytics, a truncated field, and its collapse.
 
-Far-field truncation error of the Monte Carlo decays like M^(3 - alpha)
-in the truncation range M, so self-consistency against the truncated
-simulation is checked at a steep exponent where modest regions already
-approximate the infinite field.  At alpha <= 3 the infinite-field
-interference is almost surely infinite; the analytic baseline is exactly
-zero there and the truncated simulation drifts down without bound as the
-region grows, which is asserted below as the signature of the collapse.
+The far-field truncation error of a field of radius M decays like
+M^(3 - alpha).  A quadrature of the coverage in the ball of radius M
+about the receiver bounds it: at alpha = 8, M = d_max is already within
+1.3e-5 of the infinite field, so the truncated Monte Carlo oracle, whose
+region holds that ball, checks ``ppp_coverage`` there.  At alpha <= 3 the
+infinite-field interference is almost surely infinite; the analytic
+baseline is exactly zero there, and the ball's coverage keeps falling as
+M grows, which is asserted below as the signature of the collapse.
 """
 
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import binom, hyp2f1
 
-from conftest import PPP_BLOCK_POINTS, simulate_ppp_coverage
+from conftest import simulate_ppp_coverage
 from cylcov import (
     ChannelModel,
     CylinderGeometry,
-    DomainError,
     NetworkScenario,
     UnsupportedParameterError,
     ppp_coverage,
@@ -103,11 +103,43 @@ def hyp2f1_coverage(alpha, m, beta):
     return float(sum(q))
 
 
+def ball_field_coverage(sc, M):
+    """Rayleigh-fading coverage of the Poisson field of sc restricted to the ball of radius M.
+
+    With lam = N / (pi R^2 H), the receiver at the center, the serving
+    point at distance l and interferers in the shell from l to M,
+
+        P(M) = int_0^M 4 pi lam l^2 exp(-(4/3) pi lam l^3)
+               exp(-4 pi lam int_l^M u^2 beta (l/u)^alpha / (1 + beta (l/u)^alpha) du) dl,
+
+    and an empty ball is not covered.  In w = exp(-z), z = (4/3) pi lam l^3,
+    the chance that the ball of radius l is empty, the serving law is
+    uniform on [exp(-Z), 1] with Z the z of M, and with t = l / u = e^s the
+    shell's exponent is 3 z J(l / M), J(a) = int_{log a}^0 beta
+    e^((alpha - 3) s) / (1 + beta e^(alpha s)) ds: both integrands are
+    bounded, and the mass stays spread however large M is.
+    """
+    alpha, beta = sc.channel.alpha, sc.beta
+    Z = 4.0 / 3.0 * math.pi * sc.N / sc.geom.volume * M**3
+
+    def shell(a):
+        def integrand(s):
+            return beta * math.exp((alpha - 3.0) * s) / (1.0 + beta * math.exp(alpha * s))
+
+        return quad(integrand, math.log(a), 0.0)[0]
+
+    def conditional(w):
+        z = -math.log(w)
+        return math.exp(-3.0 * z * shell((z / Z) ** (1.0 / 3.0)))
+
+    return quad(conditional, math.exp(-Z), 1.0)[0]
+
+
 class TestModel:
     def test_results_echo_the_scenario(self):
         sc = scenario(alpha=8.0)
         assert ppp_coverage(sc).scenario is sc
-        assert simulate_ppp_coverage(sc, trials=10, seed=1, padding=0.1).scenario is sc
+        assert simulate_ppp_coverage(sc, trials=10, seed=1).scenario is sc
 
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedParameterError):
@@ -193,99 +225,38 @@ class TestAnalytic:
         assert tail(2.0, 3.0, 0.2) == pytest.approx(1.4713541666666667, rel=1e-15)
 
 
+class TestTruncatedField:
+    # scipy's IntegrationWarning is a UserWarning, which the suite's filter lets through
+    @pytest.mark.filterwarnings("error")
+    def test_truncation_at_d_max_is_negligible_at_steep_exponent(self):
+        # alpha = 8: the error ~ M^-5 is 1.3e-5 at M = d_max, and dropping
+        # interferers can only raise coverage
+        sc = scenario(alpha=8.0, m=1.0)
+        gap = ball_field_coverage(sc, SQUAT.d_max) - ppp_coverage(sc).pc
+        assert 0.0 < gap <= 1e-4
+
+    @pytest.mark.filterwarnings("error")
+    def test_coverage_keeps_falling_when_field_diverges(self):
+        # 0.146, 0.094 and 0.055 at 1, 3 and 30 d_max; the infinite field's is 0
+        sc = scenario(alpha=3.0, m=1.0, geom=SMALL)
+        pcs = [ball_field_coverage(sc, p * SMALL.d_max) for p in (1.0, 3.0, 30.0)]
+        assert pcs[0] - 0.02 > pcs[1] > pcs[2] > ppp_coverage(sc).pc == 0.0
+
+
 class TestMonteCarloConsistency:
     def test_matches_truncated_field_at_steep_exponent(self):
-        # alpha = 8: truncation error ~ M^-5 is negligible at padding 1
+        # alpha = 8: truncation at d_max moves coverage by 1.3e-5
         sc = scenario(alpha=8.0, m=1.0)
         res = ppp_coverage(sc)
-        est = simulate_ppp_coverage(sc, trials=20_000, seed=24, padding=1.0)
+        est = simulate_ppp_coverage(sc, trials=20_000, seed=24)
         stderr = est.ci_half_width / 1.96
         assert abs(res.pc - est.mean) <= max(0.01, 3.0 * stderr)
 
-    def test_padding_insensitive_at_steep_exponent(self):
-        # paired construction: the larger region reuses the smaller one's
-        # points plus an independent shell, so the padding effect is
-        # isolated from Monte Carlo noise
-        sc = scenario(alpha=8.0, m=1.0)
-        near = simulate_ppp_coverage(sc, trials=8_000, seed=25, padding=1.0)
-        far = simulate_ppp_coverage(sc, trials=8_000, seed=25, padding=1.6)
-        # same seed reuses the same block substreams; the remaining
-        # difference is dominated by the true padding effect plus the
-        # resampling noise of the region change
-        assert abs(near.mean - far.mean) <= 0.002 + 3.0 * math.hypot(
-            near.ci_half_width, far.ci_half_width
-        ) / 1.96
-
-    def test_estimate_keeps_falling_when_field_diverges(self):
-        sc = scenario(alpha=3.0, m=1.0, geom=SMALL)
-        pcs = [
-            simulate_ppp_coverage(sc, trials=4_000, seed=26, padding=p).mean
-            for p in (1.0, 3.0)
-        ]
-        assert pcs[1] < pcs[0] - 0.02
-
     def test_light_field_keeps_its_stream(self):
-        # A 4096-trial block of this field holds 3.99 M expected points,
-        # just under PPP_BLOCK_POINTS, so it keeps full blocks; the values
-        # were measured with fixed 4096-trial blocks.
-        est = simulate_ppp_coverage(scenario(alpha=8.0, m=1.0), trials=5000, seed=24, padding=1.0)
+        # the values were measured with fixed 4096-trial blocks
+        est = simulate_ppp_coverage(scenario(alpha=8.0, m=1.0), trials=5000, seed=24)
         assert est.mean == 0.682
         assert est.ci_half_width == 0.01290853083507182
-
-    def test_block_memory_is_bounded(self):
-        # About 7,100 expected points per trial: 1200 trials in one block
-        # would hold 8.5 M points, about 0.8 GB.
-        sc = scenario(alpha=3.0, m=1.0, geom=SMALL)
-        tracemalloc.start()
-        try:
-            simulate_ppp_coverage(sc, trials=1200, seed=26, padding=3.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 160 * PPP_BLOCK_POINTS
-
-    def test_single_point_field_counts_as_covered(self):
-        # N = 2 in SMALL at padding 0.27 puts mu = 2 N p^3 d_max^3 / (R^2 H)
-        # = 1.03 points in a field.  Covered are the lone points, P1 = mu
-        # e^-mu = 0.37, and a share of the fields of two or more points, so
-        # the estimate lies in [P1, 1 - P0] = [0.37, 0.64].  Counting empty
-        # fields as covered would lift it to at least P0 + P1 = 0.72, and
-        # lone points as not covered cap it at 1 - P0 - P1 = 0.28.
-        padding = 0.27
-        sc = scenario(alpha=4.0, geom=SMALL, N=2)
-        mu = 2 * sc.N * padding**3 * SMALL.d_max**3 / (SMALL.R**2 * SMALL.H)
-        assert 0.9 < mu < 1.1
-        est = simulate_ppp_coverage(sc, trials=4_000, seed=27, padding=padding)
-        slack = 3.0 * est.ci_half_width / 1.96
-        assert mu * math.exp(-mu) - slack <= est.mean <= 1.0 - math.exp(-mu) + slack
-
-    def test_same_stream_at_every_scale(self):
-        # Scaling R and H by a power of two scales every distance exactly
-        # and leaves the field's mean point count N / V * volume unchanged,
-        # so the draws and the counts are the same.
-        sc = scenario(alpha=8.0, m=1.0)
-        big = scenario(alpha=8.0, m=1.0, geom=scaled(SQUAT, 2.0**20))
-        near, far = (simulate_ppp_coverage(s, trials=3000, seed=29, padding=1.0) for s in (sc, big))
-        assert near.mean == far.mean
-
-    def test_undrawable_field_is_a_domain_error(self):
-        # At R = 1e-100, H = 1e100 the field of padding 0.5 has
-        # lam * volume = N / (pi R^2 H) * 2 pi M^3 with M = 5e99, which
-        # overflows to inf; it is rejected before a block is drawn.
-        sc = scenario(geom=CylinderGeometry(R=1e-100, H=1e100), N=5)
-        tracemalloc.start()
-        try:
-            with pytest.raises(DomainError, match=r"padding=0\.5 .*lam \* volume=inf"):
-                simulate_ppp_coverage(sc, trials=10**6, seed=1, padding=0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 1024
-
-    @pytest.mark.parametrize("padding", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_padding_must_be_finite_and_positive(self, padding):
-        with pytest.raises(DomainError, match="padding"):
-            simulate_ppp_coverage(scenario(), trials=10, seed=1, padding=padding)
 
 
 class TestFigureFiveOrdering:

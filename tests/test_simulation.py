@@ -181,7 +181,7 @@ class TestSimulateCoverage:
     def test_interval_keeps_its_width_when_no_trial_is_covered(self):
         for est in (
             simulate_coverage(scenario(beta=1e9), 5_000, seed=12),
-            simulate_ppp_coverage(scenario(beta=1e9, alpha=4.0), 5_000, seed=12, padding=0.5),
+            simulate_ppp_coverage(scenario(beta=1e9, alpha=4.0), 5_000, seed=12),
         ):
             assert est.mean == 0.0
             assert est.ci_half_width == 1.96**2 / (5_000 + 1.96**2)
@@ -512,17 +512,16 @@ def test_pair_sampling_matches_tabulated_cdf(tall_dist):
 
 
 class TestUnitOfLength:
-    """SIR does not depend on the unit of length, and neither do the simulators' counts."""
+    """SIR does not depend on the unit of length, and neither do the simulator's counts."""
 
     @staticmethod
     def _means(scale):
         geom = CylinderGeometry(R=20.0 * scale, H=120.0 * scale)
         group = [scenario(N=5, geom=geom, alpha=alpha) for alpha in (4.0, 8.0)]
-        coverage = [est.mean for est in simulate_coverage(group, 1_000, 1)]
-        return coverage, [simulate_ppp_coverage(sc, 200, 1, padding=0.5).mean for sc in group]
+        return [est.mean for est in simulate_coverage(group, 1_000, 1)]
 
     def test_power_of_two_scales_keep_every_count(self):
-        # a scale of 2^j moves no bit of the lengths in the simulators' unit,
+        # a scale of 2^j moves no bit of the lengths in the simulator's unit,
         # while in the caller's unit d^-8 leaves the float range far from 1
         reference = self._means(1.0)
         for j in range(-300, 301):
