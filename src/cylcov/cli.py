@@ -27,10 +27,11 @@ clock), so repeated runs are byte-identical; the wall_time_s column is
 the lone intentional exception and therefore defaults to off
 (--timing on opts in).  Sweep points evaluate in order on the calling
 thread, and rows are written in sweep order; --workers is accepted and has
-no effect.  Monte Carlo rows that share geometry and N are one task,
-counted from one set of draws, and each such row's wall_time_s is the
-group's wall time divided by its row count, so the column still sums to
-the sweep's Monte Carlo time.
+no effect.  Monte Carlo rows that share geometry and N are one group, one
+simulate_coverage call counted from one set of draws, and each such row's
+wall_time_s is the group's wall time divided by its row count, so the
+column still sums to the sweep's Monte Carlo time.  A size that numpy
+cannot allocate is an error line too.
 """
 
 import argparse
@@ -38,7 +39,7 @@ import json
 import math
 import sys
 import time
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,7 @@ from .coverage import coverage_probability
 from .distance import (
     DEFAULT_GRID_SIZE,
     TabulatedDistribution,
+    _checked_grid_size,
     build_cdf,
     cylinder_pair_pdf_closed,
     cylinder_pair_pdf_numeric,
@@ -155,7 +157,8 @@ def load_scenario_file(path) -> dict:
              f"non-empty string required, got {output_path!r}")
     trials = _number(raw.get("trials", DEFAULT_TRIALS), "trials", integral=True, least=1)
     grid_size = output.get("grid_size", DEFAULT_GRID_SIZE)
-    grid_size = _number(grid_size, "output.grid_size", integral=True, least=64)
+    # the header echoes the grid size, so build_cdf's rule holds whatever the method
+    grid_size = _checked_grid_size(_number(grid_size, "output.grid_size", integral=True, least=64))
     return {"base": base, "sweep": sweep, "method": method, "trials": trials, "seed": seed,
             "output_path": output_path, "grid_size": grid_size}
 
@@ -170,9 +173,11 @@ def _point_scenario(params: dict) -> NetworkScenario:
     )
 
 
-def _open_output(path):
+def _write_csv(path, header: list, names, rows) -> None:
+    """The '#' header lines, the column names and one line per row of cells, each line ended."""
     try:
-        return open(path, "w", encoding="ascii", newline="")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write("\n".join((*header, ",".join(names), *(",".join(map(_fmt, r)) for r in rows), "")))
     except OSError as exc:
         raise OSError(f"cannot write output file {path}: {exc}") from exc
 
@@ -201,9 +206,7 @@ def cmd_pdf(args) -> int:
         header.append(f"# histogram pairs={args.pairs} bins={bins} seed={args.seed}")
 
     # a shorter column is padded with empty cells
-    rows = (",".join(map(_fmt, row)) for row in zip_longest(*columns.values(), fillvalue=""))
-    with _open_output(args.output) as fh:
-        fh.write("\n".join((*header, ",".join(columns), *rows, "")))
+    _write_csv(args.output, header, columns, zip_longest(*columns.values(), fillvalue=""))
     return 0
 
 
@@ -217,22 +220,14 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _sweep_points(base: dict, sweep: dict):
-    """Cartesian product of sweep axes in file order; beta axes exclusive."""
-    names = list(sweep.keys())
-    points = [{}]
-    for name in names:
-        points = [dict(p, **{name: v}) for p in points for v in sweep[name]]
-    out = []
-    for overrides in points:
-        params = dict(base)
-        if "beta" in overrides:
-            params.pop("beta_dB", None)
-        if "beta_dB" in overrides:
-            params.pop("beta", None)
-        params.update(overrides)
-        out.append(params)
-    return names, out
+def _sweep_points(base: dict, sweep: dict) -> list:
+    """The scenario at each point of the sweep's cartesian product, in file order.
+
+    A swept beta or beta_dB replaces the other in the base scenario.
+    """
+    other = {"beta": "beta_dB", "beta_dB": "beta"}
+    fixed = {k: v for k, v in base.items() if other.get(k) not in sweep}
+    return [dict(fixed, **dict(zip(sweep, values))) for values in product(*sweep.values())]
 
 
 def cmd_coverage(args) -> int:
@@ -247,7 +242,7 @@ def cmd_coverage(args) -> int:
         raise ScenarioFormatError("no output path: pass --output or set output.path")
     method = spec["method"]
     methods = METHODS[method]
-    axis_names, points = _sweep_points(spec["base"], spec["sweep"])
+    points = _sweep_points(spec["base"], spec["sweep"])
     scenarios = [_point_scenario(p) for p in points]
 
     # One CDF table per distinct geometry, for analytic rows only; reuse a
@@ -268,49 +263,41 @@ def cmd_coverage(args) -> int:
             dists[sc.geom] = build_cdf(sc.geom, spec["grid_size"])
 
     trials, seed = spec["trials"], spec["seed"]
-    timing = args.timing == "on"
-
-    def run(task):
-        """CSV rows keyed by (point, method); a Monte Carlo task is a whole group."""
-        meth, indices = task
-        started = time.perf_counter()
-        if meth == "monte-carlo":
-            ests = simulate_coverage([scenarios[i] for i in indices], trials, seed)
-            cells = [(meth, e.mean, e.ci_half_width, str(trials), str(seed)) for e in ests]
-        else:
-            sc = scenarios[indices[0]]
-            res = ppp_coverage(sc) if meth == "ppp" else coverage_probability(sc, dists[sc.geom])
-            cells = [(res.method, res.pc, res.error_estimate, "", "")]
-        elapsed = _fmt((time.perf_counter() - started) / len(indices)) if timing else "NA"
-        return {
-            (i, meth): [_fmt(points[i][name]) for name in axis_names]
-            + [tag, _fmt(pc), _fmt(err), row_trials, row_seed, elapsed]
-            for i, (tag, pc, err, row_trials, row_seed) in zip(indices, cells)
-        }
-
-    # Monte Carlo rows sharing geometry and N share their draws: one task per group.
+    # Monte Carlo rows sharing geometry and N are one group, counted from one
+    # set of draws: each point's estimate and its share of the group's time.
     groups: dict = {}
     for i, sc in enumerate(scenarios):
         groups.setdefault((sc.geom, sc.N), []).append(i)
-    tasks = [("monte-carlo", indices) for indices in groups.values() if "monte-carlo" in methods]
-    tasks += [(meth, [i]) for i in range(len(points)) for meth in methods if meth != "monte-carlo"]
-    rows = {key: row for done in map(run, tasks) for key, row in done.items()}
+    drawn: dict = {}
+    for indices in groups.values() if "monte-carlo" in methods else ():
+        started = time.perf_counter()
+        ests = simulate_coverage([scenarios[i] for i in indices], trials, seed)
+        share = (time.perf_counter() - started) / len(indices)
+        drawn.update((i, (est, share)) for i, est in zip(indices, ests))
 
-    base_echo = " ".join(f"{k}={_fmt(v)}" for k, v in spec["base"].items())
-    sweep_echo = (
-        " ".join(f"{k}={json.dumps(v)}" for k, v in spec["sweep"].items()) or "none"
-    )
-    with _open_output(output_path) as fh:
-        fh.write("# cylcov coverage-csv v1\n")
-        fh.write(f"# tool cylcov {__version__}\n")
-        fh.write(f"# scenario {base_echo}\n")
-        fh.write(f"# sweep {sweep_echo}\n")
-        fh.write(
-            f"# method={method} trials={trials} seed={seed} "
-            f"grid_size={spec['grid_size']} timing={'on' if timing else 'off'}\n"
-        )
-        fh.write(",".join(axis_names + ["method", "pc", "err", "trials", "seed", "wall_time_s"]) + "\n")
-        fh.writelines(",".join(rows[i, meth]) + "\n" for i in range(len(points)) for meth in methods)
+    rows = []
+    for i, (params, sc) in enumerate(zip(points, scenarios)):
+        for meth in methods:
+            started = time.perf_counter()
+            if meth == "monte-carlo":
+                est, elapsed = drawn[i]
+                cells = [meth, est.mean, est.ci_half_width, trials, seed]
+            else:
+                res = ppp_coverage(sc) if meth == "ppp" else coverage_probability(sc, dists[sc.geom])
+                elapsed = time.perf_counter() - started
+                cells = [res.method, res.pc, res.error_estimate, "", ""]
+            timed = elapsed if args.timing == "on" else "NA"
+            rows.append([params[name] for name in spec["sweep"]] + cells + [timed])
+
+    header = [
+        "# cylcov coverage-csv v1",
+        f"# tool cylcov {__version__}",
+        "# scenario " + " ".join(f"{k}={_fmt(v)}" for k, v in spec["base"].items()),
+        "# sweep " + (" ".join(f"{k}={json.dumps(v)}" for k, v in spec["sweep"].items()) or "none"),
+        f"# method={method} trials={trials} seed={seed} grid_size={spec['grid_size']} timing={args.timing}",
+    ]
+    names = [*spec["sweep"], "method", "pc", "err", "trials", "seed", "wall_time_s"]
+    _write_csv(output_path, header, names, rows)
     return 0
 
 
@@ -363,7 +350,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     # RuntimeError covers StaleCacheError and an analytic row whose error
-    # estimate or derivative series fails its check
+    # estimate or derivative series fails its check; MemoryError a size that
+    # numpy cannot allocate (--points, --grid-size or N)
     except (
         ScenarioFormatError,
         DomainError,
@@ -371,8 +359,9 @@ def main(argv: Optional[list] = None) -> int:
         DegenerateConditionError,
         OSError,
         RuntimeError,
+        MemoryError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

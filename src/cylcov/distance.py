@@ -792,20 +792,22 @@ class PairTable(TabulatedDistribution):
     kinks = property(lambda self: np.array([[0.0, 2.0 * self.geometry.R, self.geometry.H]]))
 
 
+def _checked_grid_size(grid_size) -> int:
+    """int(grid_size) for an integer (an integral float too) of at least 64 within numpy's largest array."""
+    if not (64 <= grid_size < math.inf and grid_size % 1 == 0):
+        raise DomainError(f"grid_size={grid_size!r} must be an integer of at least 64")
+    if grid_size > np.iinfo(np.intp).max // 8:  # numpy's bound on a float64 array's bytes
+        raise DomainError(f"grid_size={grid_size!r} is past numpy's largest array")
+    return int(grid_size)
+
+
 def build_cdf(geom: CylinderGeometry, grid_size: int = DEFAULT_GRID_SIZE) -> PairTable:
     """Tabulate ``pair_distance_law``, F and f, on grid_size equally spaced knots over [0, d_max].
 
     The law is 0 at the first knot and 1 at the last; rounding of F above 1
-    or downward is clipped away.  grid_size must be an integer of at least
-    64 (an integral float too) that numpy can size an array by; else
-    DomainError.
+    or downward is clipped away.  grid_size must pass ``_checked_grid_size``.
     """
-    if not (64 <= grid_size < math.inf and grid_size % 1 == 0):
-        raise DomainError(f"grid_size={grid_size!r} must be an integer of at least 64")
-    try:
-        grid = np.linspace(0.0, geom.d_max, int(grid_size))
-    except (ValueError, IndexError):  # numpy's refusals of a size past its index range
-        raise DomainError(f"grid_size={grid_size!r} is past numpy's largest array") from None
+    grid = np.linspace(0.0, geom.d_max, _checked_grid_size(grid_size))
     F, f = pair_distance_law(geom, grid)
     return PairTable(geom, grid, np.maximum.accumulate(np.clip(F, 0.0, 1.0)), f)
 

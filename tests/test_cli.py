@@ -71,6 +71,12 @@ ALL_WITHOUT_PPP = "fc395e189d8248ff13fee051fee733cbca2e4e330baccbc8523c7a59f7458
 ALL_WITHOUT_ANALYTIC = "6c3db85b2807e03276abddfecd6bada27fa7efbe27cd690161f2fbabcef065ac"
 
 
+# float64 elements whose 4 EiB exceed any address space: numpy accepts the
+# size and its allocation fails at once, a MemoryError.  A size a machine
+# could actually allocate must never stand here.
+UNALLOCATABLE = 2**59
+
+
 def read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -257,6 +263,14 @@ class TestPdfCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --points: ") and f"points={points}" in err
+        assert not out.exists()
+
+    def test_unallocatable_points_are_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "pdf.csv"
+        rc = main(["pdf", "--R", "12", "--H", "30", "--points", str(UNALLOCATABLE), "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_requires_geometry(self, tmp_path, capsys):
@@ -528,6 +542,52 @@ class TestCoverageCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["simulate", "ppp"])
+    def test_grid_size_past_numpy_is_an_error_line_without_a_table(self, tmp_path, capsys, method):
+        # the header echoes the grid size, so a method that builds no table checks it too
+        scen = write_scenario(tmp_path / "s.json", method=method, output={"grid_size": 1e30})
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: grid_size={int(1e30)} is past numpy's largest array\n"
+        assert not out.exists()
+
+    def test_unallocatable_node_count_is_an_error_line(self, tmp_path, capsys):
+        # one trial draws one row of N - 1 distances: 4 EiB
+        scen = write_scenario(tmp_path / "s.json", method="simulate", trials=1,
+                              scenario=dict(SCENARIO, N=UNALLOCATABLE))
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_one_ordered_pass(self, tmp_path, monkeypatch):
+        # one simulate_coverage call per (geometry, N) group, one table per
+        # geometry, and the rows in sweep order, each point's methods in turn
+        groups, tables = [], []
+        simulate, build = cylcov.cli.simulate_coverage, cylcov.cli.build_cdf
+
+        def counted_simulate(scenarios, trials, seed):
+            groups.append([(sc.geom.R, sc.N, sc.beta) for sc in scenarios])
+            return simulate(scenarios, trials, seed)
+
+        monkeypatch.setattr(cylcov.cli, "simulate_coverage", counted_simulate)
+        monkeypatch.setattr(cylcov.cli, "build_cdf", lambda geom, n: tables.append(geom.R) or build(geom, n))
+        sweep = {"R": [8.0, 12.0], "N": [3, 5], "beta_dB": [0, 10]}
+        scen = write_scenario(tmp_path / "s.json", method="all", sweep=sweep, trials=500,
+                              output={"grid_size": 64})
+        out = tmp_path / "cov.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 0
+        assert tables == [8.0, 12.0]
+        assert groups == [[(R, N, 1.0), (R, N, 10.0)] for R in (8.0, 12.0) for N in (3, 5)]
+        _, rows = read_rows(out)
+        assert [(r["R"], r["N"], r["beta_dB"], r["method"]) for r in rows] == [
+            (str(R), str(N), str(b), tag)
+            for R in (8.0, 12.0) for N in (3, 5) for b in (0, 10)
+            for tag in ("analytic", "monte-carlo", "ppp-baseline")
+        ]
+
     @pytest.mark.parametrize("workers", ["1", "2", "4"])
     @pytest.mark.parametrize("method", sorted(PINNED_SWEEPS))
     def test_grouped_sweeps_keep_their_bytes(self, tmp_path, method, workers):
@@ -626,6 +686,15 @@ class TestCacheCommand:
         size = "100000000000000000000"
         assert main(["cache", "--R", "12", "--H", "30", "--grid-size", size, "--output", str(cache)]) == 1
         assert capsys.readouterr().err == f"error: grid_size={size} is past numpy's largest array\n"
+        assert not cache.exists()
+
+    def test_unallocatable_grid_size_is_an_error_line(self, tmp_path, capsys):
+        # within numpy's largest array, so the rule passes it and the allocation fails
+        cache = tmp_path / "cdf.tsv"
+        size = str(UNALLOCATABLE)
+        assert main(["cache", "--R", "12", "--H", "30", "--grid-size", size, "--output", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not cache.exists()
 
     def test_mismatched_cache_is_reported(self, tmp_path, capsys):
