@@ -187,6 +187,8 @@ def cmd_pdf(args) -> int:
     points = args.points
     if points < 1:
         raise ScenarioFormatError(f"--points: positive integer required, got points={points!r}")
+    if points > np.iinfo(np.intp).max // 8:  # numpy's bound on a float64 array's bytes
+        raise ScenarioFormatError(f"--points: points={points} is past numpy's largest array")
     grid = np.linspace(0.0, geom.d_max, points)
     f_num = cylinder_pair_pdf_numeric(grid, geom).tolist()
     f_clo = [cylinder_pair_pdf_closed(l, geom) for l in grid]

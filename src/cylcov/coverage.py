@@ -10,13 +10,14 @@ t = m beta l^alpha:
 Averaging over the serving-distance density gives the coverage
 probability as one outer integral per distance law, which
 ``_serving_integral`` evaluates for both models by a fixed Gauss rule
-against the law's serving density.  It stops at the last knot of the
-CDF table where 1 - F is above the survival floor; the discarded
-serving-distance mass, (1 - F)^(N-1), is far below the 1e-4 error
-contract and is counted in the error estimate.  The laws come as one
-``TabulatedDistribution``, which carries their weights, kinks and
-``serving_law``, so this module reads no geometry past d_max and
-equality.  All serving distances of all laws go through the law, the
+against the law's serving density.  It stops at the first panel edge
+where the serving survival (1 - F)^(N-1), from the table's tail, is
+below the survival floor, or at the table's last knot above the floor;
+the serving-distance mass it drops, the serving survival there, is far
+below the 1e-4 error contract and counts in the error estimate.  The
+laws come as one ``TabulatedDistribution``, which carries their weights,
+kinks and ``serving_law``, so this module reads no geometry past d_max
+and equality.  All serving distances of all laws go through the law, the
 conditional series and the interferer integral in one array pass, and
 both models run one body (``_analytic``) and differ only in their law
 and their receiver rule: the paper model reads the pair table, a stack
@@ -45,7 +46,7 @@ import numpy as np
 from .distance import ReceiverMixture, TabulatedDistribution, _gauss_on_panels
 from .errors import DomainError
 from .interference import laplace_with_derivatives, require_analytic_m
-from .network import NetworkScenario, _check_geometry
+from .network import _SURVIVAL_FLOOR, NetworkScenario, _check_geometry
 
 # Every analytic coverage value carries an error estimate within this bound.
 COVERAGE_CONTRACT = 1e-4
@@ -148,15 +149,23 @@ def _serving_integral(scenario: NetworkScenario, dist: TabulatedDistribution, or
     Per law the range runs from 0 to its table's last knot above the
     survival floor, in panels cut at the kinks and where (1 - F)^(N-1)
     passes _SPLITS, each with a Gauss rule of the given order weighted by
-    the serving density (N-1) (1 - F)^(N-2) f.  The series runs at the
-    nodes of all laws where that density is positive, in one array call.
+    the serving density (N-1) (1 - F)^(N-2) f.  The rule stops at the
+    first edge where the serving survival (1 - F)^(N-1), from the table's
+    ``sf``, is below _SURVIVAL_FLOOR, or at the range's end: the mass it
+    drops is that survival, and the weighted sum of it is the tail.  The
+    series runs at the kept nodes of all laws where that density is
+    positive, in one array call.
     """
     n, weights = scenario.N, dist.weights
     end = dist.ends[:, None]
     splits = dist.quantiles(1.0 - _SPLITS ** (1.0 / (n - 1)))
     edges = np.sort(np.clip(np.concatenate((end, dist.kinks, splits), axis=1), 0.0, end), axis=1)
+    # the serving survival at the edges, from the tables' tails: the rule stops at edge cut
+    survival = dist.take(np.arange(len(weights))[:, None]).sf(edges) ** (n - 1)
+    cut = np.minimum(np.count_nonzero(survival >= _SURVIVAL_FLOOR, axis=1), edges.shape[1] - 1)
     nodes, rule = _gauss_on_panels(edges, *_GAUSS_RULES[order])
-    panels = np.repeat(np.diff(edges) > 0.0, order, axis=1)
+    kept = (np.diff(edges) > 0.0) & (np.arange(edges.shape[1] - 1) < cut[:, None])
+    panels = np.repeat(kept, order, axis=1)
     which, nodes, rule = np.nonzero(panels)[0], nodes[panels], rule[panels]
     cdf, pdf = dist.serving_law(which, nodes)
     density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
@@ -167,7 +176,7 @@ def _serving_integral(scenario: NetworkScenario, dist: TabulatedDistribution, or
     terms = np.zeros((len(weights), np.bincount(which).max(initial=1)))
     column = np.arange(which.size) - np.searchsorted(which, which)
     terms[which, column] = rule[live] * density[live] * covered
-    tail = weights * dist.end_sf ** (n - 1)
+    tail = weights * survival[np.arange(len(weights)), cut]
     return float(np.sum(weights * terms.sum(axis=1))), float(np.sum(tail))
 
 

@@ -93,8 +93,8 @@ _PANEL_T = chebvander(_PANEL_X, _PANEL_NODES - 1).T
 # integrate_pdf_product evaluates at once; bounds its temporaries.
 _BLOCK_ELEMENTS = 1 << 15
 # Conditioning on a serving distance l divides by 1 - F(l); below this floor
-# the quotient amplifies tabulation noise, and the serving-distance mass
-# beyond it, (1 - F)^(N-1), is far below the 1e-4 coverage contract.
+# the quotient amplifies tabulation noise.  The serving rule stops where
+# (1 - F)^(N-1) passes it, a mass far below the 1e-4 coverage contract.
 _SURVIVAL_FLOOR = 1e-12
 
 RECEIVER_GRID_SIZE = 256
@@ -410,24 +410,6 @@ def _checked_tables(geometry: CylinderGeometry, tables):
     return grid, values, np.minimum(densities, limit), sizes
 
 
-def _panel_edges(table: "TabulatedDistribution", k: int) -> np.ndarray:
-    """Knot indices of the edges of a table's product panels of ratio 2^(1/k), ascending.
-
-    The last is the knot where the CDF reaches its final value, so the
-    density vanishes past it; each one below is the first knot at or above
-    2^(-1/k) times the one above, while the panel between them holds more
-    than _PANEL_MIN_CELLS cells, so a panel's ends differ by a factor of at
-    most 2^(1/k).
-    """
-    grid, ratio = table.grid, 0.5 ** (1.0 / k)
-    edges = [int(np.searchsorted(table.cdf_values, table.cdf_values[-1]))]
-    while True:
-        low = int(np.searchsorted(grid, ratio * grid[edges[-1]]))
-        if edges[-1] - low <= _PANEL_MIN_CELLS:
-            return np.array(edges[::-1])
-        edges.append(low)
-
-
 def _partial_panels(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, lo, hi):
     """Chebyshev nodes of the panels [grid[lo], grid[hi]], their stored knots and their weights.
 
@@ -451,8 +433,9 @@ def _partial_panels(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, lo
     s = (2.0 * nodes[at] - np.repeat(a + b, count)) / np.repeat(b - a, count)
     w, s2 = weights[at], 2.0 * s
     # T_j(s) by numpy's chebvander recurrence a degree at a time, and sums
-    # rather than BLAS products, so that the digits do not depend on the BLAS
-    # build; each panel's runs lie top down in a row of tails
+    # rather than BLAS products (as integrate_pdf_product's einsum, which
+    # without optimize runs no BLAS), so that the digits do not depend on the
+    # BLAS build; each panel's runs lie top down in a row of tails
     tails = np.zeros((lo.size, runs.max(initial=0)))
     flipped = panel * tails.shape[1] + runs[panel] - 1 - rank
     partial, term = np.zeros((2, _PANEL_NODES, panel.size))  # node q down the rows
@@ -500,8 +483,9 @@ class TabulatedDistribution:
     scalar which.  The panel rule of ratio
     2^(1/k) (``_layout``) is built on first use and kept in _layouts, which
     views share, with its lock.  ends holds each table's last knot whose
-    survival is above _SURVIVAL_FLOOR, where the serving rule stops, and
-    end_sf the survival there.  Instances are immutable and thread-safe.
+    survival is above _SURVIVAL_FLOOR, where the serving rule stops at the
+    latest, and end_sf the survival there.  Instances are immutable and
+    thread-safe.
     The coverage models read a stack's laws from its weights, kinks and
     ``serving_law``: here one law of weight 1 with no kink past 0, which
     the table serves itself, as every table does.  ``PairTable`` and
@@ -632,14 +616,33 @@ class TabulatedDistribution:
         """The panel rule of ratio 2^(1/k) (``_build_layout``), built once under the lock, on first use."""
         with self._layouts_lock:
             if k not in self._layouts:
-                edges = [_panel_edges(self.take(t), k) for t in range(self.ends.size)]
-                self._layouts[k] = self._build_layout(edges)
+                self._layouts[k] = self._build_layout(self._panel_edges(k))
             return self._layouts[k]
 
-    def _build_layout(self, edges):
-        """(nodes, weights, partial, count, column, anchor): the panel rule on each table's edges.
+    def _panel_edges(self, k: int) -> np.ndarray:
+        """Indices in the stack's knots of every table's product-panel edges of ratio 2^(1/k), ascending.
 
-        edges holds each table's ``_panel_edges``.  Row t of nodes and
+        A table's last edge is the knot where its CDF reaches its final
+        value; each one below is the first knot at or above 2^(-1/k) times
+        the one above, while the panel between them holds more than
+        _PANEL_MIN_CELLS cells.  All tables step down at once, one search
+        of the complex keys per step.
+        """
+        tables, ratio = np.arange(self.ends.size), 0.5 ** (1.0 / k)
+        final = self._values.imag[self._last_cell + tables + 1]  # each table's last CDF value
+        edge = np.searchsorted(self._values, tables + 1j * final)
+        found = [edge]
+        while tables.size:
+            low = np.searchsorted(self._knots, tables + 1j * (ratio * self._knots.imag[edge]))
+            more = edge - low > _PANEL_MIN_CELLS
+            tables, edge = tables[more], low[more]
+            found.append(edge)
+        return np.sort(np.concatenate(found))
+
+    def _build_layout(self, edges):
+        """(nodes, weights, partial, count, column, anchor): the panel rule on the stack's edges.
+
+        edges holds every table's ``_panel_edges``.  Row t of nodes and
         weights holds table t's panels, the top one last, right-aligned and
         padded on the left with weight-0 nodes at d_max; partial holds the
         weights of every stored knot, table by table (``_partial_panels``).
@@ -649,19 +652,20 @@ class TabulatedDistribution:
         _PANEL_NODES, that knot's panel, weigh partial[anchor[t, i]].
         """
         tables = np.arange(self.ends.size)
-        lowest, panels = np.array([(e[0], e.size - 1) for e in edges]).T
+        offsets = self._first_cell + tables  # each table's first knot
+        panels = np.bincount(np.searchsorted(offsets, edges, side="right") - 1) - 1
+        last = np.cumsum(panels + 1) - 1  # the position in edges of each table's top edge
+        lowest = edges[last - panels] - offsets
         width = _PANEL_NODES * np.max(panels)
         nodes = np.full((tables.size, width), self.geometry.d_max)
         weights = np.zeros(nodes.shape)
         # the cell rule on the knots of all tables; no cell between two tables is read
-        offsets = self._first_cell + tables  # each table's first knot
         table = np.repeat(tables, self._last_cell - self._first_cell + 2)[:-1]  # a cell's
         x, w = _gauss_on_panels(self._knots.imag, _CELL_X, _CELL_W)
         pdf = self._pdf_at(x.reshape(-1, _CELL_QUAD_ORDER).T, np.arange(table.size) - table)
         w *= np.maximum(pdf, 0.0).T.ravel()
         panel_table = np.repeat(tables, panels)
-        lo = np.concatenate([e[:-1] for e in edges]) + offsets[panel_table]
-        hi = np.concatenate([e[1:] for e in edges]) + offsets[panel_table]
+        lo, hi = np.delete(edges, last), np.delete(edges, last - panels)
         # chunks of panels of about _BLOCK_ELEMENTS cell-rule nodes bound the temporaries
         chunks = -(-_CELL_QUAD_ORDER * np.sum(hi - lo) // _BLOCK_ELEMENTS) or 1
         parts = [_partial_panels(self._knots.imag, x, w, lo[c], hi[c])
@@ -674,7 +678,7 @@ class TabulatedDistribution:
         # the stored knots with each table's top edge after them, and the
         # first column of each one's panel: a limit in cell i stops the cell
         # rule at the first above it, from the lowest edge on a full cell above
-        tops = np.array([e[-1] for e in edges]) + offsets
+        tops = edges[last]
         at, panel = np.searchsorted(stored, tops), np.searchsorted(lo, stored, side="right") - 1
         keys, top = np.insert(stored, at, tops), (at + tables)[:, None]
         starts = np.insert(width + _PANEL_NODES * left[panel], at, width)
@@ -701,8 +705,9 @@ class TabulatedDistribution:
         to the end.  The rows must be analytic in u off the rays arg u =
         +-pi / alpha, as the Gamma kernel's rows are, for the panels' bound
         in interference.py to hold.  Limits go in blocks of at most
-        _BLOCK_ELEMENTS integrand elements, and a limit's row holds its own
-        terms only, summed pairwise: its value does not depend on the others.
+        _BLOCK_ELEMENTS integrand elements, each contracted by einsum, which
+        without optimize runs no BLAS, and a limit's row holds its own terms
+        only: its value does not depend on the others.
         """
         lo_arr = np.maximum(np.asarray(lo, dtype=float), 0.0)
         out = np.zeros((rows, lo_arr.size))
@@ -722,18 +727,20 @@ class TabulatedDistribution:
             near = mids + halves * _CELL_X[:, None, None]
             w = halves * _CELL_W[:, None, None] * np.maximum(self._pdf_at(near, cells), 0.0)
             x, w = (np.ascontiguousarray(v.reshape(-1, block.size).T) for v in (near**-alpha, w))
-            out[:, live[block]] += (rows_fn(x, live[block]) * w).sum(axis=-1)
-        # then the columns from its stored knot's panel on, by first column
+            out[:, live[block]] += np.einsum("jiq,iq->ji", rows_fn(x, live[block]), w)
+        # then the columns from its stored knot's panel on, by first column:
+        # that panel against its knot's partial weights, the rest against wf
         width, x = nodes.shape[1], nodes**-alpha
         far = np.flatnonzero(column < width)
         for first, block in _blocks(column[far], lambda first: rows * (width - first)):
             block = far[block]
             sel, k = live[block], table[block]
-            # one table: a view of its row, no gather
-            k = slice(k[0], k[0] + 1) if np.all(k == k[0]) else k
-            full = rows_fn(x[k, first:], sel)
-            full *= np.hstack((partial[anchor[block]], wf[table[block], first + _PANEL_NODES :]))
-            out[:, sel] += full.sum(axis=-1)
+            one = np.all(k == k[0])  # one table: views of its rows, no gather
+            full = rows_fn(x[k[0] : k[0] + 1, first:] if one else x[k, first:], sel)
+            head = np.einsum("jiq,iq->ji", full[..., :_PANEL_NODES], partial[anchor[block]])
+            rest = wf[k[0] if one else k, first + _PANEL_NODES :]
+            out[:, sel] += head + np.einsum("jiq,q->ji" if one else "jiq,iq->ji",
+                                            full[..., _PANEL_NODES:], rest)
         return out
 
     def save(self, path) -> None:

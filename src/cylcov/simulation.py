@@ -225,11 +225,16 @@ def simulate_coverage(scenario, trials: int, seed: int) -> Union[SimulationEstim
     beta.  Zero interference (N = 2) counts as covered.  The receiver is
     node 0 of each trial.  A sequence of scenarios sharing geometry and N
     gets one estimate per scenario, in order, each that of its own call.
+    A block's N - 1 distances per trial past numpy's largest array raise
+    DomainError before anything is drawn.
     """
     group = [scenario] if isinstance(scenario, NetworkScenario) else list(scenario)
     _check_count("trials", trials)
     if not group or any((sc.geom, sc.N) != (group[0].geom, group[0].N) for sc in group):
         raise DomainError("a scenario group must be non-empty and share one geometry and N")
+    block = min(trials, BLOCK_TRIALS)
+    if block * (group[0].N - 1) > np.iinfo(np.intp).max // 8:  # a block's distances, one array
+        raise DomainError(f"N={group[0].N}: a block of {block} trials is past numpy's largest array")
     successes = np.zeros(len(group), dtype=np.int64)
     unit = _sir_unit(group[0].geom)
     for index, size in _blocks(trials):

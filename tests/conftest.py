@@ -21,7 +21,7 @@ from cylcov import (
     build_cdf,
     build_receiver_cdfs,
 )
-from cylcov.distance import ReceiverMixture, _build_receiver_tables
+from cylcov.distance import _PANEL_MIN_CELLS, ReceiverMixture, _build_receiver_tables
 from cylcov.network import _check_geometry, _conditioning_survival
 from cylcov.simulation import (
     BLOCK_TRIALS,
@@ -65,6 +65,23 @@ def receiver_table(geom, r, z):
 def tables_of(stack):
     """A view (``take``) of each table of a stack, in order."""
     return [stack.take(k) for k in range(stack.ends.size)]
+
+
+def panel_edges(table, k):
+    """Knot indices of the edges of one table's product panels of ratio 2^(1/k), ascending.
+
+    The reference for the stack-wide ``_panel_edges``, one table at a time:
+    the last is the knot where the CDF reaches its final value, and each one
+    below is the first knot at or above 2^(-1/k) times the one above, while
+    the panel between them holds more than _PANEL_MIN_CELLS cells.
+    """
+    grid, values, ratio = table.grid, table.cdf_values, 0.5 ** (1.0 / k)
+    edges = [int(np.searchsorted(values, values[-1]))]
+    while True:
+        low = int(np.searchsorted(grid, ratio * grid[edges[-1]]))
+        if edges[-1] - low <= _PANEL_MIN_CELLS:
+            return np.array(edges[::-1])
+        edges.append(low)
 
 
 def sample_points(rng, geom, n):

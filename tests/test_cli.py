@@ -56,18 +56,21 @@ def write_scenario(path, **overrides):
 # at most 2.8e-15 and 4.4e-16, and again when the pair table's knot slopes
 # became the law's density held to 3 secants (no longer PCHIP's) and the
 # paper model came to read the table as its serving law, which moved them by
-# at most 7.7e-8 and 3.9e-8 on these 256-knot tables.
+# at most 7.7e-8 and 3.9e-8 on these 256-knot tables, and again when the
+# interferer integral came to contract its kernel rows by einsum and the
+# serving rule to stop at the first edge where the serving survival is below
+# the floor, which moved them by at most 2.0e-14 and 6.6e-14.
 PINNED_SWEEPS = {
     "all": (
         {"N": [3, 8], "beta_dB": [-5, 0, 10], "m": [1, 2], "alpha": [3, 4, 8]},
-        "6de21ae965751b7432459a460711b45052b5f14cbe9144491dd900527a38ee48",
+        "8e60492c9a4313d6dd644f0cb1fac88cd2e396f47939a714746f2a3fa5400154",
     ),
     "simulate": (
         {"N": [3, 8], "beta_dB": [-5, 0, 10], "m": [0.5, 1.5], "alpha": [3, 4, 8]},
         "3e0502636f064cd9f5e6d829173da51737af11dc2425ec308d595b134a423b0d",
     ),
 }
-ALL_WITHOUT_PPP = "fc395e189d8248ff13fee051fee733cbca2e4e330baccbc8523c7a59f7458a15"
+ALL_WITHOUT_PPP = "76f73c5310c825fd62589599f42771033fd300f2b8cf6c916ec95a39307e8bfa"
 ALL_WITHOUT_ANALYTIC = "6c3db85b2807e03276abddfecd6bada27fa7efbe27cd690161f2fbabcef065ac"
 
 
@@ -271,6 +274,16 @@ class TestPdfCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [2**60, 2**63], ids=["2^60", "2^63"])
+    def test_points_past_numpy_are_an_error_line(self, tmp_path, capsys, points):
+        # numpy refuses both grids before allocating, with a ValueError and
+        # an IndexError; the bound of a float64 array's bytes catches them first
+        out = tmp_path / "pdf.csv"
+        rc = main(["pdf", "--R", "12", "--H", "30", "--points", str(points), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --points: points={points} is past numpy's largest array\n"
         assert not out.exists()
 
     def test_requires_geometry(self, tmp_path, capsys):
@@ -550,6 +563,18 @@ class TestCoverageCommand:
         assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: grid_size={int(1e30)} is past numpy's largest array\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["simulate", "all"])
+    def test_node_count_past_numpy_is_an_error_line(self, tmp_path, capsys, method):
+        # a block of 2,000 trials holds 2000 (N - 1) distances, past numpy's
+        # largest array: it refuses the block before allocating
+        scen = write_scenario(tmp_path / "s.json", method=method, trials=2000,
+                              scenario=dict(SCENARIO, N=UNALLOCATABLE))
+        out = tmp_path / "x.csv"
+        assert main(["coverage", "--scenario", str(scen), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: N={UNALLOCATABLE}: a block of 2000 trials "
+                                           "is past numpy's largest array\n")
         assert not out.exists()
 
     def test_unallocatable_node_count_is_an_error_line(self, tmp_path, capsys):

@@ -53,6 +53,7 @@ from cylcov.coverage import (
     _within_contract,
 )
 from cylcov.distance import (
+    _SURVIVAL_FLOOR,
     ReceiverMixture,
     TabulatedDistribution,
     _gauss_on_panels,
@@ -93,7 +94,9 @@ def per_receiver_oracle(sc, mixture, index, order=EXACT_ORDER):
     survival floor, cut at its breakpoints and where the serving survival
     passes _SPLITS, a Gauss rule of the given order, and the series on its
     table alone.  Returns the weighted sums of the integrals and of the
-    dropped serving-distance masses.
+    dropped serving-distance masses: the serving survival, from the table's
+    tail, at the first edge where it is below the survival floor, or at the
+    last edge.
     """
     geom, n = sc.geom, sc.N
     x, w = np.polynomial.legendre.leggauss(order)
@@ -104,13 +107,15 @@ def per_receiver_oracle(sc, mixture, index, order=EXACT_ORDER):
         end = table.grid[last]
         splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), table.cdf_values, table.grid)
         cuts = np.concatenate((receiver_breakpoints(geom, r, z), splits))
-        nodes, weights = _gauss_on_panels(np.union1d([0.0, end], np.clip(cuts, 0.0, end)), x, w)
+        edges = np.union1d([0.0, end], np.clip(cuts, 0.0, end))
+        nodes, weights = _gauss_on_panels(edges, x, w)
         cdf, pdf = receiver_distance_law(geom, r, z, nodes)
         density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
         live = density > 0.0
         covered = conditional_coverage(nodes[live], sc, table)
         value += weight * float(np.sum(weights[live] * density[live] * covered))
-        tail += weight * (1.0 - table.cdf_values[last]) ** (n - 1)
+        survival = table.sf(edges) ** (n - 1)
+        tail += weight * survival[min(np.count_nonzero(survival >= _SURVIVAL_FLOOR), edges.size - 1)]
     return value, tail
 
 
@@ -421,16 +426,20 @@ class TestCoverageProbability:
         # estimates by at most 1.0e-15.  Re-taken when the pair table's
         # slopes became the law's density held to 3 secants and the model
         # came to read the table as its serving law: values moved by at most
-        # 6.1e-10 and error estimates by at most 9.9e-10.
+        # 6.1e-10 and error estimates by at most 9.9e-10.  Re-taken when the
+        # interferer integral came to contract its kernel rows by einsum and
+        # the serving rule to stop at the first edge where the serving
+        # survival is below the floor: values moved by at most 1.4e-15 and
+        # error estimates by at most 1.2e-14.
         pinned = [
-            (5, 0, 1, 0.7269415868265969, 6.637854532698384e-08),
-            (5, 0, 2, 0.7828704281353334, 7.233246890336886e-08),
-            (5, 10, 1, 0.30355206968289844, 8.45209419120252e-09),
-            (5, 10, 2, 0.2899168583075332, 4.331006664415327e-09),
-            (20, 0, 1, 0.5125526437902821, 2.325251102774928e-09),
-            (20, 0, 2, 0.546359864732506, 1.0337627420753392e-09),
-            (20, 10, 1, 0.12965059404184237, 7.034833826580211e-11),
-            (20, 10, 2, 0.12499913052834583, 2.567507040307504e-10),
+            (5, 0, 1, 0.7269415868265955, 6.63785574838935e-08),
+            (5, 0, 2, 0.7828704281353325, 7.233248106027852e-08),
+            (5, 10, 1, 0.3035520696828984, 8.452106181578717e-09),
+            (5, 10, 2, 0.28991685830753333, 4.331018821324979e-09),
+            (20, 0, 1, 0.5125526437902821, 2.325250658685718e-09),
+            (20, 0, 2, 0.5463598647325053, 1.0337622979861294e-09),
+            (20, 10, 1, 0.1296505940418424, 7.034822724349965e-11),
+            (20, 10, 2, 0.12499913052834587, 2.567508844419919e-10),
         ]
         for N, beta_db, m, pc, err in pinned:
             sc = scenario(N=N, m=float(m), alpha=4.0, beta=10.0 ** (beta_db / 10.0))
@@ -725,6 +734,35 @@ class TestExactCoverage:
         }
         assert value["table"] == res.pc
         assert abs(value["exact"] - value["table"]) <= res.error_estimate
+
+    @pytest.mark.parametrize("N", [3, 40, 320])
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_serving_rule_stops_where_the_serving_mass_ends(self, geom, N, monkeypatch):
+        # The rule drops the serving panels from the first edge where the
+        # serving survival is below the floor and counts that survival in
+        # the tail.  With the floor at 0 nothing is cut: the value agrees,
+        # and the tail holds at least what the cut dropped, the same rule's
+        # mass on the dropped panels plus the uncut tail, and at most the
+        # floor more than the uncut tail.  At N = 3 no edge is below the
+        # floor, and both tails are the end's survival.
+        mix = get_mixture(geom)
+        sc = scenario(N=N, m=3.0, geom=geom, beta=1.0)
+        kept = []  # the (law, node) keys of every serving distance the cut rule reads
+
+        def recorded(l, scenario, dist):
+            kept.append(dist._which + 1j * l)
+            return conditional_coverage(l, scenario, dist)
+
+        monkeypatch.setattr("cylcov.coverage.conditional_coverage", recorded)
+        value, tail = _serving_integral(sc, mix, EXACT_ORDER)
+        monkeypatch.setattr("cylcov.coverage._SURVIVAL_FLOOR", 0.0)
+        full_value, full_tail = _serving_integral(sc, mix, EXACT_ORDER)
+        assert abs(value - full_value) <= 1e-14, (value, full_value)
+        monkeypatch.setattr("cylcov.coverage.conditional_coverage",
+                            lambda l, scenario, dist: 1.0 - np.isin(dist._which + 1j * l, kept[0]))
+        dropped, _ = _serving_integral(sc, mix, EXACT_ORDER)
+        assert dropped + full_tail <= tail <= 1e-12 * mix.weights.sum() + full_tail
+        assert (dropped > 0.0) == (N > 3)
 
     @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
     def test_padding_nodes_weigh_exactly_zero(self, geom):

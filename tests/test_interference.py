@@ -21,19 +21,20 @@ from conftest import (
     get_dist,
     get_mixture,
     inverse_cdf,
+    panel_edges,
     receiver_table,
     tables_of,
 )
 from cylcov import (
     ChannelModel,
+    CylinderGeometry,
     DomainError,
     NetworkScenario,
     UnsupportedParameterError,
     build_cdf,
     laplace_with_derivatives,
 )
-import cylcov.distance
-from cylcov.distance import RECEIVER_RULE, _gauss_on_panels, _panel_edges, _receiver_mixture
+from cylcov.distance import RECEIVER_RULE, TabulatedDistribution, _gauss_on_panels, _receiver_mixture
 from cylcov.interference import _g_derivatives
 from cylcov.simulation import substream
 
@@ -340,7 +341,7 @@ def test_panel_rule_matches_the_cell_rule(geom, receivers, picks, alpha, log_bet
     which, lo = [], []
     for k, kind, edge, frac in picks:
         k = k % len(tables)
-        grid, edges = tables[k].grid, _panel_edges(tables[k], math.ceil(alpha / 6.0))
+        grid, edges = tables[k].grid, panel_edges(tables[k], math.ceil(alpha / 6.0))
         p = edge % (edges.size - 1) if edges.size > 1 else 0
         e = edges[p]
         if kind == "edge":
@@ -383,7 +384,7 @@ def test_partial_panel_starts_a_full_cell_above_the_limit(geom, alpha):
     for stack in (get_mixture(geom), get_dist(geom)):
         tables, which, lo = tables_of(stack), [], []
         for table in range(0, len(tables), 9):
-            grid, edges = tables[table].grid, _panel_edges(tables[table], k)
+            grid, edges = tables[table].grid, panel_edges(tables[table], k)
             for a, b in zip(edges[:-1], edges[1:]):
                 last = a + 4 * ((b - a - 1) // 4)
                 for q in {a + 4, a + 4 * ((b - a) // 8), last} - {a}:
@@ -422,16 +423,30 @@ def test_integral_bits_do_not_depend_on_the_batch():
 
 
 class TestPanelLayouts:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("geom", [*REGIME_GEOMETRIES, CylinderGeometry(R=0.01, H=1000.0),
+                                      CylinderGeometry(R=1000.0, H=1e-3)], ids=str)
+    def test_stack_edges_are_each_tables_own(self, geom, k):
+        # One search per step over the stack's complex keys finds, for every
+        # receiver table and for the pair table, the edges that the table
+        # alone gives (``panel_edges``), offset by the knots of the tables
+        # before it; on the needle and the flat disk too.
+        for stack in (get_mixture(geom), get_dist(geom)):
+            tables = tables_of(stack)
+            starts = np.cumsum([0] + [t.grid.size for t in tables[:-1]])
+            ref = np.concatenate([panel_edges(t, k) + start for t, start in zip(tables, starts)])
+            assert np.array_equal(stack._panel_edges(k), ref)
+
     def test_built_once_per_ratio_and_shared_by_views(self, monkeypatch):
         # A fresh stack builds the layout of k = ceil(alpha / 6) on the first
-        # integral that needs it, computing each table's edges once; every
-        # view reads the same layouts, and an alpha = 8 call leaves the
+        # integral that needs it, computing the edges of all its tables once;
+        # every view reads the same layouts, and an alpha = 8 call leaves the
         # alpha = 3 values as they were, bit for bit.
         stack = _receiver_mixture(TALL, RECEIVER_RULE)
         calls = []
-        edges = cylcov.distance._panel_edges
-        monkeypatch.setattr(cylcov.distance, "_panel_edges",
-                            lambda table, k: calls.append(k) or edges(table, k))
+        edges = TabulatedDistribution._panel_edges
+        monkeypatch.setattr(TabulatedDistribution, "_panel_edges",
+                            lambda self, k: calls.append(k) or edges(self, k))
         rng = np.random.default_rng(4)
         which = rng.integers(0, stack.ends.size, 40)
         lo = rng.uniform(0.0, TALL.d_max, 40)
@@ -443,7 +458,7 @@ class TestPanelLayouts:
         integral(8.0, stack.take(which))
         integral(4.0, stack.take(which[::-1]))
         assert np.array_equal(integral(3.0, stack.take(which)), before)
-        assert calls == [1] * stack.ends.size + [2] * stack.ends.size
+        assert calls == [1, 2]
         assert sorted(stack._layouts) == [1, 2]
         assert stack.take(0)._layouts is stack._layouts
 
@@ -454,14 +469,14 @@ class TestPanelLayouts:
         # every value equals that of a stack no other thread touched.
         stack = build_cdf(TALL, 64)
         calls = []
-        edges = cylcov.distance._panel_edges
+        edges = TabulatedDistribution._panel_edges
 
-        def slow_edges(table, k):  # holds a build open while other threads arrive
+        def slow_edges(self, k):  # holds a build open while other threads arrive
             calls.append(k)
             time.sleep(0.01)
-            return edges(table, k)
+            return edges(self, k)
 
-        monkeypatch.setattr(cylcov.distance, "_panel_edges", slow_edges)
+        monkeypatch.setattr(TabulatedDistribution, "_panel_edges", slow_edges)
         lo = np.linspace(0.0, TALL.d_max, 50)
         alphas = [3.0, 8.0, 20.0, 40.0] * 4
 
