@@ -48,6 +48,7 @@ from . import __version__
 from .coverage import coverage_probability
 from .distance import (
     DEFAULT_GRID_SIZE,
+    _MAX_ARRAY,
     TabulatedDistribution,
     _checked_grid_size,
     build_cdf,
@@ -187,7 +188,7 @@ def cmd_pdf(args) -> int:
     points = args.points
     if points < 1:
         raise ScenarioFormatError(f"--points: positive integer required, got points={points!r}")
-    if points > np.iinfo(np.intp).max // 8:  # numpy's bound on a float64 array's bytes
+    if points > _MAX_ARRAY:
         raise ScenarioFormatError(f"--points: points={points} is past numpy's largest array")
     grid = np.linspace(0.0, geom.d_max, points)
     f_num = cylinder_pair_pdf_numeric(grid, geom).tolist()

@@ -7,20 +7,18 @@ t = m beta l^alpha:
 
     P(covered | l) = sum_{k=0}^{m-1} (-t)^k / k! * d^k/dt^k L_I(t | l).
 
-Averaging over the serving-distance density gives the coverage
-probability as one outer integral per distance law, which
-``_serving_integral`` evaluates for both models by a fixed Gauss rule
-against the law's serving density.  It stops at the first panel edge
-where the serving survival (1 - F)^(N-1), from the table's tail, is
-below the survival floor, or at the table's last knot above the floor;
-the serving-distance mass it drops, the serving survival there, is far
-below the 1e-4 error contract and counts in the error estimate.  The
-laws come as one ``TabulatedDistribution``, which carries their weights,
-kinks and ``serving_law``, so this module reads no geometry past d_max
-and equality.  All serving distances of all laws go through the law, the
-conditional series and the interferer integral in one array pass, and
-both models run one body (``_analytic``) and differ only in their law
-and their receiver rule: the paper model reads the pair table, a stack
+Averaging over the serving-distance density gives the coverage under a
+distance law as one outer integral.  ``_serving_integral`` evaluates it
+by a fixed Gauss rule for every law of a stack in one array pass, and
+returns per law the value and the serving-distance mass it drops, which
+counts in the error estimate: it stops at the first panel edge where the
+serving survival (1 - F)^(N-1), from the table's tail, is below the
+survival floor, or at the table's last knot above the floor.  These
+per-law values are the primitive; both models run one body
+(``_analytic``), which alone reads the weights and applies them once.
+The laws come as one ``TabulatedDistribution``, which carries their
+weights, kinks and ``serving_law``, so this module reads no geometry
+past d_max and equality: the paper model reads the pair table, a stack
 of one, and the exact model a ``ReceiverMixture``, one table per
 receiver of its rule.  Every table holds its law's density at its knots,
 in the monotone box, and serves as the law.
@@ -142,26 +140,26 @@ def conditional_coverage(l, scenario: NetworkScenario, dist: TabulatedDistributi
 
 
 def _serving_integral(scenario: NetworkScenario, dist: TabulatedDistribution, order: int):
-    """P(SIR > beta) averaged over the laws of dist's tables, and the mass it drops.
+    """P(SIR > beta) under each law of dist's tables, and the mass each drops.
 
-    dist carries the laws' weights, a row of each law's kinks, and
-    ``serving_law(which, l)``, the CDF and density at l of the laws which.
+    dist carries a row of each law's kinks and ``serving_law(which, l)``,
+    the CDF and density at l of the laws which; no weight is read here.
     Per law the range runs from 0 to its table's last knot above the
     survival floor, in panels cut at the kinks and where (1 - F)^(N-1)
     passes _SPLITS, each with a Gauss rule of the given order weighted by
     the serving density (N-1) (1 - F)^(N-2) f.  The rule stops at the
     first edge where the serving survival (1 - F)^(N-1), from the table's
-    ``sf``, is below _SURVIVAL_FLOOR, or at the range's end: the mass it
-    drops is that survival, and the weighted sum of it is the tail.  The
-    series runs at the kept nodes of all laws where that density is
-    positive, in one array call.
+    ``sf``, is below _SURVIVAL_FLOOR, or at the range's end, and drops
+    that survival.  The series runs at the kept nodes of all laws where
+    that density is positive, in one array call.  Returns two arrays of
+    one entry per table: each law's value and its dropped mass.
     """
-    n, weights = scenario.N, dist.weights
+    n, count = scenario.N, dist.ends.size
     end = dist.ends[:, None]
     splits = dist.quantiles(1.0 - _SPLITS ** (1.0 / (n - 1)))
     edges = np.sort(np.clip(np.concatenate((end, dist.kinks, splits), axis=1), 0.0, end), axis=1)
     # the serving survival at the edges, from the tables' tails: the rule stops at edge cut
-    survival = dist.take(np.arange(len(weights))[:, None]).sf(edges) ** (n - 1)
+    survival = dist.take(np.arange(count)[:, None]).sf(edges) ** (n - 1)
     cut = np.minimum(np.count_nonzero(survival >= _SURVIVAL_FLOOR, axis=1), edges.shape[1] - 1)
     nodes, rule = _gauss_on_panels(edges, *_GAUSS_RULES[order])
     kept = (np.diff(edges) > 0.0) & (np.arange(edges.shape[1] - 1) < cut[:, None])
@@ -173,18 +171,19 @@ def _serving_integral(scenario: NetworkScenario, dist: TabulatedDistribution, or
     which = which[live]
     covered = conditional_coverage(nodes[live], scenario, dist.take(which))
     # a left-aligned row of terms per law: its sum is the pairwise sum of its own terms
-    terms = np.zeros((len(weights), np.bincount(which).max(initial=1)))
+    terms = np.zeros((count, np.bincount(which).max(initial=1)))
     column = np.arange(which.size) - np.searchsorted(which, which)
     terms[which, column] = rule[live] * density[live] * covered
-    tail = weights * survival[np.arange(len(weights)), cut]
-    return float(np.sum(weights * terms.sum(axis=1))), float(np.sum(tail))
+    return terms.sum(axis=1), survival[np.arange(count), cut]
 
 
 def _analytic(scenario: NetworkScenario, dist, check, orders, method: str) -> CoverageResult:
     """A model's result: ``_serving_integral`` of dist, a whole stack, at orders[0].
 
-    error_estimate is its gap to that of check at orders[1] plus the
-    dropped serving-distance mass, and must stay within COVERAGE_CONTRACT.
+    Only here do the weights apply, once: value and tail sum the laws'
+    values and dropped masses with dist's weights.  error_estimate is the
+    value's gap to the same sum over the stack check at orders[1] plus the
+    tail, and must stay within COVERAGE_CONTRACT.
     """
     require_analytic_m(scenario.channel.m)
     _check_geometry(scenario.geom, dist)
@@ -192,8 +191,9 @@ def _analytic(scenario: NetworkScenario, dist, check, orders, method: str) -> Co
         raise DomainError(f"a model reads all {dist.ends.size} tables, not a take(which) view")
     if scenario.N == 2:
         return _within_contract(1.0, 0.0, method, scenario)
-    value, tail = _serving_integral(scenario, dist, orders[0])
-    coarse, _ = _serving_integral(scenario, check, orders[1])
+    values, dropped = _serving_integral(scenario, dist, orders[0])
+    value, tail = float(np.sum(dist.weights * values)), float(np.sum(dist.weights * dropped))
+    coarse = float(np.sum(check.weights * _serving_integral(scenario, check, orders[1])[0]))
     return _within_contract(value, abs(value - coarse) + tail, method, scenario)
 
 

@@ -92,6 +92,7 @@ _PANEL_T = chebvander(_PANEL_X, _PANEL_NODES - 1).T
 # Most integrand elements (rows x lower limits x nodes) that
 # integrate_pdf_product evaluates at once; bounds its temporaries.
 _BLOCK_ELEMENTS = 1 << 15
+_MAX_ARRAY = np.iinfo(np.intp).max // 8  # numpy's bound on a float64 array's elements
 # Conditioning on a serving distance l divides by 1 - F(l); below this floor
 # the quotient amplifies tabulation noise.  The serving rule stops where
 # (1 - F)^(N-1) passes it, a mass far below the 1e-4 coverage contract.
@@ -477,14 +478,13 @@ class TabulatedDistribution:
     lexicographically, so one search finds the cells of every query.  A
     stack of one answers queries itself; in the view ``take(which)`` query
     i reads table which[i], and a stack of several is read through views
-    only: a query of its own raises DomainError, while ``quantiles``, ends
-    and end_sf cover all its tables.  ``grid``, ``cdf_values`` and
-    ``slopes`` are the one table's of a stack of one or a view with a
-    scalar which.  The panel rule of ratio
-    2^(1/k) (``_layout``) is built on first use and kept in _layouts, which
-    views share, with its lock.  ends holds each table's last knot whose
-    survival is above _SURVIVAL_FLOOR, where the serving rule stops at the
-    latest, and end_sf the survival there.  Instances are immutable and
+    only: a query of its own raises DomainError, while ``quantiles`` and
+    ends cover all its tables.  ``grid``, ``cdf_values`` and ``slopes``
+    are the one table's of a stack of one or a view with a scalar which.
+    The panel rule of ratio 2^(1/k) (``_layout``) is built on first use
+    and kept in _layouts, which views share, with its lock.  ends holds
+    each table's last knot whose survival is above _SURVIVAL_FLOOR, where
+    the serving rule stops at the latest.  Instances are immutable and
     thread-safe.
     The coverage models read a stack's laws from its weights, kinks and
     ``serving_law``: here one law of weight 1 with no kink past 0, which
@@ -521,7 +521,7 @@ class TabulatedDistribution:
         # the knot before the first whose survival is below the floor (or before the last knot)
         floor = np.searchsorted(self._values, tables + 1j * (1.0 - _SURVIVAL_FLOOR))
         cut = np.minimum(floor, last) - 1
-        self.ends, self.end_sf = self._knots.imag[cut], self._tails[cut]
+        self.ends = self._knots.imag[cut]
         self._layouts, self._layouts_lock = {}, threading.Lock()
         self._which = np.asarray(0) if sizes.size == 1 else None  # set by take
 
@@ -803,7 +803,7 @@ def _checked_grid_size(grid_size) -> int:
     """int(grid_size) for an integer (an integral float too) of at least 64 within numpy's largest array."""
     if not (64 <= grid_size < math.inf and grid_size % 1 == 0):
         raise DomainError(f"grid_size={grid_size!r} must be an integer of at least 64")
-    if grid_size > np.iinfo(np.intp).max // 8:  # numpy's bound on a float64 array's bytes
+    if grid_size > _MAX_ARRAY:
         raise DomainError(f"grid_size={grid_size!r} is past numpy's largest array")
     return int(grid_size)
 

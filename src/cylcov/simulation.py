@@ -58,6 +58,7 @@ from typing import Any, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .distance import _MAX_ARRAY
 from .errors import DomainError
 from .geometry import CylinderGeometry
 from .network import NetworkScenario
@@ -131,6 +132,8 @@ def empirical_distance_histogram(
     """
     _check_count("pairs", pairs, 10_000)  # fewer is too few for a stable histogram
     _check_count("bins", bins)
+    if bins >= _MAX_ARRAY:  # np.histogram holds bins + 1 edges
+        raise DomainError(f"bins={bins!r}: its bin edges are past numpy's largest array")
     counts = 0
     for d in _pair_distance_blocks(geom, pairs, seed):
         found, edges = np.histogram(d, bins=bins, range=(0.0, geom.d_max))
@@ -233,7 +236,7 @@ def simulate_coverage(scenario, trials: int, seed: int) -> Union[SimulationEstim
     if not group or any((sc.geom, sc.N) != (group[0].geom, group[0].N) for sc in group):
         raise DomainError("a scenario group must be non-empty and share one geometry and N")
     block = min(trials, BLOCK_TRIALS)
-    if block * (group[0].N - 1) > np.iinfo(np.intp).max // 8:  # a block's distances, one array
+    if block * (group[0].N - 1) > _MAX_ARRAY:  # a block's distances, one array
         raise DomainError(f"N={group[0].N}: a block of {block} trials is past numpy's largest array")
     successes = np.zeros(len(group), dtype=np.int64)
     unit = _sir_unit(group[0].geom)

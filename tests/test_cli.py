@@ -286,6 +286,17 @@ class TestPdfCommand:
         assert capsys.readouterr().err == f"error: --points: points={points} is past numpy's largest array\n"
         assert not out.exists()
 
+    def test_bins_past_numpy_are_an_error_line(self, tmp_path, capsys):
+        # np.histogram refused 2^60 bins with a ValueError that ended the
+        # command in a traceback
+        out = tmp_path / "pdf.csv"
+        rc = main(["pdf", "--R", "12", "--H", "30", "--points", "16", "--with-histogram",
+                   "--pairs", "10000", "--bins", str(2**60), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: bins={2**60}: its bin edges are past "
+                                           "numpy's largest array\n")
+        assert not out.exists()
+
     def test_requires_geometry(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:

@@ -46,7 +46,10 @@ from cylcov import (
 )
 from cylcov.coverage import (
     COVERAGE_CONTRACT,
+    EXACT_CHECK_ORDER,
     EXACT_ORDER,
+    PAPER_CHECK_ORDER,
+    PAPER_ORDER,
     _GAUSS_RULES,
     _SPLITS,
     _serving_integral,
@@ -87,36 +90,46 @@ def finer_paper_rule(sc, dist, order=24, halvings=3):
     return float(np.sum(density[live] * conditional_coverage(nodes[live], sc, dist)))
 
 
+def weighted_serving_integral(sc, dist, order):
+    """``_serving_integral``'s per-law values and dropped masses summed with dist's weights.
+
+    The sums are those ``_analytic`` forms: the model's value and its tail.
+    """
+    values, dropped = _serving_integral(sc, dist, order)
+    return float(np.sum(dist.weights * values)), float(np.sum(dist.weights * dropped))
+
+
 def per_receiver_oracle(sc, mixture, index, order=EXACT_ORDER):
     """The exact model's serving-distance rule over the receivers index, one receiver at a time.
 
     Per receiver: panels from 0 to its table's last knot above the
     survival floor, cut at its breakpoints and where the serving survival
     passes _SPLITS, a Gauss rule of the given order, and the series on its
-    table alone.  Returns the weighted sums of the integrals and of the
-    dropped serving-distance masses: the serving survival, from the table's
-    tail, at the first edge where it is below the survival floor, or at the
-    last edge.
+    table alone.  The panels stop at the first edge where the serving
+    survival, from the table's tail, is below the survival floor, or at
+    the last edge, and the survival there is the dropped serving-distance
+    mass.  Returns an array each of the receivers' integrals and masses.
     """
     geom, n = sc.geom, sc.N
     x, w = np.polynomial.legendre.leggauss(order)
-    value = tail = 0.0
+    values, tails = [], []
     for q in index:
-        (r, z), weight, table = mixture.nodes[q], mixture.weights[q], mixture.take(q)
+        (r, z), table = mixture.nodes[q], mixture.take(q)
         last = int(np.searchsorted(table.grid, table.ends[q]))
         end = table.grid[last]
         splits = np.interp(1.0 - _SPLITS ** (1.0 / (n - 1)), table.cdf_values, table.grid)
         cuts = np.concatenate((receiver_breakpoints(geom, r, z), splits))
         edges = np.union1d([0.0, end], np.clip(cuts, 0.0, end))
-        nodes, weights = _gauss_on_panels(edges, x, w)
+        survival = table.sf(edges) ** (n - 1)
+        cut = min(np.count_nonzero(survival >= _SURVIVAL_FLOOR), edges.size - 1)
+        nodes, weights = _gauss_on_panels(edges[: cut + 1], x, w)
         cdf, pdf = receiver_distance_law(geom, r, z, nodes)
         density = (n - 1) * np.maximum(1.0 - cdf, 0.0) ** (n - 2) * pdf
         live = density > 0.0
         covered = conditional_coverage(nodes[live], sc, table)
-        value += weight * float(np.sum(weights[live] * density[live] * covered))
-        survival = table.sf(edges) ** (n - 1)
-        tail += weight * survival[min(np.count_nonzero(survival >= _SURVIVAL_FLOOR), edges.size - 1)]
-    return value, tail
+        values.append(float(np.sum(weights[live] * density[live] * covered)))
+        tails.append(survival[cut])
+    return np.array(values), np.array(tails)
 
 
 class TestCoverageResult:
@@ -591,7 +604,7 @@ class TestBall:
             except RuntimeError:
                 assert N == 80, (N, alpha, m, beta)
                 continue
-            ref = _serving_integral(sc, reference, 24)[0]
+            ref = weighted_serving_integral(sc, reference, 24)[0]
             assert abs(res.pc - ref) <= COVERAGE_CONTRACT, (N, alpha, m, beta, res, ref)
 
 
@@ -697,23 +710,46 @@ class TestExactCoverage:
         beta=st.sampled_from([0.3, 10.0]),
     )
     def test_stacked_pass_matches_per_receiver_oracle(self, geom, picks, N, m, beta):
-        # The receivers with the fewest and the most knots make the stack
-        # ragged (257 to 263 knots), so some rows carry padding nodes.
+        # The whole rule runs in one pass under the exact law, as the
+        # oracle's, and each picked receiver's value and dropped mass is its
+        # own.  The picks always hold the receivers with the fewest and the
+        # most knots (257 to 263), the most and the least padded rows.
         mix = get_mixture(geom)
         sizes = [t.grid.size for t in tables_of(mix)]
         index = sorted({*picks, int(np.argmin(sizes)), int(np.argmax(sizes))})
         sc = scenario(N=N, m=float(m), geom=geom, beta=beta)
-        r, z = mix.nodes[index].T
-        weights = mix.weights[index]
-        stack = ReceiverMixture(geom, mix.nodes[index], weights / weights.sum(),
-                                [(t.grid, t.cdf_values, t.slopes) for t in map(mix.take, index)])
-        # the rule's own weights, as the oracle's, and the exact law
-        stack.weights = weights
-        stack.serving_law = lambda which, l: receiver_distance_law(geom, r[which], z[which], l)
-        value, tail = _serving_integral(sc, stack, EXACT_ORDER)
-        ref_value, ref_tail = per_receiver_oracle(sc, mix, index)
-        assert abs(value - ref_value) <= 1e-15, (value, ref_value)
-        assert abs(tail - ref_tail) <= 1e-15, (tail, ref_tail)
+        r, z = mix.nodes.T
+        exact = copy.copy(mix)
+        exact.serving_law = lambda which, l: receiver_distance_law(geom, r[which], z[which], l)
+        values, tails = _serving_integral(sc, exact, EXACT_ORDER)
+        ref_values, ref_tails = per_receiver_oracle(sc, mix, index)
+        assert np.all(np.abs(values[index] - ref_values) <= 1e-15), (values[index], ref_values)
+        assert np.all(np.abs(tails[index] - ref_tails) <= 1e-15), (tails[index], ref_tails)
+
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_weighted_per_table_values_are_the_models_values(self, geom):
+        # Both models weigh the per-table values once: the rule's weights
+        # over the receiver tables give the exact model's value, the pair
+        # table's one value is the paper model's, and each estimate is the
+        # gap to the check stack's weighted values plus the weighted tail,
+        # all bit for bit.
+        mix, pair = get_mixture(geom), get_dist(geom)
+        for N, m, beta in ((3, 1, 0.1), (10, 3, 1.0), (40, 5, 10.0), (80, 3, 1.0)):
+            sc = scenario(N=N, m=float(m), geom=geom, beta=beta)
+            for model, stack, check, orders in (
+                (exact_coverage_probability, mix, mix.check, (EXACT_ORDER, EXACT_CHECK_ORDER)),
+                (coverage_probability, pair, pair, (PAPER_ORDER, PAPER_CHECK_ORDER)),
+            ):
+                try:
+                    res = model(sc, stack)
+                except RuntimeError:  # past the contract
+                    continue
+                value, tail = weighted_serving_integral(sc, stack, orders[0])
+                coarse, _ = weighted_serving_integral(sc, check, orders[1])
+                assert value == res.pc, (model.__name__, N, m, beta)
+                assert abs(value - coarse) + tail == res.error_estimate, (model.__name__, N, m, beta)
+                if stack is pair:
+                    assert _serving_integral(sc, pair, PAPER_ORDER)[0].tolist() == [res.pc]
 
     @pytest.mark.parametrize("beta", [1.0, 10.0])
     @pytest.mark.parametrize("N", [3, 10, 40])
@@ -729,7 +765,7 @@ class TestExactCoverage:
         exact = copy.copy(mix)
         exact.serving_law = lambda which, l: receiver_distance_law(geom, r[which], z[which], l)
         value = {
-            name: _serving_integral(sc, stack, EXACT_ORDER)[0]
+            name: weighted_serving_integral(sc, stack, EXACT_ORDER)[0]
             for name, stack in (("exact", exact), ("table", mix))
         }
         assert value["table"] == res.pc
@@ -754,13 +790,13 @@ class TestExactCoverage:
             return conditional_coverage(l, scenario, dist)
 
         monkeypatch.setattr("cylcov.coverage.conditional_coverage", recorded)
-        value, tail = _serving_integral(sc, mix, EXACT_ORDER)
+        value, tail = weighted_serving_integral(sc, mix, EXACT_ORDER)
         monkeypatch.setattr("cylcov.coverage._SURVIVAL_FLOOR", 0.0)
-        full_value, full_tail = _serving_integral(sc, mix, EXACT_ORDER)
+        full_value, full_tail = weighted_serving_integral(sc, mix, EXACT_ORDER)
         assert abs(value - full_value) <= 1e-14, (value, full_value)
         monkeypatch.setattr("cylcov.coverage.conditional_coverage",
                             lambda l, scenario, dist: 1.0 - np.isin(dist._which + 1j * l, kept[0]))
-        dropped, _ = _serving_integral(sc, mix, EXACT_ORDER)
+        dropped, _ = weighted_serving_integral(sc, mix, EXACT_ORDER)
         assert dropped + full_tail <= tail <= 1e-12 * mix.weights.sum() + full_tail
         assert (dropped > 0.0) == (N > 3)
 

@@ -422,7 +422,6 @@ class TestKnotDensities:
                 read()
         levels = np.array([0.25, 0.5])
         assert tall_mixture.quantiles(levels).shape == (tall_mixture.ends.size, 2)
-        assert np.all(tall_mixture.end_sf > 0.0)
         assert 0.0 < tall_mixture.take(3).cdf(1.0) < 1.0
 
     def test_take_rejects_what_names_no_table(self, tall_dist, tall_mixture):
@@ -925,14 +924,14 @@ class TestReceiverLaw:
     def test_mixture_is_the_stack_of_its_tables(self, geom):
         # A mixture rebuilt from the grid, CDF values and slopes of its views
         # holds the same arrays and layouts, and each table, rebuilt as a
-        # stack of one, holds the mixture's cubics, tails, end and survival.
+        # stack of one, holds the mixture's cubics, tails and end.
         mix = get_mixture(geom)
         for rule in (mix, mix.check):
             views = tables_of(rule)
             arrays = [(v.grid, v.cdf_values, v.slopes) for v in views]
             again = ReceiverMixture(geom, rule.nodes, rule.weights, arrays)
             assert rule.geometry == again.geometry == geom
-            for name in ("_knots", "_values", "_cubic", "_tails", "ends", "end_sf"):
+            for name in ("_knots", "_values", "_cubic", "_tails", "ends"):
                 assert np.array_equal(getattr(rule, name), getattr(again, name)), name
             for k in (1, 2):
                 for ours, theirs in zip(rule._layout(k), again._layout(k)):
@@ -942,7 +941,7 @@ class TestReceiverLaw:
                 cells = slice(rule._first_cell[t], rule._last_cell[t] + 1)
                 assert np.array_equal(one._cubic, rule._cubic[:, cells])
                 assert np.array_equal(one._tails, rule._tails[cells.start + t : cells.stop + t + 1])
-                assert (one.ends[0], one.end_sf[0]) == (rule.ends[t], rule.end_sf[t])
+                assert one.ends[0] == rule.ends[t]
 
     @pytest.mark.parametrize("case", [
         "five nodes and weights", "five tables", "nodes of shape (q, 3)", "weights summing to 2",

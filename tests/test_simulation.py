@@ -29,6 +29,7 @@ from cylcov import (
     empirical_distance_histogram,
     simulate_coverage,
 )
+from cylcov.distance import _MAX_ARRAY
 from cylcov.simulation import (
     BLOCK_TRIALS,
     CHUNK_LINKS,
@@ -126,6 +127,13 @@ class TestHistogram:
         assert (p == 0.0).tolist()[-3:] == [False, True, True]
         half = np.where(p == 0.0, 1.96**2 / (n + 1.96**2), 1.96 * np.sqrt(p * (1.0 - p) / n))
         assert np.array_equal(est.ci_half_width, half / widths)
+
+    @pytest.mark.parametrize("bins", [_MAX_ARRAY, 2**60, 2**63], ids=["largest", "2^60", "2^63"])
+    def test_bins_past_numpy_raise(self, bins):
+        # np.histogram holds bins + 1 edges: from numpy's largest array on
+        # it ended in a ValueError or an IndexError, after the pairs were drawn
+        with pytest.raises(DomainError, match=re.escape(f"bins={bins}: ")):
+            empirical_distance_histogram(GEOM, 10_000, bins, seed=1)
 
     def test_deterministic(self):
         a = empirical_distance_histogram(GEOM, 20_000, 32, seed=10)
