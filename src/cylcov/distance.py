@@ -107,6 +107,14 @@ RECEIVER_RULE = (12, 6)
 RECEIVER_CHECK_RULE = (9, 5)
 
 
+def _length_unit(geom: CylinderGeometry) -> float:
+    """1 / 2^e for the length unit 2^e with d_max / 2^e in [0.5, 1), e from frexp(d_max).
+
+    A product of a few lengths in it stays in the float range; a power of two scales exactly.
+    """
+    return math.ldexp(1.0, -math.frexp(geom.d_max)[1])
+
+
 def _smoothstep_rule(order: int):
     """Gauss-Legendre rule on [0, 1] mapped through the smoothstep s^2 (3 - 2 s).
 
@@ -340,20 +348,22 @@ def cylinder_pair_pdf_closed(l: float, geom: CylinderGeometry) -> float:
     Agrees with ``cylinder_pair_pdf_numeric`` to well below 1e-6 absolute
     (machine precision in practice).  Returns 0 outside the support.
     Cancellation at the extreme support end can leave residuals of order
-    1e-13 with either sign; results are clamped at zero.  A NaN distance
-    raises DomainError.
+    1e-13 with either sign; results are clamped at zero.  The branches run
+    in the length unit (``_length_unit``), so R^4 stays in range at any
+    scale.  A NaN distance raises DomainError.
     """
     l = float(l)
     if math.isnan(l):
         raise DomainError("a distance is NaN")
-    R, H = geom.R, geom.H
     if l <= 0.0 or l >= geom.d_max:
         return 0.0
+    unit = _length_unit(geom)
+    l, R, H = l * unit, geom.R * unit, geom.H * unit
     if l <= 2.0 * R:
         value = _branch_small_small(l, R, H) if l <= H else _branch_small_tall(l, R, H)
     else:
         value = _branch_wide_small(l, R, H) if l <= H else _branch_wide_tall(l, R, H)
-    return max(value, 0.0)
+    return max(value, 0.0) * unit
 
 
 def _hermite_cubic(grid: np.ndarray, values: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -439,15 +449,14 @@ def _partial_panels(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, lo
     # BLAS build; each panel's runs lie top down in a row of tails
     tails = np.zeros((lo.size, runs.max(initial=0)))
     flipped = panel * tails.shape[1] + runs[panel] - 1 - rank
-    partial, term = np.zeros((2, _PANEL_NODES, panel.size))  # node q down the rows
+    partial = np.zeros((_PANEL_NODES, panel.size))  # node q down the rows
     runs_at = start[panel] + _CELL_QUAD_ORDER * _RUN_CELLS * rank
-    older, t_j, spare = s, np.ones_like(s), np.empty_like(s)  # T_-1 = T_1 starts the recurrence
-    for j in range(_PANEL_NODES):  # buffers in turn: no allocation per degree
-        np.put(tails, flipped, np.add.reduceat(np.multiply(w, t_j, out=spare), runs_at))
+    older, t_j = s, np.ones_like(s)  # T_-1 = T_1 starts the recurrence
+    for j in range(_PANEL_NODES):
+        np.put(tails, flipped, np.add.reduceat(w * t_j, runs_at))
         moments = np.cumsum(tails, axis=1).take(flipped)
-        partial += np.multiply(_PANEL_T[j][:, None], moments if j == 0 else 2.0 * moments, out=term)
-        np.multiply(t_j, s2, out=spare)
-        older, t_j, spare = t_j, np.subtract(spare, older, out=spare), older
+        partial += _PANEL_T[j][:, None] * (moments if j == 0 else 2.0 * moments)
+        older, t_j = t_j, t_j * s2 - older
     x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _PANEL_X
     return x, lo[panel] + _RUN_CELLS * rank, partial.T / _PANEL_NODES
 
@@ -475,7 +484,9 @@ class TabulatedDistribution:
     An instance holds its tables side by side for one array pass over all:
     the constructor's one table, or a ``ReceiverMixture``'s.  Knots and CDF
     values are complex keys table + 1j x, which numpy orders
-    lexicographically, so one search finds the cells of every query.  A
+    lexicographically, so one search finds the cells of every query.  Cell
+    k starts at knot k of the stack, so one index serves both; the cell
+    from a table's last knot into the next table is never read.  A
     stack of one answers queries itself; in the view ``take(which)`` query
     i reads table which[i], and a stack of several is read through views
     only: a query of its own raises DomainError, while ``quantiles`` and
@@ -503,9 +514,8 @@ class TabulatedDistribution:
         """Hold tables side by side: knots, CDF values, slopes and sizes from ``_checked_tables``."""
         self.geometry = geometry
         tables, last = np.arange(sizes.size), np.cumsum(sizes) - 1
-        # the cubics of the cells within a table, in C order: a fancy index gives F order
-        self._cubic = _hermite_cubic(grid, values, slopes).take(
-            np.delete(np.arange(grid.size - 1), last[:-1]), axis=1)
+        # cell k starts at knot k; no cell from a table's last knot into the next is read
+        self._cubic = _hermite_cubic(grid, values, slopes)
         # each knot's tail 1 - F as the sum of the rises above it, where no
         # digits cancel, summed from the top in a row per table
         index = np.repeat(tables, sizes)
@@ -516,12 +526,10 @@ class TabulatedDistribution:
         self._tails = np.cumsum(rises, axis=1)[index, above]
         self._knots, self._values = index + 1j * grid, index + 1j * values
         self._last_knot, self._last_slope = grid[last], slopes[last]  # the cubics hold the other slopes
-        self._first_cell = last - sizes + 1 - tables  # table k's first cell in _cubic
-        self._last_cell = self._first_cell + sizes - 2
+        self._first_cell, self._last_cell = last - sizes + 1, last - 1  # table k's first and last cell
         # the knot before the first whose survival is below the floor (or before the last knot)
         floor = np.searchsorted(self._values, tables + 1j * (1.0 - _SURVIVAL_FLOOR))
-        cut = np.minimum(floor, last) - 1
-        self.ends = self._knots.imag[cut]
+        self.ends = grid[np.minimum(floor, last) - 1]
         self._layouts, self._layouts_lock = {}, threading.Lock()
         self._which = np.asarray(0) if sizes.size == 1 else None  # set by take
 
@@ -535,7 +543,7 @@ class TabulatedDistribution:
         """Copies of the grid, CDF values and slopes of the one table that this instance reads."""
         t = int(self._routing())
         cells = slice(self._first_cell[t], self._last_cell[t] + 1)
-        knots = slice(cells.start + t, cells.stop + t + 1)
+        knots = slice(cells.start, cells.stop + 1)
         return (self._knots.imag[knots].copy(), self._values.imag[knots].copy(),
                 np.append(self._cubic[3, cells], self._last_slope[t]))
 
@@ -563,7 +571,7 @@ class TabulatedDistribution:
     def _cells(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Index in _cubic of the cell of table which holding x, for x in [0, its last knot]."""
         knot = np.searchsorted(self._knots, which + 1j * x, side="right") - 1
-        return np.minimum(knot - which, self._last_cell[which])
+        return np.minimum(knot, self._last_cell[which])
 
     def _pdf_at(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """The density at x, the derivative of the cubic of each x's cell."""
@@ -572,17 +580,17 @@ class TabulatedDistribution:
         return c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s)
 
     def _locate(self, l):
-        """l as an array, its table, its table's last knot, and l's cell, offset and c0..c3."""
+        """l as an array, its table's last knot, and l's cell, offset and c0..c3."""
         x, which = np.asarray(l, dtype=float), self._routing()
         last = self._last_knot[which]
         inside = np.clip(x, 0.0, last)
         cells = self._cells(which, inside)
         knot, *cubic = np.take(self._cubic, cells, axis=1)
-        return x, which, last, cells, inside - knot, cubic
+        return x, last, cells, inside - knot, cubic
 
     def cdf_and_pdf(self, l):
         """Arrays of F (0 below the support, 1 above) and f = F' (0 outside), by one cell search."""
-        x, _, last, _, s, (c0, c1, c2, c3) = self._locate(l)
+        x, last, _, s, (c0, c1, c2, c3) = self._locate(l)
         cdf = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
         pdf = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * (s * s), 0.0)
         return (np.where(x <= 0.0, 0.0, np.where(x >= last, 1.0, cdf)),
@@ -600,8 +608,8 @@ class TabulatedDistribution:
 
     def sf(self, l):
         """1 - F at l, its cell's left-knot tail less the cubic's rise; a float for one query."""
-        x, which, last, cells, s, (c0, c1, c2, _) = self._locate(l)
-        sf = self._tails[cells + which] - (c2 * s + c1 * (s * s) + c0 * (s * s * s))
+        x, last, cells, s, (c0, c1, c2, _) = self._locate(l)
+        sf = self._tails[cells] - (c2 * s + c1 * (s * s) + c0 * (s * s * s))
         out = np.where(x <= 0.0, 1.0, np.where(x >= last, 0.0, sf))
         return out if np.ndim(out) else float(out)
 
@@ -629,7 +637,7 @@ class TabulatedDistribution:
         of the complex keys per step.
         """
         tables, ratio = np.arange(self.ends.size), 0.5 ** (1.0 / k)
-        final = self._values.imag[self._last_cell + tables + 1]  # each table's last CDF value
+        final = self._values.imag[self._last_cell + 1]  # each table's last CDF value
         edge = np.searchsorted(self._values, tables + 1j * final)
         found = [edge]
         while tables.size:
@@ -651,18 +659,16 @@ class TabulatedDistribution:
         then the columns of row t from column[t, i] on, whose first
         _PANEL_NODES, that knot's panel, weigh partial[anchor[t, i]].
         """
-        tables = np.arange(self.ends.size)
-        offsets = self._first_cell + tables  # each table's first knot
-        panels = np.bincount(np.searchsorted(offsets, edges, side="right") - 1) - 1
+        tables, first = np.arange(self.ends.size), self._first_cell
+        panels = np.bincount(np.searchsorted(first, edges, side="right") - 1) - 1
         last = np.cumsum(panels + 1) - 1  # the position in edges of each table's top edge
-        lowest = edges[last - panels] - offsets
+        lowest = edges[last - panels] - first
         width = _PANEL_NODES * np.max(panels)
         nodes = np.full((tables.size, width), self.geometry.d_max)
         weights = np.zeros(nodes.shape)
         # the cell rule on the knots of all tables; no cell between two tables is read
-        table = np.repeat(tables, self._last_cell - self._first_cell + 2)[:-1]  # a cell's
         x, w = _gauss_on_panels(self._knots.imag, _CELL_X, _CELL_W)
-        pdf = self._pdf_at(x.reshape(-1, _CELL_QUAD_ORDER).T, np.arange(table.size) - table)
+        pdf = self._pdf_at(x.reshape(-1, _CELL_QUAD_ORDER).T, np.arange(self._cubic.shape[1]))
         w *= np.maximum(pdf, 0.0).T.ravel()
         panel_table = np.repeat(tables, panels)
         lo, hi = np.delete(edges, last), np.delete(edges, last - panels)
@@ -683,9 +689,9 @@ class TabulatedDistribution:
         keys, top = np.insert(stored, at, tops), (at + tables)[:, None]
         starts = np.insert(width + _PANEL_NODES * left[panel], at, width)
         i = np.arange(np.max(self._last_cell - self._first_cell) + 1)  # the most cells of a table
-        up = np.searchsorted(keys, offsets[:, None] + i + 1 + (i >= lowest[:, None]))
+        up = np.searchsorted(keys, first[:, None] + i + 1 + (i >= lowest[:, None]))
         up = np.minimum(up, top)
-        count = np.maximum(keys[up] - offsets[:, None] - i - 1, 0)
+        count = np.maximum(keys[up] - first[:, None] - i - 1, 0)
         anchor = np.where(up == top, -1, up - tables[:, None])  # each top comes after its table's
         return nodes, weights, partial, *(v.astype(np.int32) for v in (count, starts[up], anchor))
 
@@ -722,7 +728,7 @@ class TabulatedDistribution:
         # knot, by their count; Gauss node, cell and limit down the axes
         for c, block in _blocks(count, lambda c: rows * _CELL_QUAD_ORDER * (c + 1)):
             cells = cell[block] + np.arange(c + 1)[:, None]
-            edges = np.vstack((a[block], self._knots.imag[cells + table[block] + 1]))
+            edges = np.vstack((a[block], self._knots.imag[cells + 1]))
             mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges, axis=0)
             near = mids + halves * _CELL_X[:, None, None]
             w = halves * _CELL_W[:, None, None] * np.maximum(self._pdf_at(near, cells), 0.0)
@@ -735,12 +741,10 @@ class TabulatedDistribution:
         for first, block in _blocks(column[far], lambda first: rows * (width - first)):
             block = far[block]
             sel, k = live[block], table[block]
-            one = np.all(k == k[0])  # one table: views of its rows, no gather
-            full = rows_fn(x[k[0] : k[0] + 1, first:] if one else x[k, first:], sel)
+            full = rows_fn(x[k, first:], sel)
             head = np.einsum("jiq,iq->ji", full[..., :_PANEL_NODES], partial[anchor[block]])
-            rest = wf[k[0] if one else k, first + _PANEL_NODES :]
-            out[:, sel] += head + np.einsum("jiq,q->ji" if one else "jiq,iq->ji",
-                                            full[..., _PANEL_NODES:], rest)
+            out[:, sel] += head + np.einsum("jiq,iq->ji", full[..., _PANEL_NODES:],
+                                            wf[k, first + _PANEL_NODES :])
         return out
 
     def save(self, path) -> None:
@@ -791,10 +795,7 @@ class TabulatedDistribution:
 
 
 class PairTable(TabulatedDistribution):
-    """The pair table of ``build_cdf`` or a cache: the pair law's table, with its kinks 0, 2R and H.
-
-    It serves as its own law, as every table does.
-    """
+    """The pair table of ``build_cdf`` or a cache: the pair law's table, with its kinks 0, 2R and H."""
 
     kinks = property(lambda self: np.array([[0.0, 2.0 * self.geometry.R, self.geometry.H]]))
 
@@ -893,22 +894,25 @@ def receiver_distance_law(geom: CylinderGeometry, r, z, d):
     (``receiver_breakpoints``) on, the sphere meets the cylinder in at
     most a point, so f_x is 0 there.  d is a distance or a 1-D array, and
     r and z are scalars or one receiver per distance; a distance's values
-    do not depend on the others.  A receiver outside the cylinder, or a
-    negative or NaN distance, raises DomainError.
+    do not depend on the others.  The integrals are formed in the length
+    unit (``_length_unit``), where the lens's product of four lengths stays
+    in range at any scale, and f is scaled back.  A receiver outside the
+    cylinder, or a negative or NaN distance, raises DomainError.
     """
-    R, H = geom.R, geom.H
     r, z, d = np.asarray(r, dtype=float), np.asarray(z, dtype=float), np.asarray(d, dtype=float)
-    outside = ~((0.0 <= r) & (r <= R) & (0.0 <= z) & (z <= H))
+    outside = ~((0.0 <= r) & (r <= geom.R) & (0.0 <= z) & (z <= geom.H))
     if np.any(outside):
         r, z = (float(np.broadcast_to(v, outside.shape).flat[np.argmax(outside)]) for v in (r, z))
         raise DomainError(f"receiver (r={r!r}, z={z!r}) outside the cylinder")
     r, z, d = np.broadcast_arrays(r, z, np.atleast_1d(d))
     if not np.all(d >= 0.0):  # written so that NaN fails it too
         raise DomainError("distances must be nonnegative, not NaN")
-    lens, angle = _slab(d, np.stack((np.minimum(z, d), np.minimum(H - z, d))), r, R)
     beyond = d >= receiver_breakpoints(geom, r, z)[..., -1]  # d_max(x)
-    density = np.where(beyond, 0.0, d * (angle[0] + angle[1]) / geom.volume)
-    return (lens[0] + lens[1]) / geom.volume, density
+    unit = _length_unit(geom)
+    cyl, r, z, d = CylinderGeometry(R=geom.R * unit, H=geom.H * unit), r * unit, z * unit, d * unit
+    lens, angle = _slab(d, np.stack((np.minimum(z, d), np.minimum(cyl.H - z, d))), r, cyl.R)
+    density = np.where(beyond, 0.0, d * (angle[0] + angle[1]) / cyl.volume * unit)
+    return (lens[0] + lens[1]) / cyl.volume, density
 
 
 def receiver_breakpoints(geom: CylinderGeometry, r, z) -> np.ndarray:

@@ -41,8 +41,9 @@ histogram counts each block of pairs as it is drawn, so it never holds
 more than one block of distances.
 
 SIR does not depend on the unit of length, so the coverage simulator
-measures its SIR distances in 2^e, the smallest power of two above d_max
-(e from frexp(d_max)): whether d^-alpha stays in the float range does not
+measures its SIR distances in the unit the distance laws are formed in
+(``distance._length_unit``): 2^e, the smallest power of two above d_max,
+e from frexp(d_max).  Whether d^-alpha stays in the float range does not
 depend on the cylinder's scale.  Scaling by a power of two is exact, so a
 cylinder scaled by 2^j forms the same SIR bits and counts the same trials
 as at j = 0.  The histogram's distances keep the caller's unit.
@@ -58,7 +59,7 @@ from typing import Any, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .distance import _MAX_ARRAY
+from .distance import _MAX_ARRAY, _length_unit
 from .errors import DomainError
 from .geometry import CylinderGeometry
 from .network import NetworkScenario
@@ -143,11 +144,6 @@ def empirical_distance_histogram(
     return SimulationEstimate(
         mean=p / widths, ci_half_width=ci / widths, trials=pairs, seed=seed, scenario=(geom, bins)
     )
-
-
-def _sir_unit(geom: CylinderGeometry) -> float:
-    """1 / 2^e for the SIR unit 2^e of the module docstring; d_max times it lies in [0.5, 1)."""
-    return math.ldexp(1.0, -math.frexp(geom.d_max)[1])
 
 
 def _link_distances_squared(
@@ -239,7 +235,7 @@ def simulate_coverage(scenario, trials: int, seed: int) -> Union[SimulationEstim
     if block * (group[0].N - 1) > _MAX_ARRAY:  # a block's distances, one array
         raise DomainError(f"N={group[0].N}: a block of {block} trials is past numpy's largest array")
     successes = np.zeros(len(group), dtype=np.int64)
-    unit = _sir_unit(group[0].geom)
+    unit = _length_unit(group[0].geom)
     for index, size in _blocks(trials):
         successes += _coverage_block(substream(seed, index), group, size, unit)
     p, ci = _binomial_estimate(successes, trials)

@@ -297,6 +297,19 @@ class TestPdfCommand:
                                            "numpy's largest array\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("R, H", [("2e51", "1.2e52"), ("2e81", "1.2e82"), ("2e-69", "1.2e-68")])
+    def test_closed_form_at_extreme_scales(self, tmp_path, R, H):
+        # Formed in the caller's unit, f_closed read 6.5 % and 19 % low at
+        # the 2nd and 3rd points at R = 2e51, and the other two ended in an
+        # OverflowError (from R**4) and a ZeroDivisionError traceback
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--R", R, "--H", H, "--points", "8", "--output", str(out)]) == 0
+        header, rows = read_rows(out)
+        d_max = CylinderGeometry(R=float(R), H=float(H)).d_max
+        assert header == ["l", "f_numeric", "f_closed"] and len(rows) == 8
+        for row in rows:
+            assert abs(float(row["f_numeric"]) - float(row["f_closed"])) <= 1e-12 / d_max
+
     def test_requires_geometry(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:

@@ -634,6 +634,19 @@ class TestExactCoverage:
         with pytest.raises(DomainError, match=r"take\(which\)"):
             exact_coverage_probability(sc, tall_mixture.take(which))
 
+    @pytest.mark.parametrize("s", [1e-100, 1e-83, 1e-82, 1e80, 1e100])
+    def test_value_does_not_depend_on_the_scale(self, s):
+        # The tall shape scaled by s.  Formed in the caller's unit, the
+        # receiver law's lens underflowed: 0.5335155045 (estimate 1.4e-5)
+        # against 0.5093762067 at s = 1e-83, a raise at 1e-82, and
+        # build_receiver_cdfs raised DomainError at 1e80.
+        def pc(geom, mixture):
+            sc = scenario(N=10, m=2.0, beta=1.0, alpha=3.0, geom=geom)
+            return exact_coverage_probability(sc, mixture).pc
+
+        scaled = CylinderGeometry(R=TALL.R * s, H=TALL.H * s)
+        assert abs(pc(scaled, build_receiver_cdfs(scaled)) - pc(TALL, get_mixture(TALL))) <= 1e-12
+
     def test_two_nodes_still_checks_inputs(self, squat_mixture, tall_mixture):
         with pytest.raises(DomainError):
             exact_coverage_probability(scenario(N=2, geom=TALL), squat_mixture)

@@ -41,6 +41,7 @@ from cylcov.distance import (
     RECEIVER_RULE,
     PairTable,
     ReceiverMixture,
+    _build_receiver_tables,
     _disk_pair_cdf,
     _receiver_mixture,
     _slab,
@@ -294,6 +295,18 @@ class TestClosedForm:
             left = cylinder_pair_pdf_closed(boundary - eps, geom)
             right = cylinder_pair_pdf_closed(boundary + eps, geom)
             assert abs(left - right) <= 1e-5
+
+    @pytest.mark.parametrize("s", [1e50, 1e80, 1e100, 1e-70, 1e-100])
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_matches_numeric_at_any_scale(self, geom, s):
+        # Formed in the caller's unit, R^4 and its kin left the float range:
+        # the tall shape at s = 1e50 read up to 19 % low, and at 1e80 and
+        # 1e-70 raised OverflowError and ZeroDivisionError.  At s = 1 the
+        # needle agrees within 2.3e-11 / d_max, the other shapes within 3e-13.
+        scaled = CylinderGeometry(R=geom.R * s, H=geom.H * s)
+        l = np.linspace(0.0, scaled.d_max, 129)
+        closed = np.array([cylinder_pair_pdf_closed(float(x), scaled) for x in l])
+        assert np.max(np.abs(closed - cylinder_pair_pdf_numeric(l, scaled))) <= 1e-10 / scaled.d_max
 
     def test_boundary_points_evaluate_finite(self):
         # exact boundaries dispatch to the "<=" branch and must not blow up
@@ -818,6 +831,22 @@ class TestReceiverLaw:
             reach = receiver_breakpoints(geom, *rule.nodes.T)[:, -1]
             assert [v.grid[-1] for v in tables_of(rule)] == reach.tolist()
 
+    @pytest.mark.parametrize("k", [-340, -280, 280, 330])
+    @pytest.mark.parametrize("geom", REGIME_GEOMETRIES, ids=str)
+    def test_tables_scale_with_the_cylinder(self, geom, k):
+        # Scaled by 2^k, the receivers' tables hold the knots times 2^k, the
+        # same F and f times 2^-k, bit for bit.  Formed in the caller's unit,
+        # the lens's product of four lengths underflowed at 2^-280 (F moved)
+        # and overflowed at 2^280.
+        s = math.ldexp(1.0, k)
+        r, z = np.array(list(RECEIVER_SPOTS.values())).T * np.array([[geom.R], [geom.H]])
+        scaled = CylinderGeometry(R=geom.R * s, H=geom.H * s)
+        for ours, theirs in zip(_build_receiver_tables(geom, r, z),
+                                _build_receiver_tables(scaled, r * s, z * s)):
+            assert np.array_equal(theirs[0], ours[0] * s)
+            assert np.array_equal(theirs[1], ours[1])
+            assert np.array_equal(theirs[2], ours[2] / s)
+
     def test_breakpoints_broadcast(self):
         # mixed shapes raised "all input arrays must have the same shape"
         rows = receiver_breakpoints(TALL, np.array([5.0, 7.0]), 60.0)
@@ -940,7 +969,7 @@ class TestReceiverLaw:
                 one = TabulatedDistribution(geom, grid, values, slopes)
                 cells = slice(rule._first_cell[t], rule._last_cell[t] + 1)
                 assert np.array_equal(one._cubic, rule._cubic[:, cells])
-                assert np.array_equal(one._tails, rule._tails[cells.start + t : cells.stop + t + 1])
+                assert np.array_equal(one._tails, rule._tails[cells.start : cells.stop + 1])
                 assert one.ends[0] == rule.ends[t]
 
     @pytest.mark.parametrize("case", [

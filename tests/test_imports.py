@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -118,6 +119,22 @@ def test_public_surface_is_pinned():
         for parent in parents:
             owner = getattr(owner, parent)
         assert not hasattr(owner, name) and not hasattr(cylcov, name), dotted
+
+
+def test_traced_names_are_where_the_tracer_looks():
+    # The benchmark's tracer replaces each WRAPPED name where its calling
+    # module looks it up, a method in its class's own __dict__; a moved name
+    # used to show only in the traced benchmark steps.
+    spec = importlib.util.spec_from_file_location("tracing", SRC.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, path, kind, _ in tracing.WRAPPED:
+        owner, attr = tracing._owner(module, path)
+        found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        if not (isinstance(found, classmethod) if kind == "classmethod" else callable(found)):
+            missing.append(f"{module}:{path}")
+    assert tracing.WRAPPED and not missing, missing
 
 
 def _unused_imports(path):

@@ -29,13 +29,12 @@ from cylcov import (
     empirical_distance_histogram,
     simulate_coverage,
 )
-from cylcov.distance import _MAX_ARRAY
+from cylcov.distance import _MAX_ARRAY, _length_unit
 from cylcov.simulation import (
     BLOCK_TRIALS,
     CHUNK_LINKS,
     _blocks,
     _link_distances_squared,
-    _sir_unit,
     substream,
 )
 
@@ -360,7 +359,7 @@ class TestChunks:
 
     @staticmethod
     def _one_shot(group, trials, seed):
-        unit = _sir_unit(group[0].geom)
+        unit = _length_unit(group[0].geom)
         counts = np.zeros(len(group), dtype=np.int64)
         for index, size in _blocks(trials):
             counts += one_shot_coverage_block(substream(seed, index), group, size, unit)
